@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Subcommands mirror the pipeline stages; `pipeline` runs any subset of them
-from a YAML config with content-hash skipping. `synth` builds the offline
-synthetic fixture workspace.
+`pipeline` runs any subset of the stages from a YAML config with
+content-hash skipping; it is the only way to run a stage. `synth` builds the
+offline synthetic fixture workspace.
 """
 
 from __future__ import annotations
@@ -10,106 +10,12 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from pathlib import Path
 
 from . import pipeline as pl
 from .errors import PipelineError
 from .synthetic import make_workspace
 
 logger = logging.getLogger(__name__)
-
-
-def _base_config(args) -> pl.PipelineConfig:
-    return pl.PipelineConfig(
-        corpus_dir=getattr(args, "corpus", "corpus"),
-        index_dir=getattr(args, "index", "index"),
-        out_dir=getattr(args, "out_dir", "out"),
-        prices_dir=getattr(args, "prices", "prices"),
-    )
-
-
-def cmd_ingest(args) -> int:
-    config = _base_config(args)
-    config.universe_csv = args.universe
-    config.year_from = args.year_from
-    config.year_to = args.year_to
-    pl.stage_ingest(config)
-    return 0
-
-
-def cmd_embed(args) -> int:
-    config = _base_config(args)
-    config.embedding_provider = {"name": args.provider, "dimension": args.dim}
-    pl.stage_embed(config)
-    return 0
-
-
-def cmd_score(args) -> int:
-    config = _base_config(args)
-    config.questions_file = args.questions or ""
-    config.llm_provider = {"name": args.provider}
-    config.out_dir = str(Path(args.out).parent)
-    outputs = pl.stage_score(config)
-    produced = Path(outputs[0])
-    if produced != Path(args.out):
-        produced.replace(args.out)
-    return 0
-
-
-def cmd_returns(args) -> int:
-    config = _base_config(args)
-    config.benchmark_symbol = args.benchmark
-    config.out_dir = str(Path(args.out).parent)
-    outputs = pl.stage_returns(config)
-    if Path(outputs[0]) != Path(args.out):
-        Path(outputs[0]).replace(args.out)
-    return 0
-
-
-def cmd_label(args) -> int:
-    from . import labeling, market_data
-
-    records = market_data.read_returns_csv(args.returns)
-    source = "target_12m" if args.target == "12m" else "target_max"
-    examples = labeling.make_labels(records, source, args.bins)
-    labeling.write_labels_csv(args.out, examples)
-    return 0
-
-
-def cmd_train(args) -> int:
-    config = _base_config(args)
-    out_dir = Path(args.out).parent
-    config.out_dir = str(out_dir)
-    # stage_train reads features.csv/labels.csv from out_dir; link the
-    # explicit paths in when they differ.
-    for src, name in ((args.features, "features.csv"), (args.labels, "labels.csv")):
-        target = out_dir / name
-        if Path(src).resolve() != target.resolve():
-            target.write_bytes(Path(src).read_bytes())
-    config.train_years = tuple(args.train_years)
-    outputs = pl.stage_train(config)
-    if Path(outputs[0]) != Path(args.out):
-        Path(outputs[0]).replace(args.out)
-    return 0
-
-
-def cmd_backtest(args) -> int:
-    config = _base_config(args)
-    out_dir = Path(args.out).parent
-    config.out_dir = str(out_dir)
-    for src, name in ((args.model, "model.json"), (args.features, "features.csv"),
-                      (args.returns, "returns.csv")):
-        target = out_dir / name
-        if Path(src).resolve() != target.resolve():
-            target.write_bytes(Path(src).read_bytes())
-    config.train_years = tuple(args.train_years)
-    config.test_years = tuple(args.test_years)
-    config.k = args.k
-    config.basis = args.basis
-    outputs = pl.stage_backtest(config)
-    if Path(outputs[0]) != Path(args.out):
-        Path(outputs[0]).replace(args.out)
-    return 0
 
 
 def cmd_pipeline(args) -> int:
@@ -132,67 +38,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="fetch and clean 10-K filings")
-    p.add_argument("--universe", required=True, help="CSV with columns ticker,cik")
-    p.add_argument("--from", dest="year_from", type=int, required=True)
-    p.add_argument("--to", dest="year_to", type=int, required=True)
-    p.add_argument("--corpus", required=True, help="corpus directory")
-    p.add_argument("--out-dir", default="out")
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("embed", help="embed corpus chunks into a vector index")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--index", required=True)
-    p.add_argument("--provider", default="stub", choices=["stub", "http"])
-    p.add_argument("--dim", type=int, default=64)
-    p.set_defaults(func=cmd_embed)
-
-    p = sub.add_parser("score", help="score question set against each filing")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--index", required=True)
-    p.add_argument("--questions", default=None, help="question set JSON file")
-    p.add_argument("--provider", default="constant-stub",
-                   choices=["constant-stub", "keyword-stub", "http"])
-    p.add_argument("--out", required=True, help="features.csv path")
-    p.set_defaults(func=cmd_score)
-
-    p = sub.add_parser("returns", help="compute filing-window returns")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--prices", required=True, help="directory of daily-bar CSVs")
-    p.add_argument("--benchmark", default="SPX")
-    p.add_argument("--out", required=True, help="returns.csv path")
-    p.set_defaults(func=cmd_returns)
-
-    p = sub.add_parser("label", help="rank-normalize returns into [0,1] labels")
-    p.add_argument("--returns", required=True)
-    p.add_argument("--target", default="12m", choices=["12m", "max"])
-    p.add_argument("--bins", type=int, default=5)
-    p.add_argument("--out", required=True, help="labels.csv path")
-    p.set_defaults(func=cmd_label)
-
-    p = sub.add_parser("train", help="fit the non-negative regression model")
-    p.add_argument("--features", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--train-years", type=int, nargs=2, default=[2002, 2017])
-    p.add_argument("--out", required=True, help="model.json path")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("backtest", help="walk-forward top-k evaluation")
-    p.add_argument("--model", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--returns", required=True)
-    p.add_argument("--labels", default=None, help="unused, kept for symmetry")
-    p.add_argument("--train-years", type=int, nargs=2, default=[2002, 2017])
-    p.add_argument("--test-years", type=int, nargs=2, default=[2018, 2023])
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--basis", default="12m", choices=["12m", "max"])
-    p.add_argument("--out", required=True, help="report.json path")
-    p.set_defaults(func=cmd_backtest)
-
     p = sub.add_parser("pipeline", help="run stages from a YAML config")
     p.add_argument("--config", required=True)
     p.add_argument("--stages", nargs="*", default=None,
-                   help=f"subset of {pl.STAGES} (default: all)")
+                   help=f"subset of {[s.name for s in pl.STAGES]} (default: all)")
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("synth", help="generate the synthetic fixture workspace")
@@ -208,7 +57,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PipelineError as exc:
+    except (PipelineError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -114,14 +114,6 @@ class EdgarClient:
         raise RetriableError(f"retries exhausted for {context or url}")
 
 
-class FilingResolver(Protocol):
-    """Maps a universe and year range to concrete filing URLs."""
-
-    def resolve(
-        self, universe: TickerUniverse, year_from: int, year_to: int
-    ) -> tuple[list[FilingEntry], list[WarningRecord]]: ...
-
-
 class EdgarSubmissionsResolver:
     """Resolve 10-K URLs from EDGAR's per-company submissions index.
 

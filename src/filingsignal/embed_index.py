@@ -107,16 +107,6 @@ def embed_text(provider: EmbeddingProvider, text: str) -> np.ndarray:
     return normalize(provider.embed_batch([text])[0])
 
 
-def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
-    av, bv = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    if av.shape != bv.shape:
-        raise DimensionMismatchError(f"dimensions differ: {av.shape} vs {bv.shape}")
-    na, nb = np.linalg.norm(av), np.linalg.norm(bv)
-    if na == 0.0 or nb == 0.0:
-        raise ZeroNormError("cosine similarity undefined for zero vectors")
-    return float(np.dot(av, bv) / (na * nb))
-
-
 class VectorIndex:
     """Immutable-after-build store of unit vectors with exact top-k queries."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
-from scipy.stats import rankdata
+import numpy as np
 
 from .market_data import ReturnRecord
 
@@ -37,6 +37,18 @@ def bin_label(normalized_rank: float, bins: int) -> float:
     """Map a normalized rank in [0,1] to its bin's representative value."""
     b = min(int(normalized_rank * bins), bins - 1)
     return b / (bins - 1)
+
+
+def average_ranks(values: list[float]) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    a = np.asarray(values, dtype=np.float64)
+    order = np.argsort(a, kind="stable")
+    ordered = a[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(a)]
+    ranks = np.empty(len(a))
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
+    return ranks
 
 
 def make_labels(
@@ -65,7 +77,7 @@ def make_labels(
         if n == 1:
             labels = [0.5]
         else:
-            ranks = rankdata(values, method="average")
+            ranks = average_ranks(values)
             labels = [bin_label((rank - 1.0) / (n - 1.0), bins) for rank in ranks]
         for r, label in zip(group, labels):
             out.append(LabeledExample(r.ticker, r.filing_date, label,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -18,6 +19,8 @@ from typing import Protocol, Sequence
 from .corpus import Chunk, Filing
 from .embed_index import ChunkRef, EmbeddingProvider, VectorIndex, embed_text
 from .errors import RetriableError, RowScoringError, UnparseableScoreError
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_CHUNKS_PER_QUESTION = 4
 MAX_ATTEMPTS = 3
@@ -205,16 +208,27 @@ def parse_score(raw_response: str) -> int:
 
 class ScoreCache:
     """JSONL cache of ScoredAnswer records, keyed on filing, question,
-    provider, and question-set version. raw_response retained for audit."""
+    provider, and question-set version. raw_response retained for audit.
+
+    Every record is written as one line ending in a newline, so text after
+    the last newline is a record torn by an interrupted write: it is cut from
+    the file with a warning, and the next record starts on a fresh line. Any
+    other unreadable line raises.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._entries: dict[tuple, ScoredAnswer] = {}
         if self.path.exists():
-            with open(self.path, encoding="utf-8") as f:
-                for line in f:
-                    if not line.strip():
-                        continue
+            data = self.path.read_bytes()
+            complete, newline, torn = data.rpartition(b"\n")
+            if torn:
+                logger.warning("%s: dropping torn final line (%d bytes)",
+                               self.path, len(torn))
+                with open(self.path, "r+b") as f:
+                    f.truncate(len(complete) + len(newline))
+            for line in complete.split(b"\n"):
+                if line.strip():
                     rec = json.loads(line)
                     answer = ScoredAnswer(
                         filing_key=tuple(rec["filing_key"]),

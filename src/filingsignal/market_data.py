@@ -14,7 +14,7 @@ import logging
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,6 @@ FLAG_DELISTED = "delisted"
 RETURNS_COLUMNS = [
     "ticker", "filing_date", "next_filing_date",
     "target_12m", "target_max", "target_min",
-    "target_q25", "target_q50", "target_q75",
     "sp500_12m", "sp500_max", "flags",
 ]
 
@@ -82,9 +81,14 @@ def load_price_csv(path: str | Path) -> dict[str, PriceSeries]:
     }
 
 
+def price_files(directory: str | Path) -> list[Path]:
+    """The price CSVs of a directory, in the order load_price_dir reads them."""
+    return sorted(Path(directory).glob("*.csv"))
+
+
 def load_price_dir(directory: str | Path) -> dict[str, PriceSeries]:
     out: dict[str, PriceSeries] = {}
-    for path in sorted(Path(directory).glob("*.csv")):
+    for path in price_files(directory):
         out.update(load_price_csv(path))
     return out
 
@@ -141,9 +145,6 @@ class WindowReturns:
     r_12m: float
     r_max: float
     r_min: float
-    r_q25: float
-    r_q50: float
-    r_q75: float
 
 
 def window_returns(series: PriceSeries, start: date, end: date) -> WindowReturns:
@@ -158,15 +159,7 @@ def window_returns(series: PriceSeries, start: date, end: date) -> WindowReturns
     r_12m = float(cumulative[-1])
     r_max = float(np.percentile(cumulative, MAX_PERCENTILE))
     r_min = float(np.percentile(cumulative, MIN_PERCENTILE))
-
-    span = (end - start).days
-    quartiles = {}
-    for frac in (0.25, 0.50, 0.75):
-        target = start + timedelta(days=round(frac * span))
-        nearest = min(range(len(obs)), key=lambda i: abs((obs[i][0] - target).days))
-        quartiles[frac] = float(cumulative[nearest])
-    return WindowReturns(r_12m, r_max, r_min,
-                         quartiles[0.25], quartiles[0.50], quartiles[0.75])
+    return WindowReturns(r_12m, r_max, r_min)
 
 
 def benchmark_returns(
@@ -185,9 +178,6 @@ class ReturnRecord:
     target_12m: float
     target_max: float
     target_min: float
-    target_q25: float
-    target_q50: float
-    target_q75: float
     sp500_12m: float
     sp500_max: float
     flags: list[str] = field(default_factory=list)
@@ -238,7 +228,6 @@ def compute_return_records(
             records.append(ReturnRecord(
                 ticker, fdate, next_fdate,
                 stock.r_12m, stock.r_max, stock.r_min,
-                stock.r_q25, stock.r_q50, stock.r_q75,
                 sp_12m, sp_max, flags,
             ))
     return records, warnings
@@ -255,7 +244,6 @@ def write_returns_csv(path: str | Path, records: list[ReturnRecord]) -> None:
             writer.writerow([
                 r.ticker, r.filing_date.isoformat(), r.next_filing_date.isoformat(),
                 repr(r.target_12m), repr(r.target_max), repr(r.target_min),
-                repr(r.target_q25), repr(r.target_q50), repr(r.target_q75),
                 repr(r.sp500_12m), repr(r.sp500_max), ";".join(r.flags),
             ])
 
@@ -271,9 +259,6 @@ def read_returns_csv(path: str | Path) -> list[ReturnRecord]:
                 target_12m=float(rec["target_12m"]),
                 target_max=float(rec["target_max"]),
                 target_min=float(rec["target_min"]),
-                target_q25=float(rec["target_q25"]),
-                target_q50=float(rec["target_q50"]),
-                target_q75=float(rec["target_q75"]),
                 sp500_12m=float(rec["sp500_12m"]),
                 sp500_max=float(rec["sp500_max"]),
                 flags=[x for x in rec["flags"].split(";") if x],

@@ -1,9 +1,11 @@
 """Pipeline orchestration: staged execution with content-hash skipping.
 
-Every stage declares its input files; a manifest records input and output
-hashes plus wall time. Re-running skips stages whose inputs are unchanged,
-so interrupted runs resume where they left off. Per-item failures (one
-filing, one window) never abort a stage; they accumulate in an error report.
+Every stage is declared once in STAGES: its function, the config fields it
+hashes, the files it reads and the files it writes. A manifest records input
+and output hashes plus wall time. Re-running skips a stage whose inputs are
+unchanged and whose outputs still match their recorded hashes, so interrupted
+runs resume where they left off. Per-item failures (one filing, one window)
+never abort a stage; they accumulate in an error report.
 """
 
 from __future__ import annotations
@@ -11,11 +13,11 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import date
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import yaml
@@ -34,8 +36,6 @@ from .llm_scoring import (ConstantLLM, HTTPChatLLM, KeywordLLM, QuestionSet,
 from .regression import DesignMatrix, NNLSModel, fit_nnls
 
 logger = logging.getLogger(__name__)
-
-STAGES = ["ingest", "embed", "score", "returns", "label", "train", "backtest"]
 
 MANIFEST_FILE = "pipeline_manifest.json"
 
@@ -63,13 +63,19 @@ class PipelineConfig:
     k: int = 5
     basis: str = "12m"
     k_values: list[int] = field(default_factory=lambda: [1, 2, 3, 5, 8])
-    sample_train: int | None = None
-    sample_test: int | None = None
-    seed: int = 0
 
     @classmethod
     def from_yaml(cls, path: str | Path) -> "PipelineConfig":
         data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise PipelineError(f"{path}: config must be a mapping of keys to values")
+        names = {f.name for f in fields(cls)}
+        required = {f.name for f in fields(cls)
+                    if f.default is MISSING and f.default_factory is MISSING}
+        if unknown := sorted(set(data) - names):
+            raise PipelineError(f"{path}: unknown config keys {unknown}")
+        if missing := sorted(required - set(data)):
+            raise PipelineError(f"{path}: missing config keys {missing}")
         if "train_years" in data:
             data["train_years"] = tuple(data["train_years"])
         if "test_years" in data:
@@ -88,29 +94,6 @@ class PipelineConfig:
 
     def out(self, name: str) -> Path:
         return Path(self.out_dir) / name
-
-    def stage_config(self, stage: str) -> dict:
-        """The config subset that affects a stage's output, for hashing."""
-        subsets = {
-            "ingest": {"universe_csv": self.universe_csv,
-                       "year_from": self.year_from, "year_to": self.year_to},
-            "embed": {"chunk_chars": self.chunk_chars,
-                      "overlap_chars": self.overlap_chars,
-                      "embedding_provider": self.embedding_provider},
-            "score": {"llm_provider": self.llm_provider,
-                      "chunks_per_question": self.chunks_per_question,
-                      "chunk_chars": self.chunk_chars,
-                      "overlap_chars": self.overlap_chars,
-                      "questions_file": self.questions_file},
-            "returns": {"benchmark_symbol": self.benchmark_symbol},
-            "label": {"label_target": self.label_target, "bins": self.bins},
-            "train": {"train_years": list(self.train_years),
-                      "sample_train": self.sample_train, "seed": self.seed},
-            "backtest": {"test_years": list(self.test_years), "k": self.k,
-                         "basis": self.basis, "k_values": self.k_values,
-                         "sample_test": self.sample_test, "seed": self.seed},
-        }
-        return subsets[stage]
 
 
 def build_embedding_provider(cfg: dict):
@@ -170,7 +153,7 @@ class ErrorReport:
 # --- stage implementations ----------------------------------------------------
 
 
-def stage_ingest(config: PipelineConfig) -> list[Path]:
+def stage_ingest(config: PipelineConfig) -> None:
     universe = TickerUniverse.from_csv(config.universe_csv)
     client = EdgarClient()
     resolver = EdgarSubmissionsResolver(client)
@@ -187,10 +170,9 @@ def stage_ingest(config: PipelineConfig) -> list[Path]:
             store.add(fetch_filing(entry, client))
         except PipelineError as exc:
             report.record(f"{entry.ticker} {entry.filing_date}", str(exc))
-    return [config.corpus_manifest]
 
 
-def stage_embed(config: PipelineConfig) -> list[Path]:
+def stage_embed(config: PipelineConfig) -> None:
     provider = build_embedding_provider(config.embedding_provider)
     store = CorpusStore(config.corpus_dir)
     index: VectorIndex | None = None
@@ -205,7 +187,6 @@ def stage_embed(config: PipelineConfig) -> list[Path]:
     if index is None:
         raise PipelineError("corpus is empty, nothing to embed")
     index.save(config.index_dir)
-    return config.index_files
 
 
 def load_chunks_by_ref(config: PipelineConfig, store: CorpusStore) -> dict:
@@ -216,7 +197,7 @@ def load_chunks_by_ref(config: PipelineConfig, store: CorpusStore) -> dict:
     return chunks
 
 
-def stage_score(config: PipelineConfig) -> list[Path]:
+def stage_score(config: PipelineConfig) -> None:
     store = CorpusStore(config.corpus_dir)
     index = VectorIndex.load(config.index_dir)
     qs = load_questions(config)
@@ -234,12 +215,10 @@ def stage_score(config: PipelineConfig) -> list[Path]:
             ))
         except RowScoringError as exc:
             report.record(f"{filing.ticker} {filing.filing_date}", str(exc))
-    out = config.out("features.csv")
-    write_features_csv(out, rows, qs)
-    return [out]
+    write_features_csv(config.out("features.csv"), rows, qs)
 
 
-def stage_returns(config: PipelineConfig) -> list[Path]:
+def stage_returns(config: PipelineConfig) -> None:
     store = CorpusStore(config.corpus_dir)
     prices = md.load_price_dir(config.prices_dir)
     if config.benchmark_symbol not in prices:
@@ -255,21 +234,17 @@ def stage_returns(config: PipelineConfig) -> list[Path]:
     report = ErrorReport(config.out("returns_errors.jsonl"))
     for w in warnings:
         report.record("window", w)
-    out = config.out("returns.csv")
-    md.write_returns_csv(out, records)
-    return [out]
+    md.write_returns_csv(config.out("returns.csv"), records)
 
 
-def stage_label(config: PipelineConfig) -> list[Path]:
+def stage_label(config: PipelineConfig) -> None:
     records = md.read_returns_csv(config.out("returns.csv"))
     source = "target_12m" if config.label_target == "12m" else "target_max"
     examples = labeling.make_labels(records, source, config.bins)
-    out = config.out("labels.csv")
-    labeling.write_labels_csv(out, examples)
-    return [out]
+    labeling.write_labels_csv(config.out("labels.csv"), examples)
 
 
-def stage_train(config: PipelineConfig) -> list[Path]:
+def stage_train(config: PipelineConfig) -> None:
     qcols, feature_rows = read_features_csv(config.out("features.csv"))
     labels = labeling.read_labels_csv(config.out("labels.csv"))
     label_by_key = {(e.ticker, e.filing_date.isoformat()): e.label for e in labels}
@@ -281,75 +256,70 @@ def stage_train(config: PipelineConfig) -> list[Path]:
     ]
     if not joined:
         raise PipelineError("no training rows in the configured train years")
-    if config.sample_train is not None and config.sample_train < len(joined):
-        rng = random.Random(config.seed)
-        joined = sorted(rng.sample(joined, config.sample_train),
-                        key=lambda t: t[0].filing_key)
     X = np.array([row.scores for row, _ in joined], dtype=float)
     y = np.array([label for _, label in joined])
     model = fit_nnls(DesignMatrix(X, y, qcols))
-    out = config.out("model.json")
-    model.save(out, extra={"train_years": list(config.train_years)})
-    return [out]
+    model.save(config.out("model.json"), extra={"train_years": list(config.train_years)})
 
 
-def stage_backtest(config: PipelineConfig) -> list[Path]:
+def stage_backtest(config: PipelineConfig) -> None:
     model = NNLSModel.load(config.out("model.json"))
     _, feature_rows = read_features_csv(config.out("features.csv"))
     records = md.read_returns_csv(config.out("returns.csv"))
     split = bt.SplitSpec(config.train_years, config.test_years)
-    if config.sample_test is not None:
-        test_rows = [r for r in feature_rows
-                     if split.in_test(int(r.filing_date[:4]))]
-        if config.sample_test < len(test_rows):
-            rng = random.Random(config.seed)
-            keep = set(id(r) for r in rng.sample(test_rows, config.sample_test))
-            feature_rows = [r for r in feature_rows
-                            if not split.in_test(int(r.filing_date[:4]))
-                            or id(r) in keep]
     report = bt.run_backtest(model, feature_rows, records, split,
                              config.k, config.basis)
-    out_report = config.out("report.json")
-    out_report.write_text(report.to_json() + "\n", encoding="utf-8")
-    out_cum = config.out("cumulative.csv")
-    bt.write_cumulative_csv(out_cum, report)
+    config.out("report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+    bt.write_cumulative_csv(config.out("cumulative.csv"), report)
     table = bt.k_sweep(model, feature_rows, records, split,
                        config.k_values, config.basis)
-    out_sweep = config.out("ksweep.csv")
-    bt.write_ksweep_csv(out_sweep, table)
-    return [out_report, out_cum, out_sweep]
+    bt.write_ksweep_csv(config.out("ksweep.csv"), table)
 
 
 # --- orchestration ------------------------------------------------------------
 
-# stage -> (callable, input paths, producing-stage hints for missing inputs)
-def _stage_inputs(config: PipelineConfig, stage: str) -> list[tuple[Path, str]]:
-    manifest = (config.corpus_manifest, "ingest")
-    index = [(p, "embed") for p in config.index_files]
-    table = {
-        "ingest": [(Path(config.universe_csv), "")] if config.universe_csv else [],
-        "embed": [manifest],
-        "score": [manifest, *index],
-        "returns": [manifest],
-        "label": [(config.out("returns.csv"), "returns")],
-        "train": [(config.out("features.csv"), "score"),
-                  (config.out("labels.csv"), "label")],
-        "backtest": [(config.out("model.json"), "train"),
-                     (config.out("features.csv"), "score"),
-                     (config.out("returns.csv"), "returns")],
-    }
-    return table[stage]
+
+@dataclass(frozen=True)
+class Stage:
+    """Everything the runner knows about one stage, declared in one place.
+
+    ``inputs`` lists every file the stage reads and ``outputs`` every file it
+    writes; both are hashed into the manifest, together with the config
+    fields named in ``config_keys``.
+    """
+
+    name: str
+    run: Callable[[PipelineConfig], None]
+    config_keys: tuple[str, ...]
+    inputs: Callable[[PipelineConfig], list[Path]]
+    outputs: Callable[[PipelineConfig], list[Path]]
 
 
-_STAGE_FUNCS = {
-    "ingest": stage_ingest,
-    "embed": stage_embed,
-    "score": stage_score,
-    "returns": stage_returns,
-    "label": stage_label,
-    "train": stage_train,
-    "backtest": stage_backtest,
-}
+STAGES = [
+    Stage("ingest", stage_ingest, ("universe_csv", "year_from", "year_to"),
+          lambda c: [Path(c.universe_csv)] if c.universe_csv else [],
+          lambda c: [c.corpus_manifest]),
+    Stage("embed", stage_embed, ("chunk_chars", "overlap_chars", "embedding_provider"),
+          lambda c: [c.corpus_manifest],
+          lambda c: c.index_files),
+    Stage("score", stage_score,
+          ("llm_provider", "chunks_per_question", "chunk_chars", "overlap_chars"),
+          lambda c: [c.corpus_manifest, *c.index_files,
+                     *([Path(c.questions_file)] if c.questions_file else [])],
+          lambda c: [c.out("features.csv")]),
+    Stage("returns", stage_returns, ("benchmark_symbol",),
+          lambda c: [c.corpus_manifest, *md.price_files(c.prices_dir)],
+          lambda c: [c.out("returns.csv")]),
+    Stage("label", stage_label, ("label_target", "bins"),
+          lambda c: [c.out("returns.csv")],
+          lambda c: [c.out("labels.csv")]),
+    Stage("train", stage_train, ("train_years",),
+          lambda c: [c.out("features.csv"), c.out("labels.csv")],
+          lambda c: [c.out("model.json")]),
+    Stage("backtest", stage_backtest, ("test_years", "k", "basis", "k_values"),
+          lambda c: [c.out("model.json"), c.out("features.csv"), c.out("returns.csv")],
+          lambda c: [c.out("report.json"), c.out("cumulative.csv"), c.out("ksweep.csv")]),
+]
 
 
 def _sha256_file(path: Path) -> str:
@@ -360,12 +330,14 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def _input_hashes(config: PipelineConfig, stage: str) -> dict[str, str]:
+def _input_hashes(config: PipelineConfig, stage: Stage) -> dict[str, str]:
+    subset = {key: getattr(config, key) for key in stage.config_keys}
     hashes = {"config": hashlib.sha256(
-        json.dumps(config.stage_config(stage), sort_keys=True).encode()
+        json.dumps(subset, sort_keys=True).encode()
     ).hexdigest()}
-    for path, producer in _stage_inputs(config, stage):
+    for path in stage.inputs(config):
         if not path.exists():
+            producer = next((s.name for s in STAGES if path in s.outputs(config)), None)
             if producer:
                 raise StageInputError(str(path), producer)
             raise PipelineError(f"missing input file {path}")
@@ -373,16 +345,21 @@ def _input_hashes(config: PipelineConfig, stage: str) -> dict[str, str]:
     return hashes
 
 
+def _output_hashes(config: PipelineConfig, stage: Stage) -> dict[str, str]:
+    return {str(p): _sha256_file(p) for p in stage.outputs(config)}
+
+
 def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dict:
     """Execute the requested stages in dependency order; skip unchanged ones.
 
-    Returns the updated pipeline manifest.
+    A stage is skipped only when its inputs hash as recorded and its outputs
+    still match their recorded hashes. Returns the updated pipeline manifest.
     """
-    requested = stages or STAGES
-    unknown = set(requested) - set(STAGES)
+    names = [s.name for s in STAGES]
+    requested = stages or names
+    unknown = set(requested) - set(names)
     if unknown:
         raise ValueError(f"unknown stages: {sorted(unknown)}")
-    ordered = [s for s in STAGES if s in requested]
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -391,20 +368,20 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
     if manifest_path.exists():
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
 
-    for stage in ordered:
+    for stage in (s for s in STAGES if s.name in requested):
         inputs = _input_hashes(config, stage)
-        prior = manifest.get(stage)
-        if prior and prior["inputs"] == inputs and all(
-            Path(p).exists() for p in prior["outputs"]
-        ):
-            logger.info("stage %s: inputs unchanged, skipped", stage)
+        prior = manifest.get(stage.name)
+        if prior and prior["inputs"] == inputs and \
+                all(p.exists() for p in stage.outputs(config)) and \
+                prior["outputs"] == _output_hashes(config, stage):
+            logger.info("stage %s: inputs and outputs unchanged, skipped", stage.name)
             continue
-        logger.info("stage %s: running", stage)
+        logger.info("stage %s: running", stage.name)
         t0 = time.monotonic()
-        outputs = _STAGE_FUNCS[stage](config)
-        manifest[stage] = {
+        stage.run(config)
+        manifest[stage.name] = {
             "inputs": inputs,
-            "outputs": {str(p): _sha256_file(p) for p in outputs},
+            "outputs": _output_hashes(config, stage),
             "wall_time_s": round(time.monotonic() - t0, 3),
         }
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",

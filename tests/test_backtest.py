@@ -24,7 +24,7 @@ def feature_row(ticker, year, score):
 def return_record(ticker, year, r12, sp12=0.04, rmax=None, spmax=None):
     return ReturnRecord(ticker, date(year, 3, 1), date(year + 1, 3, 1),
                         r12, rmax if rmax is not None else r12 + 0.05,
-                        -0.1, 0.0, 0.0, 0.0, sp12,
+                        -0.1, sp12,
                         spmax if spmax is not None else sp12 + 0.02, [])
 
 

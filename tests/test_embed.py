@@ -1,12 +1,11 @@
 import json
-import math
 
 import numpy as np
 import pytest
 
 from filingsignal.embed_index import (HashEmbeddingProvider, VectorIndex,
-                                      cosine_similarity, embed_text, normalize)
-from filingsignal.errors import DimensionMismatchError, ZeroNormError
+                                      embed_text, normalize)
+from filingsignal.errors import DimensionMismatchError
 
 from conftest import FIXTURES
 
@@ -50,7 +49,7 @@ class TestStubProvider:
         a = embed_text(p, "revenue growth outlook strong")
         b = embed_text(p, "revenue growth guidance strong")
         c = embed_text(p, "litigation settlement patent dispute")
-        assert cosine_similarity(a, b) > cosine_similarity(a, c)
+        assert np.dot(a, b) > np.dot(a, c)
 
     def test_matches_golden_file(self):
         golden = json.load(open(f"{FIXTURES}/stub_embeddings_golden.json"))
@@ -63,31 +62,6 @@ class TestStubProvider:
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):
             embed_text(HashEmbeddingProvider(), "")
-
-
-class TestCosine:
-    def test_identity(self):
-        v = normalize([1.0, 2.0, 3.0])
-        assert cosine_similarity(v, v) == pytest.approx(1.0)
-
-    def test_orthonormal(self):
-        assert cosine_similarity([1, 0], [0, 1]) == pytest.approx(0.0)
-
-    def test_hand_arithmetic(self):
-        b = [1 / math.sqrt(2), 1 / math.sqrt(2)]
-        assert cosine_similarity([1, 0], b) == pytest.approx(0.7071, abs=1e-4)
-
-    def test_symmetric(self):
-        a, b = [0.3, -0.2, 0.5], [1.0, 0.1, -0.4]
-        assert cosine_similarity(a, b) == cosine_similarity(b, a)
-
-    def test_zero_norm_error(self):
-        with pytest.raises(ZeroNormError):
-            cosine_similarity([0, 0], [1, 0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            cosine_similarity([1, 0], [1, 0, 0])
 
 
 class TestTopK:

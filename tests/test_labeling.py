@@ -12,7 +12,7 @@ from filingsignal.market_data import ReturnRecord
 def record(ticker, year, r12, rmax=0.0, month=3, day=15):
     fdate = date(year, month, day)
     return ReturnRecord(ticker, fdate, date(year + 1, month, day),
-                        r12, rmax, -0.1, 0.0, 0.0, 0.0, 0.0, 0.0, [])
+                        r12, rmax, -0.1, 0.0, 0.0, [])
 
 
 def oracle_labels(values, bins):
@@ -123,8 +123,7 @@ class TestInvariants:
         transformed = [
             ReturnRecord(r.ticker, r.filing_date, r.next_filing_date,
                          math.exp(3 * r.target_12m) - 0.5, r.target_max,
-                         r.target_min, r.target_q25, r.target_q50, r.target_q75,
-                         r.sp500_12m, r.sp500_max, r.flags)
+                         r.target_min, r.sp500_12m, r.sp500_max, r.flags)
             for r in records
         ]
         after = make_labels(transformed, "target_12m")
@@ -146,7 +145,6 @@ class TestInvariants:
                 perturbed.append(ReturnRecord(
                     r.ticker, r.filing_date, r.next_filing_date,
                     next(it) * 5.0 + 1.0, r.target_max, r.target_min,
-                    r.target_q25, r.target_q50, r.target_q75,
                     r.sp500_12m, r.sp500_max, r.flags))
             else:
                 perturbed.append(r)

@@ -73,7 +73,6 @@ class TestWindowReturns:
         s = series_from([100.0] * 260)
         r = window_returns(s, s.dates[0], s.dates[-1])
         assert r.r_12m == r.r_max == r.r_min == 0.0
-        assert r.r_q25 == r.r_q50 == r.r_q75 == 0.0
 
     def test_simple_arithmetic(self):
         s = series_from([100.0] * 10 + [110.0])
@@ -101,12 +100,11 @@ class TestWindowReturns:
         b = series_from([p * 7.3 for p in prices])
         ra = window_returns(a, a.dates[0], a.dates[-1])
         rb = window_returns(b, b.dates[0], b.dates[-1])
-        for f in ("r_12m", "r_max", "r_min", "r_q25", "r_q50", "r_q75"):
+        for f in ("r_12m", "r_max", "r_min"):
             assert getattr(ra, f) == pytest.approx(getattr(rb, f), abs=1e-12)
 
     def test_percentile_monotonicity(self):
         # 2nd <= 50th <= 98th percentile over the same cumulative-return set.
-        # (r_q50 itself is a time-fraction return, not the median.)
         rng = np.random.default_rng(9)
         for _ in range(20):
             prices = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.03, 60)))
@@ -194,7 +192,6 @@ class TestReturnRecords:
         write_returns_csv(path, records)
         header = path.read_text().splitlines()[0]
         assert header == ("ticker,filing_date,next_filing_date,target_12m,"
-                          "target_max,target_min,target_q25,target_q50,"
-                          "target_q75,sp500_12m,sp500_max,flags")
+                          "target_max,target_min,sp500_12m,sp500_max,flags")
         loaded = read_returns_csv(path)
         assert loaded == records

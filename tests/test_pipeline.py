@@ -4,8 +4,10 @@ import pytest
 import yaml
 
 from filingsignal import cli
-from filingsignal.errors import StageInputError
+from filingsignal.errors import PipelineError, StageInputError
+from filingsignal.llm_scoring import ScoreCache
 from filingsignal.pipeline import PipelineConfig, run_pipeline
+from filingsignal.synthetic import make_workspace
 
 from conftest import synthetic_config
 
@@ -69,6 +71,61 @@ class TestRunPipeline:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["strategy_wealth"][-1] > report["benchmark_wealth"][-1]
 
+    def test_edited_prices_rerun_returns(self, tmp_path):
+        root = make_workspace(tmp_path / "ws", seed=0)
+        config = synthetic_config(root, tmp_path / "out")
+        run_pipeline(config, ["returns"])
+        returns_csv = tmp_path / "out" / "returns.csv"
+        before = returns_csv.read_bytes()
+        prices = root / "prices" / "prices.csv"
+        text = prices.read_text()
+        row = next(line for line in text.splitlines()
+                   if line.startswith("ALFA,2016-06-01,"))
+        prices.write_text(text.replace(row, "ALFA,2016-06-01,1000.0"))
+        run_pipeline(config, ["returns"])
+        assert returns_csv.read_bytes() != before
+
+    def test_edited_questions_file_reruns_score(self, synth_root, tmp_path):
+        questions = tmp_path / "questions.json"
+
+        def write_questions(qid):
+            questions.write_text(json.dumps({"version": "v1", "questions": [
+                {"id": qid, "text": "Is revenue growing?"}]}))
+
+        config = synthetic_config(synth_root, tmp_path)
+        config.questions_file = str(questions)
+        write_questions("first")
+        run_pipeline(config, ["embed", "score"])
+        write_questions("second")
+        run_pipeline(config, ["embed", "score"])
+        header = (tmp_path / "features.csv").read_text().splitlines()[0]
+        assert header == "ticker,filing_date,q_second"
+
+    def test_edited_output_restored(self, synth_root, tmp_path):
+        config = synthetic_config(synth_root, tmp_path)
+        run_pipeline(config, SYNTH_STAGES)
+        features = tmp_path / "features.csv"
+        original = features.read_text()
+        *rows, last = original.splitlines()
+        features.write_text("\n".join([*rows, last.rsplit(",", 1)[0] + ",99"]) + "\n")
+        run_pipeline(config, SYNTH_STAGES)
+        assert features.read_text() == original
+
+    def test_torn_cache_line_dropped_and_rescored(self, synth_root, tmp_path):
+        config = synthetic_config(synth_root, tmp_path)
+        run_pipeline(config, ["embed", "score"])
+        cache_path = tmp_path / "score_cache.jsonl"
+        original = cache_path.read_bytes()
+        cache_path.write_bytes(original[:-10])  # tear the last record
+        (tmp_path / "features.csv").unlink()
+        run_pipeline(config, ["embed", "score"])
+        assert cache_path.read_bytes() == original
+        cache = ScoreCache(cache_path)
+        for line in original.splitlines():
+            rec = json.loads(line)
+            assert cache.get(tuple(rec["filing_key"]), rec["question_id"],
+                             rec["provider_id"], rec["questionset_version"])
+
     def test_ksweep_weakly_decreasing(self, synth_root, tmp_path):
         config = synthetic_config(synth_root, tmp_path)
         run_pipeline(config, SYNTH_STAGES)
@@ -99,6 +156,21 @@ class TestConfigFile:
         assert loaded.train_years == (2015, 2017)
         assert loaded.k == 3
         assert loaded.llm_provider == config.llm_provider
+
+    @pytest.mark.parametrize("key, change", [("sample_train", "add"),
+                                             ("prices_dir", "drop")])
+    def test_bad_key_named(self, synth_root, tmp_path, key, change):
+        config = synthetic_config(synth_root, tmp_path)
+        raw = {"corpus_dir": config.corpus_dir, "index_dir": config.index_dir,
+               "out_dir": config.out_dir, "prices_dir": config.prices_dir}
+        if change == "add":
+            raw[key] = 100
+        else:
+            del raw[key]
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(PipelineError, match=key):
+            PipelineConfig.from_yaml(path)
 
 
 class TestCli:
@@ -142,16 +214,11 @@ class TestCli:
         assert (tmp_path / "fix" / "universe.csv").exists()
         assert (tmp_path / "fix" / "corpus" / "manifest.jsonl").exists()
 
-    def test_label_subcommand(self, synth_root, tmp_path):
-        config = synthetic_config(synth_root, tmp_path)
-        run_pipeline(config, ["returns"])
-        rc = cli.main(["label", "--returns", str(tmp_path / "returns.csv"),
-                       "--target", "12m", "--bins", "5",
-                       "--out", str(tmp_path / "labels2.csv")])
-        assert rc == 0
-        lines = (tmp_path / "labels2.csv").read_text().splitlines()
-        assert lines[0] == "ticker,filing_date,year,label"
-        assert len(lines) > 1
+    def test_missing_config_file_exits_nonzero(self, tmp_path, capsys):
+        rc = cli.main(["pipeline", "--config", str(tmp_path / "absent.yaml")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "absent.yaml" in err
 
     def test_help_exits_cleanly(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import json
 from datetime import date
 
 import pytest
@@ -150,6 +151,15 @@ class TestScoreFiling:
         second = score_filing(filing, qs, index, llm2, embedder, chunks, cache=cache2)
         assert llm2.call_count == 0
         assert second.scores == first.scores
+
+    def test_bad_line_before_the_last_raises(self, tmp_path):
+        filing, index, embedder, chunks = indexed_filing("some filing text")
+        path = tmp_path / "cache.jsonl"
+        score_filing(filing, small_questionset(), index, ConstantLLM(50), embedder,
+                     chunks, cache=ScoreCache(path))
+        path.write_bytes(b"{torn\n" + path.read_bytes())
+        with pytest.raises(json.JSONDecodeError):
+            ScoreCache(path)
 
     def test_unparseable_fails_whole_row(self):
         class Garbage:
