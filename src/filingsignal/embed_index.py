@@ -1,7 +1,9 @@
 """Embedding providers and an exact cosine-similarity vector index.
 
 Per-filing chunk counts are small (hundreds), so queries do an exhaustive
-scan: exact results, no approximate-NN tuning surface.
+scan of the filing's own rows: exact results, no approximate-NN tuning
+surface. The index keeps every vector in one matrix plus each filing's row
+positions, so a query's cost does not grow with the rest of the corpus.
 """
 
 from __future__ import annotations
@@ -108,23 +110,33 @@ def embed_text(provider: EmbeddingProvider, text: str) -> np.ndarray:
 
 
 class VectorIndex:
-    """Immutable-after-build store of unit vectors with exact top-k queries."""
+    """Unit vectors with exact top-k queries, restricted to one filing or not.
+
+    The vectors live in one float64 matrix (each row cast from the float32
+    vector that is stored on disk). For each filing, and for the whole index,
+    the index keeps the row positions sorted by ref, so a query scans only
+    the filing's own rows and a stable sort breaks similarity ties by ref.
+    The row positions are built on the first ``top_k`` after an ``add``;
+    every ``add`` invalidates them.
+    """
 
     def __init__(self, dimension: int, provider_id: str):
         self.dimension = dimension
         self.provider_id = provider_id
-        self._vectors: list[np.ndarray] = []
+        self._matrix = np.zeros((0, dimension))  # grows by doubling
         self._refs: list[ChunkRef] = []
         self._ref_set: set[ChunkRef] = set()
+        self._rows: dict[tuple[str, str] | None, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self._refs)
 
     @property
     def vectors(self) -> np.ndarray:
-        if not self._vectors:
-            return np.zeros((0, self.dimension), dtype=np.float32)
-        return np.vstack(self._vectors)
+        """Read-only (len, dimension) float64 view, rows in insertion order."""
+        view = self._matrix[:len(self._refs)]
+        view.flags.writeable = False
+        return view
 
     @property
     def refs(self) -> list[ChunkRef]:
@@ -138,9 +150,28 @@ class VectorIndex:
             )
         if ref in self._ref_set:
             raise ValueError(f"duplicate chunk ref {ref}")
-        self._vectors.append(vec)
+        n = len(self._refs)
+        if n == len(self._matrix):
+            grown = np.zeros((max(64, 2 * n), self.dimension))
+            grown[:n] = self._matrix
+            self._matrix = grown
+        self._matrix[n] = vec
         self._refs.append(ref)
         self._ref_set.add(ref)
+        self._rows = None
+
+    def _filing_rows(self) -> dict[tuple[str, str] | None, np.ndarray]:
+        """Row positions in ref order, per filing key and (key None) overall."""
+        if self._rows is None:
+            order = sorted(range(len(self._refs)), key=self._refs.__getitem__)
+            by_filing: dict[tuple[str, str], list[int]] = {}
+            for i in order:
+                by_filing.setdefault(self._refs[i][:2], []).append(i)
+            rows = {key: np.array(positions, dtype=np.intp)
+                    for key, positions in by_filing.items()}
+            rows[None] = np.array(order, dtype=np.intp)
+            self._rows = rows
+        return self._rows
 
     def top_k(
         self,
@@ -158,24 +189,12 @@ class VectorIndex:
             raise DimensionMismatchError(
                 f"query dimension {q.shape} != index dimension {self.dimension}"
             )
-        if not self._refs:
+        rows = self._filing_rows().get(filing_key)
+        if rows is None or not len(rows):
             return []
-        if filing_key is not None:
-            positions = [
-                i for i, r in enumerate(self._refs) if (r[0], r[1]) == filing_key
-            ]
-        else:
-            positions = list(range(len(self._refs)))
-        if not positions:
-            return []
-        sims = self.vectors[positions].astype(np.float64) @ q
-        order = sorted(
-            range(len(positions)),
-            key=lambda i: (-sims[i], self._refs[positions[i]]),
-        )
-        return [
-            (self._refs[positions[i]], float(sims[i])) for i in order[:k]
-        ]
+        sims = self._matrix[rows] @ q
+        order = np.argsort(-sims, kind="stable")[:k]
+        return [(self._refs[rows[i]], float(sims[i])) for i in order]
 
     # --- persistence ---------------------------------------------------------
 
@@ -198,6 +217,12 @@ class VectorIndex:
 
     @classmethod
     def load(cls, directory: str | Path) -> "VectorIndex":
+        """Read an index written by ``save``.
+
+        Raises ValueError when ``vectors.bin`` holds fewer bytes than its
+        header's row count needs, or ``refs.jsonl`` holds a different number
+        of refs.
+        """
         directory = Path(directory)
         with open(directory / INDEX_FILE, "rb") as f:
             magic = f.read(4)
@@ -207,14 +232,18 @@ class VectorIndex:
             if version != INDEX_VERSION:
                 raise ValueError(f"unsupported index version {version}")
             provider_id = f.read(pid_len).decode("utf-8")
-            data = np.frombuffer(f.read(4 * dim * count), dtype="<f4")
-        vectors = data.reshape(count, dim)
-        index = cls(dim, provider_id)
+            data = f.read(4 * dim * count)
         with open(directory / SIDECAR_FILE, encoding="utf-8") as f:
-            for i, line in enumerate(f):
-                rec = json.loads(line)
-                index.add(
-                    (rec["ticker"], rec["filing_date"], rec["chunk_index"]),
-                    vectors[i],
-                )
+            refs = [(rec["ticker"], rec["filing_date"], rec["chunk_index"])
+                    for rec in map(json.loads, f)]
+        if len(data) != 4 * dim * count or len(refs) != count:
+            raise ValueError(
+                f"{directory}: {INDEX_FILE} header counts {count} vectors of "
+                f"dimension {dim} ({4 * dim * count} bytes), read {len(data)} "
+                f"bytes; {SIDECAR_FILE} has {len(refs)} refs"
+            )
+        vectors = np.frombuffer(data, dtype="<f4").reshape(count, dim)
+        index = cls(dim, provider_id)
+        for ref, vec in zip(refs, vectors):
+            index.add(ref, vec)
         return index

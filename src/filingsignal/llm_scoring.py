@@ -16,6 +16,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Protocol, Sequence
 
+import numpy as np
+
 from .corpus import Chunk, Filing
 from .embed_index import ChunkRef, EmbeddingProvider, VectorIndex, embed_text
 from .errors import RetriableError, RowScoringError, UnparseableScoreError
@@ -210,6 +212,8 @@ class ScoreCache:
     """JSONL cache of ScoredAnswer records, keyed on filing, question,
     provider, and question-set version. raw_response retained for audit.
 
+    ``put`` makes a record visible to ``get`` at once and buffers its line;
+    ``flush`` appends the buffered lines to the file in one write.
     Every record is written as one line ending in a newline, so text after
     the last newline is a record torn by an interrupted write: it is cut from
     the file with a warning, and the next record starts on a fresh line. Any
@@ -219,6 +223,7 @@ class ScoreCache:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._entries: dict[tuple, ScoredAnswer] = {}
+        self._pending: list[str] = []
         if self.path.exists():
             data = self.path.read_bytes()
             complete, newline, torn = data.rpartition(b"\n")
@@ -249,17 +254,24 @@ class ScoreCache:
         if key in self._entries:
             return
         self._entries[key] = answer
+        self._pending.append(json.dumps({
+            "filing_key": list(answer.filing_key),
+            "question_id": answer.question_id,
+            "provider_id": provider_id,
+            "questionset_version": qs_version,
+            "score": answer.score,
+            "raw_response": answer.raw_response,
+            "context_chunk_refs": [list(r) for r in answer.context_chunk_refs],
+        }) + "\n")
+
+    def flush(self) -> None:
+        """Append every record put since the last flush, in put order."""
+        if not self._pending:
+            return
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as f:
-            f.write(json.dumps({
-                "filing_key": list(answer.filing_key),
-                "question_id": answer.question_id,
-                "provider_id": provider_id,
-                "questionset_version": qs_version,
-                "score": answer.score,
-                "raw_response": answer.raw_response,
-                "context_chunk_refs": [list(r) for r in answer.context_chunk_refs],
-            }) + "\n")
+            f.write("".join(self._pending))
+        self._pending.clear()
 
 
 def score_filing(
@@ -271,45 +283,59 @@ def score_filing(
     chunks_by_ref: dict[ChunkRef, Chunk],
     cache: ScoreCache | None = None,
     chunks_per_question: int = DEFAULT_CHUNKS_PER_QUESTION,
+    query_vectors: dict[tuple[str, str], np.ndarray] | None = None,
 ) -> FeatureRow:
     """Score every question for one filing; all-or-nothing.
 
     Any question that stays unparseable or unreachable after MAX_ATTEMPTS
-    fails the whole row (partial rows would corrupt the design matrix).
+    fails the whole row (partial rows would corrupt the design matrix), but
+    the answers already paid for are flushed to the cache either way.
+    ``query_vectors`` memoizes question embeddings across filings, keyed on
+    (embedder provider_id, question text); a question is embedded on its
+    first cache miss only.
     """
     key = filing.key
+    if query_vectors is None:
+        query_vectors = {}
     scores: list[int] = []
-    for question in qs.questions:
-        cached = cache.get(key, question.question_id, llm.provider_id, qs.version) \
-            if cache else None
-        if cached is not None:
-            scores.append(cached.score)
-            continue
-        query = embed_text(embedder, question.text)
-        hits = index.top_k(query, chunks_per_question, filing_key=key)
-        if not hits:
-            raise RowScoringError(f"no indexed chunks for filing {key}")
-        context = [chunks_by_ref[ref] for ref, _ in hits]
-        system_prompt, user_prompt = build_prompt(question.text, context)
-        answer = None
-        last_error: Exception | None = None
-        for _ in range(MAX_ATTEMPTS):
-            try:
-                raw = llm.complete(system_prompt, user_prompt)
-                score = parse_score(raw)
-            except (RetriableError, UnparseableScoreError) as exc:
-                last_error = exc
+    try:
+        for question in qs.questions:
+            cached = cache.get(key, question.question_id, llm.provider_id,
+                               qs.version) if cache else None
+            if cached is not None:
+                scores.append(cached.score)
                 continue
-            answer = ScoredAnswer(key, question.question_id, score, raw,
-                                  [ref for ref, _ in hits])
-            break
-        if answer is None:
-            raise RowScoringError(
-                f"question {question.question_id} failed for {key}: {last_error}"
-            )
+            memo_key = (embedder.provider_id, question.text)
+            query = query_vectors.get(memo_key)
+            if query is None:
+                query = query_vectors[memo_key] = embed_text(embedder, question.text)
+            hits = index.top_k(query, chunks_per_question, filing_key=key)
+            if not hits:
+                raise RowScoringError(f"no indexed chunks for filing {key}")
+            context = [chunks_by_ref[ref] for ref, _ in hits]
+            system_prompt, user_prompt = build_prompt(question.text, context)
+            answer = None
+            last_error: Exception | None = None
+            for _ in range(MAX_ATTEMPTS):
+                try:
+                    raw = llm.complete(system_prompt, user_prompt)
+                    score = parse_score(raw)
+                except (RetriableError, UnparseableScoreError) as exc:
+                    last_error = exc
+                    continue
+                answer = ScoredAnswer(key, question.question_id, score, raw,
+                                      [ref for ref, _ in hits])
+                break
+            if answer is None:
+                raise RowScoringError(
+                    f"question {question.question_id} failed for {key}: {last_error}"
+                )
+            if cache:
+                cache.put(answer, llm.provider_id, qs.version)
+            scores.append(answer.score)
+    finally:
         if cache:
-            cache.put(answer, llm.provider_id, qs.version)
-        scores.append(answer.score)
+            cache.flush()
     return FeatureRow(key, scores, filing.filing_date.isoformat())
 
 

@@ -203,15 +203,23 @@ def stage_score(config: PipelineConfig) -> None:
     qs = load_questions(config)
     llm = build_llm_provider(config.llm_provider)
     embedder = build_embedding_provider(config.embedding_provider)
+    if index.provider_id != embedder.provider_id:
+        raise PipelineError(
+            f"index in {config.index_dir} was embedded by {index.provider_id!r} "
+            f"but the configured embedding provider is {embedder.provider_id!r}: "
+            "run stage 'embed' first"
+        )
     cache = ScoreCache(config.out("score_cache.jsonl"))
     chunks_by_ref = load_chunks_by_ref(config, store)
     report = ErrorReport(config.out("score_errors.jsonl"))
+    query_vectors: dict = {}  # each question text embedded once per stage run
     rows = []
     for filing in store.load_all():
         try:
             rows.append(score_filing(
                 filing, qs, index, llm, embedder, chunks_by_ref,
                 cache=cache, chunks_per_question=config.chunks_per_question,
+                query_vectors=query_vectors,
             ))
         except RowScoringError as exc:
             report.record(f"{filing.ticker} {filing.filing_date}", str(exc))

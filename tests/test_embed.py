@@ -124,6 +124,60 @@ class TestTopK:
             index.top_k([1.0, 0.0], 1)
 
 
+class TestFilingRows:
+    def interleaved_index(self, rng, d=16):
+        """Three filings added interleaved, chunks out of chunk_index order."""
+        keys = [("B", "2021-03-01"), ("A", "2020-02-01"), ("A", "2021-02-01")]
+        chunk_order = [5, 0, 3, 9, 1, 2, 8, 4, 7, 6]
+        refs = [(*key, c) for c in chunk_order for key in keys]
+        vectors = rng.standard_normal((len(refs), d))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        index = VectorIndex(d, "test")
+        for ref, vec in zip(refs, vectors):
+            index.add(ref, vec)
+        return index, keys
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_filing_matches_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        index, keys = self.interleaved_index(rng)
+        stored, refs = index.vectors, index.refs
+        query = normalize(rng.standard_normal(stored.shape[1]))
+        for key in [*keys, None]:
+            rows = [i for i, r in enumerate(refs) if key is None or r[:2] == key]
+            expected = brute_force_top_k(stored[rows], [refs[i] for i in rows],
+                                         query, 4)
+            assert_same_ranking(index.top_k(query, 4, filing_key=key), expected)
+
+    def test_add_after_query_is_seen(self):
+        index = VectorIndex(2, "test")
+        index.add(("A", "2020-01-01", 0), [0.0, 1.0])
+        assert index.top_k([1.0, 0.0], 1, filing_key=("A", "2020-01-01"))[0][0] == \
+            ("A", "2020-01-01", 0)
+        index.add(("A", "2020-01-01", 1), [1.0, 0.0])
+        index.add(("B", "2020-01-01", 0), [1.0, 0.0])
+        assert index.top_k([1.0, 0.0], 1, filing_key=("A", "2020-01-01"))[0][0] == \
+            ("A", "2020-01-01", 1)
+        assert index.top_k([1.0, 0.0], 1, filing_key=("B", "2020-01-01"))[0][0] == \
+            ("B", "2020-01-01", 0)
+        assert len(index.top_k([1.0, 0.0], 5)) == 3
+
+    def test_ties_within_filing_break_by_chunk_index(self):
+        index = VectorIndex(2, "test")
+        # two tied groups, enough rows that an unstable sort reorders them
+        for chunk_index in np.random.default_rng(8).permutation(100):
+            vec = [1.0, 0.0] if chunk_index % 2 else [0.6, 0.8]
+            index.add(("A", "2020-01-01", int(chunk_index)), vec)
+            index.add(("B", "2020-01-01", int(chunk_index)), vec)
+        result = index.top_k([1.0, 0.0], 100, filing_key=("A", "2020-01-01"))
+        assert [r[2] for r, _ in result] == [*range(1, 100, 2), *range(0, 100, 2)]
+
+    def test_unknown_filing_is_empty(self):
+        index = VectorIndex(2, "test")
+        index.add(("A", "2020-01-01", 0), [1.0, 0.0])
+        assert index.top_k([1.0, 0.0], 3, filing_key=("Z", "2020-01-01")) == []
+
+
 class TestPersistence:
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -153,3 +207,29 @@ class TestPersistence:
         index.add(("A", "2020-01-01", 0), [1.0, 0.0])
         with pytest.raises(ValueError, match="duplicate"):
             index.add(("A", "2020-01-01", 0), [0.0, 1.0])
+
+    def test_fewer_refs_than_header_rejected(self, tmp_path):
+        rng = np.random.default_rng(5)
+        random_index(rng, 5)[0].save(tmp_path)
+        refs = tmp_path / "refs.jsonl"
+        refs.write_text("".join(refs.read_text().splitlines(keepends=True)[:3]))
+        with pytest.raises(ValueError, match=r"counts 5 vectors.*has 3 refs"):
+            VectorIndex.load(tmp_path)
+
+    def test_more_refs_than_header_rejected(self, tmp_path):
+        rng = np.random.default_rng(6)
+        random_index(rng, 5)[0].save(tmp_path)
+        refs = tmp_path / "refs.jsonl"
+        extra = json.dumps({"ticker": "Z", "filing_date": "2020-01-01",
+                            "chunk_index": 0})
+        refs.write_text(refs.read_text() + extra + "\n")
+        with pytest.raises(ValueError, match=r"counts 5 vectors.*has 6 refs"):
+            VectorIndex.load(tmp_path)
+
+    def test_truncated_vectors_rejected(self, tmp_path):
+        rng = np.random.default_rng(7)
+        random_index(rng, 5, d=8)[0].save(tmp_path)
+        vectors = tmp_path / "vectors.bin"
+        vectors.write_bytes(vectors.read_bytes()[:-10])
+        with pytest.raises(ValueError, match=r"\(160 bytes\), read 150 bytes"):
+            VectorIndex.load(tmp_path)

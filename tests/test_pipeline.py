@@ -3,7 +3,8 @@ import json
 import pytest
 import yaml
 
-from filingsignal import cli
+from filingsignal import cli, pipeline
+from filingsignal.embed_index import HashEmbeddingProvider
 from filingsignal.errors import PipelineError, StageInputError
 from filingsignal.llm_scoring import ScoreCache
 from filingsignal.pipeline import PipelineConfig, run_pipeline
@@ -125,6 +126,41 @@ class TestRunPipeline:
             rec = json.loads(line)
             assert cache.get(tuple(rec["filing_key"]), rec["question_id"],
                              rec["provider_id"], rec["questionset_version"])
+
+    def test_each_question_embedded_once_per_stage(self, synth_root, tmp_path,
+                                                   monkeypatch):
+        class CountingEmbedder(HashEmbeddingProvider):
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
+                self.texts = []
+
+            def embed_batch(self, texts):
+                self.texts.extend(texts)
+                return super().embed_batch(texts)
+
+        config = synthetic_config(synth_root, tmp_path)
+        run_pipeline(config, ["embed"])
+        embedders = []
+
+        def build(cfg):
+            embedders.append(CountingEmbedder(dimension=cfg["dimension"],
+                                              seed=cfg["seed"]))
+            return embedders[-1]
+
+        monkeypatch.setattr(pipeline, "build_embedding_provider", build)
+        run_pipeline(config, ["score"])
+        texts = [q.text for q in pipeline.load_questions(config).questions]
+        assert sorted(embedders[-1].texts) == sorted(texts)
+        (tmp_path / "features.csv").unlink()  # warm rerun: every answer cached
+        run_pipeline(config, ["score"])
+        assert len(embedders) == 2 and embedders[-1].texts == []
+
+    def test_index_from_other_embedder_rejected(self, synth_root, tmp_path):
+        config = synthetic_config(synth_root, tmp_path)
+        run_pipeline(config, ["embed"])
+        config.embedding_provider = {**config.embedding_provider, "seed": 1}
+        with pytest.raises(PipelineError, match="hash-stub-d64-s0.*hash-stub-d64-s1"):
+            run_pipeline(config, ["score"])
 
     def test_ksweep_weakly_decreasing(self, synth_root, tmp_path):
         config = synthetic_config(synth_root, tmp_path)

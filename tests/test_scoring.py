@@ -161,6 +161,38 @@ class TestScoreFiling:
         with pytest.raises(json.JSONDecodeError):
             ScoreCache(path)
 
+    def test_failed_row_keeps_earlier_answers(self, tmp_path):
+        class FailsLastQuestion:
+            provider_id = "fails-last"
+
+            def complete(self, s, u):
+                return "no idea" if "routine?" in u else "SCORE: 70"
+
+        filing, index, embedder, chunks = indexed_filing("some filing text")
+        path = tmp_path / "cache.jsonl"
+        with pytest.raises(RowScoringError, match="risk"):
+            score_filing(filing, small_questionset(), index, FailsLastQuestion(),
+                         embedder, chunks, cache=ScoreCache(path))
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [(r["question_id"], r["score"]) for r in records] == [("growth", 70)]
+
+    def test_cache_bytes_match_per_answer_appends(self, tmp_path):
+        class PerAnswerCache(ScoreCache):
+            def put(self, *args):
+                super().put(*args)
+                self.flush()
+
+        qs = small_questionset()
+        filings = [indexed_filing("first filing text", "AAA"),
+                   indexed_filing("second filing text", "BBB")]
+        for cache in (ScoreCache(tmp_path / "a.jsonl"),
+                      PerAnswerCache(tmp_path / "b.jsonl")):
+            for filing, index, embedder, chunks in filings:
+                score_filing(filing, qs, index, ConstantLLM(50), embedder, chunks,
+                             cache=cache)
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+        assert len((tmp_path / "a.jsonl").read_text().splitlines()) == 2 * len(qs)
+
     def test_unparseable_fails_whole_row(self):
         class Garbage:
             provider_id = "garbage"
