@@ -41,7 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="run stages from a YAML config")
     p.add_argument("--config", required=True)
     p.add_argument("--stages", nargs="*", default=None,
-                   help=f"subset of {[s.name for s in pl.STAGES]} (default: all)")
+                   choices=[s.name for s in pl.STAGES],
+                   help="stages to run, in pipeline order (default: all)")
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("synth", help="generate the synthetic fixture workspace")

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import logging
 import re
 from dataclasses import dataclass, field
 from datetime import date
@@ -17,6 +18,8 @@ from html.parser import HTMLParser
 from pathlib import Path
 
 from .errors import EmptyDocumentError
+
+logger = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.jsonl"
 FILINGS_DIR = "filings"
@@ -206,6 +209,24 @@ def reassemble_chunks(chunks: list[Chunk]) -> str:
 # --- store --------------------------------------------------------------------
 
 
+def read_jsonl(path: Path) -> list[dict]:
+    """The records of an append-only JSONL file; none if it does not exist.
+
+    Every record is appended as one line ending in a newline, so text after
+    the last newline is a record torn by an interrupted append: it is cut from
+    the file with a warning, and the next append starts on a fresh line. Any
+    other unreadable line raises.
+    """
+    if not path.exists():
+        return []
+    complete, newline, torn = path.read_bytes().rpartition(b"\n")
+    if torn:
+        logger.warning("%s: dropping torn final line (%d bytes)", path, len(torn))
+        with open(path, "r+b") as f:
+            f.truncate(len(complete) + len(newline))
+    return [json.loads(line) for line in complete.split(b"\n") if line.strip()]
+
+
 @dataclass
 class ManifestRecord:
     ticker: str
@@ -233,7 +254,8 @@ class CorpusStore:
     """Filesystem store: filings/<ticker>_<date>.txt plus a JSONL manifest.
 
     Ingestion is idempotent keyed by (ticker, filing_date); the manifest is
-    append-only under a single-writer discipline.
+    append-only under a single-writer discipline, and a torn final line is
+    cut (see ``read_jsonl``), so that filing is stored again by ``add``.
     """
 
     def __init__(self, root: str | Path):
@@ -242,12 +264,9 @@ class CorpusStore:
         self.manifest_path = self.root / MANIFEST_NAME
         self.filings_dir.mkdir(parents=True, exist_ok=True)
         self._records: dict[tuple[str, str], ManifestRecord] = {}
-        if self.manifest_path.exists():
-            with open(self.manifest_path, encoding="utf-8") as f:
-                for line in f:
-                    if line.strip():
-                        rec = ManifestRecord(**json.loads(line))
-                        self._records[(rec.ticker, rec.filing_date)] = rec
+        for fields in read_jsonl(self.manifest_path):
+            rec = ManifestRecord(**fields)
+            self._records[(rec.ticker, rec.filing_date)] = rec
 
     def __contains__(self, key: tuple[str, str]) -> bool:
         return key in self._records

@@ -1,13 +1,14 @@
 """Question scoring: retrieval-augmented prompts to an LLM, 0-100 features.
 
-Each question is answered against one filing's chunks only. Scores are cached
-as JSONL so re-runs make zero provider calls; a filing either yields a full
-feature row or none at all.
+Each question is answered against one filing's chunks only. Answers are cached
+as JSONL keyed on the exact prompt, so a rerun asks the provider only prompts
+it has not seen; a filing either yields a full feature row or none at all.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import logging
 import re
@@ -18,7 +19,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Chunk, Filing
+from .corpus import Chunk, Filing, read_jsonl
 from .embed_index import ChunkRef, EmbeddingProvider, VectorIndex, embed_text
 from .errors import RetriableError, RowScoringError, UnparseableScoreError
 
@@ -46,7 +47,6 @@ class Question:
 @dataclass
 class QuestionSet:
     questions: list[Question]
-    version: str
 
     def __post_init__(self):
         ids = [q.question_id for q in self.questions]
@@ -57,21 +57,18 @@ class QuestionSet:
         return len(self.questions)
 
     @classmethod
+    def from_json(cls, text: str) -> "QuestionSet":
+        """Parse ``{"questions": [{"id": ..., "text": ...}]}``; other keys are ignored."""
+        return cls([Question(q["id"], q["text"]) for q in json.loads(text)["questions"]])
+
+    @classmethod
     def from_json_file(cls, path: str | Path) -> "QuestionSet":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(
-            questions=[Question(q["id"], q["text"]) for q in data["questions"]],
-            version=data["version"],
-        )
+        return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
     @classmethod
     def default(cls) -> "QuestionSet":
         ref = resources.files("filingsignal").joinpath("data/questions_default.json")
-        data = json.loads(ref.read_text(encoding="utf-8"))
-        return cls(
-            questions=[Question(q["id"], q["text"]) for q in data["questions"]],
-            version=data["version"],
-        )
+        return cls.from_json(ref.read_text(encoding="utf-8"))
 
 
 @dataclass
@@ -168,7 +165,14 @@ class HTTPChatLLM:
             raise RetriableError(f"LLM request failed: {exc}") from exc
         if resp.status_code != 200:
             raise RetriableError(f"LLM endpoint returned HTTP {resp.status_code}")
-        return resp.json()["choices"][0]["message"]["content"]
+        try:
+            content = resp.json()["choices"][0]["message"]["content"]
+        except (ValueError, LookupError, TypeError) as exc:
+            raise RetriableError(f"LLM response has no choices[0].message.content: "
+                                 f"{exc!r}") from exc
+        if not isinstance(content, str):
+            raise RetriableError(f"LLM response content is not text: {content!r}")
+        return content
 
 
 def build_prompt(question: str, context_chunks: Sequence[Chunk]) -> tuple[str, str]:
@@ -208,57 +212,53 @@ def parse_score(raw_response: str) -> int:
     raise UnparseableScoreError(raw_response)
 
 
+def prompt_key(provider_id: str, system_prompt: str, user_prompt: str) -> str:
+    """sha256 over the provider id and both prompts, each preceded by its byte length."""
+    parts = [p.encode("utf-8") for p in (provider_id, system_prompt, user_prompt)]
+    return hashlib.sha256(b"".join(len(p).to_bytes(8, "big") + p for p in parts)).hexdigest()
+
+
 class ScoreCache:
-    """JSONL cache of ScoredAnswer records, keyed on filing, question,
-    provider, and question-set version. raw_response retained for audit.
+    """JSONL memo of provider answers keyed on ``prompt_key``, so an answer is
+    reused only for the exact prompt it answered. Filing, question, raw
+    response and context chunk refs are kept for audit.
 
     ``put`` makes a record visible to ``get`` at once and buffers its line;
-    ``flush`` appends the buffered lines to the file in one write.
-    Every record is written as one line ending in a newline, so text after
-    the last newline is a record torn by an interrupted write: it is cut from
-    the file with a warning, and the next record starts on a fresh line. Any
-    other unreadable line raises.
+    ``flush`` appends the buffered lines to the file in one write. A torn
+    final line is cut (see ``read_jsonl``). Older records without
+    ``prompt_sha256`` stay in the file but are skipped with one warning, so
+    their prompts are asked again.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._entries: dict[tuple, ScoredAnswer] = {}
+        self._entries: dict[str, ScoredAnswer] = {}
         self._pending: list[str] = []
-        if self.path.exists():
-            data = self.path.read_bytes()
-            complete, newline, torn = data.rpartition(b"\n")
-            if torn:
-                logger.warning("%s: dropping torn final line (%d bytes)",
-                               self.path, len(torn))
-                with open(self.path, "r+b") as f:
-                    f.truncate(len(complete) + len(newline))
-            for line in complete.split(b"\n"):
-                if line.strip():
-                    rec = json.loads(line)
-                    answer = ScoredAnswer(
-                        filing_key=tuple(rec["filing_key"]),
-                        question_id=rec["question_id"],
-                        score=rec["score"],
-                        raw_response=rec["raw_response"],
-                        context_chunk_refs=[tuple(r) for r in rec["context_chunk_refs"]],
-                    )
-                    key = (answer.filing_key, answer.question_id,
-                           rec["provider_id"], rec["questionset_version"])
-                    self._entries[key] = answer
+        records = read_jsonl(self.path)
+        for rec in records:
+            if "prompt_sha256" in rec:
+                self._entries[rec["prompt_sha256"]] = ScoredAnswer(
+                    filing_key=tuple(rec["filing_key"]),
+                    question_id=rec["question_id"],
+                    score=rec["score"],
+                    raw_response=rec["raw_response"],
+                    context_chunk_refs=[tuple(r) for r in rec["context_chunk_refs"]],
+                )
+        if unkeyed := sum("prompt_sha256" not in rec for rec in records):
+            logger.warning("%s: ignoring %d records without prompt_sha256; "
+                           "their questions are asked again", self.path, unkeyed)
 
-    def get(self, filing_key, question_id, provider_id, qs_version):
-        return self._entries.get((filing_key, question_id, provider_id, qs_version))
+    def get(self, key: str) -> ScoredAnswer | None:
+        return self._entries.get(key)
 
-    def put(self, answer: ScoredAnswer, provider_id: str, qs_version: str) -> None:
-        key = (answer.filing_key, answer.question_id, provider_id, qs_version)
+    def put(self, key: str, answer: ScoredAnswer) -> None:
         if key in self._entries:
             return
         self._entries[key] = answer
         self._pending.append(json.dumps({
             "filing_key": list(answer.filing_key),
             "question_id": answer.question_id,
-            "provider_id": provider_id,
-            "questionset_version": qs_version,
+            "prompt_sha256": key,
             "score": answer.score,
             "raw_response": answer.raw_response,
             "context_chunk_refs": [list(r) for r in answer.context_chunk_refs],
@@ -287,12 +287,13 @@ def score_filing(
 ) -> FeatureRow:
     """Score every question for one filing; all-or-nothing.
 
+    Each question takes one path: retrieve the filing's top chunks, build the
+    prompt, look the prompt up in ``cache``, and only on a miss ask ``llm``.
     Any question that stays unparseable or unreachable after MAX_ATTEMPTS
     fails the whole row (partial rows would corrupt the design matrix), but
     the answers already paid for are flushed to the cache either way.
     ``query_vectors`` memoizes question embeddings across filings, keyed on
-    (embedder provider_id, question text); a question is embedded on its
-    first cache miss only.
+    (embedder provider_id, question text).
     """
     key = filing.key
     if query_vectors is None:
@@ -300,11 +301,6 @@ def score_filing(
     scores: list[int] = []
     try:
         for question in qs.questions:
-            cached = cache.get(key, question.question_id, llm.provider_id,
-                               qs.version) if cache else None
-            if cached is not None:
-                scores.append(cached.score)
-                continue
             memo_key = (embedder.provider_id, question.text)
             query = query_vectors.get(memo_key)
             if query is None:
@@ -314,9 +310,10 @@ def score_filing(
                 raise RowScoringError(f"no indexed chunks for filing {key}")
             context = [chunks_by_ref[ref] for ref, _ in hits]
             system_prompt, user_prompt = build_prompt(question.text, context)
-            answer = None
+            pkey = prompt_key(llm.provider_id, system_prompt, user_prompt)
+            answer = cache.get(pkey) if cache else None
             last_error: Exception | None = None
-            for _ in range(MAX_ATTEMPTS):
+            for _ in range(MAX_ATTEMPTS if answer is None else 0):
                 try:
                     raw = llm.complete(system_prompt, user_prompt)
                     score = parse_score(raw)
@@ -325,13 +322,13 @@ def score_filing(
                     continue
                 answer = ScoredAnswer(key, question.question_id, score, raw,
                                       [ref for ref, _ in hits])
+                if cache:
+                    cache.put(pkey, answer)
                 break
             if answer is None:
                 raise RowScoringError(
                     f"question {question.question_id} failed for {key}: {last_error}"
                 )
-            if cache:
-                cache.put(answer, llm.provider_id, qs.version)
             scores.append(answer.score)
     finally:
         if cache:

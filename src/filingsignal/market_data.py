@@ -72,10 +72,17 @@ def load_price_csv(path: str | Path) -> dict[str, PriceSeries]:
     """Read daily bars (symbol,date,adjusted_close) into per-symbol series."""
     rows: dict[str, list[tuple[date, float]]] = {}
     with open(path, newline="", encoding="utf-8") as f:
-        for rec in csv.DictReader(f):
-            rows.setdefault(rec["symbol"], []).append(
-                (date.fromisoformat(rec["date"]), float(rec["adjusted_close"]))
-            )
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header is None:  # empty file
+            return {}
+        i_sym, i_date, i_close = (header.index(c) for c in
+                                  ("symbol", "date", "adjusted_close"))
+        for rec in reader:
+            if rec:  # blank line
+                rows.setdefault(rec[i_sym], []).append(
+                    (date.fromisoformat(rec[i_date]), float(rec[i_close]))
+                )
     return {
         sym: PriceSeries(sym, sorted(obs)) for sym, obs in rows.items()
     }

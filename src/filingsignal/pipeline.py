@@ -80,7 +80,11 @@ class PipelineConfig:
             data["train_years"] = tuple(data["train_years"])
         if "test_years" in data:
             data["test_years"] = tuple(data["test_years"])
-        return cls(**data)
+        config = cls(**data)
+        if not 0 <= config.overlap_chars < config.chunk_chars:
+            raise PipelineError(f"{path}: overlap_chars ({config.overlap_chars}) must be "
+                                f"at least 0 and below chunk_chars ({config.chunk_chars})")
+        return config
 
     # paths ------------------------------------------------------------------
 
@@ -96,6 +100,13 @@ class PipelineConfig:
         return Path(self.out_dir) / name
 
 
+def _required(cfg: dict, key: str, section: str):
+    """``cfg[key]``, or a PipelineError naming the key the provider needs."""
+    if key not in cfg:
+        raise PipelineError(f"{section} {cfg.get('name')!r} needs the key {key!r}")
+    return cfg[key]
+
+
 def build_embedding_provider(cfg: dict):
     name = cfg.get("name", "stub")
     if name == "stub":
@@ -104,10 +115,11 @@ def build_embedding_provider(cfg: dict):
     if name == "http":
         import os
         return HTTPEmbeddingProvider(
-            endpoint=cfg["endpoint"], model=cfg["model"],
+            endpoint=_required(cfg, "endpoint", "embedding_provider"),
+            model=_required(cfg, "model", "embedding_provider"),
             api_key=os.environ.get(cfg.get("api_key_env", "EMBEDDING_API_KEY")),
         )
-    raise ValueError(f"unknown embedding provider {name!r}")
+    raise PipelineError(f"unknown embedding_provider name {name!r}")
 
 
 def build_llm_provider(cfg: dict):
@@ -116,7 +128,7 @@ def build_llm_provider(cfg: dict):
         return ConstantLLM(score=cfg.get("score", 50))
     if name == "keyword-stub":
         return KeywordLLM(
-            phrase=cfg["phrase"],
+            phrase=_required(cfg, "phrase", "llm_provider"),
             hit_score=cfg.get("hit_score", 90),
             miss_score=cfg.get("miss_score", 10),
             per_occurrence=cfg.get("per_occurrence", 0),
@@ -124,10 +136,11 @@ def build_llm_provider(cfg: dict):
     if name == "http":
         import os
         return HTTPChatLLM(
-            endpoint=cfg["endpoint"], model=cfg["model"],
+            endpoint=_required(cfg, "endpoint", "llm_provider"),
+            model=_required(cfg, "model", "llm_provider"),
             api_key=os.environ.get(cfg.get("api_key_env", "LLM_API_KEY")),
         )
-    raise ValueError(f"unknown llm provider {name!r}")
+    raise PipelineError(f"unknown llm_provider name {name!r}")
 
 
 def load_questions(config: PipelineConfig) -> QuestionSet:
@@ -179,6 +192,11 @@ def stage_embed(config: PipelineConfig) -> None:
     for filing in store.load_all():
         chunks = chunk_filing(filing, config.chunk_chars, config.overlap_chars)
         vectors = provider.embed_batch([c.text for c in chunks])
+        if len(vectors) != len(chunks):
+            raise PipelineError(
+                f"{provider.provider_id} returned {len(vectors)} vectors for the "
+                f"{len(chunks)} chunks of filing {filing.ticker} {filing.filing_date}"
+            )
         for chunk, vec in zip(chunks, vectors):
             unit = normalize(vec)
             if index is None:

@@ -131,6 +131,18 @@ class TestStore:
         store = CorpusStore(tmp_path)
         assert make_filing("text").key in store
 
+    def test_torn_manifest_line_dropped_and_readded(self, tmp_path):
+        CorpusStore(tmp_path).add(make_filing("a", ticker="AAA"))
+        CorpusStore(tmp_path).add(make_filing("b", ticker="BBB"))
+        manifest = tmp_path / "manifest.jsonl"
+        original = manifest.read_bytes()
+        manifest.write_bytes(original[:-10])  # tear the last record
+        store = CorpusStore(tmp_path)
+        assert store.keys() == [("AAA", "2020-01-01")]
+        assert store.add(make_filing("b", ticker="BBB")) is True
+        assert manifest.read_bytes() == original
+        assert len(CorpusStore(tmp_path)) == 2
+
     def test_keys_sorted(self, tmp_path):
         store = CorpusStore(tmp_path)
         store.add(make_filing("b", ticker="BBB"))

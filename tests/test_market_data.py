@@ -37,6 +37,16 @@ class TestPriceSeries:
         assert set(series) == {"TST", "SPX"}
         assert series["TST"].observations[0] == (date(2020, 1, 2), 10.5)
 
+    def test_load_csv_reads_columns_by_header(self, tmp_path):
+        p = tmp_path / "px.csv"
+        p.write_text("date,adjusted_close,symbol\n2020-01-03,10.6,TST\n\n"
+                     "2020-01-02,10.5,TST\n")
+        series = load_price_csv(p)
+        assert series["TST"].observations == [(date(2020, 1, 2), 10.5),
+                                              (date(2020, 1, 3), 10.6)]
+        (tmp_path / "empty.csv").write_text("")
+        assert load_price_csv(tmp_path / "empty.csv") == {}
+
 
 class TestWindowBounds:
     def test_monday_filing_all_weekdays(self):

@@ -124,8 +124,28 @@ class TestRunPipeline:
         cache = ScoreCache(cache_path)
         for line in original.splitlines():
             rec = json.loads(line)
-            assert cache.get(tuple(rec["filing_key"]), rec["question_id"],
-                             rec["provider_id"], rec["questionset_version"])
+            assert cache.get(rec["prompt_sha256"])
+
+    @pytest.mark.parametrize("key, value", [("chunks_per_question", 1),
+                                            ("chunk_chars", 300)])
+    def test_changed_retrieval_not_answered_from_cache(self, synth_root, tmp_path,
+                                                       key, value):
+        def config(out):  # chunks small enough that a filing has several
+            c = synthetic_config(synth_root, tmp_path / out)
+            c.chunk_chars, c.overlap_chars = 400, 32
+            return c
+
+        rerun = config("rerun")
+        run_pipeline(rerun, ["embed", "score"])
+        before = (tmp_path / "rerun" / "features.csv").read_bytes()
+        setattr(rerun, key, value)
+        run_pipeline(rerun, ["embed", "score"])
+        fresh = config("fresh")
+        setattr(fresh, key, value)
+        run_pipeline(fresh, ["embed", "score"])
+        expected = (tmp_path / "fresh" / "features.csv").read_bytes()
+        assert expected != before  # the change alters the retrieved context
+        assert (tmp_path / "rerun" / "features.csv").read_bytes() == expected
 
     def test_each_question_embedded_once_per_stage(self, synth_root, tmp_path,
                                                    monkeypatch):
@@ -151,9 +171,24 @@ class TestRunPipeline:
         run_pipeline(config, ["score"])
         texts = [q.text for q in pipeline.load_questions(config).questions]
         assert sorted(embedders[-1].texts) == sorted(texts)
-        (tmp_path / "features.csv").unlink()  # warm rerun: every answer cached
+        # A warm rerun still retrieves, because the cache is keyed on the prompt.
+        (tmp_path / "features.csv").unlink()
         run_pipeline(config, ["score"])
-        assert len(embedders) == 2 and embedders[-1].texts == []
+        assert len(embedders) == 2 and sorted(embedders[-1].texts) == sorted(texts)
+
+    def test_short_embedding_batch_names_filing(self, synth_root, tmp_path,
+                                                monkeypatch):
+        class ShortBatch(HashEmbeddingProvider):
+            def embed_batch(self, texts):
+                return super().embed_batch(texts)[:-1]
+
+        config = synthetic_config(synth_root, tmp_path)
+        config.chunk_chars, config.overlap_chars = 400, 32  # a short batch is not empty
+        monkeypatch.setattr(pipeline, "build_embedding_provider",
+                            lambda cfg: ShortBatch())
+        first = pipeline.CorpusStore(config.corpus_dir).keys()[0]
+        with pytest.raises(PipelineError, match=f"of filing {first[0]} {first[1]}"):
+            run_pipeline(config, ["embed"])
 
     def test_index_from_other_embedder_rejected(self, synth_root, tmp_path):
         config = synthetic_config(synth_root, tmp_path)
@@ -255,6 +290,33 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "absent.yaml" in err
+
+    @pytest.mark.parametrize("change, stages, named, code", [
+        ({"llm_provider": {"name": "keyword-stub"}}, ["embed", "score"], "'phrase'", 1),
+        ({"llm_provider": {"name": "gpt-x"}}, ["embed", "score"], "'gpt-x'", 1),
+        ({"embedding_provider": {"name": "http"}}, ["embed"], "'endpoint'", 1),
+        ({"chunk_chars": 256, "overlap_chars": 256}, ["embed"], "overlap_chars", 1),
+        ({}, ["frobnicate"], "'frobnicate'", 2),  # an argparse usage error
+    ])
+    def test_config_mistake_is_an_error_line(self, synth_root, tmp_path, capsys,
+                                             change, stages, named, code):
+        config = synthetic_config(synth_root, tmp_path / "out")
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump({
+            "corpus_dir": config.corpus_dir,
+            "index_dir": config.index_dir,
+            "out_dir": config.out_dir,
+            "prices_dir": config.prices_dir,
+            **change,
+        }))
+        try:
+            rc = cli.main(["pipeline", "--config", str(cfg_path), "--stages", *stages])
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") or "error: argument --stages" in err
+        assert named in err
 
     def test_help_exits_cleanly(self):
         with pytest.raises(SystemExit) as exc:

@@ -6,10 +6,11 @@ import pytest
 from filingsignal.corpus import Chunk, Filing, chunk_filing
 from filingsignal.embed_index import HashEmbeddingProvider, VectorIndex, embed_text
 from filingsignal.errors import RowScoringError, UnparseableScoreError
-from filingsignal.llm_scoring import (ConstantLLM, KeywordLLM, Question,
-                                      QuestionSet, ScoreCache, build_prompt,
-                                      parse_score, read_features_csv,
-                                      score_filing, write_features_csv)
+from filingsignal.llm_scoring import (MAX_ATTEMPTS, ConstantLLM, HTTPChatLLM,
+                                      KeywordLLM, Question, QuestionSet,
+                                      ScoreCache, build_prompt, parse_score,
+                                      read_features_csv, score_filing,
+                                      write_features_csv)
 
 GROWTH_QUESTION = ("Does the company have a clear strategy for growth and "
                    "innovation? Are there any recent strategic initiatives "
@@ -24,7 +25,6 @@ def small_questionset():
     return QuestionSet(
         questions=[Question("growth", GROWTH_QUESTION),
                    Question("risk", "Are the disclosed risk factors routine?")],
-        version="test-v1",
     )
 
 
@@ -54,13 +54,12 @@ class TestQuestionSet:
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
-            QuestionSet([Question("a", "x"), Question("a", "y")], "v1")
+            QuestionSet([Question("a", "x"), Question("a", "y")])
 
     def test_json_round_trip(self, tmp_path):
         p = tmp_path / "qs.json"
         p.write_text('{"version": "v9", "questions": [{"id": "q1", "text": "T?"}]}')
         qs = QuestionSet.from_json_file(p)
-        assert qs.version == "v9"
         assert qs.questions == [Question("q1", "T?")]
 
 
@@ -204,6 +203,31 @@ class TestScoreFiling:
         with pytest.raises(RowScoringError):
             score_filing(filing, small_questionset(), index, Garbage(),
                          embedder, chunks)
+
+    @pytest.mark.parametrize("body", [{}, {"choices": []},
+                                      {"choices": [{"message": {"content": None}}]}])
+    def test_http_response_without_content_retried_then_row_failed(self, monkeypatch,
+                                                                   body):
+        import requests
+
+        posts = []
+
+        class Response:
+            status_code = 200
+
+            def json(self):
+                return body
+
+        def post(*args, **kwargs):
+            posts.append(kwargs["json"])
+            return Response()
+
+        monkeypatch.setattr(requests, "post", post)
+        filing, index, embedder, chunks = indexed_filing("text")
+        with pytest.raises(RowScoringError, match="choices|content"):
+            score_filing(filing, small_questionset(), index,
+                         HTTPChatLLM("http://localhost:9/v1", "m"), embedder, chunks)
+        assert len(posts) == MAX_ATTEMPTS
 
     def test_transient_errors_retried(self):
         from filingsignal.errors import RetriableError
