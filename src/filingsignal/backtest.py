@@ -116,6 +116,8 @@ def run_backtest(
     Picks without a ReturnRecord are dropped and backfilled from the next
     ranked ticker so the portfolio keeps its size.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     stock_field, bench_field = _basis_fields(return_basis)
     record_by_key = {(r.ticker, r.filing_date.isoformat()): r for r in returns}
 

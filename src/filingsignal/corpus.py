@@ -10,6 +10,7 @@ import csv
 import hashlib
 import json
 import logging
+import os
 import re
 from dataclasses import dataclass, field
 from datetime import date
@@ -225,6 +226,17 @@ def read_jsonl(path: Path) -> list[dict]:
         with open(path, "r+b") as f:
             f.truncate(len(complete) + len(newline))
     return [json.loads(line) for line in complete.split(b"\n") if line.strip()]
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` through a temporary file and a rename.
+
+    A process killed at any point leaves the old file or the new one, never a
+    part of either. (Without an fsync this does not cover a power cut.)
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
 
 
 @dataclass

@@ -2,8 +2,9 @@
 
 Per-filing chunk counts are small (hundreds), so queries do an exhaustive
 scan of the filing's own rows: exact results, no approximate-NN tuning
-surface. The index keeps every vector in one matrix plus each filing's row
-positions, so a query's cost does not grow with the rest of the corpus.
+surface. An index is built once and never changes. It keeps every vector in
+one matrix plus each filing's row positions, so a query's cost does not grow
+with the rest of the corpus.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -112,66 +113,36 @@ def embed_text(provider: EmbeddingProvider, text: str) -> np.ndarray:
 class VectorIndex:
     """Unit vectors with exact top-k queries, restricted to one filing or not.
 
-    The vectors live in one float64 matrix (each row cast from the float32
-    vector that is stored on disk). For each filing, and for the whole index,
-    the index keeps the row positions sorted by ref, so a query scans only
-    the filing's own rows and a stable sort breaks similarity ties by ref.
-    The row positions are built on the first ``top_k`` after an ``add``;
-    every ``add`` invalidates them.
+    Built once from all its rows and never changed. The vectors live in one
+    read-only float64 matrix, each row cast from the float32 vector that is
+    stored on disk. For each filing, and for the whole index, the index keeps
+    the row positions sorted by ref, so a query scans only the filing's own
+    rows and a stable sort breaks similarity ties by ref.
     """
 
-    def __init__(self, dimension: int, provider_id: str):
-        self.dimension = dimension
+    def __init__(self, provider_id: str, refs: Sequence[ChunkRef], vectors):
+        """``vectors`` holds one row per ref; duplicate refs are rejected."""
         self.provider_id = provider_id
-        self._matrix = np.zeros((0, dimension))  # grows by doubling
-        self._refs: list[ChunkRef] = []
-        self._ref_set: set[ChunkRef] = set()
-        self._rows: dict[tuple[str, str] | None, np.ndarray] | None = None
+        self.refs = tuple(refs)
+        try:
+            stored = np.asarray(vectors, dtype=np.float32)
+        except ValueError as exc:  # e.g. rows of unequal length
+            raise DimensionMismatchError(f"vectors are not one matrix: {exc}") from exc
+        if stored.ndim != 2 or len(stored) != len(self.refs):
+            raise DimensionMismatchError(f"{len(self.refs)} refs, vectors of shape {stored.shape}")
+        self.dimension = stored.shape[1]
+        self.vectors = stored.astype(np.float64)
+        self.vectors.flags.writeable = False
+        order = sorted(range(len(self.refs)), key=self.refs.__getitem__)
+        for a, b in zip(order, order[1:]):
+            if self.refs[a] == self.refs[b]:
+                raise ValueError(f"duplicate chunk ref {self.refs[a]}")
+        self._rows = {key: np.array(list(rows), dtype=np.intp) for key, rows
+                      in groupby(order, key=lambda i: self.refs[i][:2])}
+        self._rows[None] = np.array(order, dtype=np.intp)
 
     def __len__(self) -> int:
-        return len(self._refs)
-
-    @property
-    def vectors(self) -> np.ndarray:
-        """Read-only (len, dimension) float64 view, rows in insertion order."""
-        view = self._matrix[:len(self._refs)]
-        view.flags.writeable = False
-        return view
-
-    @property
-    def refs(self) -> list[ChunkRef]:
-        return list(self._refs)
-
-    def add(self, ref: ChunkRef, vector: Sequence[float]) -> None:
-        vec = np.asarray(vector, dtype=np.float32)
-        if vec.shape != (self.dimension,):
-            raise DimensionMismatchError(
-                f"vector has dimension {vec.shape}, index expects {self.dimension}"
-            )
-        if ref in self._ref_set:
-            raise ValueError(f"duplicate chunk ref {ref}")
-        n = len(self._refs)
-        if n == len(self._matrix):
-            grown = np.zeros((max(64, 2 * n), self.dimension))
-            grown[:n] = self._matrix
-            self._matrix = grown
-        self._matrix[n] = vec
-        self._refs.append(ref)
-        self._ref_set.add(ref)
-        self._rows = None
-
-    def _filing_rows(self) -> dict[tuple[str, str] | None, np.ndarray]:
-        """Row positions in ref order, per filing key and (key None) overall."""
-        if self._rows is None:
-            order = sorted(range(len(self._refs)), key=self._refs.__getitem__)
-            by_filing: dict[tuple[str, str], list[int]] = {}
-            for i in order:
-                by_filing.setdefault(self._refs[i][:2], []).append(i)
-            rows = {key: np.array(positions, dtype=np.intp)
-                    for key, positions in by_filing.items()}
-            rows[None] = np.array(order, dtype=np.intp)
-            self._rows = rows
-        return self._rows
+        return len(self.refs)
 
     def top_k(
         self,
@@ -189,12 +160,12 @@ class VectorIndex:
             raise DimensionMismatchError(
                 f"query dimension {q.shape} != index dimension {self.dimension}"
             )
-        rows = self._filing_rows().get(filing_key)
-        if rows is None or not len(rows):
+        rows = self._rows.get(filing_key)
+        if rows is None:
             return []
-        sims = self._matrix[rows] @ q
+        sims = self.vectors[rows] @ q
         order = np.argsort(-sims, kind="stable")[:k]
-        return [(self._refs[rows[i]], float(sims[i])) for i in order]
+        return [(self.refs[rows[i]], float(sims[i])) for i in order]
 
     # --- persistence ---------------------------------------------------------
 
@@ -203,13 +174,13 @@ class VectorIndex:
         directory.mkdir(parents=True, exist_ok=True)
         pid = self.provider_id.encode("utf-8")
         header = INDEX_MAGIC + struct.pack(
-            "<III I", INDEX_VERSION, self.dimension, len(self._refs), len(pid)
+            "<III I", INDEX_VERSION, self.dimension, len(self.refs), len(pid)
         ) + pid
         with open(directory / INDEX_FILE, "wb") as f:
             f.write(header)
             f.write(self.vectors.astype("<f4").tobytes())
         with open(directory / SIDECAR_FILE, "w", encoding="utf-8") as f:
-            for ticker, filing_date, chunk_index in self._refs:
+            for ticker, filing_date, chunk_index in self.refs:
                 f.write(json.dumps(
                     {"ticker": ticker, "filing_date": filing_date,
                      "chunk_index": chunk_index}
@@ -243,7 +214,4 @@ class VectorIndex:
                 f"bytes; {SIDECAR_FILE} has {len(refs)} refs"
             )
         vectors = np.frombuffer(data, dtype="<f4").reshape(count, dim)
-        index = cls(dim, provider_id)
-        for ref, vec in zip(refs, vectors):
-            index.add(ref, vec)
-        return index
+        return cls(provider_id, refs, vectors)

@@ -34,14 +34,11 @@ class RowScoringError(PipelineError):
 
 
 class StageInputError(PipelineError):
-    """A pipeline stage is missing an input artifact.
+    """A pipeline stage input is missing, or its producer's inputs changed.
 
-    Carries the name of the stage that would produce it.
+    Carries the name of the stage that would (re)produce it.
     """
 
-    def __init__(self, missing: str, producing_stage: str):
-        super().__init__(
-            f"missing input {missing!r}: run stage {producing_stage!r} first"
-        )
-        self.missing = missing
+    def __init__(self, problem: str, producing_stage: str):
+        super().__init__(f"{problem}: run stage {producing_stage!r} first")
         self.producing_stage = producing_stage

@@ -1,8 +1,9 @@
 """Question scoring: retrieval-augmented prompts to an LLM, 0-100 features.
 
-Each question is answered against one filing's chunks only. Answers are cached
-as JSONL keyed on the exact prompt, so a rerun asks the provider only prompts
-it has not seen; a filing either yields a full feature row or none at all.
+Each question is embedded once per run and answered against one filing's own
+chunks only. Answers are cached as JSONL keyed on the exact prompt, so a rerun
+asks the provider only prompts it has not seen; a filing either yields a full
+feature row or none at all.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Chunk, Filing, read_jsonl
+from .corpus import Chunk, Filing, read_jsonl, write_atomic
 from .embed_index import ChunkRef, EmbeddingProvider, VectorIndex, embed_text
 from .errors import RetriableError, RowScoringError, UnparseableScoreError
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_CHUNKS_PER_QUESTION = 4
 MAX_ATTEMPTS = 3
 
 SYSTEM_PROMPT = (
@@ -226,8 +226,9 @@ class ScoreCache:
     ``put`` makes a record visible to ``get`` at once and buffers its line;
     ``flush`` appends the buffered lines to the file in one write. A torn
     final line is cut (see ``read_jsonl``). Older records without
-    ``prompt_sha256`` stay in the file but are skipped with one warning, so
-    their prompts are asked again.
+    ``prompt_sha256`` are dropped with one warning: the first load that finds
+    them rewrites the file without them (see ``write_atomic``), so their
+    prompts are asked again.
     """
 
     def __init__(self, path: str | Path):
@@ -235,18 +236,20 @@ class ScoreCache:
         self._entries: dict[str, ScoredAnswer] = {}
         self._pending: list[str] = []
         records = read_jsonl(self.path)
-        for rec in records:
-            if "prompt_sha256" in rec:
-                self._entries[rec["prompt_sha256"]] = ScoredAnswer(
-                    filing_key=tuple(rec["filing_key"]),
-                    question_id=rec["question_id"],
-                    score=rec["score"],
-                    raw_response=rec["raw_response"],
-                    context_chunk_refs=[tuple(r) for r in rec["context_chunk_refs"]],
-                )
-        if unkeyed := sum("prompt_sha256" not in rec for rec in records):
-            logger.warning("%s: ignoring %d records without prompt_sha256; "
-                           "their questions are asked again", self.path, unkeyed)
+        keyed = [rec for rec in records if "prompt_sha256" in rec]
+        for rec in keyed:
+            self._entries[rec["prompt_sha256"]] = ScoredAnswer(
+                filing_key=tuple(rec["filing_key"]),
+                question_id=rec["question_id"],
+                score=rec["score"],
+                raw_response=rec["raw_response"],
+                context_chunk_refs=[tuple(r) for r in rec["context_chunk_refs"]],
+            )
+        if len(keyed) < len(records):
+            logger.warning("%s: dropping %d records without prompt_sha256; "
+                           "their questions are asked again",
+                           self.path, len(records) - len(keyed))
+            write_atomic(self.path, "".join(json.dumps(rec) + "\n" for rec in keyed))
 
     def get(self, key: str) -> ScoredAnswer | None:
         return self._entries.get(key)
@@ -274,44 +277,43 @@ class ScoreCache:
         self._pending.clear()
 
 
+def embed_questions(qs: QuestionSet, embedder: EmbeddingProvider) -> list[np.ndarray]:
+    """Each question's unit query vector, in question order."""
+    return [embed_text(embedder, q.text) for q in qs.questions]
+
+
 def score_filing(
     filing: Filing,
+    chunks: Sequence[Chunk],
     qs: QuestionSet,
+    queries: Sequence[np.ndarray],
     index: VectorIndex,
     llm: LLMProvider,
-    embedder: EmbeddingProvider,
-    chunks_by_ref: dict[ChunkRef, Chunk],
-    cache: ScoreCache | None = None,
-    chunks_per_question: int = DEFAULT_CHUNKS_PER_QUESTION,
-    query_vectors: dict[tuple[str, str], np.ndarray] | None = None,
+    cache: ScoreCache,
+    chunks_per_question: int,
 ) -> FeatureRow:
     """Score every question for one filing; all-or-nothing.
 
-    Each question takes one path: retrieve the filing's top chunks, build the
-    prompt, look the prompt up in ``cache``, and only on a miss ask ``llm``.
-    Any question that stays unparseable or unreachable after MAX_ATTEMPTS
-    fails the whole row (partial rows would corrupt the design matrix), but
-    the answers already paid for are flushed to the cache either way.
-    ``query_vectors`` memoizes question embeddings across filings, keyed on
-    (embedder provider_id, question text).
+    ``chunks`` are the filing's own chunks in chunk_index order, as the index
+    was built from them, and ``queries`` are the question vectors from
+    ``embed_questions``. Each question takes one path: retrieve the filing's
+    top chunks, build the prompt, look the prompt up in ``cache``, and only
+    on a miss ask ``llm``. Any question that stays unparseable or unreachable
+    after MAX_ATTEMPTS fails the whole row (partial rows would corrupt the
+    design matrix), but the answers already paid for are flushed to the
+    cache either way.
     """
     key = filing.key
-    if query_vectors is None:
-        query_vectors = {}
     scores: list[int] = []
     try:
-        for question in qs.questions:
-            memo_key = (embedder.provider_id, question.text)
-            query = query_vectors.get(memo_key)
-            if query is None:
-                query = query_vectors[memo_key] = embed_text(embedder, question.text)
+        for question, query in zip(qs.questions, queries, strict=True):
             hits = index.top_k(query, chunks_per_question, filing_key=key)
             if not hits:
                 raise RowScoringError(f"no indexed chunks for filing {key}")
-            context = [chunks_by_ref[ref] for ref, _ in hits]
+            context = [chunks[chunk_index] for (_, _, chunk_index), _ in hits]
             system_prompt, user_prompt = build_prompt(question.text, context)
             pkey = prompt_key(llm.provider_id, system_prompt, user_prompt)
-            answer = cache.get(pkey) if cache else None
+            answer = cache.get(pkey)
             last_error: Exception | None = None
             for _ in range(MAX_ATTEMPTS if answer is None else 0):
                 try:
@@ -322,8 +324,7 @@ def score_filing(
                     continue
                 answer = ScoredAnswer(key, question.question_id, score, raw,
                                       [ref for ref, _ in hits])
-                if cache:
-                    cache.put(pkey, answer)
+                cache.put(pkey, answer)
                 break
             if answer is None:
                 raise RowScoringError(
@@ -331,8 +332,7 @@ def score_filing(
                 )
             scores.append(answer.score)
     finally:
-        if cache:
-            cache.flush()
+        cache.flush()
     return FeatureRow(key, scores, filing.filing_date.isoformat())
 
 

@@ -5,7 +5,13 @@ hashes, the files it reads and the files it writes. A manifest records input
 and output hashes plus wall time. Re-running skips a stage whose inputs are
 unchanged and whose outputs still match their recorded hashes, so interrupted
 runs resume where they left off. Per-item failures (one filing, one window)
-never abort a stage; they accumulate in an error report.
+never abort a stage; they accumulate in an error report. The embed stage
+builds the vector index once; the score stage chunks each filing as it
+scores it.
+
+The manifest is replaced whole after each stage. A stage refuses an input
+whose producing stage is not requested in the same run and has changed
+config or inputs since it ran.
 """
 
 from __future__ import annotations
@@ -25,14 +31,14 @@ import yaml
 from . import backtest as bt
 from . import labeling
 from . import market_data as md
-from .corpus import CorpusStore, TickerUniverse, chunk_filing
+from .corpus import CorpusStore, TickerUniverse, chunk_filing, write_atomic
 from .edgar import EdgarClient, EdgarSubmissionsResolver, fetch_filing
 from .embed_index import (HashEmbeddingProvider, HTTPEmbeddingProvider,
                           VectorIndex, normalize)
 from .errors import PipelineError, RowScoringError, StageInputError
 from .llm_scoring import (ConstantLLM, HTTPChatLLM, KeywordLLM, QuestionSet,
-                          ScoreCache, read_features_csv, score_filing,
-                          write_features_csv)
+                          ScoreCache, embed_questions, read_features_csv,
+                          score_filing, write_features_csv)
 from .regression import DesignMatrix, NNLSModel, fit_nnls
 
 logger = logging.getLogger(__name__)
@@ -84,6 +90,11 @@ class PipelineConfig:
         if not 0 <= config.overlap_chars < config.chunk_chars:
             raise PipelineError(f"{path}: overlap_chars ({config.overlap_chars}) must be "
                                 f"at least 0 and below chunk_chars ({config.chunk_chars})")
+        if config.k < 1:
+            raise PipelineError(f"{path}: k ({config.k}) must be at least 1")
+        if not config.k_values or min(config.k_values) < 1:
+            raise PipelineError(f"{path}: k_values ({config.k_values}) must be a "
+                                "non-empty list of values at least 1")
         return config
 
     # paths ------------------------------------------------------------------
@@ -188,7 +199,7 @@ def stage_ingest(config: PipelineConfig) -> None:
 def stage_embed(config: PipelineConfig) -> None:
     provider = build_embedding_provider(config.embedding_provider)
     store = CorpusStore(config.corpus_dir)
-    index: VectorIndex | None = None
+    refs, units = [], []
     for filing in store.load_all():
         chunks = chunk_filing(filing, config.chunk_chars, config.overlap_chars)
         vectors = provider.embed_batch([c.text for c in chunks])
@@ -197,22 +208,11 @@ def stage_embed(config: PipelineConfig) -> None:
                 f"{provider.provider_id} returned {len(vectors)} vectors for the "
                 f"{len(chunks)} chunks of filing {filing.ticker} {filing.filing_date}"
             )
-        for chunk, vec in zip(chunks, vectors):
-            unit = normalize(vec)
-            if index is None:
-                index = VectorIndex(len(unit), provider.provider_id)
-            index.add((*chunk.filing_key, chunk.chunk_index), unit)
-    if index is None:
+        refs += [(*chunk.filing_key, chunk.chunk_index) for chunk in chunks]
+        units += map(normalize, vectors)
+    if not refs:
         raise PipelineError("corpus is empty, nothing to embed")
-    index.save(config.index_dir)
-
-
-def load_chunks_by_ref(config: PipelineConfig, store: CorpusStore) -> dict:
-    chunks = {}
-    for filing in store.load_all():
-        for chunk in chunk_filing(filing, config.chunk_chars, config.overlap_chars):
-            chunks[(*chunk.filing_key, chunk.chunk_index)] = chunk
-    return chunks
+    VectorIndex(provider.provider_id, refs, units).save(config.index_dir)
 
 
 def stage_score(config: PipelineConfig) -> None:
@@ -227,18 +227,15 @@ def stage_score(config: PipelineConfig) -> None:
             f"but the configured embedding provider is {embedder.provider_id!r}: "
             "run stage 'embed' first"
         )
+    queries = embed_questions(qs, embedder)
     cache = ScoreCache(config.out("score_cache.jsonl"))
-    chunks_by_ref = load_chunks_by_ref(config, store)
     report = ErrorReport(config.out("score_errors.jsonl"))
-    query_vectors: dict = {}  # each question text embedded once per stage run
     rows = []
     for filing in store.load_all():
+        chunks = chunk_filing(filing, config.chunk_chars, config.overlap_chars)
         try:
-            rows.append(score_filing(
-                filing, qs, index, llm, embedder, chunks_by_ref,
-                cache=cache, chunks_per_question=config.chunks_per_question,
-                query_vectors=query_vectors,
-            ))
+            rows.append(score_filing(filing, chunks, qs, queries, index, llm, cache,
+                                     config.chunks_per_question))
         except RowScoringError as exc:
             report.record(f"{filing.ticker} {filing.filing_date}", str(exc))
     write_features_csv(config.out("features.csv"), rows, qs)
@@ -356,6 +353,10 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
+def _producer(config: PipelineConfig, path: Path) -> Stage | None:
+    return next((s for s in STAGES if path in s.outputs(config)), None)
+
+
 def _input_hashes(config: PipelineConfig, stage: Stage) -> dict[str, str]:
     subset = {key: getattr(config, key) for key in stage.config_keys}
     hashes = {"config": hashlib.sha256(
@@ -363,12 +364,23 @@ def _input_hashes(config: PipelineConfig, stage: Stage) -> dict[str, str]:
     ).hexdigest()}
     for path in stage.inputs(config):
         if not path.exists():
-            producer = next((s.name for s in STAGES if path in s.outputs(config)), None)
-            if producer:
-                raise StageInputError(str(path), producer)
+            if producer := _producer(config, path):
+                raise StageInputError(f"missing input {str(path)!r}", producer.name)
             raise PipelineError(f"missing input file {path}")
         hashes[str(path)] = _sha256_file(path)
     return hashes
+
+
+def _check_producers(config: PipelineConfig, stage: Stage, requested: list[str],
+                     manifest: dict) -> None:
+    """Refuse inputs written by an unrequested stage whose own inputs changed."""
+    for path in stage.inputs(config):
+        producer = _producer(config, path)
+        if producer and producer.name not in requested and producer.name in manifest \
+                and manifest[producer.name]["inputs"] != _input_hashes(config, producer):
+            raise StageInputError(
+                f"input {str(path)!r} is stale: the config or inputs of stage "
+                f"{producer.name!r} changed since it ran", producer.name)
 
 
 def _output_hashes(config: PipelineConfig, stage: Stage) -> dict[str, str]:
@@ -379,7 +391,11 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
     """Execute the requested stages in dependency order; skip unchanged ones.
 
     A stage is skipped only when its inputs hash as recorded and its outputs
-    still match their recorded hashes. Returns the updated pipeline manifest.
+    still match their recorded hashes. A stage whose input was written by a
+    stage not requested here, and whose config or inputs have changed since,
+    is refused with a StageInputError naming that stage. The manifest is
+    replaced whole after each stage (see ``write_atomic``). Returns the
+    updated pipeline manifest.
     """
     names = [s.name for s in STAGES]
     requested = stages or names
@@ -396,6 +412,7 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
 
     for stage in (s for s in STAGES if s.name in requested):
         inputs = _input_hashes(config, stage)
+        _check_producers(config, stage, requested, manifest)
         prior = manifest.get(stage.name)
         if prior and prior["inputs"] == inputs and \
                 all(p.exists() for p in stage.outputs(config)) and \
@@ -410,6 +427,5 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
             "outputs": _output_hashes(config, stage),
             "wall_time_s": round(time.monotonic() - t0, 3),
         }
-        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                                 encoding="utf-8")
+        write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest

@@ -130,6 +130,12 @@ class TestRunBacktest:
         assert report.strategy_wealth[-1] == pytest.approx(1.30)
         assert report.benchmark_wealth[-1] == pytest.approx(1.12)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_must_be_positive(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            run_backtest(identity_model(), [feature_row("A", 2018, 5)],
+                         [return_record("A", 2018, 0.1)], self.SPLIT, k=k)
+
     def test_determinism(self):
         features = [feature_row(t, 2018, s) for t, s in
                     [("A", 3), ("B", 9), ("C", 9), ("D", 1)]]

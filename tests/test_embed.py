@@ -28,10 +28,7 @@ def random_index(rng, n, d=32):
     vectors = rng.standard_normal((n, d))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     refs = [(f"T{i % 7}", f"2020-01-{1 + i % 28:02d}", i) for i in range(n)]
-    index = VectorIndex(d, "test")
-    for ref, vec in zip(refs, vectors):
-        index.add(ref, vec)
-    return index, vectors, refs
+    return VectorIndex("test", refs, vectors), vectors, refs
 
 
 class TestStubProvider:
@@ -66,8 +63,7 @@ class TestStubProvider:
 
 class TestTopK:
     def test_k_exceeds_size(self):
-        index = VectorIndex(2, "test")
-        index.add(("A", "2020-01-01", 0), [1.0, 0.0])
+        index = VectorIndex("test", [("A", "2020-01-01", 0)], [[1.0, 0.0]])
         assert len(index.top_k([1.0, 0.0], 5)) == 1
 
     def test_self_match_first(self):
@@ -97,17 +93,15 @@ class TestTopK:
                             brute_force_top_k(stored, refs, query, k))
 
     def test_tie_break_by_ref(self):
-        index = VectorIndex(2, "test")
-        # identical vectors, refs out of insertion order
-        index.add(("B", "2020-01-01", 0), [1.0, 0.0])
-        index.add(("A", "2020-01-01", 1), [1.0, 0.0])
-        index.add(("A", "2020-01-01", 0), [1.0, 0.0])
+        # identical vectors, refs out of row order
+        index = VectorIndex("test", [("B", "2020-01-01", 0), ("A", "2020-01-01", 1),
+                                     ("A", "2020-01-01", 0)], [[1.0, 0.0]] * 3)
         refs = [r for r, _ in index.top_k([1.0, 0.0], 3)]
         assert refs == [("A", "2020-01-01", 0), ("A", "2020-01-01", 1),
                         ("B", "2020-01-01", 0)]
 
     def test_empty_index(self):
-        assert VectorIndex(4, "test").top_k([1, 0, 0, 0], 3) == []
+        assert VectorIndex("test", [], np.zeros((0, 4))).top_k([1, 0, 0, 0], 3) == []
 
     def test_filing_filter(self):
         rng = np.random.default_rng(2)
@@ -119,23 +113,20 @@ class TestTopK:
         assert all((r[0], r[1]) == target for r, _ in result)
 
     def test_dimension_mismatch(self):
-        index = VectorIndex(4, "test")
+        index = VectorIndex("test", [("A", "2020-01-01", 0)], [[1.0, 0.0, 0.0, 0.0]])
         with pytest.raises(DimensionMismatchError):
             index.top_k([1.0, 0.0], 1)
 
 
 class TestFilingRows:
     def interleaved_index(self, rng, d=16):
-        """Three filings added interleaved, chunks out of chunk_index order."""
+        """Three filings in interleaved rows, chunks out of chunk_index order."""
         keys = [("B", "2021-03-01"), ("A", "2020-02-01"), ("A", "2021-02-01")]
         chunk_order = [5, 0, 3, 9, 1, 2, 8, 4, 7, 6]
         refs = [(*key, c) for c in chunk_order for key in keys]
         vectors = rng.standard_normal((len(refs), d))
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-        index = VectorIndex(d, "test")
-        for ref, vec in zip(refs, vectors):
-            index.add(ref, vec)
-        return index, keys
+        return VectorIndex("test", refs, vectors), keys
 
     @pytest.mark.parametrize("seed", range(5))
     def test_every_filing_matches_oracle(self, seed):
@@ -149,32 +140,20 @@ class TestFilingRows:
                                          query, 4)
             assert_same_ranking(index.top_k(query, 4, filing_key=key), expected)
 
-    def test_add_after_query_is_seen(self):
-        index = VectorIndex(2, "test")
-        index.add(("A", "2020-01-01", 0), [0.0, 1.0])
-        assert index.top_k([1.0, 0.0], 1, filing_key=("A", "2020-01-01"))[0][0] == \
-            ("A", "2020-01-01", 0)
-        index.add(("A", "2020-01-01", 1), [1.0, 0.0])
-        index.add(("B", "2020-01-01", 0), [1.0, 0.0])
-        assert index.top_k([1.0, 0.0], 1, filing_key=("A", "2020-01-01"))[0][0] == \
-            ("A", "2020-01-01", 1)
-        assert index.top_k([1.0, 0.0], 1, filing_key=("B", "2020-01-01"))[0][0] == \
-            ("B", "2020-01-01", 0)
-        assert len(index.top_k([1.0, 0.0], 5)) == 3
-
     def test_ties_within_filing_break_by_chunk_index(self):
-        index = VectorIndex(2, "test")
         # two tied groups, enough rows that an unstable sort reorders them
+        refs, vectors = [], []
         for chunk_index in np.random.default_rng(8).permutation(100):
             vec = [1.0, 0.0] if chunk_index % 2 else [0.6, 0.8]
-            index.add(("A", "2020-01-01", int(chunk_index)), vec)
-            index.add(("B", "2020-01-01", int(chunk_index)), vec)
+            refs += [("A", "2020-01-01", int(chunk_index)),
+                     ("B", "2020-01-01", int(chunk_index))]
+            vectors += [vec, vec]
+        index = VectorIndex("test", refs, vectors)
         result = index.top_k([1.0, 0.0], 100, filing_key=("A", "2020-01-01"))
         assert [r[2] for r, _ in result] == [*range(1, 100, 2), *range(0, 100, 2)]
 
     def test_unknown_filing_is_empty(self):
-        index = VectorIndex(2, "test")
-        index.add(("A", "2020-01-01", 0), [1.0, 0.0])
+        index = VectorIndex("test", [("A", "2020-01-01", 0)], [[1.0, 0.0]])
         assert index.top_k([1.0, 0.0], 3, filing_key=("Z", "2020-01-01")) == []
 
 
@@ -203,10 +182,15 @@ class TestPersistence:
             VectorIndex.load(tmp_path)
 
     def test_duplicate_ref_rejected(self):
-        index = VectorIndex(2, "test")
-        index.add(("A", "2020-01-01", 0), [1.0, 0.0])
-        with pytest.raises(ValueError, match="duplicate"):
-            index.add(("A", "2020-01-01", 0), [0.0, 1.0])
+        refs = [("A", "2020-01-01", 0), ("B", "2020-01-01", 0), ("A", "2020-01-01", 0)]
+        with pytest.raises(ValueError, match=r"duplicate chunk ref \('A'"):
+            VectorIndex("test", refs, [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("vectors", [[[1.0, 0.0]], [[1.0, 0.0], [1.0]]])
+    def test_vectors_not_one_row_per_ref_rejected(self, vectors):
+        refs = [("A", "2020-01-01", 0), ("A", "2020-01-01", 1)]
+        with pytest.raises(DimensionMismatchError):
+            VectorIndex("test", refs, vectors)
 
     def test_fewer_refs_than_header_rejected(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -194,8 +195,50 @@ class TestRunPipeline:
         config = synthetic_config(synth_root, tmp_path)
         run_pipeline(config, ["embed"])
         config.embedding_provider = {**config.embedding_provider, "seed": 1}
+        with pytest.raises(StageInputError, match="run stage 'embed' first"):
+            run_pipeline(config, ["score"])
+        # Without the manifest, only the index itself records its provider.
+        (tmp_path / "pipeline_manifest.json").unlink()
         with pytest.raises(PipelineError, match="hash-stub-d64-s0.*hash-stub-d64-s1"):
             run_pipeline(config, ["score"])
+
+    @pytest.mark.parametrize("before, after", [(256, 400), (400, 300)])
+    def test_stale_producer_refused(self, synth_root, tmp_path, before, after):
+        config = synthetic_config(synth_root, tmp_path)
+        config.chunk_chars, config.overlap_chars = before, 32
+        run_pipeline(config, ["embed", "score"])
+        features = (tmp_path / "features.csv").read_bytes()
+        config.chunk_chars = after  # the index no longer matches the chunks
+        with pytest.raises(StageInputError, match="stale.*run stage 'embed' first"):
+            run_pipeline(config, ["score"])
+        assert (tmp_path / "features.csv").read_bytes() == features
+        run_pipeline(config, ["embed", "score"])
+        assert (tmp_path / "features.csv").read_bytes() != features
+
+    def test_interrupted_manifest_write_keeps_previous(self, synth_root, tmp_path,
+                                                       monkeypatch):
+        class Killed(Exception):
+            pass
+
+        write_text = Path.write_text
+
+        def killed_mid_manifest(path, text, *args, **kwargs):
+            if not path.name.startswith(pipeline.MANIFEST_FILE):
+                return write_text(path, text, *args, **kwargs)
+            write_text(path, text[:len(text) // 2], *args, **kwargs)
+            raise Killed
+
+        config = synthetic_config(synth_root, tmp_path)
+        run_pipeline(config, ["embed"])
+        manifest_path = tmp_path / pipeline.MANIFEST_FILE
+        before = json.loads(manifest_path.read_text())
+        with monkeypatch.context() as m:
+            m.setattr(Path, "write_text", killed_mid_manifest)
+            with pytest.raises(Killed):
+                run_pipeline(config, ["embed", "score"])
+        assert json.loads(manifest_path.read_text()) == before
+        after = run_pipeline(config, ["embed", "score"])
+        assert after["embed"] == before["embed"] and "score" in after
 
     def test_ksweep_weakly_decreasing(self, synth_root, tmp_path):
         config = synthetic_config(synth_root, tmp_path)
@@ -297,6 +340,8 @@ class TestCli:
         ({"embedding_provider": {"name": "http"}}, ["embed"], "'endpoint'", 1),
         ({"chunk_chars": 256, "overlap_chars": 256}, ["embed"], "overlap_chars", 1),
         ({}, ["frobnicate"], "'frobnicate'", 2),  # an argparse usage error
+        ({"k": 0}, ["embed"], "k (0)", 1),
+        ({"k_values": [3, 0]}, ["embed"], "k_values ([3, 0])", 1),
     ])
     def test_config_mistake_is_an_error_line(self, synth_root, tmp_path, capsys,
                                              change, stages, named, code):

@@ -8,9 +8,9 @@ from filingsignal.embed_index import HashEmbeddingProvider, VectorIndex, embed_t
 from filingsignal.errors import RowScoringError, UnparseableScoreError
 from filingsignal.llm_scoring import (MAX_ATTEMPTS, ConstantLLM, HTTPChatLLM,
                                       KeywordLLM, Question, QuestionSet,
-                                      ScoreCache, build_prompt, parse_score,
-                                      read_features_csv, score_filing,
-                                      write_features_csv)
+                                      ScoreCache, build_prompt, embed_questions,
+                                      parse_score, read_features_csv,
+                                      score_filing, write_features_csv)
 
 GROWTH_QUESTION = ("Does the company have a clear strategy for growth and "
                    "innovation? Are there any recent strategic initiatives "
@@ -33,13 +33,17 @@ def indexed_filing(text, ticker="TEST"):
     filing = Filing(ticker, "0000000001", "A-1", date(2020, 2, 1), "x", text)
     chunks = chunk_filing(filing, chunk_chars=256, overlap_chars=32)
     embedder = HashEmbeddingProvider()
-    index = VectorIndex(embedder.dimension, embedder.provider_id)
-    chunks_by_ref = {}
-    for c in chunks:
-        ref = (*c.filing_key, c.chunk_index)
-        index.add(ref, embed_text(embedder, c.text))
-        chunks_by_ref[ref] = c
-    return filing, index, embedder, chunks_by_ref
+    index = VectorIndex(embedder.provider_id,
+                        [(*c.filing_key, c.chunk_index) for c in chunks],
+                        [embed_text(embedder, c.text) for c in chunks])
+    return filing, chunks, index, embedder
+
+
+def score(indexed, qs, llm, cache):
+    """score_filing on an ``indexed_filing``, four chunks per question."""
+    filing, chunks, index, embedder = indexed
+    return score_filing(filing, chunks, qs, embed_questions(qs, embedder), index,
+                        llm, cache, 4)
 
 
 class TestQuestionSet:
@@ -114,51 +118,66 @@ class TestParseScore:
 
 
 class TestScoreFiling:
-    def test_constant_stub_gives_all_50s(self):
-        filing, index, embedder, chunks = indexed_filing("plain filing text here")
-        row = score_filing(filing, small_questionset(), index, ConstantLLM(50),
-                           embedder, chunks)
+    def test_constant_stub_gives_all_50s(self, tmp_path):
+        row = score(indexed_filing("plain filing text here"), small_questionset(),
+                    ConstantLLM(50), ScoreCache(tmp_path / "cache.jsonl"))
         assert row.scores == [50, 50]
         assert row.filing_key == ("TEST", "2020-02-01")
 
-    def test_keyword_stub_scores_planted_phrase(self):
+    def test_keyword_stub_scores_planted_phrase(self, tmp_path):
         text = ("The company achieved record revenue growth this year "
                 "through new strategic initiatives and partnerships. "
                 "Risk factors are described elsewhere in this report.")
-        filing, index, embedder, chunks = indexed_filing(text)
         llm = KeywordLLM("record revenue growth")
-        row = score_filing(filing, small_questionset(), index, llm, embedder, chunks)
+        row = score(indexed_filing(text), small_questionset(), llm,
+                    ScoreCache(tmp_path / "cache.jsonl"))
         growth_score = row.scores[0]  # question order defines column order
         assert growth_score == 90
 
-    def test_keyword_stub_miss(self):
-        filing, index, embedder, chunks = indexed_filing("nothing notable at all")
+    def test_keyword_stub_miss(self, tmp_path):
         llm = KeywordLLM("record revenue growth")
-        row = score_filing(filing, small_questionset(), index, llm, embedder, chunks)
+        row = score(indexed_filing("nothing notable at all"), small_questionset(), llm,
+                    ScoreCache(tmp_path / "cache.jsonl"))
         assert row.scores == [10, 10]
 
     def test_warm_cache_makes_zero_calls(self, tmp_path):
-        filing, index, embedder, chunks = indexed_filing("some filing text")
+        indexed = indexed_filing("some filing text")
         qs = small_questionset()
-        cache = ScoreCache(tmp_path / "cache.jsonl")
         llm = ConstantLLM(50)
-        first = score_filing(filing, qs, index, llm, embedder, chunks, cache=cache)
+        first = score(indexed, qs, llm, ScoreCache(tmp_path / "cache.jsonl"))
         assert llm.call_count == len(qs)
 
         llm2 = ConstantLLM(50)  # same provider_id, fresh counter
-        cache2 = ScoreCache(tmp_path / "cache.jsonl")
-        second = score_filing(filing, qs, index, llm2, embedder, chunks, cache=cache2)
+        second = score(indexed, qs, llm2, ScoreCache(tmp_path / "cache.jsonl"))
         assert llm2.call_count == 0
         assert second.scores == first.scores
 
     def test_bad_line_before_the_last_raises(self, tmp_path):
-        filing, index, embedder, chunks = indexed_filing("some filing text")
         path = tmp_path / "cache.jsonl"
-        score_filing(filing, small_questionset(), index, ConstantLLM(50), embedder,
-                     chunks, cache=ScoreCache(path))
+        score(indexed_filing("some filing text"), small_questionset(), ConstantLLM(50),
+              ScoreCache(path))
         path.write_bytes(b"{torn\n" + path.read_bytes())
         with pytest.raises(json.JSONDecodeError):
             ScoreCache(path)
+
+    def test_unkeyed_records_dropped_from_file_once(self, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+        score(indexed_filing("some filing text"), small_questionset(), ConstantLLM(50),
+              ScoreCache(path))
+        keyed = path.read_text()
+        unkeyed = json.dumps({"filing_key": ["TEST", "2020-02-01"],
+                              "question_id": "growth", "score": 50})
+        path.write_text(unkeyed + "\n" + keyed + unkeyed + "\n")
+        with caplog.at_level("WARNING"):
+            ScoreCache(path)
+        assert "dropping 2 records without prompt_sha256" in caplog.text
+        assert path.read_text() == keyed
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            cache = ScoreCache(path)
+        assert caplog.text == ""
+        for line in keyed.splitlines():
+            assert cache.get(json.loads(line)["prompt_sha256"])
 
     def test_failed_row_keeps_earlier_answers(self, tmp_path):
         class FailsLastQuestion:
@@ -167,11 +186,10 @@ class TestScoreFiling:
             def complete(self, s, u):
                 return "no idea" if "routine?" in u else "SCORE: 70"
 
-        filing, index, embedder, chunks = indexed_filing("some filing text")
         path = tmp_path / "cache.jsonl"
         with pytest.raises(RowScoringError, match="risk"):
-            score_filing(filing, small_questionset(), index, FailsLastQuestion(),
-                         embedder, chunks, cache=ScoreCache(path))
+            score(indexed_filing("some filing text"), small_questionset(),
+                  FailsLastQuestion(), ScoreCache(path))
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert [(r["question_id"], r["score"]) for r in records] == [("growth", 70)]
 
@@ -186,28 +204,26 @@ class TestScoreFiling:
                    indexed_filing("second filing text", "BBB")]
         for cache in (ScoreCache(tmp_path / "a.jsonl"),
                       PerAnswerCache(tmp_path / "b.jsonl")):
-            for filing, index, embedder, chunks in filings:
-                score_filing(filing, qs, index, ConstantLLM(50), embedder, chunks,
-                             cache=cache)
+            for indexed in filings:
+                score(indexed, qs, ConstantLLM(50), cache)
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
         assert len((tmp_path / "a.jsonl").read_text().splitlines()) == 2 * len(qs)
 
-    def test_unparseable_fails_whole_row(self):
+    def test_unparseable_fails_whole_row(self, tmp_path):
         class Garbage:
             provider_id = "garbage"
 
             def complete(self, s, u):
                 return "no idea"
 
-        filing, index, embedder, chunks = indexed_filing("text")
         with pytest.raises(RowScoringError):
-            score_filing(filing, small_questionset(), index, Garbage(),
-                         embedder, chunks)
+            score(indexed_filing("text"), small_questionset(), Garbage(),
+                  ScoreCache(tmp_path / "cache.jsonl"))
 
     @pytest.mark.parametrize("body", [{}, {"choices": []},
                                       {"choices": [{"message": {"content": None}}]}])
     def test_http_response_without_content_retried_then_row_failed(self, monkeypatch,
-                                                                   body):
+                                                                   tmp_path, body):
         import requests
 
         posts = []
@@ -223,13 +239,13 @@ class TestScoreFiling:
             return Response()
 
         monkeypatch.setattr(requests, "post", post)
-        filing, index, embedder, chunks = indexed_filing("text")
         with pytest.raises(RowScoringError, match="choices|content"):
-            score_filing(filing, small_questionset(), index,
-                         HTTPChatLLM("http://localhost:9/v1", "m"), embedder, chunks)
+            score(indexed_filing("text"), small_questionset(),
+                  HTTPChatLLM("http://localhost:9/v1", "m"),
+                  ScoreCache(tmp_path / "cache.jsonl"))
         assert len(posts) == MAX_ATTEMPTS
 
-    def test_transient_errors_retried(self):
+    def test_transient_errors_retried(self, tmp_path):
         from filingsignal.errors import RetriableError
 
         class Flaky:
@@ -244,17 +260,16 @@ class TestScoreFiling:
                     raise RetriableError("blip")
                 return "SCORE: 42"
 
-        filing, index, embedder, chunks = indexed_filing("text")
-        row = score_filing(filing, small_questionset(), index, Flaky(),
-                           embedder, chunks)
+        row = score(indexed_filing("text"), small_questionset(), Flaky(),
+                    ScoreCache(tmp_path / "cache.jsonl"))
         assert row.scores == [42, 42]
 
 
 class TestFeaturesCsv:
     def test_round_trip_and_header(self, tmp_path):
-        filing, index, embedder, chunks = indexed_filing("text")
         qs = small_questionset()
-        row = score_filing(filing, qs, index, ConstantLLM(33), embedder, chunks)
+        row = score(indexed_filing("text"), qs, ConstantLLM(33),
+                    ScoreCache(tmp_path / "cache.jsonl"))
         path = tmp_path / "features.csv"
         write_features_csv(path, [row], qs)
         header = path.read_text().splitlines()[0]
@@ -265,9 +280,9 @@ class TestFeaturesCsv:
         assert rows[0].filing_date == "2020-02-01"
 
     def test_deterministic_bytes(self, tmp_path):
-        filing, index, embedder, chunks = indexed_filing("text")
         qs = small_questionset()
-        row = score_filing(filing, qs, index, ConstantLLM(33), embedder, chunks)
+        row = score(indexed_filing("text"), qs, ConstantLLM(33),
+                    ScoreCache(tmp_path / "cache.jsonl"))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_features_csv(a, [row], qs)
         write_features_csv(b, [row], qs)
