@@ -38,9 +38,6 @@ class SplitSpec:
         if self.train_years[1] >= self.test_years[0]:
             raise ValueError("train years must strictly precede test years")
 
-    def in_train(self, year: int) -> bool:
-        return self.train_years[0] <= year <= self.train_years[1]
-
     def in_test(self, year: int) -> bool:
         return self.test_years[0] <= year <= self.test_years[1]
 
@@ -79,14 +76,6 @@ class BacktestReport:
         }, indent=2, sort_keys=True)
 
 
-def select_top_k(predictions: list[tuple[str, float]], k: int) -> list[str]:
-    """Tickers with the k highest scores; ties broken by ticker ascending."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    ranked = sorted(predictions, key=lambda t: (-t[1], t[0]))
-    return [ticker for ticker, _ in ranked[:k]]
-
-
 def _basis_fields(return_basis: str) -> tuple[str, str]:
     if return_basis == BASIS_12M:
         return "target_12m", "sp500_12m"
@@ -109,11 +98,12 @@ def run_backtest(
     returns: list[ReturnRecord],
     split: SplitSpec,
     k: int,
-    return_basis: str = BASIS_12M,
+    return_basis: str,
 ) -> BacktestReport:
     """Predict, pick top-k per test year, compound equal-weight yearly returns.
 
-    Picks without a ReturnRecord are dropped and backfilled from the next
+    Tickers are ranked by prediction, ties broken by ticker ascending. Picks
+    without a ReturnRecord are dropped and backfilled from the next
     ranked ticker so the portfolio keeps its size.
     """
     if k < 1:
@@ -129,7 +119,7 @@ def run_backtest(
 
     per_year: list[YearResult] = []
     strategy_returns: list[float] = []
-    benchmark_returns: list[float] = []
+    bench_returns: list[float] = []
     for year in range(split.test_years[0], split.test_years[1] + 1):
         rows = by_year.get(year, [])
         if not rows:
@@ -158,12 +148,12 @@ def run_backtest(
         mean_bench = float(np.mean([getattr(r, bench_field) for r in pick_records]))
         per_year.append(YearResult(year, picks, mean_strategy, mean_bench))
         strategy_returns.append(mean_strategy)
-        benchmark_returns.append(mean_bench)
+        bench_returns.append(mean_bench)
 
     return BacktestReport(
         per_year=per_year,
         strategy_wealth=compound(strategy_returns),
-        benchmark_wealth=compound(benchmark_returns),
+        benchmark_wealth=compound(bench_returns),
         k=k,
         return_basis=return_basis,
     )
@@ -175,7 +165,7 @@ def k_sweep(
     returns: list[ReturnRecord],
     split: SplitSpec,
     k_values: list[int],
-    return_basis: str = BASIS_12M,
+    return_basis: str,
 ) -> list[tuple[int, float, float]]:
     """(k, mean strategy return, mean benchmark return) per candidate k."""
     if not k_values:

@@ -25,9 +25,6 @@ logger = logging.getLogger(__name__)
 MANIFEST_NAME = "manifest.jsonl"
 FILINGS_DIR = "filings"
 
-DEFAULT_CHUNK_CHARS = 2048
-DEFAULT_OVERLAP_CHARS = 256
-
 
 @dataclass(frozen=True)
 class UniverseEntry:
@@ -155,11 +152,7 @@ def clean_filing_text(raw: str) -> str:
 # --- chunking -----------------------------------------------------------------
 
 
-def chunk_filing(
-    filing: Filing,
-    chunk_chars: int = DEFAULT_CHUNK_CHARS,
-    overlap_chars: int = DEFAULT_OVERLAP_CHARS,
-) -> list[Chunk]:
+def chunk_filing(filing: Filing, chunk_chars: int, overlap_chars: int) -> list[Chunk]:
     """Split clean_text into overlapping chunks.
 
     Consecutive chunks overlap by exactly ``overlap_chars`` (the final chunk
@@ -194,17 +187,6 @@ def chunk_filing(
         start = end - overlap_chars
         index += 1
     return chunks
-
-
-def reassemble_chunks(chunks: list[Chunk]) -> str:
-    """Inverse of chunk_filing: drop each chunk's leading overlap and join."""
-    if not chunks:
-        return ""
-    parts = [chunks[0].text]
-    for prev, cur in zip(chunks, chunks[1:]):
-        already = prev.char_span[1] - cur.char_span[0]
-        parts.append(cur.text[already:])
-    return "".join(parts)
 
 
 # --- store --------------------------------------------------------------------

@@ -42,7 +42,7 @@ class HashEmbeddingProvider:
     with zero network dependency.
     """
 
-    def __init__(self, dimension: int = 64, seed: int = 0):
+    def __init__(self, dimension: int, seed: int):
         self.dimension = dimension
         self.seed = seed
         self.provider_id = f"hash-stub-d{dimension}-s{seed}"
@@ -143,6 +143,10 @@ class VectorIndex:
 
     def __len__(self) -> int:
         return len(self.refs)
+
+    def rows_of(self, filing_key: tuple[str, str]) -> int:
+        """How many rows, that is chunks, the index holds for one filing."""
+        return len(self._rows.get(filing_key, ()))
 
     def top_k(
         self,

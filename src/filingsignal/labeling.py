@@ -18,7 +18,6 @@ import numpy as np
 
 from .market_data import ReturnRecord
 
-DEFAULT_BINS = 5
 SOURCE_FIELDS = ("target_12m", "target_max")
 
 LABELS_COLUMNS = ["ticker", "filing_date", "year", "label"]
@@ -29,7 +28,6 @@ class LabeledExample:
     ticker: str
     filing_date: date
     label: float
-    source_field: str
     year: int
 
 
@@ -52,9 +50,7 @@ def average_ranks(values: list[float]) -> np.ndarray:
 
 
 def make_labels(
-    records: list[ReturnRecord],
-    source_field: str = "target_12m",
-    bins: int = DEFAULT_BINS,
+    records: list[ReturnRecord], source_field: str, bins: int
 ) -> list[LabeledExample]:
     """Label every return record, grouping by filing calendar year."""
     if bins < 2:
@@ -80,8 +76,7 @@ def make_labels(
             ranks = average_ranks(values)
             labels = [bin_label((rank - 1.0) / (n - 1.0), bins) for rank in ranks]
         for r, label in zip(group, labels):
-            out.append(LabeledExample(r.ticker, r.filing_date, label,
-                                      source_field, year))
+            out.append(LabeledExample(r.ticker, r.filing_date, label, year))
     out.sort(key=lambda e: (e.ticker, e.filing_date))
     return out
 
@@ -94,7 +89,7 @@ def write_labels_csv(path: str | Path, examples: list[LabeledExample]) -> None:
             writer.writerow([e.ticker, e.filing_date.isoformat(), e.year, repr(e.label)])
 
 
-def read_labels_csv(path: str | Path, source_field: str = "") -> list[LabeledExample]:
+def read_labels_csv(path: str | Path) -> list[LabeledExample]:
     examples = []
     with open(path, newline="", encoding="utf-8") as f:
         for rec in csv.DictReader(f):
@@ -102,7 +97,6 @@ def read_labels_csv(path: str | Path, source_field: str = "") -> list[LabeledExa
                 ticker=rec["ticker"],
                 filing_date=date.fromisoformat(rec["filing_date"]),
                 label=float(rec["label"]),
-                source_field=source_field,
                 year=int(rec["year"]),
             ))
     return examples

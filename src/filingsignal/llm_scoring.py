@@ -96,7 +96,7 @@ class LLMProvider(Protocol):
 class ConstantLLM:
     """Stub that answers every question with the same score."""
 
-    def __init__(self, score: int = 50):
+    def __init__(self, score: int):
         self.score = score
         self.provider_id = f"constant-stub-{score}"
         self.call_count = 0
@@ -113,8 +113,8 @@ class KeywordLLM:
     gives graded scores for planted-signal fixtures.
     """
 
-    def __init__(self, phrase: str, hit_score: int = 90, miss_score: int = 10,
-                 per_occurrence: int = 0):
+    def __init__(self, phrase: str, hit_score: int, miss_score: int,
+                 per_occurrence: int):
         self.phrase = phrase.lower()
         self.hit_score = hit_score
         self.miss_score = miss_score
@@ -220,8 +220,9 @@ def prompt_key(provider_id: str, system_prompt: str, user_prompt: str) -> str:
 
 class ScoreCache:
     """JSONL memo of provider answers keyed on ``prompt_key``, so an answer is
-    reused only for the exact prompt it answered. Filing, question, raw
-    response and context chunk refs are kept for audit.
+    reused only for the exact prompt it answered. Memory holds only each
+    prompt's score; the file also keeps the filing, question, raw response and
+    context chunk refs for audit.
 
     ``put`` makes a record visible to ``get`` at once and buffers its line;
     ``flush`` appends the buffered lines to the file in one write. A torn
@@ -233,31 +234,24 @@ class ScoreCache:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._entries: dict[str, ScoredAnswer] = {}
         self._pending: list[str] = []
         records = read_jsonl(self.path)
         keyed = [rec for rec in records if "prompt_sha256" in rec]
-        for rec in keyed:
-            self._entries[rec["prompt_sha256"]] = ScoredAnswer(
-                filing_key=tuple(rec["filing_key"]),
-                question_id=rec["question_id"],
-                score=rec["score"],
-                raw_response=rec["raw_response"],
-                context_chunk_refs=[tuple(r) for r in rec["context_chunk_refs"]],
-            )
+        self._scores = {rec["prompt_sha256"]: rec["score"] for rec in keyed}
         if len(keyed) < len(records):
             logger.warning("%s: dropping %d records without prompt_sha256; "
                            "their questions are asked again",
                            self.path, len(records) - len(keyed))
             write_atomic(self.path, "".join(json.dumps(rec) + "\n" for rec in keyed))
 
-    def get(self, key: str) -> ScoredAnswer | None:
-        return self._entries.get(key)
+    def get(self, key: str) -> int | None:
+        """The cached score of the prompt with this key, or None."""
+        return self._scores.get(key)
 
     def put(self, key: str, answer: ScoredAnswer) -> None:
-        if key in self._entries:
+        if key in self._scores:
             return
-        self._entries[key] = answer
+        self._scores[key] = answer.score
         self._pending.append(json.dumps({
             "filing_key": list(answer.filing_key),
             "question_id": answer.question_id,
@@ -313,24 +307,23 @@ def score_filing(
             context = [chunks[chunk_index] for (_, _, chunk_index), _ in hits]
             system_prompt, user_prompt = build_prompt(question.text, context)
             pkey = prompt_key(llm.provider_id, system_prompt, user_prompt)
-            answer = cache.get(pkey)
+            score = cache.get(pkey)
             last_error: Exception | None = None
-            for _ in range(MAX_ATTEMPTS if answer is None else 0):
+            for _ in range(MAX_ATTEMPTS if score is None else 0):
                 try:
                     raw = llm.complete(system_prompt, user_prompt)
                     score = parse_score(raw)
                 except (RetriableError, UnparseableScoreError) as exc:
                     last_error = exc
                     continue
-                answer = ScoredAnswer(key, question.question_id, score, raw,
-                                      [ref for ref, _ in hits])
-                cache.put(pkey, answer)
+                cache.put(pkey, ScoredAnswer(key, question.question_id, score, raw,
+                                             [ref for ref, _ in hits]))
                 break
-            if answer is None:
+            if score is None:
                 raise RowScoringError(
                     f"question {question.question_id} failed for {key}: {last_error}"
                 )
-            scores.append(answer.score)
+            scores.append(score)
     finally:
         cache.flush()
     return FeatureRow(key, scores, filing.filing_date.isoformat())

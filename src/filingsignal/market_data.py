@@ -68,8 +68,8 @@ class PriceSeries:
         return self.observations[lo:hi]
 
 
-def load_price_csv(path: str | Path) -> dict[str, PriceSeries]:
-    """Read daily bars (symbol,date,adjusted_close) into per-symbol series."""
+def load_price_csv(path: str | Path) -> dict[str, list[tuple[date, float]]]:
+    """Read daily bars (symbol,date,adjusted_close) into date-sorted rows per symbol."""
     rows: dict[str, list[tuple[date, float]]] = {}
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
@@ -83,9 +83,7 @@ def load_price_csv(path: str | Path) -> dict[str, PriceSeries]:
                 rows.setdefault(rec[i_sym], []).append(
                     (date.fromisoformat(rec[i_date]), float(rec[i_close]))
                 )
-    return {
-        sym: PriceSeries(sym, sorted(obs)) for sym, obs in rows.items()
-    }
+    return {sym: sorted(obs) for sym, obs in rows.items()}
 
 
 def price_files(directory: str | Path) -> list[Path]:
@@ -93,10 +91,22 @@ def price_files(directory: str | Path) -> list[Path]:
     return sorted(Path(directory).glob("*.csv"))
 
 
-def load_price_dir(directory: str | Path) -> dict[str, PriceSeries]:
-    out: dict[str, PriceSeries] = {}
+def load_price_dir(directory: str | Path, rejected: dict[str, str]) -> dict[str, PriceSeries]:
+    """Every valid series of a directory's price CSVs; a later file replaces a symbol.
+
+    A series with unordered dates or a bad price is left out, and its reason
+    is put in ``rejected`` under its symbol, so one bad series never stops
+    the others from loading.
+    """
+    rows: dict[str, list[tuple[date, float]]] = {}
     for path in price_files(directory):
-        out.update(load_price_csv(path))
+        rows.update(load_price_csv(path))
+    out: dict[str, PriceSeries] = {}
+    for symbol, obs in rows.items():
+        try:
+            out[symbol] = PriceSeries(symbol, obs)
+        except ValueError as exc:
+            rejected[symbol] = str(exc)
     return out
 
 
@@ -107,10 +117,6 @@ class TradingCalendar:
         self.dates = sorted(set(dates))
         if not self.dates:
             raise ValueError("calendar is empty")
-
-    @classmethod
-    def from_series(cls, series: PriceSeries) -> "TradingCalendar":
-        return cls(series.dates)
 
     def nth_after(self, d: date, n: int) -> date:
         """The n-th trading day strictly after d."""
@@ -169,14 +175,6 @@ def window_returns(series: PriceSeries, start: date, end: date) -> WindowReturns
     return WindowReturns(r_12m, r_max, r_min)
 
 
-def benchmark_returns(
-    bench_series: PriceSeries, start: date, end: date
-) -> tuple[float, float]:
-    """(12m, max) benchmark returns over the identical window rules."""
-    r = window_returns(bench_series, start, end)
-    return r.r_12m, r.r_max
-
-
 @dataclass
 class ReturnRecord:
     ticker: str
@@ -194,7 +192,6 @@ def compute_return_records(
     filing_dates: dict[str, list[date]],
     prices: dict[str, PriceSeries],
     benchmark: PriceSeries,
-    calendar: TradingCalendar | None = None,
 ) -> tuple[list[ReturnRecord], list[str]]:
     """Build one ReturnRecord per filing-to-filing window.
 
@@ -203,7 +200,7 @@ def compute_return_records(
     used as-is (terminal price = last available) and flagged: dropping
     delisted names would inflate strategy returns.
     """
-    calendar = calendar or TradingCalendar.from_series(benchmark)
+    calendar = TradingCalendar(benchmark.dates)
     records: list[ReturnRecord] = []
     warnings: list[str] = []
     for ticker in sorted(filing_dates):
@@ -228,14 +225,14 @@ def compute_return_records(
                 if series.last_date < end:
                     flags.append(FLAG_DELISTED)
                 stock = window_returns(series, start, end)
-                sp_12m, sp_max = benchmark_returns(benchmark, start, end)
+                bench = window_returns(benchmark, start, end)
             except WindowSkipped as exc:
                 warnings.append(f"{ticker} {fdate}: {exc}")
                 continue
             records.append(ReturnRecord(
                 ticker, fdate, next_fdate,
                 stock.r_12m, stock.r_max, stock.r_min,
-                sp_12m, sp_max, flags,
+                bench.r_12m, bench.r_max, flags,
             ))
     return records, warnings
 

@@ -4,10 +4,11 @@ Every stage is declared once in STAGES: its function, the config fields it
 hashes, the files it reads and the files it writes. A manifest records input
 and output hashes plus wall time. Re-running skips a stage whose inputs are
 unchanged and whose outputs still match their recorded hashes, so interrupted
-runs resume where they left off. Per-item failures (one filing, one window)
-never abort a stage; they accumulate in an error report. The embed stage
-builds the vector index once; the score stage chunks each filing as it
-scores it.
+runs resume where they left off. Per-item failures (one filing, one price
+series, one window) never abort a stage; they accumulate in an error report.
+The embed stage builds the vector index once; the score stage chunks each
+filing as it scores it, and refuses a filing whose chunk count differs from
+its rows in the index.
 
 The manifest is replaced whole after each stage. A stage refuses an input
 whose producing stage is not requested in the same run and has changed
@@ -52,6 +53,8 @@ class PipelineConfig:
     index_dir: str
     out_dir: str
     prices_dir: str
+    embedding_provider: dict
+    llm_provider: dict
     universe_csv: str = ""
     questions_file: str = ""  # empty -> packaged default question set
     benchmark_symbol: str = "SPX"
@@ -59,8 +62,6 @@ class PipelineConfig:
     year_to: int = 2023
     chunk_chars: int = 2048
     overlap_chars: int = 256
-    embedding_provider: dict = field(default_factory=lambda: {"name": "stub"})
-    llm_provider: dict = field(default_factory=lambda: {"name": "constant-stub"})
     chunks_per_question: int = 4
     label_target: str = "12m"  # 12m | max
     bins: int = 5
@@ -113,13 +114,16 @@ class PipelineConfig:
 
 def _required(cfg: dict, key: str, section: str):
     """``cfg[key]``, or a PipelineError naming the key the provider needs."""
+    if not isinstance(cfg, dict):
+        raise PipelineError(f"{section} must be a mapping with a 'name', not {cfg!r}")
     if key not in cfg:
-        raise PipelineError(f"{section} {cfg.get('name')!r} needs the key {key!r}")
+        named = f" {cfg['name']!r}" if "name" in cfg else ""
+        raise PipelineError(f"{section}{named} needs the key {key!r}")
     return cfg[key]
 
 
 def build_embedding_provider(cfg: dict):
-    name = cfg.get("name", "stub")
+    name = _required(cfg, "name", "embedding_provider")
     if name == "stub":
         return HashEmbeddingProvider(dimension=cfg.get("dimension", 64),
                                      seed=cfg.get("seed", 0))
@@ -134,7 +138,7 @@ def build_embedding_provider(cfg: dict):
 
 
 def build_llm_provider(cfg: dict):
-    name = cfg.get("name", "constant-stub")
+    name = _required(cfg, "name", "llm_provider")
     if name == "constant-stub":
         return ConstantLLM(score=cfg.get("score", 50))
     if name == "keyword-stub":
@@ -233,6 +237,10 @@ def stage_score(config: PipelineConfig) -> None:
     rows = []
     for filing in store.load_all():
         chunks = chunk_filing(filing, config.chunk_chars, config.overlap_chars)
+        if (indexed := index.rows_of(filing.key)) not in (0, len(chunks)):
+            raise StageInputError(
+                f"filing {filing.ticker} {filing.filing_date} has {len(chunks)} chunks "
+                f"but {indexed} rows in the index in {config.index_dir}", "embed")
         try:
             rows.append(score_filing(filing, chunks, qs, queries, index, llm, cache,
                                      config.chunks_per_question))
@@ -243,7 +251,10 @@ def stage_score(config: PipelineConfig) -> None:
 
 def stage_returns(config: PipelineConfig) -> None:
     store = CorpusStore(config.corpus_dir)
-    prices = md.load_price_dir(config.prices_dir)
+    rejected: dict[str, str] = {}
+    prices = md.load_price_dir(config.prices_dir, rejected)
+    if config.benchmark_symbol in rejected:
+        raise PipelineError(f"benchmark series unusable: {rejected[config.benchmark_symbol]}")
     if config.benchmark_symbol not in prices:
         raise PipelineError(
             f"benchmark symbol {config.benchmark_symbol!r} not in price data"
@@ -255,6 +266,8 @@ def stage_returns(config: PipelineConfig) -> None:
         filing_dates, prices, prices[config.benchmark_symbol]
     )
     report = ErrorReport(config.out("returns_errors.jsonl"))
+    for symbol in sorted(rejected):
+        report.record("series", rejected[symbol])
     for w in warnings:
         report.record("window", w)
     md.write_returns_csv(config.out("returns.csv"), records)
@@ -262,6 +275,9 @@ def stage_returns(config: PipelineConfig) -> None:
 
 def stage_label(config: PipelineConfig) -> None:
     records = md.read_returns_csv(config.out("returns.csv"))
+    if not records:
+        raise PipelineError(f"{config.out('returns.csv')} holds no return windows; "
+                            f"{config.out('returns_errors.jsonl')} says why each was skipped")
     source = "target_12m" if config.label_target == "12m" else "target_max"
     examples = labeling.make_labels(records, source, config.bins)
     labeling.write_labels_csv(config.out("labels.csv"), examples)
@@ -292,6 +308,9 @@ def stage_backtest(config: PipelineConfig) -> None:
     split = bt.SplitSpec(config.train_years, config.test_years)
     report = bt.run_backtest(model, feature_rows, records, split,
                              config.k, config.basis)
+    if not report.per_year:
+        raise PipelineError(f"no filing in test_years {list(config.test_years)} "
+                            "has both features and a return window")
     config.out("report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     bt.write_cumulative_csv(config.out("cumulative.csv"), report)
     table = bt.k_sweep(model, feature_rows, records, split,

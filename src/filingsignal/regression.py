@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -43,8 +42,7 @@ class DesignMatrix:
             raise ValueError("design matrix contains non-finite values")
 
 
-def nnls(A: np.ndarray, b: np.ndarray, tol: float = DUAL_TOLERANCE,
-         max_iter: int | None = None) -> np.ndarray:
+def nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve min ||Ax - b||^2 subject to x >= 0 (Lawson-Hanson active set).
 
     Pivot choice is deterministic: largest dual component, ties by lowest
@@ -52,16 +50,14 @@ def nnls(A: np.ndarray, b: np.ndarray, tol: float = DUAL_TOLERANCE,
     """
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    n, p = A.shape
-    max_iter = max_iter or ITERATION_FACTOR * p
-
+    p = A.shape[1]
     x = np.zeros(p)
     passive = np.zeros(p, dtype=bool)
 
-    for _ in range(max_iter):
+    for _ in range(ITERATION_FACTOR * p):
         w = A.T @ (b - A @ x)  # dual: gradient of the residual
         candidates = ~passive
-        if not candidates.any() or np.max(w[candidates]) <= tol:
+        if not candidates.any() or np.max(w[candidates]) <= DUAL_TOLERANCE:
             break
         # argmax over zero set, ties resolved by lowest index
         masked = np.where(candidates, w, -np.inf)
@@ -80,7 +76,7 @@ def nnls(A: np.ndarray, b: np.ndarray, tol: float = DUAL_TOLERANCE,
             blocking = passive & (z <= 0)
             alpha = np.min(x[blocking] / (x[blocking] - z[blocking]))
             x = x + alpha * (z - x)
-            passive &= x > tol
+            passive &= x > DUAL_TOLERANCE
             x[~passive] = 0.0
     return x
 
@@ -97,10 +93,7 @@ class NNLSModel:
         X = np.asarray(X, dtype=np.float64)
         return self.intercept + ((X - self.shift) / self.scale) @ self.coefficients
 
-    def predict(self, features: Sequence[float], feature_names: list[str] | None = None
-                ) -> float:
-        if feature_names is not None and feature_names != self.feature_names:
-            raise ValueError("feature names do not match the fitted model")
+    def predict(self, features: Sequence[float]) -> float:
         vec = np.asarray(features, dtype=np.float64)
         if vec.shape != (len(self.feature_names),):
             raise ValueError(
@@ -133,7 +126,7 @@ class NNLSModel:
         )
 
 
-def fit_nnls(design: DesignMatrix, standardize: bool = True) -> NNLSModel:
+def fit_nnls(design: DesignMatrix) -> NNLSModel:
     """Fit non-negative coefficients on centered, unit-variance features.
 
     Zero-variance features are excluded (coefficient 0) with a warning.
@@ -142,12 +135,8 @@ def fit_nnls(design: DesignMatrix, standardize: bool = True) -> NNLSModel:
     if n < p:
         logger.warning("underdetermined fit: %d rows < %d features", n, p)
 
-    if standardize:
-        shift = design.X.mean(axis=0)
-        scale = design.X.std(axis=0)
-    else:
-        shift = np.zeros(p)
-        scale = np.ones(p)
+    shift = design.X.mean(axis=0)
+    scale = design.X.std(axis=0)
     usable = scale > 0
     if not usable.all():
         for name in np.array(design.feature_names)[~usable]:
@@ -155,10 +144,7 @@ def fit_nnls(design: DesignMatrix, standardize: bool = True) -> NNLSModel:
     safe_scale = np.where(usable, scale, 1.0)
 
     Xs = (design.X - shift) / safe_scale
-    if standardize:
-        ybar = float(design.y.mean())
-    else:
-        ybar = 0.0
+    ybar = float(design.y.mean())
     yc = design.y - ybar
 
     coefficients = np.zeros(p)
@@ -173,13 +159,3 @@ def fit_nnls(design: DesignMatrix, standardize: bool = True) -> NNLSModel:
         scale=safe_scale,
     )
 
-
-def kkt_residuals(design: DesignMatrix, model: NNLSModel) -> np.ndarray:
-    """Dual vector at the fitted point, in the standardized coordinates.
-
-    Optimality requires components ~0 for active features and <= 0 (up to
-    tolerance) for zeroed features.
-    """
-    Xs = (design.X - model.shift) / model.scale
-    yc = design.y - model.intercept
-    return Xs.T @ (yc - Xs @ model.coefficients)

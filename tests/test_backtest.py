@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from filingsignal.backtest import (BacktestReport, SplitSpec, compound,
-                                   k_sweep, run_backtest, select_top_k)
+                                   k_sweep, run_backtest)
 from filingsignal.llm_scoring import FeatureRow
 from filingsignal.market_data import ReturnRecord
 from filingsignal.regression import NNLSModel
@@ -26,28 +26,6 @@ def return_record(ticker, year, r12, sp12=0.04, rmax=None, spmax=None):
                         r12, rmax if rmax is not None else r12 + 0.05,
                         -0.1, sp12,
                         spmax if spmax is not None else sp12 + 0.02, [])
-
-
-class TestSelectTopK:
-    def test_basic(self):
-        assert select_top_k([("A", 0.9), ("B", 0.8), ("C", 0.7)], 2) == ["A", "B"]
-
-    def test_tie_broken_by_ticker(self):
-        assert select_top_k([("B", 0.5), ("A", 0.5)], 1) == ["A"]
-
-    def test_fewer_than_k(self):
-        assert select_top_k([("A", 0.5)], 5) == ["A"]
-
-    def test_matches_sort_oracle(self):
-        rng = random.Random(0)
-        preds = [(f"T{i:03d}", rng.random()) for i in range(100)]
-        expected = [t for t, _ in
-                    sorted(preds, key=lambda x: (-x[1], x[0]))][:5]
-        assert select_top_k(preds, 5) == expected
-
-    def test_k_must_be_positive(self):
-        with pytest.raises(ValueError):
-            select_top_k([("A", 1.0)], 0)
 
 
 class TestCompounding:
@@ -73,8 +51,8 @@ class TestSplitSpec:
 
     def test_membership(self):
         split = SplitSpec((2002, 2017), (2018, 2023))
-        assert split.in_train(2017) and not split.in_train(2018)
-        assert split.in_test(2018) and not split.in_test(2017)
+        assert split.in_test(2018) and split.in_test(2023)
+        assert not split.in_test(2017) and not split.in_test(2024)
 
 
 class TestRunBacktest:
@@ -84,7 +62,8 @@ class TestRunBacktest:
         split = SplitSpec((2015, 2017), (2018, 2018))
         features = [feature_row("A", 2018, 10)]
         returns = [return_record("A", 2018, 0.10, sp12=0.04)]
-        report = run_backtest(identity_model(), features, returns, split, k=1)
+        report = run_backtest(identity_model(), features, returns, split, k=1,
+                              return_basis="12m")
         assert report.strategy_wealth == [1.0, pytest.approx(1.10)]
         assert report.benchmark_wealth == [1.0, pytest.approx(1.04)]
         assert report.per_year[0].picks == [("A", pytest.approx(10.0))]
@@ -94,14 +73,14 @@ class TestRunBacktest:
         returns = [return_record("A", 2018, 0.1),
                    return_record("A", 2019, 0.2)]
         report = run_backtest(identity_model(), features, returns,
-                              self.SPLIT, k=1)
+                              self.SPLIT, k=1, return_basis="12m")
         assert report.strategy_wealth[-1] == pytest.approx(1.32, abs=1e-12)
 
     def test_train_rows_never_evaluated(self):
         features = [feature_row("A", 2016, 99), feature_row("B", 2018, 1)]
         returns = [return_record("A", 2016, 5.0), return_record("B", 2018, 0.0)]
         report = run_backtest(identity_model(), features, returns,
-                              self.SPLIT, k=5)
+                              self.SPLIT, k=5, return_basis="12m")
         picked = {t for y in report.per_year for t, _ in y.picks}
         assert picked == {"B"}
 
@@ -110,14 +89,16 @@ class TestRunBacktest:
                     feature_row("C", 2018, 1)]
         returns = [return_record("B", 2018, 0.07), return_record("C", 2018, 0.01)]
         report = run_backtest(identity_model(), features, returns,
-                              SplitSpec((2015, 2017), (2018, 2018)), k=2)
+                              SplitSpec((2015, 2017), (2018, 2018)), k=2,
+                              return_basis="12m")
         assert [t for t, _ in report.per_year[0].picks] == ["B", "C"]
 
     def test_empty_year_omitted(self):
         features = [feature_row("A", 2018, 5)]
         returns = [return_record("A", 2018, 0.1)]
         report = run_backtest(identity_model(), features, returns,
-                              self.SPLIT, k=1)  # nothing filed in 2019
+                              self.SPLIT, k=1,
+                              return_basis="12m")  # nothing filed in 2019
         assert [y.year for y in report.per_year] == [2018]
 
     def test_max_basis_uses_max_fields(self):
@@ -134,7 +115,27 @@ class TestRunBacktest:
     def test_k_must_be_positive(self, k):
         with pytest.raises(ValueError, match="k must be >= 1"):
             run_backtest(identity_model(), [feature_row("A", 2018, 5)],
-                         [return_record("A", 2018, 0.1)], self.SPLIT, k=k)
+                         [return_record("A", 2018, 0.1)], self.SPLIT, k=k,
+                         return_basis="12m")
+
+    def test_tie_broken_by_ticker(self):
+        features = [feature_row("B", 2018, 5), feature_row("A", 2018, 5)]
+        returns = [return_record("A", 2018, 0.1), return_record("B", 2018, 0.2)]
+        report = run_backtest(identity_model(), features, returns,
+                              SplitSpec((2015, 2017), (2018, 2018)), k=1,
+                              return_basis="12m")
+        assert report.per_year[0].picks == [("A", 5.0)]
+
+    def test_picks_match_sort_oracle(self):
+        rng = random.Random(0)
+        scores = [(f"T{i:03d}", rng.randint(0, 30)) for i in range(100)]  # with ties
+        features = [feature_row(t, 2018, s) for t, s in scores]
+        returns = [return_record(t, 2018, 0.0) for t, _ in scores]
+        report = run_backtest(identity_model(), features, returns,
+                              SplitSpec((2015, 2017), (2018, 2018)), k=5,
+                              return_basis="12m")
+        expected = sorted(scores, key=lambda x: (-x[1], x[0]))[:5]
+        assert report.per_year[0].picks == [(t, float(s)) for t, s in expected]
 
     def test_determinism(self):
         features = [feature_row(t, 2018, s) for t, s in
@@ -142,8 +143,10 @@ class TestRunBacktest:
         returns = [return_record(t, 2018, r) for t, r in
                    [("A", 0.1), ("B", 0.2), ("C", 0.3), ("D", 0.0)]]
         split = SplitSpec((2015, 2017), (2018, 2018))
-        a = run_backtest(identity_model(), features, returns, split, k=2)
-        b = run_backtest(identity_model(), features, returns, split, k=2)
+        a = run_backtest(identity_model(), features, returns, split, k=2,
+                         return_basis="12m")
+        b = run_backtest(identity_model(), features, returns, split, k=2,
+                         return_basis="12m")
         assert a.to_json() == b.to_json()
 
 
@@ -163,23 +166,23 @@ class TestKSweep:
     def test_weakly_decreasing_in_k(self):
         features, returns, split = self.planted()
         table = k_sweep(identity_model(), features, returns, split,
-                        [1, 2, 3, 5, 10])
+                        [1, 2, 3, 5, 10], "12m")
         means = [s for _, s, _ in table]
         assert all(a >= b - 1e-12 for a, b in zip(means, means[1:]))
 
     def test_k_equals_universe_gives_universe_mean(self):
         features, returns, split = self.planted()
-        table = k_sweep(identity_model(), features, returns, split, [10])
+        table = k_sweep(identity_model(), features, returns, split, [10], "12m")
         _, strategy, _ = table[0]
         universe_mean = np.mean([0.30 - 0.03 * i for i in range(10)])
         assert strategy == pytest.approx(universe_mean, abs=1e-12)
 
     def test_k1_equals_best_single_stock(self):
         features, returns, split = self.planted()
-        table = k_sweep(identity_model(), features, returns, split, [1])
+        table = k_sweep(identity_model(), features, returns, split, [1], "12m")
         assert table[0][1] == pytest.approx(0.30, abs=1e-12)
 
     def test_empty_k_values_rejected(self):
         features, returns, split = self.planted()
         with pytest.raises(ValueError):
-            k_sweep(identity_model(), features, returns, split, [])
+            k_sweep(identity_model(), features, returns, split, [], "12m")

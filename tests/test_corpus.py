@@ -4,9 +4,19 @@ from datetime import date
 import pytest
 
 from filingsignal.corpus import (Chunk, CorpusStore, Filing, TickerUniverse,
-                                 UniverseEntry, chunk_filing, clean_filing_text,
-                                 reassemble_chunks)
+                                 UniverseEntry, chunk_filing, clean_filing_text)
 from filingsignal.errors import EmptyDocumentError
+
+
+def reassemble_chunks(chunks):
+    """Inverse of chunk_filing: drop each chunk's leading overlap and join."""
+    if not chunks:
+        return ""
+    parts = [chunks[0].text]
+    for prev, cur in zip(chunks, chunks[1:]):
+        already = prev.char_span[1] - cur.char_span[0]
+        parts.append(cur.text[already:])
+    return "".join(parts)
 
 
 def make_filing(text, ticker="TEST", day=1):

@@ -33,16 +33,16 @@ def random_index(rng, n, d=32):
 
 class TestStubProvider:
     def test_deterministic(self):
-        p = HashEmbeddingProvider()
+        p = HashEmbeddingProvider(64, 0)
         assert np.array_equal(embed_text(p, "alpha"), embed_text(p, "alpha"))
 
     def test_unit_norm(self):
-        p = HashEmbeddingProvider()
+        p = HashEmbeddingProvider(64, 0)
         for text in ["alpha", "alpha beta gamma", "x " * 500]:
             assert abs(np.linalg.norm(embed_text(p, text)) - 1.0) < 1e-6
 
     def test_shared_tokens_raise_similarity(self):
-        p = HashEmbeddingProvider()
+        p = HashEmbeddingProvider(64, 0)
         a = embed_text(p, "revenue growth outlook strong")
         b = embed_text(p, "revenue growth guidance strong")
         c = embed_text(p, "litigation settlement patent dispute")
@@ -58,7 +58,7 @@ class TestStubProvider:
 
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):
-            embed_text(HashEmbeddingProvider(), "")
+            embed_text(HashEmbeddingProvider(64, 0), "")
 
 
 class TestTopK:

@@ -50,16 +50,16 @@ class TestExamples:
         assert {e.label for e in out} == {0.5}
 
     def test_single_record_year_gets_half(self):
-        out = make_labels([record("T0", 2020, 0.4)], "target_12m")
+        out = make_labels([record("T0", 2020, 0.4)], "target_12m", bins=5)
         assert out[0].label == 0.5
 
     def test_unknown_source_field(self):
         with pytest.raises(ValueError):
-            make_labels([record("T0", 2020, 0.1)], "target_q50")
+            make_labels([record("T0", 2020, 0.1)], "target_q50", bins=5)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            make_labels([], "target_12m")
+            make_labels([], "target_12m", bins=5)
 
     def test_bins_minimum(self):
         with pytest.raises(ValueError):
@@ -102,12 +102,12 @@ class TestInvariants:
                 for y in years for i in range(n)]
 
     def test_range(self):
-        out = make_labels(self.random_records(1), "target_12m")
+        out = make_labels(self.random_records(1), "target_12m", bins=5)
         assert all(0.0 <= e.label <= 1.0 for e in out)
 
     def test_per_year_monotonicity(self):
         records = self.random_records(2)
-        out = {(e.ticker): e for e in make_labels(records, "target_12m")}
+        out = {(e.ticker): e for e in make_labels(records, "target_12m", bins=5)}
         by_year = {}
         for r in records:
             by_year.setdefault(r.filing_date.year, []).append(r)
@@ -119,20 +119,20 @@ class TestInvariants:
 
     def test_monotone_transform_invariance(self):
         records = self.random_records(3)
-        base = make_labels(records, "target_12m")
+        base = make_labels(records, "target_12m", bins=5)
         transformed = [
             ReturnRecord(r.ticker, r.filing_date, r.next_filing_date,
                          math.exp(3 * r.target_12m) - 0.5, r.target_max,
                          r.target_min, r.sp500_12m, r.sp500_max, r.flags)
             for r in records
         ]
-        after = make_labels(transformed, "target_12m")
+        after = make_labels(transformed, "target_12m", bins=5)
         assert [(e.ticker, e.label) for e in base] == \
                [(e.ticker, e.label) for e in after]
 
     def test_cross_year_independence(self):
         records = self.random_records(4)
-        base = {e.ticker: e.label for e in make_labels(records, "target_12m")}
+        base = {e.ticker: e.label for e in make_labels(records, "target_12m", bins=5)}
         # rescale and shuffle only 2018's returns
         rng = random.Random(99)
         perturbed = []
@@ -148,7 +148,7 @@ class TestInvariants:
                     r.sp500_12m, r.sp500_max, r.flags))
             else:
                 perturbed.append(r)
-        after = {e.ticker: e.label for e in make_labels(perturbed, "target_12m")}
+        after = {e.ticker: e.label for e in make_labels(perturbed, "target_12m", bins=5)}
         for ticker, label in base.items():
             if not ticker.startswith("T2018"):
                 assert after[ticker] == label
@@ -156,17 +156,17 @@ class TestInvariants:
     def test_max_target_uses_other_field(self):
         records = [record(f"T{i}", 2020, 0.0, rmax=r)
                    for i, r in enumerate([0.1, 0.9, 0.5])]
-        out = {e.ticker: e.label for e in make_labels(records, "target_max")}
+        out = {e.ticker: e.label for e in make_labels(records, "target_max", bins=5)}
         assert out["T1"] == 1.0 and out["T0"] == 0.0
 
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
         out = make_labels([record("T0", 2020, 0.1), record("T1", 2020, 0.5)],
-                          "target_12m")
+                          "target_12m", bins=5)
         path = tmp_path / "labels.csv"
         write_labels_csv(path, out)
         assert path.read_text().splitlines()[0] == "ticker,filing_date,year,label"
-        loaded = read_labels_csv(path, "target_12m")
+        loaded = read_labels_csv(path)
         assert [(e.ticker, e.label, e.year) for e in loaded] == \
                [(e.ticker, e.label, e.year) for e in out]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from filingsignal.market_data import (PriceSeries, TradingCalendar,
-                                      WindowSkipped, benchmark_returns,
-                                      compute_return_records, load_price_csv,
+                                      WindowSkipped, compute_return_records,
+                                      load_price_csv, load_price_dir,
                                       read_returns_csv, window_bounds,
                                       window_returns, write_returns_csv)
 from filingsignal.synthetic import business_days
@@ -33,19 +33,28 @@ class TestPriceSeries:
         p = tmp_path / "px.csv"
         p.write_text("symbol,date,adjusted_close\nTST,2020-01-02,10.5\n"
                      "TST,2020-01-03,10.6\nSPX,2020-01-02,3000\n")
-        series = load_price_csv(p)
-        assert set(series) == {"TST", "SPX"}
-        assert series["TST"].observations[0] == (date(2020, 1, 2), 10.5)
+        rows = load_price_csv(p)
+        assert set(rows) == {"TST", "SPX"}
+        assert rows["TST"][0] == (date(2020, 1, 2), 10.5)
 
     def test_load_csv_reads_columns_by_header(self, tmp_path):
         p = tmp_path / "px.csv"
         p.write_text("date,adjusted_close,symbol\n2020-01-03,10.6,TST\n\n"
                      "2020-01-02,10.5,TST\n")
-        series = load_price_csv(p)
-        assert series["TST"].observations == [(date(2020, 1, 2), 10.5),
-                                              (date(2020, 1, 3), 10.6)]
+        rows = load_price_csv(p)
+        assert rows["TST"] == [(date(2020, 1, 2), 10.5), (date(2020, 1, 3), 10.6)]
         (tmp_path / "empty.csv").write_text("")
         assert load_price_csv(tmp_path / "empty.csv") == {}
+
+    def test_load_dir_leaves_out_bad_series(self, tmp_path):
+        (tmp_path / "px.csv").write_text(
+            "symbol,date,adjusted_close\nTST,2020-01-02,10.5\nBAD,2020-01-02,0.0\n"
+            "DUP,2020-01-02,1.0\nDUP,2020-01-02,1.0\nSPX,2020-01-02,3000\n")
+        rejected = {}
+        prices = load_price_dir(tmp_path, rejected)
+        assert set(prices) == {"TST", "SPX"}
+        assert rejected == {"BAD": "BAD: bad price 0.0 on 2020-01-02",
+                            "DUP": "DUP: dates must be strictly increasing"}
 
 
 class TestWindowBounds:
@@ -128,7 +137,8 @@ class TestWindowReturns:
 class TestBenchmark:
     def test_constant_benchmark(self):
         s = series_from([3000.0] * 30, symbol="SPX")
-        assert benchmark_returns(s, s.dates[0], s.dates[-1]) == (0.0, 0.0)
+        r = window_returns(s, s.dates[0], s.dates[-1])
+        assert (r.r_12m, r.r_max) == (0.0, 0.0)
 
     def test_identical_series_identical_returns(self):
         rng = np.random.default_rng(10)
@@ -136,15 +146,15 @@ class TestBenchmark:
         stock = series_from(prices)
         bench = series_from(prices, symbol="SPX")
         rs = window_returns(stock, stock.dates[0], stock.dates[-1])
-        b12, bmax = benchmark_returns(bench, stock.dates[0], stock.dates[-1])
-        assert rs.r_12m == pytest.approx(b12, abs=1e-12)
-        assert rs.r_max == pytest.approx(bmax, abs=1e-12)
+        rb = window_returns(bench, stock.dates[0], stock.dates[-1])
+        assert rs.r_12m == pytest.approx(rb.r_12m, abs=1e-12)
+        assert rs.r_max == pytest.approx(rb.r_max, abs=1e-12)
 
     def test_matches_percentile_oracle(self):
         rng = np.random.default_rng(11)
         prices = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.015, 200)))
         bench = series_from(list(prices), symbol="SPX")
-        _, bmax = benchmark_returns(bench, bench.dates[0], bench.dates[-1])
+        bmax = window_returns(bench, bench.dates[0], bench.dates[-1]).r_max
         cumulative = prices / prices[0] - 1.0
         assert bmax == pytest.approx(np.percentile(cumulative, 98), abs=1e-12)
 
@@ -168,13 +178,13 @@ class TestReturnRecords:
         records, warnings = compute_return_records(filing_dates, prices, bench)
         assert len(records) == 2  # closed + open window
         closed = records[0]
-        cal = TradingCalendar.from_series(bench)
+        cal = TradingCalendar(bench.dates)
         start, end = window_bounds(closed.filing_date, closed.next_filing_date, cal)
         expected = window_returns(prices["TST"], start, end)
-        b12, bmax = benchmark_returns(bench, start, end)
+        b = window_returns(bench, start, end)
         assert closed.target_12m == pytest.approx(expected.r_12m, abs=1e-15)
-        assert closed.sp500_12m == pytest.approx(b12, abs=1e-15)
-        assert closed.sp500_max == pytest.approx(bmax, abs=1e-15)
+        assert closed.sp500_12m == pytest.approx(b.r_12m, abs=1e-15)
+        assert closed.sp500_max == pytest.approx(b.r_max, abs=1e-15)
 
     def test_last_filing_open_window_flagged(self):
         filing_dates, prices, bench = self.build()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -17,6 +18,11 @@ SYNTH_STAGES = ["embed", "score", "returns", "label", "train", "backtest"]
 
 ARTIFACTS = ["features.csv", "labels.csv", "model.json", "report.json",
              "cumulative.csv", "ksweep.csv", "returns.csv"]
+
+
+def yaml_mapping(config):
+    """Every field of ``config`` as a mapping for ``yaml.safe_dump`` (tuples as lists)."""
+    return json.loads(json.dumps(dataclasses.asdict(config)))
 
 
 class TestRunPipeline:
@@ -125,7 +131,7 @@ class TestRunPipeline:
         cache = ScoreCache(cache_path)
         for line in original.splitlines():
             rec = json.loads(line)
-            assert cache.get(rec["prompt_sha256"])
+            assert cache.get(rec["prompt_sha256"]) == rec["score"]
 
     @pytest.mark.parametrize("key, value", [("chunks_per_question", 1),
                                             ("chunk_chars", 300)])
@@ -186,7 +192,7 @@ class TestRunPipeline:
         config = synthetic_config(synth_root, tmp_path)
         config.chunk_chars, config.overlap_chars = 400, 32  # a short batch is not empty
         monkeypatch.setattr(pipeline, "build_embedding_provider",
-                            lambda cfg: ShortBatch())
+                            lambda cfg: ShortBatch(64, 0))
         first = pipeline.CorpusStore(config.corpus_dir).keys()[0]
         with pytest.raises(PipelineError, match=f"of filing {first[0]} {first[1]}"):
             run_pipeline(config, ["embed"])
@@ -215,6 +221,16 @@ class TestRunPipeline:
         run_pipeline(config, ["embed", "score"])
         assert (tmp_path / "features.csv").read_bytes() != features
 
+    @pytest.mark.parametrize("after", [300, 200])  # fewer chunks, more chunks
+    def test_chunking_unlike_the_index_refused(self, synth_root, tmp_path, after):
+        config = synthetic_config(synth_root, tmp_path)
+        config.chunk_chars, config.overlap_chars = 256, 32
+        run_pipeline(config, ["embed", "score"])
+        (tmp_path / pipeline.MANIFEST_FILE).unlink()  # only the index is left to tell
+        config.chunk_chars = after
+        with pytest.raises(StageInputError, match="rows in the index.*run stage 'embed'"):
+            run_pipeline(config, ["score"])
+
     def test_interrupted_manifest_write_keeps_previous(self, synth_root, tmp_path,
                                                        monkeypatch):
         class Killed(Exception):
@@ -239,6 +255,48 @@ class TestRunPipeline:
         assert json.loads(manifest_path.read_text()) == before
         after = run_pipeline(config, ["embed", "score"])
         assert after["embed"] == before["embed"] and "score" in after
+
+    def test_bad_price_series_skipped_and_recorded(self, tmp_path):
+        root = make_workspace(tmp_path / "ws", seed=0)
+        clean = synthetic_config(root, tmp_path / "clean")
+        run_pipeline(clean, ["returns"])
+        prices = root / "prices" / "prices.csv"
+        prices.write_text(prices.read_text().replace("HTEL,2015-01-02,100.0",
+                                                     "HTEL,2015-01-02,0.0"))
+        config = synthetic_config(root, tmp_path / "out")
+        run_pipeline(config, ["returns"])
+        rows = (tmp_path / "clean" / "returns.csv").read_text().splitlines()
+        kept = [row for row in rows if not row.startswith("HTEL,")]
+        assert len(kept) < len(rows)
+        assert (tmp_path / "out" / "returns.csv").read_text().splitlines() == kept
+        errors = (tmp_path / "out" / "returns_errors.jsonl").read_text()
+        assert "HTEL: bad price 0.0 on 2015-01-02" in errors
+
+    def test_bad_benchmark_series_is_an_error_line(self, tmp_path, capsys):
+        root = make_workspace(tmp_path / "ws", seed=0)
+        prices = root / "prices" / "prices.csv"
+        prices.write_text(prices.read_text().replace("SPX,2015-01-02,100.0",
+                                                     "SPX,2015-01-02,-1.0"))
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump(yaml_mapping(synthetic_config(root, tmp_path))))
+        rc = cli.main(["pipeline", "--config", str(cfg_path), "--stages", "returns"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: benchmark series unusable: SPX")
+
+    def test_test_years_without_filings_refused(self, synth_root, tmp_path):
+        config = synthetic_config(synth_root, tmp_path)
+        config.test_years = (2030, 2031)
+        with pytest.raises(PipelineError, match=r"test_years \[2030, 2031\]"):
+            run_pipeline(config, SYNTH_STAGES)
+        assert not (tmp_path / "report.json").exists()
+
+    def test_label_without_windows_refused(self, synth_root, tmp_path):
+        config = synthetic_config(synth_root, tmp_path)
+        (tmp_path / "returns.csv").write_text(
+            "ticker,filing_date,next_filing_date,target_12m,target_max,target_min,"
+            "sp500_12m,sp500_max,flags\n")
+        with pytest.raises(PipelineError, match="no return windows.*returns_errors.jsonl"):
+            run_pipeline(config, ["label"])
 
     def test_ksweep_weakly_decreasing(self, synth_root, tmp_path):
         config = synthetic_config(synth_root, tmp_path)
@@ -276,7 +334,9 @@ class TestConfigFile:
     def test_bad_key_named(self, synth_root, tmp_path, key, change):
         config = synthetic_config(synth_root, tmp_path)
         raw = {"corpus_dir": config.corpus_dir, "index_dir": config.index_dir,
-               "out_dir": config.out_dir, "prices_dir": config.prices_dir}
+               "out_dir": config.out_dir, "prices_dir": config.prices_dir,
+               "embedding_provider": config.embedding_provider,
+               "llm_provider": config.llm_provider}
         if change == "add":
             raw[key] = 100
         else:
@@ -316,6 +376,8 @@ class TestCli:
             "index_dir": config.index_dir,
             "out_dir": config.out_dir,
             "prices_dir": config.prices_dir,
+            "embedding_provider": config.embedding_provider,
+            "llm_provider": config.llm_provider,
         }))
         rc = cli.main(["pipeline", "--config", str(cfg_path),
                        "--stages", "backtest"])
@@ -342,6 +404,11 @@ class TestCli:
         ({}, ["frobnicate"], "'frobnicate'", 2),  # an argparse usage error
         ({"k": 0}, ["embed"], "k (0)", 1),
         ({"k_values": [3, 0]}, ["embed"], "k_values ([3, 0])", 1),
+        ({"llm_provider": {"score": 50}}, ["embed", "score"],
+         "llm_provider needs the key 'name'", 1),
+        ({"embedding_provider": {"dimension": 64}}, ["embed"],
+         "embedding_provider needs the key 'name'", 1),
+        ({"llm_provider": None}, ["embed", "score"], "llm_provider must be a mapping", 1),
     ])
     def test_config_mistake_is_an_error_line(self, synth_root, tmp_path, capsys,
                                              change, stages, named, code):
@@ -352,6 +419,8 @@ class TestCli:
             "index_dir": config.index_dir,
             "out_dir": config.out_dir,
             "prices_dir": config.prices_dir,
+            "embedding_provider": config.embedding_provider,
+            "llm_provider": config.llm_provider,
             **change,
         }))
         try:
@@ -362,6 +431,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") or "error: argument --stages" in err
         assert named in err
+
+    @pytest.mark.parametrize("key", ["llm_provider", "embedding_provider"])
+    def test_config_without_provider_is_an_error_line(self, synth_root, tmp_path,
+                                                       capsys, key):
+        raw = yaml_mapping(synthetic_config(synth_root, tmp_path))
+        del raw[key]
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump(raw))
+        rc = cli.main(["pipeline", "--config", str(cfg_path), "--stages", "embed"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"missing config keys ['{key}']" in err
 
     def test_help_exits_cleanly(self):
         with pytest.raises(SystemExit) as exc:

@@ -32,7 +32,7 @@ def indexed_filing(text, ticker="TEST"):
     """One filing chunked and embedded with the stub provider."""
     filing = Filing(ticker, "0000000001", "A-1", date(2020, 2, 1), "x", text)
     chunks = chunk_filing(filing, chunk_chars=256, overlap_chars=32)
-    embedder = HashEmbeddingProvider()
+    embedder = HashEmbeddingProvider(64, 0)
     index = VectorIndex(embedder.provider_id,
                         [(*c.filing_key, c.chunk_index) for c in chunks],
                         [embed_text(embedder, c.text) for c in chunks])
@@ -128,14 +128,14 @@ class TestScoreFiling:
         text = ("The company achieved record revenue growth this year "
                 "through new strategic initiatives and partnerships. "
                 "Risk factors are described elsewhere in this report.")
-        llm = KeywordLLM("record revenue growth")
+        llm = KeywordLLM("record revenue growth", 90, 10, 0)
         row = score(indexed_filing(text), small_questionset(), llm,
                     ScoreCache(tmp_path / "cache.jsonl"))
         growth_score = row.scores[0]  # question order defines column order
         assert growth_score == 90
 
     def test_keyword_stub_miss(self, tmp_path):
-        llm = KeywordLLM("record revenue growth")
+        llm = KeywordLLM("record revenue growth", 90, 10, 0)
         row = score(indexed_filing("nothing notable at all"), small_questionset(), llm,
                     ScoreCache(tmp_path / "cache.jsonl"))
         assert row.scores == [10, 10]
@@ -177,7 +177,8 @@ class TestScoreFiling:
             cache = ScoreCache(path)
         assert caplog.text == ""
         for line in keyed.splitlines():
-            assert cache.get(json.loads(line)["prompt_sha256"])
+            rec = json.loads(line)
+            assert cache.get(rec["prompt_sha256"]) == rec["score"]
 
     def test_failed_row_keeps_earlier_answers(self, tmp_path):
         class FailsLastQuestion:
