@@ -90,7 +90,14 @@ class HTTPEmbeddingProvider:
             raise RetriableError(f"embedding request failed: {exc}") from exc
         if resp.status_code != 200:
             raise RetriableError(f"embedding endpoint returned HTTP {resp.status_code}")
-        return resp.json()["embeddings"]
+        try:
+            embeddings = resp.json()["embeddings"]
+        except (ValueError, LookupError, TypeError) as exc:
+            raise RetriableError(f"embedding response has no embeddings: {exc!r}") from exc
+        if not isinstance(embeddings, list):
+            raise RetriableError(f"embedding response field embeddings is not a list: "
+                                 f"{embeddings!r}")
+        return embeddings
 
 
 def normalize(values: Sequence[float]) -> np.ndarray:

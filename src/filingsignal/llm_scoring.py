@@ -3,20 +3,25 @@
 Each question is embedded once per run and answered against one filing's own
 chunks only. Answers are cached as JSONL keyed on the exact prompt, so a rerun
 asks the provider only prompts it has not seen; a filing either yields a full
-feature row or none at all.
+feature row or none at all. A filing's uncached prompts may be asked through a
+pool of threads, and the cache and the row come out the same as when they are
+asked one by one.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import logging
+import math
 import re
+import threading
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -27,6 +32,10 @@ from .errors import RetriableError, RowScoringError, UnparseableScoreError
 logger = logging.getLogger(__name__)
 
 MAX_ATTEMPTS = 3
+# Provider calls in flight at once when a filing's uncached questions go
+# through a thread pool. It changes no output, so no config field or stage
+# hash holds it.
+MAX_WORKERS = 8
 
 SYSTEM_PROMPT = (
     "You are a meticulous financial analyst reading excerpts from a company's "
@@ -248,9 +257,10 @@ class ScoreCache:
         """The cached score of the prompt with this key, or None."""
         return self._scores.get(key)
 
-    def put(self, key: str, answer: ScoredAnswer) -> None:
+    def put(self, key: str, answer: ScoredAnswer) -> int:
+        """Keep ``answer`` unless the key is held; the score held for the key."""
         if key in self._scores:
-            return
+            return self._scores[key]
         self._scores[key] = answer.score
         self._pending.append(json.dumps({
             "filing_key": list(answer.filing_key),
@@ -260,6 +270,7 @@ class ScoreCache:
             "raw_response": answer.raw_response,
             "context_chunk_refs": [list(r) for r in answer.context_chunk_refs],
         }) + "\n")
+        return answer.score
 
     def flush(self) -> None:
         """Append every record put since the last flush, in put order."""
@@ -276,6 +287,54 @@ def embed_questions(qs: QuestionSet, embedder: EmbeddingProvider) -> list[np.nda
     return [embed_text(embedder, q.text) for q in qs.questions]
 
 
+@dataclass(frozen=True)
+class _Miss:
+    """One question of a filing whose prompt the cache does not hold."""
+
+    position: int  # in question order
+    question_id: str
+    key: str
+    system_prompt: str
+    user_prompt: str
+    refs: list[ChunkRef]
+
+
+class _FirstFailure:
+    """The lowest position among one row's questions that have failed for good.
+
+    The row's workers share it. A question behind a failed one is not asked
+    (again), since the row is lost anyway; a question before it still makes
+    all its attempts. So the row fails on the same question, with the same
+    answers cached before it, as when its questions are asked one by one.
+    """
+
+    def __init__(self):
+        self.position = math.inf
+        self._lock = threading.Lock()
+
+    def record(self, position: int) -> None:
+        with self._lock:
+            self.position = min(self.position, position)
+
+
+def _ask(llm: LLMProvider, failure: _FirstFailure, filing_key: tuple[str, str],
+         miss: _Miss) -> tuple[str, int]:
+    """(raw response, score) for one miss, in up to MAX_ATTEMPTS calls."""
+    last_error: Exception | None = None
+    for _ in range(MAX_ATTEMPTS):
+        if failure.position < miss.position:
+            break
+        try:
+            raw = llm.complete(miss.system_prompt, miss.user_prompt)
+            return raw, parse_score(raw)
+        except (RetriableError, UnparseableScoreError) as exc:
+            last_error = exc
+    failure.record(miss.position)
+    raise RowScoringError(
+        f"question {miss.question_id} failed for {filing_key}: {last_error}"
+    )
+
+
 def score_filing(
     filing: Filing,
     chunks: Sequence[Chunk],
@@ -285,45 +344,42 @@ def score_filing(
     llm: LLMProvider,
     cache: ScoreCache,
     chunks_per_question: int,
+    map_calls: Callable[[Callable[[_Miss], tuple[str, int]], Iterable[_Miss]],
+                        Iterator[tuple[str, int]]],
 ) -> FeatureRow:
     """Score every question for one filing; all-or-nothing.
 
     ``chunks`` are the filing's own chunks in chunk_index order, as the index
     was built from them, and ``queries`` are the question vectors from
-    ``embed_questions``. Each question takes one path: retrieve the filing's
-    top chunks, build the prompt, look the prompt up in ``cache``, and only
-    on a miss ask ``llm``. Any question that stays unparseable or unreachable
-    after MAX_ATTEMPTS fails the whole row (partial rows would corrupt the
-    design matrix), but the answers already paid for are flushed to the
-    cache either way.
+    ``embed_questions``. For each question in order, this thread retrieves
+    the filing's top chunks, builds the prompt and looks it up in ``cache``.
+    The misses are then asked of ``llm`` through ``map_calls``: the builtin
+    ``map`` asks them one by one, an executor's ``map`` overlaps them. Either
+    way the answers are put in the cache in question order, as they are read.
+    Any question that stays unparseable or unreachable after MAX_ATTEMPTS
+    fails the whole row (partial rows would corrupt the design matrix); the
+    answers put before it are flushed to the cache either way.
     """
     key = filing.key
-    scores: list[int] = []
+    scores: list[int | None] = []
+    misses: list[_Miss] = []
+    for question, query in zip(qs.questions, queries, strict=True):
+        hits = index.top_k(query, chunks_per_question, filing_key=key)
+        if not hits:
+            raise RowScoringError(f"no indexed chunks for filing {key}")
+        context = [chunks[chunk_index] for (_, _, chunk_index), _ in hits]
+        system_prompt, user_prompt = build_prompt(question.text, context)
+        pkey = prompt_key(llm.provider_id, system_prompt, user_prompt)
+        scores.append(cache.get(pkey))
+        if scores[-1] is None:
+            misses.append(_Miss(len(scores) - 1, question.question_id, pkey, system_prompt,
+                                user_prompt, [ref for ref, _ in hits]))
+    ask = functools.partial(_ask, llm, _FirstFailure(), key)
     try:
-        for question, query in zip(qs.questions, queries, strict=True):
-            hits = index.top_k(query, chunks_per_question, filing_key=key)
-            if not hits:
-                raise RowScoringError(f"no indexed chunks for filing {key}")
-            context = [chunks[chunk_index] for (_, _, chunk_index), _ in hits]
-            system_prompt, user_prompt = build_prompt(question.text, context)
-            pkey = prompt_key(llm.provider_id, system_prompt, user_prompt)
-            score = cache.get(pkey)
-            last_error: Exception | None = None
-            for _ in range(MAX_ATTEMPTS if score is None else 0):
-                try:
-                    raw = llm.complete(system_prompt, user_prompt)
-                    score = parse_score(raw)
-                except (RetriableError, UnparseableScoreError) as exc:
-                    last_error = exc
-                    continue
-                cache.put(pkey, ScoredAnswer(key, question.question_id, score, raw,
-                                             [ref for ref, _ in hits]))
-                break
-            if score is None:
-                raise RowScoringError(
-                    f"question {question.question_id} failed for {key}: {last_error}"
-                )
-            scores.append(score)
+        for miss, (raw, score) in zip(misses, map_calls(ask, misses)):
+            # Two questions with one prompt both miss; both get the first answer.
+            scores[miss.position] = cache.put(miss.key, ScoredAnswer(
+                key, miss.question_id, score, raw, miss.refs))
     finally:
         cache.flush()
     return FeatureRow(key, scores, filing.filing_date.isoformat())

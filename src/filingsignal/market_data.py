@@ -68,9 +68,14 @@ class PriceSeries:
         return self.observations[lo:hi]
 
 
-def load_price_csv(path: str | Path) -> dict[str, list[tuple[date, float]]]:
-    """Read daily bars (symbol,date,adjusted_close) into date-sorted rows per symbol."""
+def load_price_csv(path: str | Path) -> dict[str, list[tuple[date, float]] | str]:
+    """Read daily bars (symbol,date,adjusted_close) into date-sorted rows per symbol.
+
+    A symbol with a row whose date or close does not parse, or is missing,
+    maps instead to a reason naming the file, the line and the row.
+    """
     rows: dict[str, list[tuple[date, float]]] = {}
+    unparsed: dict[str, str] = {}
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -78,12 +83,18 @@ def load_price_csv(path: str | Path) -> dict[str, list[tuple[date, float]]]:
             return {}
         i_sym, i_date, i_close = (header.index(c) for c in
                                   ("symbol", "date", "adjusted_close"))
-        for rec in reader:
-            if rec:  # blank line
-                rows.setdefault(rec[i_sym], []).append(
+        for line, rec in enumerate(reader, start=2):
+            if not rec:  # blank line
+                continue
+            symbol = rec[i_sym]
+            try:
+                rows.setdefault(symbol, []).append(
                     (date.fromisoformat(rec[i_date]), float(rec[i_close]))
                 )
-    return {sym: sorted(obs) for sym, obs in rows.items()}
+            except (ValueError, IndexError) as exc:  # IndexError: a short row
+                unparsed.setdefault(symbol, f"{symbol}: {path} line {line}: "
+                                            f"{','.join(rec)!r}: {exc}")
+    return {sym: sorted(obs) for sym, obs in rows.items()} | unparsed
 
 
 def price_files(directory: str | Path) -> list[Path]:
@@ -94,15 +105,18 @@ def price_files(directory: str | Path) -> list[Path]:
 def load_price_dir(directory: str | Path, rejected: dict[str, str]) -> dict[str, PriceSeries]:
     """Every valid series of a directory's price CSVs; a later file replaces a symbol.
 
-    A series with unordered dates or a bad price is left out, and its reason
-    is put in ``rejected`` under its symbol, so one bad series never stops
-    the others from loading.
+    A series with a row that does not parse, unordered dates or a bad price
+    is left out, and its reason is put in ``rejected`` under its symbol, so
+    one bad series never stops the others from loading.
     """
-    rows: dict[str, list[tuple[date, float]]] = {}
+    rows: dict[str, list[tuple[date, float]] | str] = {}
     for path in price_files(directory):
         rows.update(load_price_csv(path))
     out: dict[str, PriceSeries] = {}
     for symbol, obs in rows.items():
+        if isinstance(obs, str):
+            rejected[symbol] = obs
+            continue
         try:
             out[symbol] = PriceSeries(symbol, obs)
         except ValueError as exc:

@@ -8,7 +8,8 @@ runs resume where they left off. Per-item failures (one filing, one price
 series, one window) never abort a stage; they accumulate in an error report.
 The embed stage builds the vector index once; the score stage chunks each
 filing as it scores it, and refuses a filing whose chunk count differs from
-its rows in the index.
+its rows in the index. A provider that waits on the network is asked a
+filing's uncached questions through a bounded thread pool.
 
 The manifest is replaced whole after each stage. A stage refuses an input
 whose producing stage is not requested in the same run and has changed
@@ -21,6 +22,7 @@ import hashlib
 import json
 import logging
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import date
 from pathlib import Path
@@ -36,10 +38,10 @@ from .corpus import CorpusStore, TickerUniverse, chunk_filing, write_atomic
 from .edgar import EdgarClient, EdgarSubmissionsResolver, fetch_filing
 from .embed_index import (HashEmbeddingProvider, HTTPEmbeddingProvider,
                           VectorIndex, normalize)
-from .errors import PipelineError, RowScoringError, StageInputError
-from .llm_scoring import (ConstantLLM, HTTPChatLLM, KeywordLLM, QuestionSet,
-                          ScoreCache, embed_questions, read_features_csv,
-                          score_filing, write_features_csv)
+from .errors import PipelineError, RetriableError, RowScoringError, StageInputError
+from .llm_scoring import (MAX_ATTEMPTS, MAX_WORKERS, ConstantLLM, HTTPChatLLM,
+                          KeywordLLM, QuestionSet, ScoreCache, embed_questions,
+                          read_features_csv, score_filing, write_features_csv)
 from .regression import DesignMatrix, NNLSModel, fit_nnls
 
 logger = logging.getLogger(__name__)
@@ -200,13 +202,26 @@ def stage_ingest(config: PipelineConfig) -> None:
             report.record(f"{entry.ticker} {entry.filing_date}", str(exc))
 
 
+def _embed_filing(provider, filing, texts: list[str]) -> list[list[float]]:
+    """One filing's chunk vectors, retrying a transient error up to MAX_ATTEMPTS."""
+    for attempt in range(1, MAX_ATTEMPTS + 1):
+        try:
+            return provider.embed_batch(texts)
+        except RetriableError as exc:
+            if attempt == MAX_ATTEMPTS:
+                raise PipelineError(f"embedding filing {filing.ticker} {filing.filing_date} "
+                                    f"failed {MAX_ATTEMPTS} times: {exc}") from exc
+            logger.warning("embedding filing %s %s: %s; retrying",
+                           filing.ticker, filing.filing_date, exc)
+
+
 def stage_embed(config: PipelineConfig) -> None:
     provider = build_embedding_provider(config.embedding_provider)
     store = CorpusStore(config.corpus_dir)
     refs, units = [], []
     for filing in store.load_all():
         chunks = chunk_filing(filing, config.chunk_chars, config.overlap_chars)
-        vectors = provider.embed_batch([c.text for c in chunks])
+        vectors = _embed_filing(provider, filing, [c.text for c in chunks])
         if len(vectors) != len(chunks):
             raise PipelineError(
                 f"{provider.provider_id} returned {len(vectors)} vectors for the "
@@ -235,17 +250,22 @@ def stage_score(config: PipelineConfig) -> None:
     cache = ScoreCache(config.out("score_cache.jsonl"))
     report = ErrorReport(config.out("score_errors.jsonl"))
     rows = []
-    for filing in store.load_all():
-        chunks = chunk_filing(filing, config.chunk_chars, config.overlap_chars)
-        if (indexed := index.rows_of(filing.key)) not in (0, len(chunks)):
-            raise StageInputError(
-                f"filing {filing.ticker} {filing.filing_date} has {len(chunks)} chunks "
-                f"but {indexed} rows in the index in {config.index_dir}", "embed")
-        try:
-            rows.append(score_filing(filing, chunks, qs, queries, index, llm, cache,
-                                     config.chunks_per_question))
-        except RowScoringError as exc:
-            report.record(f"{filing.ticker} {filing.filing_date}", str(exc))
+    with ThreadPoolExecutor(MAX_WORKERS, thread_name_prefix="score") as pool:
+        # Only a provider that waits on the network gains from overlapping its
+        # calls; the in-process stubs would only add hand-offs under the GIL.
+        map_calls = pool.map if isinstance(llm, HTTPChatLLM) else map
+        for filing in store.load_all():
+            chunks = chunk_filing(filing, config.chunk_chars, config.overlap_chars)
+            if (indexed := index.rows_of(filing.key)) not in (0, len(chunks)):
+                raise StageInputError(
+                    f"filing {filing.ticker} {filing.filing_date} has {len(chunks)} "
+                    f"chunks but {indexed} rows in the index in {config.index_dir}",
+                    "embed")
+            try:
+                rows.append(score_filing(filing, chunks, qs, queries, index, llm, cache,
+                                         config.chunks_per_question, map_calls))
+            except RowScoringError as exc:
+                report.record(f"{filing.ticker} {filing.filing_date}", str(exc))
     write_features_csv(config.out("features.csv"), rows, qs)
 
 

@@ -57,6 +57,22 @@ class TestPriceSeries:
                             "DUP": "DUP: dates must be strictly increasing"}
 
 
+    def test_load_dir_leaves_out_unparseable_series(self, tmp_path):
+        (tmp_path / "a.csv").write_text(
+            "symbol,date,adjusted_close\nTST,2020-01-02,10.5\nBAD,2020-01-02,n/a\n"
+            "BAD,2020-01-03,1.0\nDAY,2020-02-30,1.0\nFIX,2020-01-02,\n")
+        (tmp_path / "b.csv").write_text(  # a later file replaces a symbol
+            "symbol,date,adjusted_close\nFIX,2020-01-02,2.0\n")
+        rejected = {}
+        prices = load_price_dir(tmp_path, rejected)
+        assert set(prices) == {"TST", "FIX"}
+        assert prices["FIX"].observations == [(date(2020, 1, 2), 2.0)]
+        assert sorted(rejected) == ["BAD", "DAY"]
+        assert rejected["BAD"].startswith(
+            f"BAD: {tmp_path / 'a.csv'} line 3: 'BAD,2020-01-02,n/a': ")
+        assert rejected["DAY"].startswith(
+            f"DAY: {tmp_path / 'a.csv'} line 5: 'DAY,2020-02-30,1.0': ")
+
 class TestWindowBounds:
     def test_monday_filing_all_weekdays(self):
         cal = weekday_calendar()

@@ -1,16 +1,20 @@
 import dataclasses
 import json
+import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
 import yaml
 
 from filingsignal import cli, pipeline
+from filingsignal.corpus import CorpusStore
 from filingsignal.embed_index import HashEmbeddingProvider
-from filingsignal.errors import PipelineError, StageInputError
-from filingsignal.llm_scoring import ScoreCache
+from filingsignal.errors import PipelineError, RetriableError, StageInputError
+from filingsignal.llm_scoring import MAX_ATTEMPTS, MAX_WORKERS, KeywordLLM, ScoreCache
 from filingsignal.pipeline import PipelineConfig, run_pipeline
-from filingsignal.synthetic import make_workspace
+from filingsignal.synthetic import PLANTED_PHRASE, make_workspace
 
 from conftest import synthetic_config
 
@@ -18,6 +22,19 @@ SYNTH_STAGES = ["embed", "score", "returns", "label", "train", "backtest"]
 
 ARTIFACTS = ["features.csv", "labels.csv", "model.json", "report.json",
              "cumulative.csv", "ksweep.csv", "returns.csv"]
+
+
+class Response:
+    """The part of a ``requests`` response that the HTTP providers read."""
+
+    def __init__(self, status_code, body):
+        self.status_code = status_code
+        self._body = body
+
+    def json(self):
+        if isinstance(self._body, Exception):
+            raise self._body
+        return self._body
 
 
 def yaml_mapping(config):
@@ -197,6 +214,71 @@ class TestRunPipeline:
         with pytest.raises(PipelineError, match=f"of filing {first[0]} {first[1]}"):
             run_pipeline(config, ["embed"])
 
+    def test_embed_retries_a_transient_error(self, synth_root, tmp_path, monkeypatch):
+        class FailsFirstCall(HashEmbeddingProvider):
+            calls = 0
+
+            def embed_batch(self, texts):
+                FailsFirstCall.calls += 1
+                if FailsFirstCall.calls == 1:
+                    raise RetriableError("HTTP 503")
+                return super().embed_batch(texts)
+
+        healthy = synthetic_config(synth_root, tmp_path / "healthy")
+        run_pipeline(healthy, ["embed"])
+        config = synthetic_config(synth_root, tmp_path / "flaky")
+        monkeypatch.setattr(pipeline, "build_embedding_provider",
+                            lambda cfg: FailsFirstCall(64, 0))
+        run_pipeline(config, ["embed"])
+        assert FailsFirstCall.calls > 1
+        for name in ["vectors.bin", "refs.jsonl"]:
+            assert (Path(config.index_dir) / name).read_bytes() == \
+                (Path(healthy.index_dir) / name).read_bytes(), name
+
+    @pytest.mark.parametrize("body", [{}, {"embeddings": None}, ValueError("not JSON")])
+    def test_malformed_embedding_response_retried(self, synth_root, tmp_path,
+                                                  monkeypatch, body):
+        import requests
+
+        stub = HashEmbeddingProvider(64, 0)
+        posts = []
+
+        def post(url, json, headers, timeout):
+            posts.append(json)
+            if len(posts) == 1:
+                return Response(200, body)
+            return Response(200, {"embeddings": stub.embed_batch(json["texts"])})
+
+        def config(out):
+            c = synthetic_config(synth_root, tmp_path / out)
+            c.embedding_provider = {"name": "http", "endpoint": "http://localhost:9/v1",
+                                    "model": "m"}
+            return c
+
+        monkeypatch.setattr(requests, "post", post)
+        run_pipeline(config("retried"), ["embed"])
+        assert posts[0] == posts[1]  # the first filing's batch was asked again
+        run_pipeline(config("healthy"), ["embed"])
+        for name in ["vectors.bin", "refs.jsonl"]:
+            assert (tmp_path / "retried" / "index" / name).read_bytes() == \
+                (tmp_path / "healthy" / "index" / name).read_bytes(), name
+
+    def test_embed_gives_up_after_max_attempts(self, synth_root, tmp_path, monkeypatch):
+        class Down(HashEmbeddingProvider):
+            calls = 0
+
+            def embed_batch(self, texts):
+                Down.calls += 1
+                raise RetriableError("HTTP 503")
+
+        config = synthetic_config(synth_root, tmp_path)
+        monkeypatch.setattr(pipeline, "build_embedding_provider", lambda cfg: Down(64, 0))
+        first = CorpusStore(config.corpus_dir).keys()[0]
+        with pytest.raises(PipelineError,
+                           match=f"filing {first[0]} {first[1]} failed {MAX_ATTEMPTS} times"):
+            run_pipeline(config, ["embed"])
+        assert Down.calls == MAX_ATTEMPTS
+
     def test_index_from_other_embedder_rejected(self, synth_root, tmp_path):
         config = synthetic_config(synth_root, tmp_path)
         run_pipeline(config, ["embed"])
@@ -282,6 +364,44 @@ class TestRunPipeline:
         rc = cli.main(["pipeline", "--config", str(cfg_path), "--stages", "returns"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: benchmark series unusable: SPX")
+
+    @pytest.mark.parametrize("bad_row, named", [
+        ("HTEL,2015-01-05,n/a", "'HTEL,2015-01-05,n/a': could not convert"),
+        ("HTEL,2015-13-05,100.0", "'HTEL,2015-13-05,100.0': month must be"),
+        ("HTEL,2015-01-05", "'HTEL,2015-01-05': list index out of range"),
+    ])
+    def test_unparseable_price_row_skipped_and_recorded(self, tmp_path, bad_row, named):
+        root = make_workspace(tmp_path / "ws", seed=0)
+        clean = synthetic_config(root, tmp_path / "clean")
+        run_pipeline(clean, ["returns"])
+        prices = root / "prices" / "prices.csv"
+        lines = prices.read_text().splitlines()
+        line = next(i for i, row in enumerate(lines) if row.startswith("HTEL,2015-01-05,"))
+        lines[line] = bad_row
+        prices.write_text("\n".join(lines) + "\n")
+        config = synthetic_config(root, tmp_path / "out")
+        run_pipeline(config, ["returns"])
+        rows = (tmp_path / "clean" / "returns.csv").read_text().splitlines()
+        kept = [row for row in rows if not row.startswith("HTEL,")]
+        assert len(kept) < len(rows)
+        assert (tmp_path / "out" / "returns.csv").read_text().splitlines() == kept
+        errors = [json.loads(rec) for rec in
+                  (tmp_path / "out" / "returns_errors.jsonl").read_text().splitlines()]
+        [series] = [rec["error"] for rec in errors if rec["item"] == "series"]
+        assert series.startswith(f"HTEL: {prices} line {line + 1}: {named}")
+
+    def test_unparseable_benchmark_row_is_an_error_line(self, tmp_path, capsys):
+        root = make_workspace(tmp_path / "ws", seed=0)
+        prices = root / "prices" / "prices.csv"
+        prices.write_text(prices.read_text().replace("SPX,2015-01-05,100.04011",
+                                                     "SPX,2015-01-05,"))
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump(yaml_mapping(synthetic_config(root, tmp_path))))
+        rc = cli.main(["pipeline", "--config", str(cfg_path), "--stages", "returns"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: benchmark series unusable: SPX: {prices} line ")
+        assert not (tmp_path / "returns.csv").exists()
 
     def test_test_years_without_filings_refused(self, synth_root, tmp_path):
         config = synthetic_config(synth_root, tmp_path)
@@ -448,3 +568,123 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main(["--help"])
         assert exc.value.code == 0
+
+
+class ChatServer:
+    """A ``requests.post`` that HTTPChatLLM talks to in place of a network.
+
+    Each call sleeps ``delay_s(question position)`` and then answers as the
+    synthetic workspace's keyword stub would, or with ``status`` when that is
+    not 200. It counts the calls, the most in flight at once and the order in
+    which questions finish.
+    """
+
+    def __init__(self, questions, delay_s, status=200):
+        self.position = {q.text: i for i, q in enumerate(questions)}
+        self.delay_s = delay_s
+        self.status = status
+        self.llm = KeywordLLM(PLANTED_PHRASE, 30, 10, 8)
+        self.lock = threading.Lock()
+        self.calls = 0
+        self.in_flight = 0
+        self.peak = 0
+        self.finished: list[int] = []
+
+    def __call__(self, url, json, headers, timeout):
+        system, user = (m["content"] for m in json["messages"])
+        position = self.position[user.rsplit("Question: ", 1)[1]]
+        with self.lock:
+            self.calls += 1
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        time.sleep(self.delay_s(position))
+        with self.lock:
+            self.in_flight -= 1
+            self.finished.append(position)
+        if self.status != 200:
+            return Response(self.status, {"error": "overloaded"})
+        return Response(200, {"choices": [{"message": {
+            "content": self.llm.complete(system, user)}}]})
+
+
+class TestScorePool:
+    """The score stage asks an HTTP provider a filing's misses through a pool."""
+
+    @staticmethod
+    def http_config(synth_root, tmp_path, out, filings):
+        """A config over the first ``filings`` filings of the synthetic corpus."""
+        corpus = tmp_path / "corpus"
+        if not corpus.exists():
+            store = CorpusStore(corpus)
+            for filing in CorpusStore(synth_root / "corpus").load_all()[:filings]:
+                store.add(filing)
+        config = synthetic_config(synth_root, tmp_path / out)
+        config.corpus_dir = str(corpus)
+        config.llm_provider = {"name": "http", "endpoint": "http://localhost:9/v1",
+                               "model": "m"}
+        return config
+
+    def test_bytes_do_not_depend_on_worker_count(self, synth_root, tmp_path,
+                                                 monkeypatch):
+        import requests
+
+        questions = pipeline.load_questions(synthetic_config(synth_root, tmp_path))
+        count = len(questions)
+        for workers in (1, 2, 8):
+            # Later questions answer sooner, so with workers they finish first.
+            server = ChatServer(questions.questions,
+                                lambda i: (count - i) * 0.001)
+            monkeypatch.setattr(requests, "post", server)
+            monkeypatch.setattr(pipeline, "MAX_WORKERS", workers)
+            config = self.http_config(synth_root, tmp_path, f"w{workers}", filings=2)
+            run_pipeline(config, ["embed", "score"])
+            assert server.calls == 2 * count
+            assert server.peak <= workers
+            if workers == 8:
+                assert server.finished[:8] != sorted(server.finished[:8])
+        for name in ["score_cache.jsonl", "features.csv"]:
+            serial = (tmp_path / "w1" / name).read_bytes()
+            for workers in (2, 8):
+                assert (tmp_path / f"w{workers}" / name).read_bytes() == serial, \
+                    (name, workers)
+        stub = synthetic_config(synth_root, tmp_path / "stub")
+        stub.corpus_dir = str(tmp_path / "corpus")
+        run_pipeline(stub, ["embed", "score"])
+        assert (tmp_path / "stub" / "features.csv").read_bytes() == \
+            (tmp_path / "w8" / "features.csv").read_bytes()
+
+    def test_outage_bounded_per_row_and_row_failed(self, synth_root, tmp_path,
+                                                   monkeypatch):
+        import requests
+
+        questions = pipeline.load_questions(synthetic_config(synth_root, tmp_path))
+        assert len(questions) == 27
+        server = ChatServer(questions.questions, lambda i: 0.002, status=503)
+        monkeypatch.setattr(requests, "post", server)
+        config = self.http_config(synth_root, tmp_path, "out", filings=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to shake out races
+        try:
+            run_pipeline(config, ["embed", "score"])
+        finally:
+            sys.setswitchinterval(interval)
+        assert MAX_ATTEMPTS <= server.calls <= MAX_ATTEMPTS * MAX_WORKERS
+        assert server.peak <= MAX_WORKERS
+        [error] = [json.loads(line) for line in
+                   (tmp_path / "out" / "score_errors.jsonl").read_text().splitlines()]
+        # The row fails on its first question, as it does when asked serially.
+        assert f"question {questions.questions[0].question_id} failed" in error["error"]
+        assert (tmp_path / "out" / "features.csv").read_text().count("\n") == 1
+
+    def test_pool_threads_end_with_the_stage(self, synth_root, tmp_path, monkeypatch):
+        import requests
+
+        questions = pipeline.load_questions(synthetic_config(synth_root, tmp_path))
+        server = ChatServer(questions.questions, lambda i: 0.0)
+        monkeypatch.setattr(requests, "post", server)
+        config = self.http_config(synth_root, tmp_path, "out", filings=1)
+        run_pipeline(config, ["embed"])
+        before = threading.active_count()
+        run_pipeline(config, ["score"])
+        assert server.calls == len(questions)
+        assert threading.active_count() == before

@@ -40,10 +40,10 @@ def indexed_filing(text, ticker="TEST"):
 
 
 def score(indexed, qs, llm, cache):
-    """score_filing on an ``indexed_filing``, four chunks per question."""
+    """score_filing on an ``indexed_filing``, four chunks per question, asked serially."""
     filing, chunks, index, embedder = indexed
     return score_filing(filing, chunks, qs, embed_questions(qs, embedder), index,
-                        llm, cache, 4)
+                        llm, cache, 4, map)
 
 
 class TestQuestionSet:
@@ -209,6 +209,21 @@ class TestScoreFiling:
                 score(indexed, qs, ConstantLLM(50), cache)
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
         assert len((tmp_path / "a.jsonl").read_text().splitlines()) == 2 * len(qs)
+
+    def test_repeated_prompt_scored_from_its_first_answer(self, tmp_path):
+        class Counting:
+            provider_id = "counting"
+            calls = 0
+
+            def complete(self, s, u):
+                Counting.calls += 1
+                return f"SCORE: {Counting.calls}"
+
+        qs = QuestionSet([Question("a", GROWTH_QUESTION), Question("b", GROWTH_QUESTION)])
+        indexed = indexed_filing("some filing text")
+        cold = score(indexed, qs, Counting(), ScoreCache(tmp_path / "cache.jsonl"))
+        warm = score(indexed, qs, Counting(), ScoreCache(tmp_path / "cache.jsonl"))
+        assert cold.scores == warm.scores == [1, 1]
 
     def test_unparseable_fails_whole_row(self, tmp_path):
         class Garbage:
