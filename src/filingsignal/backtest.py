@@ -17,13 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .llm_scoring import FeatureRow
-from .market_data import ReturnRecord
+from .market_data import BASIS_FIELDS, ReturnRecord
 from .regression import NNLSModel
 
 logger = logging.getLogger(__name__)
-
-BASIS_12M = "12m"
-BASIS_MAX = "max"
 
 
 @dataclass(frozen=True)
@@ -76,14 +73,6 @@ class BacktestReport:
         }, indent=2, sort_keys=True)
 
 
-def _basis_fields(return_basis: str) -> tuple[str, str]:
-    if return_basis == BASIS_12M:
-        return "target_12m", "sp500_12m"
-    if return_basis == BASIS_MAX:
-        return "target_max", "sp500_max"
-    raise ValueError(f"unknown return basis {return_basis!r}")
-
-
 def compound(returns: list[float]) -> list[float]:
     """Wealth series from yearly returns, starting at 1.0."""
     wealth = [1.0]
@@ -108,12 +97,14 @@ def run_backtest(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    stock_field, bench_field = _basis_fields(return_basis)
+    if return_basis not in BASIS_FIELDS:
+        raise ValueError(f"unknown return basis {return_basis!r}")
+    stock_field, bench_field = BASIS_FIELDS[return_basis]
     record_by_key = {(r.ticker, r.filing_date.isoformat()): r for r in returns}
 
     by_year: dict[int, list[FeatureRow]] = {}
     for row in features:
-        year = int(row.filing_date[:4])
+        year = int(row.filing_key[1][:4])
         if split.in_test(year):
             by_year.setdefault(year, []).append(row)
 

@@ -12,7 +12,7 @@ import json
 import logging
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import date
 from html import unescape
 from html.parser import HTMLParser
@@ -230,19 +230,6 @@ class ManifestRecord:
     path: str  # relative to the corpus dir
     sha256: str
 
-    def to_json(self) -> str:
-        # Stable field order for diff-ability.
-        return json.dumps(
-            {
-                "ticker": self.ticker,
-                "cik": self.cik,
-                "filing_date": self.filing_date,
-                "accession_id": self.accession_id,
-                "path": self.path,
-                "sha256": self.sha256,
-            }
-        )
-
 
 class CorpusStore:
     """Filesystem store: filings/<ticker>_<date>.txt plus a JSONL manifest.
@@ -287,7 +274,7 @@ class CorpusStore:
             sha256=hashlib.sha256(filing.clean_text.encode("utf-8")).hexdigest(),
         )
         with open(self.manifest_path, "a", encoding="utf-8") as f:
-            f.write(rec.to_json() + "\n")
+            f.write(json.dumps(asdict(rec)) + "\n")
         self._records[key] = rec
         return True
 

@@ -18,6 +18,7 @@ from typing import Callable, Protocol
 
 from .corpus import Filing, TickerUniverse, clean_filing_text
 from .errors import RetriableError
+from .net import request
 
 logger = logging.getLogger(__name__)
 
@@ -28,6 +29,7 @@ ARCHIVE_URL = "https://www.sec.gov/Archives/edgar/data/{cik_int}/{acc_nodash}/{d
 MAX_REQUESTS_PER_SECOND = 8
 BACKOFF_STATUSES = (429, 503)
 MAX_RETRIES = 5
+EDGAR_TIMEOUT_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -72,17 +74,29 @@ class RateLimiter:
         self._count += 1
 
 
-def _requests_transport(url: str) -> tuple[int, str]:
-    import requests
+def _decode(data: bytes, content_type: str) -> str:
+    """EDGAR's bytes as text: the charset if named, else UTF-8 for JSON, else Latin-1."""
+    from email.message import Message  # loaded with urllib.request anyway
 
+    header = Message()
+    header["Content-Type"] = content_type
+    default = "utf-8" if header.get_content_type() == "application/json" else "iso-8859-1"
+    try:
+        return data.decode(header.get_content_charset(default), errors="replace")
+    except LookupError:  # a charset Python does not know
+        return data.decode("utf-8", errors="replace")
+
+
+def _http_transport(url: str) -> tuple[int, str]:
     contact = os.environ.get(CONTACT_ENV_VAR)
     if not contact:
         raise RuntimeError(
             f"refusing to contact EDGAR without {CONTACT_ENV_VAR} set to a "
             "descriptive identity string with a contact address"
         )
-    resp = requests.get(url, headers={"User-Agent": contact}, timeout=30)
-    return resp.status_code, resp.text
+    status, data, content_type = request(url, {"User-Agent": contact}, None,
+                                         EDGAR_TIMEOUT_S)
+    return status, _decode(data, content_type)
 
 
 class EdgarClient:
@@ -91,7 +105,7 @@ class EdgarClient:
     def __init__(self, transport: Transport | None = None,
                  limiter: RateLimiter | None = None,
                  sleep: Callable[[float], None] = time.sleep):
-        self.transport = transport or _requests_transport
+        self.transport = transport or _http_transport
         self.limiter = limiter or RateLimiter()
         self._sleep = sleep
 

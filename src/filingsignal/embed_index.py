@@ -19,11 +19,13 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, RetriableError, ZeroNormError
+from .net import post_json
 
 INDEX_MAGIC = b"VIDX"
 INDEX_VERSION = 1
 INDEX_FILE = "vectors.bin"
 SIDECAR_FILE = "refs.jsonl"
+EMBED_TIMEOUT_S = 60.0
 
 # (ticker, iso filing date, chunk_index)
 ChunkRef = tuple[str, str, int]
@@ -65,33 +67,17 @@ class HashEmbeddingProvider:
 class HTTPEmbeddingProvider:
     """Provider contract over HTTP: POST texts, receive equal-length float arrays."""
 
-    def __init__(self, endpoint: str, model: str, api_key: str | None = None,
-                 timeout: float = 60.0):
+    def __init__(self, endpoint: str, model: str, api_key: str | None = None):
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key
-        self.timeout = timeout
         self.provider_id = f"http:{model}"
 
     def embed_batch(self, texts: Sequence[str]) -> list[list[float]]:
-        import requests
-
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        body = post_json(self.endpoint, {"model": self.model, "texts": list(texts)},
+                         self.api_key, EMBED_TIMEOUT_S, "embedding")
         try:
-            resp = requests.post(
-                self.endpoint,
-                json={"model": self.model, "texts": list(texts)},
-                headers=headers,
-                timeout=self.timeout,
-            )
-        except Exception as exc:
-            raise RetriableError(f"embedding request failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise RetriableError(f"embedding endpoint returned HTTP {resp.status_code}")
-        try:
-            embeddings = resp.json()["embeddings"]
+            embeddings = json.loads(body)["embeddings"]
         except (ValueError, LookupError, TypeError) as exc:
             raise RetriableError(f"embedding response has no embeddings: {exc!r}") from exc
         if not isinstance(embeddings, list):

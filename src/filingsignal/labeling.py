@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .market_data import ReturnRecord
+from .market_data import BASIS_FIELDS, ReturnRecord
 
-SOURCE_FIELDS = ("target_12m", "target_max")
+SOURCE_FIELDS = tuple(stock for stock, _ in BASIS_FIELDS.values())
 
 LABELS_COLUMNS = ["ticker", "filing_date", "year", "label"]
 

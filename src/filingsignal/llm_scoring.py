@@ -28,6 +28,7 @@ import numpy as np
 from .corpus import Chunk, Filing, read_jsonl, write_atomic
 from .embed_index import ChunkRef, EmbeddingProvider, VectorIndex, embed_text
 from .errors import RetriableError, RowScoringError, UnparseableScoreError
+from .net import post_json
 
 logger = logging.getLogger(__name__)
 
@@ -36,6 +37,7 @@ MAX_ATTEMPTS = 3
 # through a thread pool. It changes no output, so no config field or stage
 # hash holds it.
 MAX_WORKERS = 8
+CHAT_TIMEOUT_S = 120.0
 
 SYSTEM_PROMPT = (
     "You are a meticulous financial analyst reading excerpts from a company's "
@@ -93,7 +95,6 @@ class ScoredAnswer:
 class FeatureRow:
     filing_key: tuple[str, str]
     scores: list[int]  # aligned to QuestionSet order
-    filing_date: str
 
 
 class LLMProvider(Protocol):
@@ -146,20 +147,13 @@ class KeywordLLM:
 class HTTPChatLLM:
     """Chat-style HTTP provider: system + user message in, assistant text out."""
 
-    def __init__(self, endpoint: str, model: str, api_key: str | None = None,
-                 timeout: float = 120.0):
+    def __init__(self, endpoint: str, model: str, api_key: str | None = None):
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key
-        self.timeout = timeout
         self.provider_id = f"http:{model}"
 
     def complete(self, system_prompt: str, user_prompt: str) -> str:
-        import requests
-
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
         payload = {
             "model": self.model,
             "messages": [
@@ -167,15 +161,9 @@ class HTTPChatLLM:
                 {"role": "user", "content": user_prompt},
             ],
         }
+        body = post_json(self.endpoint, payload, self.api_key, CHAT_TIMEOUT_S, "LLM")
         try:
-            resp = requests.post(self.endpoint, json=payload, headers=headers,
-                                 timeout=self.timeout)
-        except Exception as exc:
-            raise RetriableError(f"LLM request failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise RetriableError(f"LLM endpoint returned HTTP {resp.status_code}")
-        try:
-            content = resp.json()["choices"][0]["message"]["content"]
+            content = json.loads(body)["choices"][0]["message"]["content"]
         except (ValueError, LookupError, TypeError) as exc:
             raise RetriableError(f"LLM response has no choices[0].message.content: "
                                  f"{exc!r}") from exc
@@ -382,7 +370,7 @@ def score_filing(
                 key, miss.question_id, score, raw, miss.refs))
     finally:
         cache.flush()
-    return FeatureRow(key, scores, filing.filing_date.isoformat())
+    return FeatureRow(key, scores)
 
 
 # --- features.csv -------------------------------------------------------------
@@ -395,7 +383,7 @@ def write_features_csv(path: str | Path, rows: Sequence[FeatureRow],
         writer = csv.writer(f)
         writer.writerow(header)
         for row in sorted(rows, key=lambda r: r.filing_key):
-            writer.writerow([row.filing_key[0], row.filing_date, *row.scores])
+            writer.writerow([*row.filing_key, *row.scores])
 
 
 def read_features_csv(path: str | Path) -> tuple[list[str], list[FeatureRow]]:
@@ -406,7 +394,5 @@ def read_features_csv(path: str | Path) -> tuple[list[str], list[FeatureRow]]:
         qcols = [c[2:] for c in header[2:]]
         rows = []
         for rec in reader:
-            ticker, filing_date = rec[0], rec[1]
-            rows.append(FeatureRow((ticker, filing_date),
-                                   [int(v) for v in rec[2:]], filing_date))
+            rows.append(FeatureRow((rec[0], rec[1]), [int(v) for v in rec[2:]]))
     return qcols, rows

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import PipelineError
+
 logger = logging.getLogger(__name__)
 
 MAX_PERCENTILE = 98.0
@@ -28,6 +30,10 @@ TRADING_DAY_OFFSET = 2
 
 FLAG_OPEN_WINDOW = "open_window"
 FLAG_DELISTED = "delisted"
+
+# A return basis ("12m" or "max") names the stock and benchmark fields it reads.
+BASIS_FIELDS = {"12m": ("target_12m", "sp500_12m"), "max": ("target_max", "sp500_max")}
+PRICE_COLUMNS = ("symbol", "date", "adjusted_close")
 
 RETURNS_COLUMNS = [
     "ticker", "filing_date", "next_filing_date",
@@ -72,7 +78,8 @@ def load_price_csv(path: str | Path) -> dict[str, list[tuple[date, float]] | str
     """Read daily bars (symbol,date,adjusted_close) into date-sorted rows per symbol.
 
     A symbol with a row whose date or close does not parse, or is missing,
-    maps instead to a reason naming the file, the line and the row.
+    maps instead to a reason naming the file, the line and the row. A header
+    without one of the three columns raises PipelineError naming the file.
     """
     rows: dict[str, list[tuple[date, float]]] = {}
     unparsed: dict[str, str] = {}
@@ -81,8 +88,10 @@ def load_price_csv(path: str | Path) -> dict[str, list[tuple[date, float]] | str
         header = next(reader, None)
         if header is None:  # empty file
             return {}
-        i_sym, i_date, i_close = (header.index(c) for c in
-                                  ("symbol", "date", "adjusted_close"))
+        if missing := [c for c in PRICE_COLUMNS if c not in header]:
+            raise PipelineError(f"{path}: header {','.join(header)!r} has no column "
+                                f"{', '.join(missing)}")
+        i_sym, i_date, i_close = map(header.index, PRICE_COLUMNS)
         for line, rec in enumerate(reader, start=2):
             if not rec:  # blank line
                 continue

@@ -65,7 +65,7 @@ class PipelineConfig:
     chunk_chars: int = 2048
     overlap_chars: int = 256
     chunks_per_question: int = 4
-    label_target: str = "12m"  # 12m | max
+    label_target: str = "12m"  # a key of market_data.BASIS_FIELDS
     bins: int = 5
     train_years: tuple[int, int] = (2002, 2017)
     test_years: tuple[int, int] = (2018, 2023)
@@ -98,6 +98,17 @@ class PipelineConfig:
         if not config.k_values or min(config.k_values) < 1:
             raise PipelineError(f"{path}: k_values ({config.k_values}) must be a "
                                 "non-empty list of values at least 1")
+        for key in ("label_target", "basis"):
+            if getattr(config, key) not in md.BASIS_FIELDS:
+                raise PipelineError(f"{path}: {key} ({getattr(config, key)!r}) must be "
+                                    f"one of {sorted(md.BASIS_FIELDS)}")
+        if config.bins < 2:
+            raise PipelineError(f"{path}: bins ({config.bins}) must be at least 2")
+        try:
+            bt.SplitSpec(config.train_years, config.test_years)
+        except ValueError as exc:
+            raise PipelineError(f"{path}: train_years {list(config.train_years)} and "
+                                f"test_years {list(config.test_years)}: {exc}") from exc
         return config
 
     # paths ------------------------------------------------------------------
@@ -298,7 +309,7 @@ def stage_label(config: PipelineConfig) -> None:
     if not records:
         raise PipelineError(f"{config.out('returns.csv')} holds no return windows; "
                             f"{config.out('returns_errors.jsonl')} says why each was skipped")
-    source = "target_12m" if config.label_target == "12m" else "target_max"
+    source, _ = md.BASIS_FIELDS[config.label_target]
     examples = labeling.make_labels(records, source, config.bins)
     labeling.write_labels_csv(config.out("labels.csv"), examples)
 
@@ -311,7 +322,7 @@ def stage_train(config: PipelineConfig) -> None:
     joined = [
         (row, label_by_key[row.filing_key])
         for row in feature_rows
-        if row.filing_key in label_by_key and lo <= int(row.filing_date[:4]) <= hi
+        if row.filing_key in label_by_key and lo <= int(row.filing_key[1][:4]) <= hi
     ]
     if not joined:
         raise PipelineError("no training rows in the configured train years")

@@ -1,3 +1,8 @@
+import json
+import threading
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
 import pytest
 
 from filingsignal.synthetic import PLANTED_PHRASE, make_workspace
@@ -26,6 +31,51 @@ def synthetic_config(root, out_dir):
         basis="12m",
         k_values=[1, 2, 3, 5, 8],
     )
+
+
+def json_reply(obj, status=200):
+    """A ``loopback`` reply carrying ``obj`` as JSON."""
+    return status, json.dumps(obj).encode(), "application/json"
+
+
+class _Server(ThreadingHTTPServer):
+    # The default backlog of 5 is below the score stage's 8 workers; a connect
+    # that overflows it waits about 1 s for a TCP retransmission.
+    request_queue_size = 64
+
+
+@contextmanager
+def loopback(reply):
+    """Serve ``reply(body, headers) -> (status, body, content type)`` on 127.0.0.1.
+
+    Yields the server's URL. Every request, GET or POST, is answered in its
+    own thread; leaving the block stops the server and joins those threads.
+    """
+    class Handler(BaseHTTPRequestHandler):
+        def log_message(self, *_):
+            pass
+
+        def do_POST(self):
+            body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            status, data, content_type = reply(body, self.headers)
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        do_GET = do_POST
+
+    server = _Server(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,))
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ def identity_model(p=1):
 
 def feature_row(ticker, year, score):
     iso = f"{year}-03-01"
-    return FeatureRow((ticker, iso), [score], iso)
+    return FeatureRow((ticker, iso), [score])
 
 
 def return_record(ticker, year, r12, sp12=0.04, rmax=None, spmax=None):

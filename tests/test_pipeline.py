@@ -16,25 +16,12 @@ from filingsignal.llm_scoring import MAX_ATTEMPTS, MAX_WORKERS, KeywordLLM, Scor
 from filingsignal.pipeline import PipelineConfig, run_pipeline
 from filingsignal.synthetic import PLANTED_PHRASE, make_workspace
 
-from conftest import synthetic_config
+from conftest import json_reply, loopback, synthetic_config
 
 SYNTH_STAGES = ["embed", "score", "returns", "label", "train", "backtest"]
 
 ARTIFACTS = ["features.csv", "labels.csv", "model.json", "report.json",
              "cumulative.csv", "ksweep.csv", "returns.csv"]
-
-
-class Response:
-    """The part of a ``requests`` response that the HTTP providers read."""
-
-    def __init__(self, status_code, body):
-        self.status_code = status_code
-        self._body = body
-
-    def json(self):
-        if isinstance(self._body, Exception):
-            raise self._body
-        return self._body
 
 
 def yaml_mapping(config):
@@ -236,29 +223,27 @@ class TestRunPipeline:
                 (Path(healthy.index_dir) / name).read_bytes(), name
 
     @pytest.mark.parametrize("body", [{}, {"embeddings": None}, ValueError("not JSON")])
-    def test_malformed_embedding_response_retried(self, synth_root, tmp_path,
-                                                  monkeypatch, body):
-        import requests
-
+    def test_malformed_embedding_response_retried(self, synth_root, tmp_path, body):
         stub = HashEmbeddingProvider(64, 0)
         posts = []
 
-        def post(url, json, headers, timeout):
-            posts.append(json)
+        def post(data, headers):
+            posts.append(json.loads(data))
             if len(posts) == 1:
-                return Response(200, body)
-            return Response(200, {"embeddings": stub.embed_batch(json["texts"])})
+                if isinstance(body, Exception):
+                    return 200, str(body).encode(), "application/json"
+                return json_reply(body)
+            return json_reply({"embeddings": stub.embed_batch(posts[-1]["texts"])})
 
         def config(out):
             c = synthetic_config(synth_root, tmp_path / out)
-            c.embedding_provider = {"name": "http", "endpoint": "http://localhost:9/v1",
-                                    "model": "m"}
+            c.embedding_provider = {"name": "http", "endpoint": url + "/v1", "model": "m"}
             return c
 
-        monkeypatch.setattr(requests, "post", post)
-        run_pipeline(config("retried"), ["embed"])
-        assert posts[0] == posts[1]  # the first filing's batch was asked again
-        run_pipeline(config("healthy"), ["embed"])
+        with loopback(post) as url:
+            run_pipeline(config("retried"), ["embed"])
+            assert posts[0] == posts[1]  # the first filing's batch was asked again
+            run_pipeline(config("healthy"), ["embed"])
         for name in ["vectors.bin", "refs.jsonl"]:
             assert (tmp_path / "retried" / "index" / name).read_bytes() == \
                 (tmp_path / "healthy" / "index" / name).read_bytes(), name
@@ -364,6 +349,18 @@ class TestRunPipeline:
         rc = cli.main(["pipeline", "--config", str(cfg_path), "--stages", "returns"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: benchmark series unusable: SPX")
+
+    def test_price_csv_without_a_column_is_an_error_line(self, tmp_path, capsys):
+        root = make_workspace(tmp_path / "ws", seed=0)
+        extra = root / "prices" / "extra.csv"
+        extra.write_text("symbol,date,close\nXTRA,2015-01-02,10.0\n")
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump(yaml_mapping(synthetic_config(root, tmp_path))))
+        rc = cli.main(["pipeline", "--config", str(cfg_path), "--stages", "returns"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {extra}: ") and "no column adjusted_close" in err
+        assert not (tmp_path / "returns.csv").exists()
 
     @pytest.mark.parametrize("bad_row, named", [
         ("HTEL,2015-01-05,n/a", "'HTEL,2015-01-05,n/a': could not convert"),
@@ -529,6 +526,13 @@ class TestCli:
         ({"embedding_provider": {"dimension": 64}}, ["embed"],
          "embedding_provider needs the key 'name'", 1),
         ({"llm_provider": None}, ["embed", "score"], "llm_provider must be a mapping", 1),
+        ({"label_target": "12M"}, ["embed"], "label_target ('12M')", 1),
+        ({"basis": "12M"}, ["embed"], "basis ('12M')", 1),
+        ({"bins": 1}, ["embed"], "bins (1)", 1),
+        ({"train_years": [2015, 2018], "test_years": [2018, 2020]}, ["embed"],
+         "train_years [2015, 2018] and test_years [2018, 2020]", 1),
+        ({"llm_provider": {"name": "http", "endpoint": "api.example.com/v1", "model": "m"}},
+         ["embed", "score"], "cannot request 'api.example.com/v1'", 1),
     ])
     def test_config_mistake_is_an_error_line(self, synth_root, tmp_path, capsys,
                                              change, stages, named, code):
@@ -571,7 +575,7 @@ class TestCli:
 
 
 class ChatServer:
-    """A ``requests.post`` that HTTPChatLLM talks to in place of a network.
+    """A ``loopback`` chat endpoint that HTTPChatLLM talks to in place of a network.
 
     Each call sleeps ``delay_s(question position)`` and then answers as the
     synthetic workspace's keyword stub would, or with ``status`` when that is
@@ -590,8 +594,8 @@ class ChatServer:
         self.peak = 0
         self.finished: list[int] = []
 
-    def __call__(self, url, json, headers, timeout):
-        system, user = (m["content"] for m in json["messages"])
+    def __call__(self, body, headers):
+        system, user = (m["content"] for m in json.loads(body)["messages"])
         position = self.position[user.rsplit("Question: ", 1)[1]]
         with self.lock:
             self.calls += 1
@@ -602,8 +606,8 @@ class ChatServer:
             self.in_flight -= 1
             self.finished.append(position)
         if self.status != 200:
-            return Response(self.status, {"error": "overloaded"})
-        return Response(200, {"choices": [{"message": {
+            return json_reply({"error": "overloaded"}, self.status)
+        return json_reply({"choices": [{"message": {
             "content": self.llm.complete(system, user)}}]})
 
 
@@ -611,7 +615,7 @@ class TestScorePool:
     """The score stage asks an HTTP provider a filing's misses through a pool."""
 
     @staticmethod
-    def http_config(synth_root, tmp_path, out, filings):
+    def http_config(synth_root, tmp_path, out, filings, url):
         """A config over the first ``filings`` filings of the synthetic corpus."""
         corpus = tmp_path / "corpus"
         if not corpus.exists():
@@ -620,24 +624,22 @@ class TestScorePool:
                 store.add(filing)
         config = synthetic_config(synth_root, tmp_path / out)
         config.corpus_dir = str(corpus)
-        config.llm_provider = {"name": "http", "endpoint": "http://localhost:9/v1",
-                               "model": "m"}
+        config.llm_provider = {"name": "http", "endpoint": url + "/v1", "model": "m"}
         return config
 
     def test_bytes_do_not_depend_on_worker_count(self, synth_root, tmp_path,
                                                  monkeypatch):
-        import requests
-
         questions = pipeline.load_questions(synthetic_config(synth_root, tmp_path))
         count = len(questions)
         for workers in (1, 2, 8):
             # Later questions answer sooner, so with workers they finish first.
             server = ChatServer(questions.questions,
                                 lambda i: (count - i) * 0.001)
-            monkeypatch.setattr(requests, "post", server)
             monkeypatch.setattr(pipeline, "MAX_WORKERS", workers)
-            config = self.http_config(synth_root, tmp_path, f"w{workers}", filings=2)
-            run_pipeline(config, ["embed", "score"])
+            with loopback(server) as url:
+                config = self.http_config(synth_root, tmp_path, f"w{workers}",
+                                          filings=2, url=url)
+                run_pipeline(config, ["embed", "score"])
             assert server.calls == 2 * count
             assert server.peak <= workers
             if workers == 8:
@@ -653,21 +655,18 @@ class TestScorePool:
         assert (tmp_path / "stub" / "features.csv").read_bytes() == \
             (tmp_path / "w8" / "features.csv").read_bytes()
 
-    def test_outage_bounded_per_row_and_row_failed(self, synth_root, tmp_path,
-                                                   monkeypatch):
-        import requests
-
+    def test_outage_bounded_per_row_and_row_failed(self, synth_root, tmp_path):
         questions = pipeline.load_questions(synthetic_config(synth_root, tmp_path))
         assert len(questions) == 27
         server = ChatServer(questions.questions, lambda i: 0.002, status=503)
-        monkeypatch.setattr(requests, "post", server)
-        config = self.http_config(synth_root, tmp_path, "out", filings=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often, to shake out races
-        try:
-            run_pipeline(config, ["embed", "score"])
-        finally:
-            sys.setswitchinterval(interval)
+        with loopback(server) as url:
+            config = self.http_config(synth_root, tmp_path, "out", filings=1, url=url)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # switch threads often, to shake out races
+            try:
+                run_pipeline(config, ["embed", "score"])
+            finally:
+                sys.setswitchinterval(interval)
         assert MAX_ATTEMPTS <= server.calls <= MAX_ATTEMPTS * MAX_WORKERS
         assert server.peak <= MAX_WORKERS
         [error] = [json.loads(line) for line in
@@ -676,15 +675,13 @@ class TestScorePool:
         assert f"question {questions.questions[0].question_id} failed" in error["error"]
         assert (tmp_path / "out" / "features.csv").read_text().count("\n") == 1
 
-    def test_pool_threads_end_with_the_stage(self, synth_root, tmp_path, monkeypatch):
-        import requests
-
+    def test_pool_threads_end_with_the_stage(self, synth_root, tmp_path):
         questions = pipeline.load_questions(synthetic_config(synth_root, tmp_path))
         server = ChatServer(questions.questions, lambda i: 0.0)
-        monkeypatch.setattr(requests, "post", server)
-        config = self.http_config(synth_root, tmp_path, "out", filings=1)
-        run_pipeline(config, ["embed"])
         before = threading.active_count()
-        run_pipeline(config, ["score"])
+        with loopback(server) as url:  # leaving it joins the server's own threads
+            config = self.http_config(synth_root, tmp_path, "out", filings=1, url=url)
+            run_pipeline(config, ["embed"])
+            run_pipeline(config, ["score"])
         assert server.calls == len(questions)
         assert threading.active_count() == before

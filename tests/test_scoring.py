@@ -12,6 +12,8 @@ from filingsignal.llm_scoring import (MAX_ATTEMPTS, ConstantLLM, HTTPChatLLM,
                                       parse_score, read_features_csv,
                                       score_filing, write_features_csv)
 
+from conftest import json_reply, loopback
+
 GROWTH_QUESTION = ("Does the company have a clear strategy for growth and "
                    "innovation? Are there any recent strategic initiatives "
                    "or partnerships?")
@@ -238,27 +240,16 @@ class TestScoreFiling:
 
     @pytest.mark.parametrize("body", [{}, {"choices": []},
                                       {"choices": [{"message": {"content": None}}]}])
-    def test_http_response_without_content_retried_then_row_failed(self, monkeypatch,
-                                                                   tmp_path, body):
-        import requests
-
+    def test_http_response_without_content_retried_then_row_failed(self, tmp_path, body):
         posts = []
 
-        class Response:
-            status_code = 200
+        def post(data, headers):
+            posts.append(json.loads(data))
+            return json_reply(body)
 
-            def json(self):
-                return body
-
-        def post(*args, **kwargs):
-            posts.append(kwargs["json"])
-            return Response()
-
-        monkeypatch.setattr(requests, "post", post)
-        with pytest.raises(RowScoringError, match="choices|content"):
+        with loopback(post) as url, pytest.raises(RowScoringError, match="choices|content"):
             score(indexed_filing("text"), small_questionset(),
-                  HTTPChatLLM("http://localhost:9/v1", "m"),
-                  ScoreCache(tmp_path / "cache.jsonl"))
+                  HTTPChatLLM(url + "/v1", "m"), ScoreCache(tmp_path / "cache.jsonl"))
         assert len(posts) == MAX_ATTEMPTS
 
     def test_transient_errors_retried(self, tmp_path):
@@ -293,7 +284,7 @@ class TestFeaturesCsv:
         qcols, rows = read_features_csv(path)
         assert qcols == ["growth", "risk"]
         assert rows[0].scores == [33, 33]
-        assert rows[0].filing_date == "2020-02-01"
+        assert rows[0].filing_key == ("TEST", "2020-02-01")
 
     def test_deterministic_bytes(self, tmp_path):
         qs = small_questionset()
