@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import struct
 from itertools import groupby
 from pathlib import Path
@@ -18,8 +19,11 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, RetriableError, ZeroNormError
+from .errors import (MAX_ATTEMPTS, DimensionMismatchError, PipelineError, RetriableError,
+                     ZeroNormError)
 from .net import post_json
+
+logger = logging.getLogger(__name__)
 
 INDEX_MAGIC = b"VIDX"
 INDEX_VERSION = 1
@@ -96,11 +100,31 @@ def normalize(values: Sequence[float]) -> np.ndarray:
     return vec / norm
 
 
-def embed_text(provider: EmbeddingProvider, text: str) -> np.ndarray:
-    """Embed one text and unit-normalize regardless of provider raw scale."""
+def embed_item(provider: EmbeddingProvider, texts: Sequence[str], item: str) -> list[np.ndarray]:
+    """Unit vectors of one item's texts, whatever the provider's raw scale.
+
+    A RetriableError, or a reply without exactly one vector per text, is
+    tried again; after MAX_ATTEMPTS calls a PipelineError names ``item``.
+    """
+    for attempt in range(1, MAX_ATTEMPTS + 1):
+        try:
+            vectors = provider.embed_batch(texts)
+            if len(vectors) != len(texts):
+                raise RetriableError(f"{provider.provider_id} returned {len(vectors)} "
+                                     f"vectors for {len(texts)} texts")
+            return [normalize(v) for v in vectors]
+        except RetriableError as exc:
+            if attempt == MAX_ATTEMPTS:
+                raise PipelineError(f"embedding of {item} failed {MAX_ATTEMPTS} times: "
+                                    f"{exc}") from exc
+            logger.warning("embedding of %s: %s; retrying", item, exc)
+
+
+def embed_text(provider: EmbeddingProvider, text: str, item: str) -> np.ndarray:
+    """Embed one non-empty text of ``item`` through ``embed_item``."""
     if not text:
         raise ValueError("text must be non-empty")
-    return normalize(provider.embed_batch([text])[0])
+    return embed_item(provider, [text], item)[0]
 
 
 class VectorIndex:

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared across pipeline stages."""
+"""Exception hierarchy shared across pipeline stages, and how often a
+RetriableError is retried."""
+
+# Provider calls made for one item (a filing's chunks, a question, a prompt)
+# before its failure is final.
+MAX_ATTEMPTS = 3
 
 
 class PipelineError(Exception):

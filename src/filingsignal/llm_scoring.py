@@ -27,12 +27,11 @@ import numpy as np
 
 from .corpus import Chunk, Filing, read_jsonl, write_atomic
 from .embed_index import ChunkRef, EmbeddingProvider, VectorIndex, embed_text
-from .errors import RetriableError, RowScoringError, UnparseableScoreError
+from .errors import MAX_ATTEMPTS, RetriableError, RowScoringError, UnparseableScoreError
 from .net import post_json
 
 logger = logging.getLogger(__name__)
 
-MAX_ATTEMPTS = 3
 # Provider calls in flight at once when a filing's uncached questions go
 # through a thread pool. It changes no output, so no config field or stage
 # hash holds it.
@@ -272,7 +271,7 @@ class ScoreCache:
 
 def embed_questions(qs: QuestionSet, embedder: EmbeddingProvider) -> list[np.ndarray]:
     """Each question's unit query vector, in question order."""
-    return [embed_text(embedder, q.text) for q in qs.questions]
+    return [embed_text(embedder, q.text, f"question {q.question_id}") for q in qs.questions]
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -48,40 +46,38 @@ class WindowSkipped(Exception):
 
 @dataclass
 class PriceSeries:
+    """One symbol's daily closes: ``dates`` (datetime64[D], strictly
+    increasing) and ``closes`` (float64, finite and above 0), index-aligned."""
+
     symbol: str
-    observations: list[tuple[date, float]]  # date-sorted (trading_date, adj close)
+    dates: np.ndarray
+    closes: np.ndarray
 
     def __post_init__(self):
-        dates = [d for d, _ in self.observations]
-        if any(b <= a for a, b in zip(dates, dates[1:])):
+        self.dates = np.asarray(self.dates, dtype="datetime64[D]")
+        self.closes = np.asarray(self.closes, dtype=np.float64)
+        if not (np.diff(self.dates) > np.timedelta64(0, "D")).all():
             raise ValueError(f"{self.symbol}: dates must be strictly increasing")
-        for d, p in self.observations:
-            if not (math.isfinite(p) and p > 0):
-                raise ValueError(f"{self.symbol}: bad price {p} on {d}")
-        self._dates = dates
-
-    @property
-    def dates(self) -> list[date]:
-        return self._dates
-
-    @property
-    def last_date(self) -> date:
-        return self._dates[-1]
-
-    def window(self, start: date, end: date) -> list[tuple[date, float]]:
-        lo = bisect_left(self._dates, start)
-        hi = bisect_right(self._dates, end)
-        return self.observations[lo:hi]
+        bad = ~(np.isfinite(self.closes) & (self.closes > 0))
+        if bad.any():
+            i = bad.argmax()
+            raise ValueError(f"{self.symbol}: bad price {float(self.closes[i])} "
+                             f"on {self.dates[i]}")
 
 
-def load_price_csv(path: str | Path) -> dict[str, list[tuple[date, float]] | str]:
-    """Read daily bars (symbol,date,adjusted_close) into date-sorted rows per symbol.
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+
+def load_price_csv(path: str | Path) -> dict[str, PriceSeries | str]:
+    """Read daily bars (symbol,date,adjusted_close) into one PriceSeries per symbol.
 
     A symbol with a row whose date or close does not parse, or is missing,
-    maps instead to a reason naming the file, the line and the row. A header
-    without one of the three columns raises PipelineError naming the file.
+    maps instead to a reason naming the file, the line and the row; a symbol
+    whose rows fail PriceSeries's checks maps to that check's message. A
+    header without one of the three columns raises PipelineError naming the
+    file.
     """
-    rows: dict[str, list[tuple[date, float]]] = {}
+    rows: dict[str, tuple[list[int], list[float]]] = {}
     unparsed: dict[str, str] = {}
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
@@ -97,13 +93,25 @@ def load_price_csv(path: str | Path) -> dict[str, list[tuple[date, float]] | str
                 continue
             symbol = rec[i_sym]
             try:
-                rows.setdefault(symbol, []).append(
-                    (date.fromisoformat(rec[i_date]), float(rec[i_close]))
-                )
+                day = date.fromisoformat(rec[i_date]).toordinal()
+                close = float(rec[i_close])
             except (ValueError, IndexError) as exc:  # IndexError: a short row
                 unparsed.setdefault(symbol, f"{symbol}: {path} line {line}: "
                                             f"{','.join(rec)!r}: {exc}")
-    return {sym: sorted(obs) for sym, obs in rows.items()} | unparsed
+                continue
+            days, closes = rows.setdefault(symbol, ([], []))
+            days.append(day)
+            closes.append(close)
+    out: dict[str, PriceSeries | str] = {}
+    for symbol, (days, closes) in rows.items():
+        order = np.argsort(days)
+        try:
+            out[symbol] = PriceSeries(
+                symbol, (np.array(days)[order] - _EPOCH_ORDINAL).astype("datetime64[D]"),
+                np.array(closes)[order])
+        except ValueError as exc:
+            out[symbol] = str(exc)
+    return out | unparsed
 
 
 def price_files(directory: str | Path) -> list[Path]:
@@ -118,56 +126,41 @@ def load_price_dir(directory: str | Path, rejected: dict[str, str]) -> dict[str,
     is left out, and its reason is put in ``rejected`` under its symbol, so
     one bad series never stops the others from loading.
     """
-    rows: dict[str, list[tuple[date, float]] | str] = {}
+    loaded: dict[str, PriceSeries | str] = {}
     for path in price_files(directory):
-        rows.update(load_price_csv(path))
-    out: dict[str, PriceSeries] = {}
-    for symbol, obs in rows.items():
-        if isinstance(obs, str):
-            rejected[symbol] = obs
-            continue
-        try:
-            out[symbol] = PriceSeries(symbol, obs)
-        except ValueError as exc:
-            rejected[symbol] = str(exc)
-    return out
+        loaded.update(load_price_csv(path))
+    rejected.update({sym: why for sym, why in loaded.items() if isinstance(why, str)})
+    return {sym: series for sym, series in loaded.items() if not isinstance(series, str)}
 
 
-class TradingCalendar:
-    """Sorted set of trading dates with offset lookups."""
-
-    def __init__(self, dates: list[date]):
-        self.dates = sorted(set(dates))
-        if not self.dates:
-            raise ValueError("calendar is empty")
-
-    def nth_after(self, d: date, n: int) -> date:
-        """The n-th trading day strictly after d."""
-        i = bisect_right(self.dates, d) + n - 1
-        if i >= len(self.dates):
-            raise WindowSkipped(f"calendar ends before {n} trading days after {d}")
-        return self.dates[i]
-
-    def nth_before(self, d: date, n: int) -> date:
-        """The n-th trading day strictly before d."""
-        i = bisect_left(self.dates, d) - n
-        if i < 0:
-            raise WindowSkipped(f"calendar starts after {n} trading days before {d}")
-        return self.dates[i]
+def _trading_days(
+    filing_date: date, next_filing_date: date, calendar: np.ndarray
+) -> tuple[date, date]:
+    """The 2nd trading day strictly after filing_date and the 2nd strictly
+    before next_filing_date, on the sorted date array ``calendar``."""
+    i = calendar.searchsorted(np.datetime64(filing_date, "D"), "right") + TRADING_DAY_OFFSET - 1
+    if i >= len(calendar):
+        raise WindowSkipped(f"calendar ends before {TRADING_DAY_OFFSET} trading days "
+                            f"after {filing_date}")
+    j = calendar.searchsorted(np.datetime64(next_filing_date, "D")) - TRADING_DAY_OFFSET
+    if j < 0:
+        raise WindowSkipped(f"calendar starts after {TRADING_DAY_OFFSET} trading days "
+                            f"before {next_filing_date}")
+    return calendar[i].item(), calendar[j].item()
 
 
 def window_bounds(
-    filing_date: date, next_filing_date: date, calendar: TradingCalendar
+    filing_date: date, next_filing_date: date, calendar: np.ndarray
 ) -> tuple[date, date]:
     """Trading window between two successive filings.
 
     start = 2nd trading day strictly after filing_date;
     end   = 2nd trading day strictly before next_filing_date.
+    ``calendar`` is the benchmark's date array.
     """
     if next_filing_date <= filing_date:
         raise ValueError("next_filing_date must be after filing_date")
-    start = calendar.nth_after(filing_date, TRADING_DAY_OFFSET)
-    end = calendar.nth_before(next_filing_date, TRADING_DAY_OFFSET)
+    start, end = _trading_days(filing_date, next_filing_date, calendar)
     if start >= end:
         raise WindowSkipped(
             f"window collapsed: start {start} >= end {end} "
@@ -185,13 +178,14 @@ class WindowReturns:
 
 def window_returns(series: PriceSeries, start: date, end: date) -> WindowReturns:
     """Returns over [start, end] relative to the first in-window close."""
-    obs = series.window(start, end)
-    if len(obs) < MIN_WINDOW_OBSERVATIONS:
+    lo = series.dates.searchsorted(np.datetime64(start, "D"))
+    hi = series.dates.searchsorted(np.datetime64(end, "D"), "right")
+    closes = series.closes[lo:hi]
+    if len(closes) < MIN_WINDOW_OBSERVATIONS:
         raise WindowSkipped(
-            f"{series.symbol}: only {len(obs)} observations in [{start}, {end}]"
+            f"{series.symbol}: only {len(closes)} observations in [{start}, {end}]"
         )
-    p0 = obs[0][1]
-    cumulative = np.array([p / p0 - 1.0 for _, p in obs])
+    cumulative = closes / closes[0] - 1.0
     r_12m = float(cumulative[-1])
     r_max = float(np.percentile(cumulative, MAX_PERCENTILE))
     r_min = float(np.percentile(cumulative, MIN_PERCENTILE))
@@ -223,7 +217,7 @@ def compute_return_records(
     used as-is (terminal price = last available) and flagged: dropping
     delisted names would inflate strategy returns.
     """
-    calendar = TradingCalendar(benchmark.dates)
+    calendar = benchmark.dates
     records: list[ReturnRecord] = []
     warnings: list[str] = []
     for ticker in sorted(filing_dates):
@@ -239,13 +233,12 @@ def compute_return_records(
                     next_fdate = dates[i + 1]
                     start, end = window_bounds(fdate, next_fdate, calendar)
                 else:
-                    next_fdate = calendar.dates[-1]
-                    start = calendar.nth_after(fdate, TRADING_DAY_OFFSET)
-                    end = calendar.nth_before(next_fdate, TRADING_DAY_OFFSET)
+                    next_fdate = calendar[-1].item()
+                    start, end = _trading_days(fdate, next_fdate, calendar)
                     flags.append(FLAG_OPEN_WINDOW)
                     if start >= end:
                         raise WindowSkipped(f"open window collapsed for {ticker} {fdate}")
-                if series.last_date < end:
+                if series.dates[-1].item() < end:
                     flags.append(FLAG_DELISTED)
                 stock = window_returns(series, start, end)
                 bench = window_returns(benchmark, start, end)

@@ -37,9 +37,9 @@ from . import market_data as md
 from .corpus import CorpusStore, TickerUniverse, chunk_filing, write_atomic
 from .edgar import EdgarClient, EdgarSubmissionsResolver, fetch_filing
 from .embed_index import (HashEmbeddingProvider, HTTPEmbeddingProvider,
-                          VectorIndex, normalize)
-from .errors import PipelineError, RetriableError, RowScoringError, StageInputError
-from .llm_scoring import (MAX_ATTEMPTS, MAX_WORKERS, ConstantLLM, HTTPChatLLM,
+                          VectorIndex, embed_item)
+from .errors import PipelineError, RowScoringError, StageInputError
+from .llm_scoring import (MAX_WORKERS, ConstantLLM, HTTPChatLLM,
                           KeywordLLM, QuestionSet, ScoreCache, embed_questions,
                           read_features_csv, score_filing, write_features_csv)
 from .regression import DesignMatrix, NNLSModel, fit_nnls
@@ -47,6 +47,21 @@ from .regression import DesignMatrix, NNLSModel, fit_nnls
 logger = logging.getLogger(__name__)
 
 MANIFEST_FILE = "pipeline_manifest.json"
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# By PipelineConfig field annotation: a test of the field's YAML value, and what
+# the test asks for.
+_YAML_TYPES = {
+    "int": (_is_int, "an integer"),
+    "tuple[int, int]": (lambda v: isinstance(v, list) and len(v) == 2
+                        and all(map(_is_int, v)), "two integers"),
+    "list[int]": (lambda v: isinstance(v, list) and all(map(_is_int, v)),
+                  "a list of integers"),
+}
 
 
 @dataclass
@@ -85,10 +100,14 @@ class PipelineConfig:
             raise PipelineError(f"{path}: unknown config keys {unknown}")
         if missing := sorted(required - set(data)):
             raise PipelineError(f"{path}: missing config keys {missing}")
-        if "train_years" in data:
-            data["train_years"] = tuple(data["train_years"])
-        if "test_years" in data:
-            data["test_years"] = tuple(data["test_years"])
+        for f in fields(cls):
+            if f.name in data and f.type in _YAML_TYPES:
+                fits, kind = _YAML_TYPES[f.type]
+                if not fits(data[f.name]):
+                    raise PipelineError(f"{path}: {f.name} ({data[f.name]!r}) must be {kind}")
+        for key in ("train_years", "test_years"):
+            if key in data:
+                data[key] = tuple(data[key])
         config = cls(**data)
         if not 0 <= config.overlap_chars < config.chunk_chars:
             raise PipelineError(f"{path}: overlap_chars ({config.overlap_chars}) must be "
@@ -213,33 +232,15 @@ def stage_ingest(config: PipelineConfig) -> None:
             report.record(f"{entry.ticker} {entry.filing_date}", str(exc))
 
 
-def _embed_filing(provider, filing, texts: list[str]) -> list[list[float]]:
-    """One filing's chunk vectors, retrying a transient error up to MAX_ATTEMPTS."""
-    for attempt in range(1, MAX_ATTEMPTS + 1):
-        try:
-            return provider.embed_batch(texts)
-        except RetriableError as exc:
-            if attempt == MAX_ATTEMPTS:
-                raise PipelineError(f"embedding filing {filing.ticker} {filing.filing_date} "
-                                    f"failed {MAX_ATTEMPTS} times: {exc}") from exc
-            logger.warning("embedding filing %s %s: %s; retrying",
-                           filing.ticker, filing.filing_date, exc)
-
-
 def stage_embed(config: PipelineConfig) -> None:
     provider = build_embedding_provider(config.embedding_provider)
     store = CorpusStore(config.corpus_dir)
     refs, units = [], []
     for filing in store.load_all():
         chunks = chunk_filing(filing, config.chunk_chars, config.overlap_chars)
-        vectors = _embed_filing(provider, filing, [c.text for c in chunks])
-        if len(vectors) != len(chunks):
-            raise PipelineError(
-                f"{provider.provider_id} returned {len(vectors)} vectors for the "
-                f"{len(chunks)} chunks of filing {filing.ticker} {filing.filing_date}"
-            )
+        units += embed_item(provider, [c.text for c in chunks],
+                            f"filing {filing.ticker} {filing.filing_date}")
         refs += [(*chunk.filing_key, chunk.chunk_index) for chunk in chunks]
-        units += map(normalize, vectors)
     if not refs:
         raise PipelineError("corpus is empty, nothing to embed")
     VectorIndex(provider.provider_id, refs, units).save(config.index_dir)

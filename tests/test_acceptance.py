@@ -17,9 +17,8 @@ from filingsignal.backtest import compound
 from filingsignal.corpus import Filing, chunk_filing, clean_filing_text
 from filingsignal.embed_index import VectorIndex, normalize
 from filingsignal.labeling import make_labels
-from filingsignal.market_data import (PriceSeries, TradingCalendar,
-                                      compute_return_records, window_bounds,
-                                      window_returns)
+from filingsignal.market_data import (PriceSeries, compute_return_records,
+                                      window_bounds, window_returns)
 from filingsignal.pipeline import run_pipeline
 from filingsignal.regression import nnls
 from filingsignal.synthetic import business_days
@@ -127,7 +126,7 @@ def test_criterion_3_retrieval_exactness():
 def test_criterion_4_return_arithmetic():
     """2-trading-day window offsets; 98th-percentile oracle to 1e-12;
     identical stock/benchmark windows."""
-    cal = TradingCalendar(business_days(date(2019, 1, 1), date(2021, 12, 31)))
+    cal = np.array(business_days(date(2019, 1, 1), date(2021, 12, 31)), dtype="datetime64[D]")
     # Monday filing: 2 trading days strictly after Mon 2020-03-02 is Wed 03-04;
     # 2 trading days strictly before Mon 2021-03-08 is Thu 2021-03-04.
     start, end = window_bounds(date(2020, 3, 2), date(2021, 3, 8), cal)
@@ -140,15 +139,14 @@ def test_criterion_4_return_arithmetic():
     rng = np.random.default_rng(11)
     days = business_days(date(2019, 1, 1), date(2021, 12, 31))
     prices = 100.0 * np.exp(np.cumsum(rng.normal(0.0004, 0.015, len(days))))
-    series = PriceSeries("TST", list(zip(days, prices)))
+    series = PriceSeries("TST", days, prices)
     r = window_returns(series, start, end)
-    in_window = [(d, p) for d, p in series.observations if start <= d <= end]
+    in_window = [(d, p) for d, p in zip(days, prices) if start <= d <= end]
     cumulative = np.array([p / in_window[0][1] - 1.0 for _, p in in_window])
     assert abs(r.r_max - np.percentile(cumulative, 98)) <= 1e-12
     assert abs(r.r_min - np.percentile(cumulative, 2)) <= 1e-12
 
-    bench = PriceSeries("SPX", [(d, 3000.0 * 1.0002 ** i)
-                                for i, d in enumerate(days)])
+    bench = PriceSeries("SPX", days, [3000.0 * 1.0002 ** i for i in range(len(days))])
     records, _ = compute_return_records(
         {"TST": [date(2020, 3, 2), date(2021, 3, 8)]},
         {"TST": series, "SPX": bench}, bench)

@@ -34,18 +34,18 @@ def random_index(rng, n, d=32):
 class TestStubProvider:
     def test_deterministic(self):
         p = HashEmbeddingProvider(64, 0)
-        assert np.array_equal(embed_text(p, "alpha"), embed_text(p, "alpha"))
+        assert np.array_equal(embed_text(p, "alpha", "test"), embed_text(p, "alpha", "test"))
 
     def test_unit_norm(self):
         p = HashEmbeddingProvider(64, 0)
         for text in ["alpha", "alpha beta gamma", "x " * 500]:
-            assert abs(np.linalg.norm(embed_text(p, text)) - 1.0) < 1e-6
+            assert abs(np.linalg.norm(embed_text(p, text, "test")) - 1.0) < 1e-6
 
     def test_shared_tokens_raise_similarity(self):
         p = HashEmbeddingProvider(64, 0)
-        a = embed_text(p, "revenue growth outlook strong")
-        b = embed_text(p, "revenue growth guidance strong")
-        c = embed_text(p, "litigation settlement patent dispute")
+        a = embed_text(p, "revenue growth outlook strong", "test")
+        b = embed_text(p, "revenue growth guidance strong", "test")
+        c = embed_text(p, "litigation settlement patent dispute", "test")
         assert np.dot(a, b) > np.dot(a, c)
 
     def test_matches_golden_file(self):
@@ -53,12 +53,12 @@ class TestStubProvider:
         p = HashEmbeddingProvider(dimension=16, seed=7)
         assert p.provider_id == golden["provider_id"]
         for text, expected in golden["vectors"].items():
-            got = embed_text(p, text)
+            got = embed_text(p, text, "test")
             assert np.allclose(got, expected, atol=1e-12)
 
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):
-            embed_text(HashEmbeddingProvider(64, 0), "")
+            embed_text(HashEmbeddingProvider(64, 0), "", "test")
 
 
 class TestTopK:

@@ -1,10 +1,11 @@
+from bisect import bisect_left, bisect_right
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
-from filingsignal.market_data import (PriceSeries, TradingCalendar,
-                                      WindowSkipped, compute_return_records,
+from filingsignal.market_data import (PriceSeries, ReturnRecord, WindowSkipped,
+                                      compute_return_records,
                                       load_price_csv, load_price_dir,
                                       read_returns_csv, window_bounds,
                                       window_returns, write_returns_csv)
@@ -12,22 +13,22 @@ from filingsignal.synthetic import business_days
 
 
 def weekday_calendar(start=date(2020, 1, 1), end=date(2022, 12, 31)):
-    return TradingCalendar(business_days(start, end))
+    return np.array(business_days(start, end), dtype="datetime64[D]")
 
 
 def series_from(prices, start=date(2020, 1, 1), symbol="TST"):
     days = business_days(start, start + timedelta(days=int(len(prices) * 1.6)))
-    return PriceSeries(symbol, list(zip(days[:len(prices)], prices)))
+    return PriceSeries(symbol, days[:len(prices)], prices)
 
 
 class TestPriceSeries:
     def test_rejects_unsorted_dates(self):
         with pytest.raises(ValueError):
-            PriceSeries("X", [(date(2020, 1, 2), 1.0), (date(2020, 1, 1), 1.0)])
+            PriceSeries("X", [date(2020, 1, 2), date(2020, 1, 1)], [1.0, 1.0])
 
     def test_rejects_nonpositive_price(self):
         with pytest.raises(ValueError):
-            PriceSeries("X", [(date(2020, 1, 1), 0.0)])
+            PriceSeries("X", [date(2020, 1, 1)], [0.0])
 
     def test_load_csv(self, tmp_path):
         p = tmp_path / "px.csv"
@@ -35,14 +36,15 @@ class TestPriceSeries:
                      "TST,2020-01-03,10.6\nSPX,2020-01-02,3000\n")
         rows = load_price_csv(p)
         assert set(rows) == {"TST", "SPX"}
-        assert rows["TST"][0] == (date(2020, 1, 2), 10.5)
+        assert (rows["TST"].dates[0].item(), rows["TST"].closes[0]) == (date(2020, 1, 2), 10.5)
 
     def test_load_csv_reads_columns_by_header(self, tmp_path):
         p = tmp_path / "px.csv"
         p.write_text("date,adjusted_close,symbol\n2020-01-03,10.6,TST\n\n"
                      "2020-01-02,10.5,TST\n")
         rows = load_price_csv(p)
-        assert rows["TST"] == [(date(2020, 1, 2), 10.5), (date(2020, 1, 3), 10.6)]
+        assert rows["TST"].dates.tolist() == [date(2020, 1, 2), date(2020, 1, 3)]
+        assert rows["TST"].closes.tolist() == [10.5, 10.6]
         (tmp_path / "empty.csv").write_text("")
         assert load_price_csv(tmp_path / "empty.csv") == {}
 
@@ -66,7 +68,8 @@ class TestPriceSeries:
         rejected = {}
         prices = load_price_dir(tmp_path, rejected)
         assert set(prices) == {"TST", "FIX"}
-        assert prices["FIX"].observations == [(date(2020, 1, 2), 2.0)]
+        assert prices["FIX"].dates.tolist() == [date(2020, 1, 2)]
+        assert prices["FIX"].closes.tolist() == [2.0]
         assert sorted(rejected) == ["BAD", "DAY"]
         assert rejected["BAD"].startswith(
             f"BAD: {tmp_path / 'a.csv'} line 3: 'BAD,2020-01-02,n/a': ")
@@ -179,11 +182,9 @@ class TestReturnRecords:
     def build(self, stock_prices=None):
         days = business_days(date(2019, 1, 1), date(2021, 12, 31))
         n = len(days)
-        bench = PriceSeries("SPX", [(d, 3000.0 * 1.0001 ** i)
-                                    for i, d in enumerate(days)])
+        bench = PriceSeries("SPX", days, [3000.0 * 1.0001 ** i for i in range(n)])
         if stock_prices is None:
-            stock = PriceSeries("TST", [(d, 100.0 * 1.0002 ** i)
-                                        for i, d in enumerate(days)])
+            stock = PriceSeries("TST", days, [100.0 * 1.0002 ** i for i in range(n)])
         else:
             stock = stock_prices
         filing_dates = {"TST": [date(2019, 2, 4), date(2020, 2, 3)]}
@@ -194,7 +195,7 @@ class TestReturnRecords:
         records, warnings = compute_return_records(filing_dates, prices, bench)
         assert len(records) == 2  # closed + open window
         closed = records[0]
-        cal = TradingCalendar(bench.dates)
+        cal = bench.dates
         start, end = window_bounds(closed.filing_date, closed.next_filing_date, cal)
         expected = window_returns(prices["TST"], start, end)
         b = window_returns(bench, start, end)
@@ -209,7 +210,7 @@ class TestReturnRecords:
 
     def test_delisted_series_flagged_not_dropped(self):
         days = business_days(date(2019, 1, 1), date(2021, 12, 31))
-        short = PriceSeries("TST", [(d, 100.0) for d in days[:150]])
+        short = PriceSeries("TST", days[:150], [100.0] * 150)
         filing_dates, prices, bench = self.build(stock_prices=short)
         records, _ = compute_return_records(filing_dates, prices, bench)
         assert any("delisted" in r.flags for r in records)
@@ -231,3 +232,106 @@ class TestReturnRecords:
                           "target_max,target_min,sp500_12m,sp500_max,flags")
         loaded = read_returns_csv(path)
         assert loaded == records
+
+
+def oracle_return_records(filing_dates, observations, benchmark):
+    """compute_return_records on date-sorted (date, close) lists, with bisect.
+
+    ``observations`` maps each priced symbol to its list; ``benchmark`` names
+    the symbol whose dates are the trading calendar.
+    """
+    calendar = [d for d, _ in observations[benchmark]]
+
+    def after(d):  # 2nd trading day strictly after d
+        i = bisect_right(calendar, d) + 1
+        if i >= len(calendar):
+            raise WindowSkipped(f"calendar ends before 2 trading days after {d}")
+        return calendar[i]
+
+    def before(d):  # 2nd trading day strictly before d
+        i = bisect_left(calendar, d) - 2
+        if i < 0:
+            raise WindowSkipped(f"calendar starts after 2 trading days before {d}")
+        return calendar[i]
+
+    def returns(symbol, start, end):
+        closes = [p for d, p in observations[symbol] if start <= d <= end]
+        if len(closes) < 10:
+            raise WindowSkipped(f"{symbol}: only {len(closes)} observations in [{start}, {end}]")
+        cumulative = np.array([p / closes[0] - 1.0 for p in closes])
+        return (float(cumulative[-1]), float(np.percentile(cumulative, 98)),
+                float(np.percentile(cumulative, 2)))
+
+    records, warnings = [], []
+    for ticker in sorted(filing_dates):
+        if ticker not in observations:
+            warnings.append(f"{ticker}: no price series, skipped")
+            continue
+        dates = sorted(filing_dates[ticker])
+        for i, fdate in enumerate(dates):
+            open_window = i + 1 == len(dates)
+            next_fdate = calendar[-1] if open_window else dates[i + 1]
+            try:
+                start, end = after(fdate), before(next_fdate)
+                if start >= end:
+                    raise WindowSkipped(
+                        f"open window collapsed for {ticker} {fdate}" if open_window else
+                        f"window collapsed: start {start} >= end {end} "
+                        f"for filings {fdate} / {next_fdate}")
+                stock = returns(ticker, start, end)
+                bench = returns(benchmark, start, end)
+            except WindowSkipped as exc:
+                warnings.append(f"{ticker} {fdate}: {exc}")
+                continue
+            flags = ["open_window"] if open_window else []
+            if observations[ticker][-1][0] < end:
+                flags.append("delisted")
+            records.append(ReturnRecord(ticker, fdate, next_fdate, *stock, *bench[:2], flags))
+    return records, warnings
+
+
+def test_return_records_equal_list_oracle_exactly():
+    rng = np.random.default_rng(12)
+    weekdays = business_days(date(2018, 1, 1), date(2022, 12, 30))
+    calendar = [d for d in weekdays if rng.random() > 0.03]  # holidays
+    last = calendar[-1]
+
+    def walk(days, gaps):
+        kept = [d for d in days if rng.random() > gaps]
+        closes = 100.0 * np.exp(np.cumsum(rng.normal(0.0003, 0.02, len(kept))))
+        return list(zip(kept, closes.tolist()))
+
+    def yearly_filings(years):
+        return [date(y, int(rng.integers(2, 5)), int(rng.integers(1, 29))) for y in years]
+
+    observations = {"SPX": walk(calendar, 0.0)}
+    filing_dates = {}
+    for n in range(8):  # weekday gaps beyond the calendar's own
+        observations[f"T{n}"] = walk(calendar, float(rng.uniform(0.0, 0.3)))
+        filing_dates[f"T{n}"] = yearly_filings(range(2018, 2023))
+    observations["DLST"] = walk([d for d in calendar if d < date(2020, 9, 1)], 0.05)
+    filing_dates["DLST"] = yearly_filings(range(2018, 2023))
+    observations["SHRT"] = walk(calendar, 0.97)  # too few closes in most windows
+    filing_dates["SHRT"] = yearly_filings(range(2018, 2022))
+    for symbol, filed in {
+        "COLL": [date(2019, 3, 4), date(2019, 3, 6), date(2020, 3, 2)],  # collapsed
+        "LATE": [date(2021, 3, 1), last, last + timedelta(days=30)],  # after the last price
+        "OPEN": [date(2021, 3, 1), calendar[-4]],  # collapsed open window
+        "EARLY": [date(2017, 6, 1), calendar[1], date(2019, 3, 1)],  # before the first
+    }.items():
+        observations[symbol] = walk(calendar, 0.1)
+        filing_dates[symbol] = filed
+    filing_dates["MISS"] = [date(2019, 3, 1)]
+
+    prices = {sym: PriceSeries(sym, [d for d, _ in obs], [p for _, p in obs])
+              for sym, obs in observations.items()}
+    records, warnings = compute_return_records(filing_dates, prices, prices["SPX"])
+    expected_records, expected_warnings = oracle_return_records(
+        filing_dates, observations, "SPX")
+    assert records == expected_records
+    assert warnings == expected_warnings
+    messages = "\n".join(warnings)
+    for skipped in ["window collapsed", "open window collapsed", "calendar ends",
+                    "calendar starts", "observations in", "no price series"]:
+        assert skipped in messages
+    assert any("delisted" in r.flags for r in records)

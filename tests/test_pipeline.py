@@ -264,6 +264,37 @@ class TestRunPipeline:
             run_pipeline(config, ["embed"])
         assert Down.calls == MAX_ATTEMPTS
 
+    @pytest.mark.parametrize("reply", [json_reply({}, status=503),
+                                       json_reply({"embeddings": []})])
+    def test_question_embedding_retried_then_named(self, synth_root, tmp_path, reply):
+        stub = HashEmbeddingProvider(64, 0)
+        failing = []  # how many more requests get ``reply``; -1: every one
+
+        def post(data, headers):
+            if failing and failing[0]:
+                failing[0] -= 1
+                return reply
+            return json_reply({"embeddings": stub.embed_batch(json.loads(data)["texts"])})
+
+        def config(out):
+            c = synthetic_config(synth_root, tmp_path / out)
+            c.embedding_provider = {"name": "http", "endpoint": url + "/v1", "model": "m"}
+            return c
+
+        [first, *_] = pipeline.load_questions(synthetic_config(synth_root, tmp_path)).questions
+        with loopback(post) as url:
+            for out in ("retried", "healthy", "down"):
+                run_pipeline(config(out), ["embed"])
+            failing[:] = [1]  # the first question's first request
+            run_pipeline(config("retried"), ["score"])
+            run_pipeline(config("healthy"), ["score"])
+            failing[:] = [-1]
+            with pytest.raises(PipelineError,
+                               match=f"question {first.question_id} failed {MAX_ATTEMPTS} times"):
+                run_pipeline(config("down"), ["score"])
+        assert (tmp_path / "retried" / "features.csv").read_bytes() == \
+            (tmp_path / "healthy" / "features.csv").read_bytes()
+
     def test_index_from_other_embedder_rejected(self, synth_root, tmp_path):
         config = synthetic_config(synth_root, tmp_path)
         run_pipeline(config, ["embed"])
@@ -533,6 +564,19 @@ class TestCli:
          "train_years [2015, 2018] and test_years [2018, 2020]", 1),
         ({"llm_provider": {"name": "http", "endpoint": "api.example.com/v1", "model": "m"}},
          ["embed", "score"], "cannot request 'api.example.com/v1'", 1),
+        ({"train_years": [2015]}, ["embed"], "train_years ([2015]) must be two integers", 1),
+        ({"test_years": [2018, "2020"]}, ["embed"], "test_years ([2018, '2020'])", 1),
+        ({"train_years": 2015}, ["embed"], "train_years (2015)", 1),
+        ({"k": "3"}, ["embed"], "k ('3') must be an integer", 1),
+        ({"k": True}, ["embed"], "k (True)", 1),
+        ({"bins": 5.0}, ["embed"], "bins (5.0)", 1),
+        ({"year_from": "2002"}, ["embed"], "year_from ('2002')", 1),
+        ({"year_to": None}, ["embed"], "year_to (None)", 1),
+        ({"chunk_chars": "4096"}, ["embed"], "chunk_chars ('4096')", 1),
+        ({"overlap_chars": 1.5}, ["embed"], "overlap_chars (1.5)", 1),
+        ({"chunks_per_question": "4"}, ["embed"], "chunks_per_question ('4')", 1),
+        ({"k_values": [1, "2"]}, ["embed"], "k_values ([1, '2']) must be a list of integers", 1),
+        ({"k_values": 3}, ["embed"], "k_values (3)", 1),
     ])
     def test_config_mistake_is_an_error_line(self, synth_root, tmp_path, capsys,
                                              change, stages, named, code):
