@@ -79,6 +79,11 @@ class Chunk:
     text: str
     char_span: tuple[int, int]
 
+    @property
+    def sha256(self) -> str:
+        """Hex sha256 of ``text``: the key of its vector in the index."""
+        return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
+
 
 # --- cleaning -----------------------------------------------------------------
 

@@ -2,9 +2,13 @@
 
 Per-filing chunk counts are small (hundreds), so queries do an exhaustive
 scan of the filing's own rows: exact results, no approximate-NN tuning
-surface. An index is built once and never changes. It keeps every vector in
-one matrix plus each filing's row positions, so a query's cost does not grow
-with the rest of the corpus.
+surface. An index is built whole and never changed in place. It keeps every
+vector in one matrix plus each filing's row positions, so a query's cost does
+not grow with the rest of the corpus, and it records the sha256 of each row's
+chunk text. A vector depends only on the provider and the text, so the next
+build copies the row of every text it already holds and embeds only new
+texts. The two files of an index record one build id, so a pair that a crash
+mixed is refused on load.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import struct
 from itertools import groupby
 from pathlib import Path
@@ -26,7 +31,7 @@ from .net import post_json
 logger = logging.getLogger(__name__)
 
 INDEX_MAGIC = b"VIDX"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 INDEX_FILE = "vectors.bin"
 SIDECAR_FILE = "refs.jsonl"
 EMBED_TIMEOUT_S = 60.0
@@ -132,15 +137,20 @@ class VectorIndex:
 
     Built once from all its rows and never changed. The vectors live in one
     read-only float64 matrix, each row cast from the float32 vector that is
-    stored on disk. For each filing, and for the whole index, the index keeps
-    the row positions sorted by ref, so a query scans only the filing's own
-    rows and a stable sort breaks similarity ties by ref.
+    stored on disk. Beside each ref the index keeps the sha256 of the chunk
+    text its row embeds. For each filing, and for the whole index, the index
+    keeps the row positions sorted by ref, so a query scans only the filing's
+    own rows and a stable sort breaks similarity ties by ref.
     """
 
-    def __init__(self, provider_id: str, refs: Sequence[ChunkRef], vectors):
-        """``vectors`` holds one row per ref; duplicate refs are rejected."""
+    def __init__(self, provider_id: str, refs: Sequence[ChunkRef], hashes: Sequence[str],
+                 vectors):
+        """``hashes`` and ``vectors`` hold one entry per ref; duplicate refs are rejected."""
         self.provider_id = provider_id
         self.refs = tuple(refs)
+        self.hashes = tuple(hashes)
+        if len(self.hashes) != len(self.refs):
+            raise ValueError(f"{len(self.refs)} refs but {len(self.hashes)} text hashes")
         try:
             stored = np.asarray(vectors, dtype=np.float32)
         except ValueError as exc:  # e.g. rows of unequal length
@@ -161,9 +171,9 @@ class VectorIndex:
     def __len__(self) -> int:
         return len(self.refs)
 
-    def rows_of(self, filing_key: tuple[str, str]) -> int:
-        """How many rows, that is chunks, the index holds for one filing."""
-        return len(self._rows.get(filing_key, ()))
+    def hashes_of(self, filing_key: tuple[str, str]) -> list[str]:
+        """The text hashes of one filing's rows, in chunk order; empty if it has none."""
+        return [self.hashes[i] for i in self._rows.get(filing_key, ())]
 
     def top_k(
         self,
@@ -191,48 +201,72 @@ class VectorIndex:
     # --- persistence ---------------------------------------------------------
 
     def save(self, directory: str | Path) -> None:
+        """Write ``vectors.bin`` and ``refs.jsonl``, each through a temporary file.
+
+        Both files record the build id, a sha256 of the vector bytes.
+        ``refs.jsonl`` is renamed into place last, so a save cut short leaves
+        two files whose build ids differ, and ``load`` refuses them.
+        """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
+        data = self.vectors.astype("<f4").tobytes()
+        build_id = hashlib.sha256(data)
         pid = self.provider_id.encode("utf-8")
         header = INDEX_MAGIC + struct.pack(
             "<III I", INDEX_VERSION, self.dimension, len(self.refs), len(pid)
-        ) + pid
-        with open(directory / INDEX_FILE, "wb") as f:
-            f.write(header)
-            f.write(self.vectors.astype("<f4").tobytes())
-        with open(directory / SIDECAR_FILE, "w", encoding="utf-8") as f:
-            for ticker, filing_date, chunk_index in self.refs:
-                f.write(json.dumps(
-                    {"ticker": ticker, "filing_date": filing_date,
-                     "chunk_index": chunk_index}
-                ) + "\n")
+        ) + pid + build_id.digest()
+        lines = [json.dumps({"ticker": ticker, "filing_date": filing_date,
+                             "chunk_index": chunk_index, "sha256": sha256}) + "\n"
+                 for (ticker, filing_date, chunk_index), sha256 in zip(self.refs, self.hashes)]
+        lines.append(json.dumps({"build_id": build_id.hexdigest()}) + "\n")
+        vectors_tmp = directory / (INDEX_FILE + ".tmp")
+        refs_tmp = directory / (SIDECAR_FILE + ".tmp")
+        vectors_tmp.write_bytes(header + data)
+        refs_tmp.write_text("".join(lines), encoding="utf-8")
+        os.replace(vectors_tmp, directory / INDEX_FILE)
+        os.replace(refs_tmp, directory / SIDECAR_FILE)
 
     @classmethod
     def load(cls, directory: str | Path) -> "VectorIndex":
         """Read an index written by ``save``.
 
-        Raises ValueError when ``vectors.bin`` holds fewer bytes than its
-        header's row count needs, or ``refs.jsonl`` holds a different number
-        of refs.
+        Raises ValueError when ``vectors.bin`` is not a version-2 index file
+        or holds fewer bytes than its header's row count needs, when
+        ``refs.jsonl`` holds a different number of refs or a malformed line,
+        or when the two files record different build ids.
         """
         directory = Path(directory)
         with open(directory / INDEX_FILE, "rb") as f:
             magic = f.read(4)
             if magic != INDEX_MAGIC:
                 raise ValueError(f"not a vector index file (magic {magic!r})")
-            version, dim, count, pid_len = struct.unpack("<III I", f.read(16))
+            header = f.read(16)
+            if len(header) != 16:
+                raise ValueError(f"{INDEX_FILE} ends inside its header")
+            version, dim, count, pid_len = struct.unpack("<III I", header)
             if version != INDEX_VERSION:
-                raise ValueError(f"unsupported index version {version}")
+                raise ValueError(f"index version {version}; this version reads "
+                                 f"only version {INDEX_VERSION}")
             provider_id = f.read(pid_len).decode("utf-8")
+            build_id = f.read(32).hex()
             data = f.read(4 * dim * count)
         with open(directory / SIDECAR_FILE, encoding="utf-8") as f:
-            refs = [(rec["ticker"], rec["filing_date"], rec["chunk_index"])
-                    for rec in map(json.loads, f)]
-        if len(data) != 4 * dim * count or len(refs) != count:
-            raise ValueError(
-                f"{directory}: {INDEX_FILE} header counts {count} vectors of "
-                f"dimension {dim} ({4 * dim * count} bytes), read {len(data)} "
-                f"bytes; {SIDECAR_FILE} has {len(refs)} refs"
-            )
+            records = [json.loads(line) for line in f]
+        try:
+            builds = [rec["build_id"] for rec in records if "build_id" in rec]
+            rows = [rec for rec in records if "build_id" not in rec]
+            if len(data) != 4 * dim * count or len(rows) != count:
+                raise ValueError(
+                    f"{directory}: {INDEX_FILE} header counts {count} vectors of "
+                    f"dimension {dim} ({4 * dim * count} bytes), read {len(data)} "
+                    f"bytes; {SIDECAR_FILE} has {len(rows)} refs"
+                )
+            if builds != [build_id]:
+                raise ValueError(f"{directory}: {INDEX_FILE} is build {build_id}, but "
+                                 f"{SIDECAR_FILE} records builds {builds}")
+            refs = [(rec["ticker"], rec["filing_date"], rec["chunk_index"]) for rec in rows]
+            hashes = [rec["sha256"] for rec in rows]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"{directory}: malformed {SIDECAR_FILE} line: {exc!r}") from exc
         vectors = np.frombuffer(data, dtype="<f4").reshape(count, dim)
-        return cls(provider_id, refs, vectors)
+        return cls(provider_id, refs, hashes, vectors)

@@ -6,10 +6,11 @@ and output hashes plus wall time. Re-running skips a stage whose inputs are
 unchanged and whose outputs still match their recorded hashes, so interrupted
 runs resume where they left off. Per-item failures (one filing, one price
 series, one window) never abort a stage; they accumulate in an error report.
-The embed stage builds the vector index once; the score stage chunks each
-filing as it scores it, and refuses a filing whose chunk count differs from
-its rows in the index. A provider that waits on the network is asked a
-filing's uncached questions through a bounded thread pool.
+The embed stage builds the vector index, embedding only the chunk texts the
+previous index does not hold; the score stage chunks each filing as it scores
+it, and refuses a filing whose chunk texts differ from its rows in the index.
+A provider that waits on the network is asked a filing's uncached questions
+through a bounded thread pool.
 
 The manifest is replaced whole after each stage. A stage refuses an input
 whose producing stage is not requested in the same run and has changed
@@ -36,7 +37,7 @@ from . import labeling
 from . import market_data as md
 from .corpus import CorpusStore, TickerUniverse, chunk_filing, write_atomic
 from .edgar import EdgarClient, EdgarSubmissionsResolver, fetch_filing
-from .embed_index import (HashEmbeddingProvider, HTTPEmbeddingProvider,
+from .embed_index import (INDEX_FILE, HashEmbeddingProvider, HTTPEmbeddingProvider,
                           VectorIndex, embed_item)
 from .errors import PipelineError, RowScoringError, StageInputError
 from .llm_scoring import (MAX_WORKERS, ConstantLLM, HTTPChatLLM,
@@ -232,23 +233,55 @@ def stage_ingest(config: PipelineConfig) -> None:
             report.record(f"{entry.ticker} {entry.filing_date}", str(exc))
 
 
+def _reusable_vectors(index_dir: str, provider_id: str) -> dict[str, np.ndarray]:
+    """The previous index's vectors in ``index_dir`` by chunk-text sha256.
+
+    Empty when there is no index or another provider embedded it. An index
+    that cannot be read, say a pair that a crash mixed, is treated as absent
+    with a warning.
+    """
+    if not (Path(index_dir) / INDEX_FILE).exists():
+        return {}
+    try:
+        previous = VectorIndex.load(index_dir)
+    except (ValueError, OSError) as exc:
+        logger.warning("previous index in %s is unreadable, embedding every chunk: %s",
+                       index_dir, exc)
+        return {}
+    if previous.provider_id != provider_id:
+        logger.info("previous index in %s was embedded by %r, embedding every chunk",
+                    index_dir, previous.provider_id)
+        return {}
+    return dict(zip(previous.hashes, previous.vectors))
+
+
 def stage_embed(config: PipelineConfig) -> None:
     provider = build_embedding_provider(config.embedding_provider)
+    reusable = _reusable_vectors(config.index_dir, provider.provider_id)
     store = CorpusStore(config.corpus_dir)
-    refs, units = [], []
+    refs, hashes, units = [], [], []
     for filing in store.load_all():
         chunks = chunk_filing(filing, config.chunk_chars, config.overlap_chars)
-        units += embed_item(provider, [c.text for c in chunks],
-                            f"filing {filing.ticker} {filing.filing_date}")
+        keys = [chunk.sha256 for chunk in chunks]
+        new = [c.text for c, key in zip(chunks, keys) if key not in reusable]
+        fresh = iter(embed_item(provider, new, f"filing {filing.ticker} {filing.filing_date}")
+                     if new else [])
+        units += [reusable[key] if key in reusable else next(fresh) for key in keys]
         refs += [(*chunk.filing_key, chunk.chunk_index) for chunk in chunks]
+        hashes += keys
     if not refs:
         raise PipelineError("corpus is empty, nothing to embed")
-    VectorIndex(provider.provider_id, refs, units).save(config.index_dir)
+    VectorIndex(provider.provider_id, refs, hashes, units).save(config.index_dir)
 
 
 def stage_score(config: PipelineConfig) -> None:
     store = CorpusStore(config.corpus_dir)
-    index = VectorIndex.load(config.index_dir)
+    try:
+        index = VectorIndex.load(config.index_dir)
+    except ValueError as exc:
+        # An unchanged corpus and config would skip 'embed' and keep this index.
+        raise StageInputError(f"cannot read the index in {config.index_dir} ({exc}); "
+                              f"remove {config.index_dir}", "embed") from exc
     qs = load_questions(config)
     llm = build_llm_provider(config.llm_provider)
     embedder = build_embedding_provider(config.embedding_provider)
@@ -268,11 +301,12 @@ def stage_score(config: PipelineConfig) -> None:
         map_calls = pool.map if isinstance(llm, HTTPChatLLM) else map
         for filing in store.load_all():
             chunks = chunk_filing(filing, config.chunk_chars, config.overlap_chars)
-            if (indexed := index.rows_of(filing.key)) not in (0, len(chunks)):
+            indexed = index.hashes_of(filing.key)
+            if indexed and indexed != [chunk.sha256 for chunk in chunks]:
                 raise StageInputError(
                     f"filing {filing.ticker} {filing.filing_date} has {len(chunks)} "
-                    f"chunks but {indexed} rows in the index in {config.index_dir}",
-                    "embed")
+                    f"chunks unlike its {len(indexed)} rows in the index in "
+                    f"{config.index_dir}", "embed")
             try:
                 rows.append(score_filing(filing, chunks, qs, queries, index, llm, cache,
                                          config.chunks_per_question, map_calls))

@@ -111,7 +111,7 @@ def test_criterion_3_retrieval_exactness():
         vectors = rng.standard_normal((n, 32))
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
         refs = [(f"T{i % 11}", f"2020-01-{1 + i % 28:02d}", i) for i in range(n)]
-        index = VectorIndex("test", refs, vectors)
+        index = VectorIndex("test", refs, [""] * n, vectors)
         query = normalize(rng.standard_normal(32))
         k = int(rng.integers(1, 25))
         stored = index.vectors.astype(np.float64)

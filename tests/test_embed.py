@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -24,11 +25,16 @@ def assert_same_ranking(result, expected):
                        atol=1e-12)
 
 
+def text_hashes(refs):
+    """Stand-in text hashes, one per ref, for an index built from vectors alone."""
+    return [hashlib.sha256(repr(ref).encode()).hexdigest() for ref in refs]
+
+
 def random_index(rng, n, d=32):
     vectors = rng.standard_normal((n, d))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     refs = [(f"T{i % 7}", f"2020-01-{1 + i % 28:02d}", i) for i in range(n)]
-    return VectorIndex("test", refs, vectors), vectors, refs
+    return VectorIndex("test", refs, text_hashes(refs), vectors), vectors, refs
 
 
 class TestStubProvider:
@@ -63,7 +69,7 @@ class TestStubProvider:
 
 class TestTopK:
     def test_k_exceeds_size(self):
-        index = VectorIndex("test", [("A", "2020-01-01", 0)], [[1.0, 0.0]])
+        index = VectorIndex("test", [("A", "2020-01-01", 0)], ["a"], [[1.0, 0.0]])
         assert len(index.top_k([1.0, 0.0], 5)) == 1
 
     def test_self_match_first(self):
@@ -95,13 +101,14 @@ class TestTopK:
     def test_tie_break_by_ref(self):
         # identical vectors, refs out of row order
         index = VectorIndex("test", [("B", "2020-01-01", 0), ("A", "2020-01-01", 1),
-                                     ("A", "2020-01-01", 0)], [[1.0, 0.0]] * 3)
+                                     ("A", "2020-01-01", 0)], ["b0", "a1", "a0"],
+                            [[1.0, 0.0]] * 3)
         refs = [r for r, _ in index.top_k([1.0, 0.0], 3)]
         assert refs == [("A", "2020-01-01", 0), ("A", "2020-01-01", 1),
                         ("B", "2020-01-01", 0)]
 
     def test_empty_index(self):
-        assert VectorIndex("test", [], np.zeros((0, 4))).top_k([1, 0, 0, 0], 3) == []
+        assert VectorIndex("test", [], [], np.zeros((0, 4))).top_k([1, 0, 0, 0], 3) == []
 
     def test_filing_filter(self):
         rng = np.random.default_rng(2)
@@ -113,7 +120,7 @@ class TestTopK:
         assert all((r[0], r[1]) == target for r, _ in result)
 
     def test_dimension_mismatch(self):
-        index = VectorIndex("test", [("A", "2020-01-01", 0)], [[1.0, 0.0, 0.0, 0.0]])
+        index = VectorIndex("test", [("A", "2020-01-01", 0)], ["a"], [[1.0, 0.0, 0.0, 0.0]])
         with pytest.raises(DimensionMismatchError):
             index.top_k([1.0, 0.0], 1)
 
@@ -126,7 +133,7 @@ class TestFilingRows:
         refs = [(*key, c) for c in chunk_order for key in keys]
         vectors = rng.standard_normal((len(refs), d))
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-        return VectorIndex("test", refs, vectors), keys
+        return VectorIndex("test", refs, text_hashes(refs), vectors), keys
 
     @pytest.mark.parametrize("seed", range(5))
     def test_every_filing_matches_oracle(self, seed):
@@ -148,12 +155,12 @@ class TestFilingRows:
             refs += [("A", "2020-01-01", int(chunk_index)),
                      ("B", "2020-01-01", int(chunk_index))]
             vectors += [vec, vec]
-        index = VectorIndex("test", refs, vectors)
+        index = VectorIndex("test", refs, text_hashes(refs), vectors)
         result = index.top_k([1.0, 0.0], 100, filing_key=("A", "2020-01-01"))
         assert [r[2] for r, _ in result] == [*range(1, 100, 2), *range(0, 100, 2)]
 
     def test_unknown_filing_is_empty(self):
-        index = VectorIndex("test", [("A", "2020-01-01", 0)], [[1.0, 0.0]])
+        index = VectorIndex("test", [("A", "2020-01-01", 0)], ["a"], [[1.0, 0.0]])
         assert index.top_k([1.0, 0.0], 3, filing_key=("Z", "2020-01-01")) == []
 
 
@@ -184,13 +191,35 @@ class TestPersistence:
     def test_duplicate_ref_rejected(self):
         refs = [("A", "2020-01-01", 0), ("B", "2020-01-01", 0), ("A", "2020-01-01", 0)]
         with pytest.raises(ValueError, match=r"duplicate chunk ref \('A'"):
-            VectorIndex("test", refs, [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+            VectorIndex("test", refs, text_hashes(refs), [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
     @pytest.mark.parametrize("vectors", [[[1.0, 0.0]], [[1.0, 0.0], [1.0]]])
     def test_vectors_not_one_row_per_ref_rejected(self, vectors):
         refs = [("A", "2020-01-01", 0), ("A", "2020-01-01", 1)]
         with pytest.raises(DimensionMismatchError):
-            VectorIndex("test", refs, vectors)
+            VectorIndex("test", refs, text_hashes(refs), vectors)
+
+    def test_hashes_not_one_per_ref_rejected(self):
+        refs = [("A", "2020-01-01", 0), ("A", "2020-01-01", 1)]
+        with pytest.raises(ValueError, match="2 refs but 1 text hashes"):
+            VectorIndex("test", refs, text_hashes(refs)[:1], [[1.0, 0.0], [0.0, 1.0]])
+
+    def test_round_trip_keeps_text_hashes(self, tmp_path):
+        index = random_index(np.random.default_rng(8), 20)[0]
+        index.save(tmp_path)
+        assert VectorIndex.load(tmp_path).hashes == index.hashes
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["refs.jsonl", "vectors.bin"]
+
+    def test_ref_without_text_hash_rejected(self, tmp_path):
+        random_index(np.random.default_rng(9), 5)[0].save(tmp_path)
+        refs = tmp_path / "refs.jsonl"
+        lines = refs.read_text().splitlines(keepends=True)
+        record = json.loads(lines[2])
+        del record["sha256"]
+        lines[2] = json.dumps(record) + "\n"
+        refs.write_text("".join(lines))
+        with pytest.raises(ValueError, match="malformed refs.jsonl line: KeyError"):
+            VectorIndex.load(tmp_path)
 
     def test_fewer_refs_than_header_rejected(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
 import json
+import os
+import shutil
 import sys
 import threading
 import time
@@ -9,8 +12,8 @@ import pytest
 import yaml
 
 from filingsignal import cli, pipeline
-from filingsignal.corpus import CorpusStore
-from filingsignal.embed_index import HashEmbeddingProvider
+from filingsignal.corpus import CorpusStore, chunk_filing
+from filingsignal.embed_index import HashEmbeddingProvider, VectorIndex
 from filingsignal.errors import PipelineError, RetriableError, StageInputError
 from filingsignal.llm_scoring import MAX_ATTEMPTS, MAX_WORKERS, KeywordLLM, ScoreCache
 from filingsignal.pipeline import PipelineConfig, run_pipeline
@@ -27,6 +30,69 @@ ARTIFACTS = ["features.csv", "labels.csv", "model.json", "report.json",
 def yaml_mapping(config):
     """Every field of ``config`` as a mapping for ``yaml.safe_dump`` (tuples as lists)."""
     return json.loads(json.dumps(dataclasses.asdict(config)))
+
+
+class CountingEmbedder(HashEmbeddingProvider):
+    """The stub embedder, recording every text it is asked to embed."""
+
+    def __init__(self, dimension, seed):
+        super().__init__(dimension, seed)
+        self.texts = []
+
+    def embed_batch(self, texts):
+        self.texts.extend(texts)
+        return super().embed_batch(texts)
+
+
+def count_embedded(monkeypatch):
+    """The CountingEmbedders the pipeline builds from here on, in build order."""
+    embedders = []
+
+    def build(cfg):
+        embedders.append(CountingEmbedder(cfg["dimension"], cfg["seed"]))
+        return embedders[-1]
+
+    monkeypatch.setattr(pipeline, "build_embedding_provider", build)
+    return embedders
+
+
+def corpus_copy(synth_root, dest, keep=lambda record: True):
+    """A copy of the synthetic corpus with the filings whose manifest record ``keep`` accepts."""
+    shutil.copytree(synth_root / "corpus", dest)
+    manifest = dest / "manifest.jsonl"
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(line for line in lines if keep(json.loads(line))))
+    return dest
+
+
+def chunk_texts(config):
+    """The text of every chunk of the configured corpus, in corpus order."""
+    return [chunk.text for filing in CorpusStore(config.corpus_dir).load_all()
+            for chunk in chunk_filing(filing, config.chunk_chars, config.overlap_chars)]
+
+
+def index_bytes(config):
+    return [(Path(config.index_dir) / name).read_bytes()
+            for name in ["vectors.bin", "refs.jsonl"]]
+
+
+def append_to_filing(corpus_dir):
+    """Add a sentence to one stored filing, as a re-ingest would; returns the edited filing."""
+    store = CorpusStore(corpus_dir)
+    filing = store.load(store.keys()[5])
+    filing.clean_text += " The auditor restated the final quarter."
+    (store.filings_dir / f"{filing.ticker}_{filing.filing_date}.txt").write_text(
+        filing.clean_text)
+    records = [json.loads(line) for line in store.manifest_path.read_text().splitlines()]
+    for rec in records:
+        if (rec["ticker"], rec["filing_date"]) == filing.key:
+            rec["sha256"] = hashlib.sha256(filing.clean_text.encode()).hexdigest()
+    store.manifest_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return filing
+
+
+def before_2019(record):
+    return record["filing_date"] < "2019"  # 4 of the 6 filing years
 
 
 class TestRunPipeline:
@@ -160,25 +226,9 @@ class TestRunPipeline:
 
     def test_each_question_embedded_once_per_stage(self, synth_root, tmp_path,
                                                    monkeypatch):
-        class CountingEmbedder(HashEmbeddingProvider):
-            def __init__(self, **kwargs):
-                super().__init__(**kwargs)
-                self.texts = []
-
-            def embed_batch(self, texts):
-                self.texts.extend(texts)
-                return super().embed_batch(texts)
-
         config = synthetic_config(synth_root, tmp_path)
         run_pipeline(config, ["embed"])
-        embedders = []
-
-        def build(cfg):
-            embedders.append(CountingEmbedder(dimension=cfg["dimension"],
-                                              seed=cfg["seed"]))
-            return embedders[-1]
-
-        monkeypatch.setattr(pipeline, "build_embedding_provider", build)
+        embedders = count_embedded(monkeypatch)
         run_pipeline(config, ["score"])
         texts = [q.text for q in pipeline.load_questions(config).questions]
         assert sorted(embedders[-1].texts) == sorted(texts)
@@ -329,6 +379,20 @@ class TestRunPipeline:
         with pytest.raises(StageInputError, match="rows in the index.*run stage 'embed'"):
             run_pipeline(config, ["score"])
 
+    def test_shifted_chunks_unlike_the_index_refused(self, synth_root, tmp_path):
+        config = synthetic_config(synth_root, tmp_path)
+        config.chunk_chars, config.overlap_chars = 400, 32
+        run_pipeline(config, ["embed", "score"])
+        features = (tmp_path / "features.csv").read_bytes()
+        (tmp_path / pipeline.MANIFEST_FILE).unlink()  # only the index is left to tell
+        filings = CorpusStore(config.corpus_dir).load_all()
+        config.overlap_chars = 48  # chunk boundaries move, no filing's chunk count changes
+        assert [len(chunk_filing(f, 400, 48)) for f in filings] == \
+            [len(chunk_filing(f, 400, 32)) for f in filings]
+        with pytest.raises(StageInputError, match="rows in the index.*run stage 'embed'"):
+            run_pipeline(config, ["score"])
+        assert (tmp_path / "features.csv").read_bytes() == features
+
     def test_interrupted_manifest_write_keeps_previous(self, synth_root, tmp_path,
                                                        monkeypatch):
         class Killed(Exception):
@@ -452,6 +516,97 @@ class TestRunPipeline:
         lines = (tmp_path / "ksweep.csv").read_text().strip().splitlines()[1:]
         means = [float(line.split(",")[1]) for line in lines]
         assert all(a >= b - 1e-12 for a, b in zip(means, means[1:]))
+
+
+class TestIncrementalEmbed:
+    @pytest.mark.parametrize("chunking", [(4096, 256), (400, 32)])
+    def test_grown_corpus_embeds_new_filings_to_cold_bytes(self, synth_root, tmp_path,
+                                                           monkeypatch, caplog, chunking):
+        config = synthetic_config(synth_root, tmp_path / "grown")
+        cold = synthetic_config(synth_root, tmp_path / "cold")
+        for c in (config, cold):
+            c.chunk_chars, c.overlap_chars = chunking
+        config.corpus_dir = str(corpus_copy(synth_root, tmp_path / "corpus", before_2019))
+        run_pipeline(config, ["embed"])
+        old_texts = chunk_texts(config)
+        config.corpus_dir = cold.corpus_dir
+        embedders = count_embedded(monkeypatch)
+        run_pipeline(config, ["embed"])
+        assert embedders[0].texts == [t for t in chunk_texts(config) if t not in old_texts]
+        assert len(embedders[0].texts) < len(chunk_texts(config))
+        monkeypatch.undo()
+        run_pipeline(cold, ["embed"])
+        assert index_bytes(config) == index_bytes(cold)
+        assert "WARNING" not in [r.levelname for r in caplog.records]  # no index is no fault
+
+    def test_edited_filing_reembeds_only_its_changed_chunks(self, synth_root, tmp_path,
+                                                            monkeypatch):
+        config = synthetic_config(synth_root, tmp_path / "edited")
+        config.chunk_chars, config.overlap_chars = 400, 32
+        config.corpus_dir = str(corpus_copy(synth_root, tmp_path / "corpus"))
+        run_pipeline(config, ["embed"])
+        old_texts = chunk_texts(config)
+        filing = append_to_filing(config.corpus_dir)
+        embedders = count_embedded(monkeypatch)
+        run_pipeline(config, ["embed"])
+        edited = [c.text for c in chunk_filing(filing, 400, 32)]
+        assert embedders[0].texts == [t for t in edited if t not in old_texts]
+        assert 0 < len(embedders[0].texts) < len(edited)
+        monkeypatch.undo()
+        cold = dataclasses.replace(config, index_dir=str(tmp_path / "cold" / "index"),
+                                   out_dir=str(tmp_path / "cold"))
+        run_pipeline(cold, ["embed"])
+        assert index_bytes(config) == index_bytes(cold)
+
+    def test_changed_provider_seed_reembeds_everything(self, synth_root, tmp_path,
+                                                       monkeypatch):
+        config = synthetic_config(synth_root, tmp_path / "reseeded")
+        run_pipeline(config, ["embed"])
+        config.embedding_provider = {**config.embedding_provider, "seed": 1}
+        embedders = count_embedded(monkeypatch)
+        run_pipeline(config, ["embed"])
+        assert embedders[0].texts == chunk_texts(config)
+        monkeypatch.undo()
+        cold = synthetic_config(synth_root, tmp_path / "cold")
+        cold.embedding_provider = config.embedding_provider
+        run_pipeline(cold, ["embed"])
+        assert index_bytes(config) == index_bytes(cold)
+
+    def test_save_cut_between_the_pair_rebuilt_whole(self, synth_root, tmp_path,
+                                                      monkeypatch, caplog):
+        class Killed(Exception):
+            pass
+
+        replace = os.replace
+
+        def killed_at_second_replace(src, dst):
+            replaced.append(dst)
+            if len(replaced) == 2:
+                raise Killed
+            replace(src, dst)
+
+        config = synthetic_config(synth_root, tmp_path / "cut")
+        config.corpus_dir = str(corpus_copy(synth_root, tmp_path / "corpus"))
+        run_pipeline(config, ["embed"])
+        append_to_filing(config.corpus_dir)  # one vector changes, the row count does not
+        replaced = []
+        with monkeypatch.context() as m:
+            m.setattr(os, "replace", killed_at_second_replace)
+            with pytest.raises(Killed):
+                run_pipeline(config, ["embed"])
+        assert [Path(p).name for p in replaced] == ["vectors.bin", "refs.jsonl"]
+        with pytest.raises(ValueError, match="refs.jsonl records builds"):
+            VectorIndex.load(config.index_dir)
+        caplog.clear()
+        embedders = count_embedded(monkeypatch)
+        run_pipeline(config, ["embed"])
+        assert [r.levelname for r in caplog.records].count("WARNING") == 1
+        assert embedders[0].texts == chunk_texts(config)
+        monkeypatch.undo()
+        cold = dataclasses.replace(config, index_dir=str(tmp_path / "cold" / "index"),
+                                   out_dir=str(tmp_path / "cold"))
+        run_pipeline(cold, ["embed"])
+        assert index_bytes(config) == index_bytes(cold)
 
 
 class TestConfigFile:
@@ -611,6 +766,29 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"missing config keys ['{key}']" in err
+
+    @pytest.mark.parametrize("damage, named", [
+        (lambda data: b"NOPE" + data[4:], "magic b'NOPE'"),
+        (lambda data: data[:4] + (1).to_bytes(4, "little") + data[8:], "index version 1"),
+        (lambda data: data[:-10], "(12288 bytes), read 12278 bytes"),
+    ], ids=["not-an-index", "version-1", "truncated"])
+    def test_unreadable_index_is_an_error_line(self, synth_root, tmp_path, capsys,
+                                               damage, named):
+        config = synthetic_config(synth_root, tmp_path)
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump(yaml_mapping(config)))
+        assert cli.main(["pipeline", "--config", str(cfg_path), "--stages", "embed"]) == 0
+        vectors = Path(config.index_dir) / "vectors.bin"
+        vectors.write_bytes(damage(vectors.read_bytes()))
+        capsys.readouterr()
+        rc = cli.main(["pipeline", "--config", str(cfg_path), "--stages", "score"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read the index in {config.index_dir}")
+        assert named in err and "run stage 'embed'" in err
+        shutil.rmtree(config.index_dir)  # what the error asks for
+        assert cli.main(["pipeline", "--config", str(cfg_path),
+                         "--stages", "embed", "score"]) == 0
 
     def test_help_exits_cleanly(self):
         with pytest.raises(SystemExit) as exc:

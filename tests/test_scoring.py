@@ -37,6 +37,7 @@ def indexed_filing(text, ticker="TEST"):
     embedder = HashEmbeddingProvider(64, 0)
     index = VectorIndex(embedder.provider_id,
                         [(*c.filing_key, c.chunk_index) for c in chunks],
+                        [c.sha256 for c in chunks],
                         [embed_text(embedder, c.text, "test") for c in chunks])
     return filing, chunks, index, embedder
 
