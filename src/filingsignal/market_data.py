@@ -5,6 +5,10 @@ the 2nd trading day strictly before the next filing. "Days" are trading days,
 never calendar days, so boundaries always land on priced dates. The window's
 max/min returns use the 98th/2nd percentile of daily cumulative returns as
 robust proxies, with linear interpolation between closest ranks.
+
+A price CSV is parsed a column at a time in numpy blocks. A file that this
+parse refuses, a row that does not parse among them, is read again a row at
+a time, so that the bad row can be named by file, line and row.
 """
 
 from __future__ import annotations
@@ -75,10 +79,10 @@ def load_price_csv(path: str | Path) -> dict[str, PriceSeries | str]:
     maps instead to a reason naming the file, the line and the row; a symbol
     whose rows fail PriceSeries's checks maps to that check's message. A
     header without one of the three columns raises PipelineError naming the
-    file.
+    file. The rows are parsed column by column (see ``_parse_columns``); a
+    file that parse refuses is read again row by row, which names the bad
+    row, so both parses give the same result.
     """
-    rows: dict[str, tuple[list[int], list[float]]] = {}
-    unparsed: dict[str, str] = {}
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -88,30 +92,143 @@ def load_price_csv(path: str | Path) -> dict[str, PriceSeries | str]:
             raise PipelineError(f"{path}: header {','.join(header)!r} has no column "
                                 f"{', '.join(missing)}")
         i_sym, i_date, i_close = map(header.index, PRICE_COLUMNS)
-        for line, rec in enumerate(reader, start=2):
-            if not rec:  # blank line
-                continue
-            symbol = rec[i_sym]
-            try:
-                day = date.fromisoformat(rec[i_date]).toordinal()
-                close = float(rec[i_close])
-            except (ValueError, IndexError) as exc:  # IndexError: a short row
-                unparsed.setdefault(symbol, f"{symbol}: {path} line {line}: "
-                                            f"{','.join(rec)!r}: {exc}")
-                continue
-            days, closes = rows.setdefault(symbol, ([], []))
-            days.append(day)
-            closes.append(close)
+        rows = _parse_columns(path, len(header), i_sym, i_date, i_close)
+        unparsed: dict[str, str] = {}
+        if rows is None:
+            rows = {}
+            for line, rec in enumerate(reader, start=2):
+                if not rec:  # blank line
+                    continue
+                symbol = rec[i_sym]
+                try:
+                    day = date.fromisoformat(rec[i_date]).toordinal()
+                    close = float(rec[i_close])
+                except (ValueError, IndexError) as exc:  # IndexError: a short row
+                    unparsed.setdefault(symbol, f"{symbol}: {path} line {line}: "
+                                                f"{','.join(rec)!r}: {exc}")
+                    continue
+                days, closes = rows.setdefault(symbol, ([], []))
+                days.append(day)
+                closes.append(close)
+            rows = {symbol: ((np.array(days) - _EPOCH_ORDINAL).astype("datetime64[D]"),
+                             np.array(closes)) for symbol, (days, closes) in rows.items()}
     out: dict[str, PriceSeries | str] = {}
-    for symbol, (days, closes) in rows.items():
-        order = np.argsort(days)
+    for symbol, (dates, closes) in rows.items():
+        order = np.argsort(dates)
         try:
-            out[symbol] = PriceSeries(
-                symbol, (np.array(days)[order] - _EPOCH_ORDINAL).astype("datetime64[D]"),
-                np.array(closes)[order])
+            out[symbol] = PriceSeries(symbol, dates[order], closes[order])
         except ValueError as exc:
             out[symbol] = str(exc)
     return out | unparsed
+
+
+# A symbol or close field wider than this sends its file to the row-by-row parse.
+_FIELD_BYTES = 32
+# The column parse reads a file in blocks of about this size, each ending at a line end.
+_BLOCK_BYTES = 1 << 18
+
+
+def _parse_columns(path: str | Path, fields: int, i_sym: int, i_date: int,
+                   i_close: int) -> dict[str, tuple[np.ndarray, np.ndarray]] | None:
+    """Each symbol's dates and closes, in file order, from the rows after the
+    header, parsed a column at a time (see ``_parse_block``); None when the
+    file must be read by csv.reader and parsed a row at a time.
+    """
+    columns: tuple[list[np.ndarray], ...] = ([], [], [])
+    with open(path, "rb") as f:
+        while block := f.read(_BLOCK_BYTES):
+            parsed = _parse_block(block + f.readline(), fields, i_sym, i_date, i_close,
+                                  header=not columns[0])
+            if parsed is None:
+                return None
+            for column, part in zip(columns, parsed):
+                column.append(part)
+
+    def joined(parts: list[np.ndarray]) -> np.ndarray:
+        whole = np.concatenate(parts)
+        parts.clear()  # the blocks' arrays are freed one column at a time
+        return whole
+
+    symbols, dates, closes = map(joined, columns)
+    names, first_rows, inverse = np.unique(symbols, return_index=True, return_inverse=True)
+    order = np.argsort(inverse, kind="stable")  # rows by symbol, each in file order
+    bounds = np.cumsum(np.bincount(inverse))[:-1]
+    dates, closes = np.split(dates[order], bounds), np.split(closes[order], bounds)
+    return {names[k].decode("ascii"): (dates[k], closes[k]) for k in np.argsort(first_rows)}
+
+
+def _parse_block(block: bytes, fields: int, i_sym: int, i_date: int, i_close: int,
+                 header: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The symbols, dates and closes of the rows of ``block`` (whole lines of
+    a price CSV, the header first if ``header``), or None.
+
+    None means the block holds a NUL, a quote, a byte outside ASCII or a
+    carriage return not followed by a newline; a row (a blank one too)
+    without ``fields`` fields; a symbol or close wider than ``_FIELD_BYTES``;
+    a date not written YYYY-MM-DD or not in the calendar from year 1; or a
+    close numpy cannot parse. In every other block csv.reader splits rows at
+    exactly the commas and line ends, each date names the day
+    ``date.fromisoformat`` names, and numpy reads a close as ``float`` does.
+    """
+    block += b"" if block.endswith(b"\n") else b"\n"
+    # Room after the last row for the widest field.
+    buf = np.frombuffer(block + bytes(_FIELD_BYTES), dtype=np.uint8)
+    newlines = np.flatnonzero(buf == ord("\n"))
+    crlf = buf[newlines - 1] == ord("\r")
+    if not block.isascii() or b"\0" in block or b'"' in block \
+            or block.count(b"\r") > np.count_nonzero(crlf):
+        return None
+    starts, ends = np.r_[0, newlines[:-1] + 1], newlines - crlf
+    # Every row has fields - 1 commas when each row's share of the commas, in
+    # order, lies inside it.
+    commas = np.flatnonzero(buf == ord(","))
+    if len(commas) != len(starts) * (fields - 1):
+        return None
+    commas = commas.reshape(-1, fields - 1)
+    if not ((commas[:, 0] >= starts).all() and (commas[:, -1] < ends).all()):
+        return None
+    if header:
+        starts, ends, commas = starts[1:], ends[1:], commas[1:]
+    windows = np.lib.stride_tricks.sliding_window_view(buf, _FIELD_BYTES)
+
+    def column(i: int) -> np.ndarray | None:
+        lo = starts if i == 0 else commas[:, i - 1] + 1
+        width = (ends if i == fields - 1 else commas[:, i]) - lo
+        widest = int(width.max(initial=1))
+        if widest > _FIELD_BYTES:
+            return None
+        chars = windows[lo, :max(widest, 1)]
+        if width.min(initial=widest) < widest:  # blank the bytes after a narrower field
+            chars *= np.arange(chars.shape[1]) < width[:, None]
+        return chars.view(f"S{chars.shape[1]}").ravel()
+
+    symbols, day_text, close_text = column(i_sym), column(i_date), column(i_close)
+    if symbols is None or close_text is None or day_text is None \
+            or day_text.dtype.itemsize != 10:
+        return None
+    # YYYY-MM-DD read from its digits: numpy's own date parser can crash on a
+    # bad date in a long array.
+    chars = day_text.view(np.uint8).reshape(-1, 10)
+
+    def number(positions: list[int]) -> np.ndarray:
+        value = np.zeros(len(chars), dtype=np.int64)
+        for i in positions:
+            value = value * 10 + (chars[:, i] - ord("0"))
+        return value
+
+    year, month, day = number([0, 1, 2, 3]), number([5, 6]), number([8, 9])
+    months = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
+    dates = months.astype("datetime64[D]") + (day - 1)
+    digits = chars[:, [0, 1, 2, 3, 5, 6, 8, 9]]
+    if not ((chars[:, [4, 7]] == ord("-")).all() and (digits >= ord("0")).all()
+            and (digits <= ord("9")).all() and (year > 0).all() and (month >= 1).all()
+            and (month <= 12).all() and (day >= 1).all()
+            and (dates.astype("datetime64[M]") == months).all()):
+        return None
+    try:
+        return symbols, dates, close_text.astype(np.float64)
+    except ValueError:
+        return None
 
 
 def price_files(directory: str | Path) -> list[Path]:

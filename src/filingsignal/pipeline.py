@@ -7,8 +7,11 @@ unchanged and whose outputs still match their recorded hashes, so interrupted
 runs resume where they left off. Per-item failures (one filing, one price
 series, one window) never abort a stage; they accumulate in an error report.
 The embed stage builds the vector index, embedding only the chunk texts the
-previous index does not hold; the score stage chunks each filing as it scores
-it, and refuses a filing whose chunk texts differ from its rows in the index.
+previous index does not hold; a filing it cannot embed is recorded in
+embed_errors.jsonl and left out, and the stage runs again on the next run
+until every filing is embedded. The score stage chunks each filing as it
+scores it, and refuses a filing whose chunk texts differ from its rows in the
+index.
 A provider that waits on the network is asked a filing's uncached questions
 through a bounded thread pool.
 
@@ -255,23 +258,37 @@ def _reusable_vectors(index_dir: str, provider_id: str) -> dict[str, np.ndarray]
     return dict(zip(previous.hashes, previous.vectors))
 
 
-def stage_embed(config: PipelineConfig) -> None:
+def stage_embed(config: PipelineConfig) -> int:
     provider = build_embedding_provider(config.embedding_provider)
     reusable = _reusable_vectors(config.index_dir, provider.provider_id)
     store = CorpusStore(config.corpus_dir)
-    refs, hashes, units = [], [], []
+    report = ErrorReport(config.out("embed_errors.jsonl"))
+    refs, hashes, units, failed = [], [], [], []
     for filing in store.load_all():
         chunks = chunk_filing(filing, config.chunk_chars, config.overlap_chars)
         keys = [chunk.sha256 for chunk in chunks]
         new = [c.text for c, key in zip(chunks, keys) if key not in reusable]
-        fresh = iter(embed_item(provider, new, f"filing {filing.ticker} {filing.filing_date}")
-                     if new else [])
+        try:
+            fresh = iter(embed_item(provider, new, f"filing {filing.ticker} {filing.filing_date}")
+                         if new else [])
+        except PipelineError as exc:  # left out of the index; score records it as failed
+            failed.append(str(exc))
+            report.record(f"{filing.ticker} {filing.filing_date}", failed[-1])
+            continue
         units += [reusable[key] if key in reusable else next(fresh) for key in keys]
         refs += [(*chunk.filing_key, chunk.chunk_index) for chunk in chunks]
         hashes += keys
+    if failed and not refs:
+        raise PipelineError(f"no filing was embedded: {len(failed)} failed, each recorded "
+                            f"in {report.path}; the first: {failed[0]}")
     if not refs:
         raise PipelineError("corpus is empty, nothing to embed")
     VectorIndex(provider.provider_id, refs, hashes, units).save(config.index_dir)
+    if failed:
+        logger.warning("filings that could not be embedded and are left out of the "
+                       "index: %d, each recorded in %s; the next run tries them again",
+                       len(failed), report.path)
+    return len(failed)
 
 
 def stage_score(config: PipelineConfig) -> None:
@@ -393,11 +410,13 @@ class Stage:
 
     ``inputs`` lists every file the stage reads and ``outputs`` every file it
     writes; both are hashed into the manifest, together with the config
-    fields named in ``config_keys``.
+    fields named in ``config_keys``. ``run`` may return the number of items
+    it left out for a cause that may pass, such as a provider outage; while
+    that number is above 0 the stage is not skipped.
     """
 
     name: str
-    run: Callable[[PipelineConfig], None]
+    run: Callable[[PipelineConfig], int | None]
     config_keys: tuple[str, ...]
     inputs: Callable[[PipelineConfig], list[Path]]
     outputs: Callable[[PipelineConfig], list[Path]]
@@ -475,10 +494,11 @@ def _output_hashes(config: PipelineConfig, stage: Stage) -> dict[str, str]:
 def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dict:
     """Execute the requested stages in dependency order; skip unchanged ones.
 
-    A stage is skipped only when its inputs hash as recorded and its outputs
-    still match their recorded hashes. A stage whose input was written by a
-    stage not requested here, and whose config or inputs have changed since,
-    is refused with a StageInputError naming that stage. The manifest is
+    A stage is skipped only when its inputs hash as recorded, its outputs
+    still match their recorded hashes and its last run left no item to
+    retry. A stage whose input was written by a stage not requested here,
+    and whose config or inputs have changed since, is refused with a
+    StageInputError naming that stage. The manifest is
     replaced whole after each stage (see ``write_atomic``). Returns the
     updated pipeline manifest.
     """
@@ -499,17 +519,21 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
         inputs = _input_hashes(config, stage)
         _check_producers(config, stage, requested, manifest)
         prior = manifest.get(stage.name)
-        if prior and prior["inputs"] == inputs and \
+        if prior and not prior.get("retry_items") and prior["inputs"] == inputs and \
                 all(p.exists() for p in stage.outputs(config)) and \
                 prior["outputs"] == _output_hashes(config, stage):
             logger.info("stage %s: inputs and outputs unchanged, skipped", stage.name)
             continue
+        if prior and prior.get("retry_items"):
+            logger.info("stage %s: %d items of its last run to retry", stage.name,
+                        prior["retry_items"])
         logger.info("stage %s: running", stage.name)
         t0 = time.monotonic()
-        stage.run(config)
+        retry_items = stage.run(config) or 0
         manifest[stage.name] = {
             "inputs": inputs,
             "outputs": _output_hashes(config, stage),
+            "retry_items": retry_items,
             "wall_time_s": round(time.monotonic() - t0, 3),
         }
         write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")

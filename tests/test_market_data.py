@@ -4,6 +4,8 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from filingsignal import market_data
+from filingsignal.errors import PipelineError
 from filingsignal.market_data import (PriceSeries, ReturnRecord, WindowSkipped,
                                       compute_return_records,
                                       load_price_csv, load_price_dir,
@@ -75,6 +77,88 @@ class TestPriceSeries:
             f"BAD: {tmp_path / 'a.csv'} line 3: 'BAD,2020-01-02,n/a': ")
         assert rejected["DAY"].startswith(
             f"DAY: {tmp_path / 'a.csv'} line 5: 'DAY,2020-02-30,1.0': ")
+
+
+def parsed(path, monkeypatch, whole):
+    """``load_price_csv(path)`` as plain values (or the error it raises), with
+    the column parse on or off, and whether the column parse took the file."""
+    parse, took = market_data._parse_columns, []
+    with monkeypatch.context() as patch:
+        patch.setattr(market_data, "_parse_columns", lambda *args: took.append(
+            parse(*args) if whole else None) or took[-1])
+        try:
+            loaded = load_price_csv(path)
+        except PipelineError as exc:
+            return str(exc), bool(took and took[0] is not None)
+    return ([(sym, s if isinstance(s, str) else (s.dates.tolist(), s.closes.tolist()))
+             for sym, s in loaded.items()], bool(took and took[0] is not None))
+
+
+CLEAN = "symbol,date,adjusted_close\nB,2020-01-03,2.5\nA,2020-01-02,10\nB,2020-01-02,2.25\n"
+
+
+class TestColumnParse:
+    """The column parse gives what the row-by-row parse gives, or refuses the file."""
+
+    @pytest.mark.parametrize("text, whole", [
+        (CLEAN, True),
+        (CLEAN.replace("\n", "\r\n"), True),
+        (CLEAN.rstrip("\n"), True),
+        ("date,volume,symbol,adjusted_close\n2020-01-02,7,SPX,3000.5\n", True),
+        ("symbol,date,adjusted_close\n", False),
+        (CLEAN + "A,2020-01-02,11\n", True),  # a repeated date
+        (CLEAN + "C,2020-01-02,0.0\nD,2020-01-02,nan\nE,2020-01-02,-inf\n", True),
+        (CLEAN + "C,2020-01-02,1_000\nD,2020-01-02, 2.5 \nE,2020-01-02,+.5e1\n", True),
+        (CLEAN + ",2020-01-02,1\n", True),  # an empty symbol
+        (CLEAN + "C,2020-01-02,n/a\n", False),
+        (CLEAN + "C,2020-01-02,\n", False),
+        (CLEAN + "C,2020-01-02,0x10\n", False),
+        (CLEAN + "C,2020-01-02," + "1" * 40 + "\n", False),
+        (CLEAN + "C,2020-02-30,1\n", False),
+        (CLEAN + "C,0000-01-01,1\n", False),
+        (CLEAN + "C,20200106,1\n", False),  # fromisoformat reads it; the row parse keeps it
+        (CLEAN + "C,2020-1-6,1\n", False),
+        (CLEAN + "C,2020-01-06T00,1\n", False),
+        (CLEAN + "C,2020-01-06\n", False),  # a short row
+        (CLEAN + "C,2020-01-06,1,extra\n", False),  # a long row
+        (CLEAN + "\nC,2020-01-06,1\n", False),  # a blank line
+        (CLEAN + '"C",2020-01-06,1\n', False),
+        (CLEAN + "C,2020-01-06,1\rD,2020-01-06,1\n", False),
+        (CLEAN + "C\rD,2020-01-06,1\n", False),  # csv.reader ends a row at a lone \r
+        (CLEAN + "É,2020-01-06,1\n", False),
+        ("symbol,date\nC,2020-01-06\n", False),  # raises either way
+    ])
+    def test_equals_row_parse(self, tmp_path, monkeypatch, text, whole):
+        path = tmp_path / "px.csv"
+        path.write_bytes(text.encode("utf-8"))
+        rows, _ = parsed(path, monkeypatch, whole=False)
+        assert parsed(path, monkeypatch, whole=True) == (rows, whole)
+
+    def test_equals_row_parse_on_seeded_files(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(market_data, "_BLOCK_BYTES", 64)  # several blocks a file
+        rng = np.random.default_rng(7)
+        symbols = ["AAA", "BB", "C"]
+        dates = ["2020-01-02", "2020-01-03", "2020-02-29", "2021-02-29", "2020-1-3"]
+        closes = ["1.5", "100", "0", "-1", "1e3", "abc", ""]
+        whole = 0
+        for n in range(200):
+            header = list(rng.permutation(["symbol", "date", "adjusted_close", "volume"]))
+            rows = [[{"symbol": rng.choice(symbols), "date": rng.choice(dates[:3]),
+                      "adjusted_close": rng.choice(closes[:5]), "volume": "7"}[h]
+                     for h in header] for _ in range(rng.integers(1, 15))]
+            if n % 2:  # a bad date or close somewhere
+                rows[rng.integers(len(rows))][header.index(rng.choice(["date", "adjusted_close"]))] \
+                    = rng.choice(dates[3:] + closes[5:])
+            end = rng.choice(["\n", "\r\n"])
+            path = tmp_path / "px.csv"
+            path.write_text(end.join(",".join(map(str, r)) for r in [header, *rows]) + end,
+                            newline="")
+            rows_parsed, _ = parsed(path, monkeypatch, whole=False)
+            got, took = parsed(path, monkeypatch, whole=True)
+            assert got == rows_parsed, path.read_text()
+            whole += took
+        assert whole >= 100  # every file without a bad field
+
 
 class TestWindowBounds:
     def test_monday_filing_all_weekdays(self):

@@ -56,6 +56,28 @@ def count_embedded(monkeypatch):
     return embedders
 
 
+def embed_down_for_one_filing(synth_root, config, monkeypatch):
+    """Make the pipeline's embedder refuse every batch holding a chunk of one
+    filing of the synthetic corpus, as an outage would; returns its key and
+    the list of refused batches."""
+    store = CorpusStore(synth_root / "corpus")
+    down = store.keys()[3]
+    down_texts = {c.text for c in chunk_filing(store.load(down), config.chunk_chars,
+                                               config.overlap_chars)}
+    refused = []
+
+    class DownForOneFiling(HashEmbeddingProvider):
+        def embed_batch(self, texts):
+            if down_texts & set(texts):
+                refused.append(texts)
+                raise RetriableError("HTTP 503")
+            return super().embed_batch(texts)
+
+    monkeypatch.setattr(pipeline, "build_embedding_provider",
+                        lambda cfg: DownForOneFiling(cfg["dimension"], cfg["seed"]))
+    return down, refused
+
+
 def corpus_copy(synth_root, dest, keep=lambda record: True):
     """A copy of the synthetic corpus with the filings whose manifest record ``keep`` accepts."""
     shutil.copytree(synth_root / "corpus", dest)
@@ -162,6 +184,32 @@ class TestRunPipeline:
         prices.write_text(text.replace(row, "ALFA,2016-06-01,1000.0"))
         run_pipeline(config, ["returns"])
         assert returns_csv.read_bytes() != before
+
+    def test_column_parse_keeps_returns_bytes(self, tmp_path, monkeypatch):
+        root = make_workspace(tmp_path / "ws", seed=0)
+        prices = root / "prices" / "prices.csv"
+
+        def edit_row(prefix, close):
+            text = prices.read_text()
+            row = next(line for line in text.splitlines() if line.startswith(prefix))
+            prices.write_text(text.replace(row, prefix + close))
+
+        def returns_bytes(whole):
+            parse = pipeline.md._parse_columns
+            monkeypatch.setattr(pipeline.md, "_parse_columns",
+                                lambda *args: parse(*args) if whole else None)
+            out = tmp_path / f"out-{whole}"
+            shutil.rmtree(out, ignore_errors=True)
+            run_pipeline(synthetic_config(root, out), ["returns"])
+            monkeypatch.undo()
+            return [(out / name).read_bytes() for name in ["returns.csv", "returns_errors.jsonl"]]
+
+        edit_row("GOLF,2016-03-01,", "0.0")  # a series that fails its checks
+        assert b"GOLF: bad price 0.0" in returns_bytes(whole=True)[1]
+        assert returns_bytes(whole=True) == returns_bytes(whole=False)
+        edit_row("HTEL,2016-03-01,", "n/a")  # a row that does not parse
+        assert b"HTEL: " + str(prices).encode() + b" line" in returns_bytes(whole=True)[1]
+        assert returns_bytes(whole=True) == returns_bytes(whole=False)
 
     def test_edited_questions_file_reruns_score(self, synth_root, tmp_path):
         questions = tmp_path / "questions.json"
@@ -308,11 +356,68 @@ class TestRunPipeline:
 
         config = synthetic_config(synth_root, tmp_path)
         monkeypatch.setattr(pipeline, "build_embedding_provider", lambda cfg: Down(64, 0))
-        first = CorpusStore(config.corpus_dir).keys()[0]
-        with pytest.raises(PipelineError,
-                           match=f"filing {first[0]} {first[1]} failed {MAX_ATTEMPTS} times"):
+        keys = CorpusStore(config.corpus_dir).keys()
+        with pytest.raises(PipelineError, match=(
+                f"no filing was embedded: {len(keys)} failed, each recorded in "
+                f".*embed_errors.jsonl; the first: embedding of filing {keys[0][0]} "
+                f"{keys[0][1]} failed {MAX_ATTEMPTS} times")):
             run_pipeline(config, ["embed"])
-        assert Down.calls == MAX_ATTEMPTS
+        assert Down.calls == MAX_ATTEMPTS * len(keys)
+        records = [json.loads(line)
+                   for line in (tmp_path / "embed_errors.jsonl").read_text().splitlines()]
+        assert [r["item"] for r in records] == [f"{t} {d}" for t, d in keys]
+        assert not (Path(config.index_dir) / "vectors.bin").exists()
+
+    def test_filing_that_cannot_be_embedded_is_recorded(self, synth_root, tmp_path,
+                                                        monkeypatch, caplog):
+        config = synthetic_config(synth_root, tmp_path / "down")
+        down, _ = embed_down_for_one_filing(synth_root, config, monkeypatch)
+        with caplog.at_level("WARNING", logger="filingsignal.pipeline"):
+            run_pipeline(config, ["embed", "score"])
+        assert [r.getMessage() for r in caplog.records if r.name == "filingsignal.pipeline"] \
+            == ["filings that could not be embedded and are left out of the index: 1, each "
+                f"recorded in {tmp_path / 'down' / 'embed_errors.jsonl'}; the next run tries "
+                "them again"]
+        monkeypatch.undo()
+        without = synthetic_config(synth_root, tmp_path / "without")
+        without.corpus_dir = str(corpus_copy(
+            synth_root, tmp_path / "corpus",
+            lambda rec: (rec["ticker"], rec["filing_date"]) != down))
+        run_pipeline(without, ["embed"])
+        assert index_bytes(config) == index_bytes(without)
+        for name, error in [("embed_errors.jsonl", f"failed {MAX_ATTEMPTS} times: HTTP 503"),
+                            ("score_errors.jsonl", "no indexed chunks")]:
+            records = [json.loads(line)
+                       for line in (tmp_path / "down" / name).read_text().splitlines()]
+            assert [r["item"] for r in records] == [f"{down[0]} {down[1]}"], name
+            assert error in records[0]["error"], name
+
+    def test_left_out_filing_tried_again_on_the_next_run(self, synth_root, tmp_path,
+                                                         monkeypatch):
+        config = synthetic_config(synth_root, tmp_path / "out")
+        down, refused = embed_down_for_one_filing(synth_root, config, monkeypatch)
+        first = run_pipeline(config, ["embed", "score"])
+        assert first["embed"]["retry_items"] == 1 and len(refused) == MAX_ATTEMPTS
+        again = run_pipeline(config, ["embed", "score"])  # still down: embed runs, score skips
+        assert again["embed"]["retry_items"] == 1 and len(refused) == 2 * MAX_ATTEMPTS
+        assert again["score"] == first["score"]
+        monkeypatch.undo()
+        embedders = count_embedded(monkeypatch)
+        healed = run_pipeline(config, ["embed", "score"])
+        down_chunks = chunk_filing(CorpusStore(config.corpus_dir).load(down),
+                                   config.chunk_chars, config.overlap_chars)
+        assert embedders[0].texts == [c.text for c in down_chunks]
+        assert healed["embed"]["retry_items"] == 0
+        assert not (tmp_path / "out" / "embed_errors.jsonl").exists()
+        assert not (tmp_path / "out" / "score_errors.jsonl").exists()
+        cold = synthetic_config(synth_root, tmp_path / "cold")
+        run_pipeline(cold, ["embed", "score"])
+        assert index_bytes(config) == index_bytes(cold)
+        assert (tmp_path / "out" / "features.csv").read_bytes() == \
+            (tmp_path / "cold" / "features.csv").read_bytes()
+        embedders.clear()
+        run_pipeline(config, ["embed", "score"])
+        assert embedders == []  # embed skipped: nothing left to retry
 
     @pytest.mark.parametrize("reply", [json_reply({}, status=503),
                                        json_reply({"embeddings": []})])
