@@ -8,7 +8,6 @@ Rebalancing is yearly at report time with equal weights.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from dataclasses import dataclass
@@ -16,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import write_csv
 from .llm_scoring import FeatureRow
 from .market_data import BASIS_FIELDS, ReturnRecord
 from .regression import NNLSModel
@@ -172,18 +172,12 @@ def k_sweep(
 
 def write_cumulative_csv(path: str | Path, report: BacktestReport) -> None:
     years = [y.year for y in report.per_year]
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["year", "strategy_wealth", "benchmark_wealth"])
-        start = years[0] - 1 if years else 0
-        for i, (sw, bw) in enumerate(zip(report.strategy_wealth,
-                                         report.benchmark_wealth)):
-            writer.writerow([start + i, repr(sw), repr(bw)])
+    start = years[0] - 1 if years else 0
+    write_csv(path, ["year", "strategy_wealth", "benchmark_wealth"],
+              ([start + i, repr(sw), repr(bw)] for i, (sw, bw)
+               in enumerate(zip(report.strategy_wealth, report.benchmark_wealth))))
 
 
 def write_ksweep_csv(path: str | Path, table: list[tuple[int, float, float]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["k", "mean_strategy_return", "mean_benchmark_return"])
-        for k, s, b in table:
-            writer.writerow([k, repr(s), repr(b)])
+    write_csv(path, ["k", "mean_strategy_return", "mean_benchmark_return"],
+              ([k, repr(s), repr(b)] for k, s, b in table))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import logging
 import os
@@ -17,6 +18,7 @@ from datetime import date
 from html import unescape
 from html.parser import HTMLParser
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from .errors import EmptyDocumentError
 
@@ -215,15 +217,26 @@ def read_jsonl(path: Path) -> list[dict]:
     return [json.loads(line) for line in complete.split(b"\n") if line.strip()]
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Replace ``path`` with ``text`` through a temporary file and a rename.
+def write_atomic(path: str | Path, data: str | bytes) -> None:
+    """Replace ``path`` with ``data`` through a temporary file and a rename.
 
-    A process killed at any point leaves the old file or the new one, never a
-    part of either. (Without an fsync this does not cover a power cut.)
+    Text is written as UTF-8 without newline translation. A process killed at
+    any point leaves the old file or the new one, never a part of either.
+    (Without an fsync this does not cover a power cut.)
     """
+    path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
     os.replace(tmp, path)
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Replace ``path`` with a CSV of ``header`` and ``rows`` (see ``write_atomic``)."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, text.getvalue())
 
 
 @dataclass

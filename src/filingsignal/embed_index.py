@@ -7,8 +7,8 @@ vector in one matrix plus each filing's row positions, so a query's cost does
 not grow with the rest of the corpus, and it records the sha256 of each row's
 chunk text. A vector depends only on the provider and the text, so the next
 build copies the row of every text it already holds and embeds only new
-texts. The two files of an index record one build id, so a pair that a crash
-mixed is refused on load.
+texts. An index is saved as one file, replaced whole, so a save cut short
+leaves the previous index.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 import struct
 from itertools import groupby
 from pathlib import Path
@@ -24,6 +23,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
+from .corpus import write_atomic
 from .errors import (MAX_ATTEMPTS, DimensionMismatchError, PipelineError, RetriableError,
                      ZeroNormError)
 from .net import post_json
@@ -31,9 +31,8 @@ from .net import post_json
 logger = logging.getLogger(__name__)
 
 INDEX_MAGIC = b"VIDX"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 INDEX_FILE = "vectors.bin"
-SIDECAR_FILE = "refs.jsonl"
 EMBED_TIMEOUT_S = 60.0
 
 # (ticker, iso filing date, chunk_index)
@@ -201,72 +200,54 @@ class VectorIndex:
     # --- persistence ---------------------------------------------------------
 
     def save(self, directory: str | Path) -> None:
-        """Write ``vectors.bin`` and ``refs.jsonl``, each through a temporary file.
+        """Write the index as one file, ``vectors.bin``, through ``write_atomic``.
 
-        Both files record the build id, a sha256 of the vector bytes.
-        ``refs.jsonl`` is renamed into place last, so a save cut short leaves
-        two files whose build ids differ, and ``load`` refuses them.
+        The file holds the magic, the version and the byte length of a JSON
+        header (two little-endian uint32), the header (provider id, dimension,
+        refs and text hashes), then the float32 rows.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        data = self.vectors.astype("<f4").tobytes()
-        build_id = hashlib.sha256(data)
-        pid = self.provider_id.encode("utf-8")
-        header = INDEX_MAGIC + struct.pack(
-            "<III I", INDEX_VERSION, self.dimension, len(self.refs), len(pid)
-        ) + pid + build_id.digest()
-        lines = [json.dumps({"ticker": ticker, "filing_date": filing_date,
-                             "chunk_index": chunk_index, "sha256": sha256}) + "\n"
-                 for (ticker, filing_date, chunk_index), sha256 in zip(self.refs, self.hashes)]
-        lines.append(json.dumps({"build_id": build_id.hexdigest()}) + "\n")
-        vectors_tmp = directory / (INDEX_FILE + ".tmp")
-        refs_tmp = directory / (SIDECAR_FILE + ".tmp")
-        vectors_tmp.write_bytes(header + data)
-        refs_tmp.write_text("".join(lines), encoding="utf-8")
-        os.replace(vectors_tmp, directory / INDEX_FILE)
-        os.replace(refs_tmp, directory / SIDECAR_FILE)
+        header = json.dumps({"provider_id": self.provider_id, "dimension": self.dimension,
+                             "refs": self.refs, "hashes": self.hashes}).encode("utf-8")
+        write_atomic(directory / INDEX_FILE,
+                     INDEX_MAGIC + struct.pack("<II", INDEX_VERSION, len(header)) + header
+                     + self.vectors.astype("<f4").tobytes())
 
     @classmethod
     def load(cls, directory: str | Path) -> "VectorIndex":
         """Read an index written by ``save``.
 
-        Raises ValueError when ``vectors.bin`` is not a version-2 index file
-        or holds fewer bytes than its header's row count needs, when
-        ``refs.jsonl`` holds a different number of refs or a malformed line,
-        or when the two files record different build ids.
+        Raises ValueError when ``vectors.bin`` is not an index file of this
+        version, when its header is malformed, or when its row bytes are not
+        one float32 vector of the header's dimension per ref.
         """
         directory = Path(directory)
-        with open(directory / INDEX_FILE, "rb") as f:
-            magic = f.read(4)
-            if magic != INDEX_MAGIC:
-                raise ValueError(f"not a vector index file (magic {magic!r})")
-            header = f.read(16)
-            if len(header) != 16:
-                raise ValueError(f"{INDEX_FILE} ends inside its header")
-            version, dim, count, pid_len = struct.unpack("<III I", header)
-            if version != INDEX_VERSION:
-                raise ValueError(f"index version {version}; this version reads "
-                                 f"only version {INDEX_VERSION}")
-            provider_id = f.read(pid_len).decode("utf-8")
-            build_id = f.read(32).hex()
-            data = f.read(4 * dim * count)
-        with open(directory / SIDECAR_FILE, encoding="utf-8") as f:
-            records = [json.loads(line) for line in f]
+        data = (directory / INDEX_FILE).read_bytes()
+        if data[:4] != INDEX_MAGIC:
+            raise ValueError(f"not a vector index file (magic {data[:4]!r})")
+        if len(data) < 12:
+            raise ValueError(f"{INDEX_FILE} ends inside its header")
+        version, header_len = struct.unpack_from("<II", data, 4)
+        if version != INDEX_VERSION:
+            raise ValueError(f"index version {version}; this version reads "
+                             f"only version {INDEX_VERSION}")
+        rows_at = 12 + header_len
         try:
-            builds = [rec["build_id"] for rec in records if "build_id" in rec]
-            rows = [rec for rec in records if "build_id" not in rec]
-            if len(data) != 4 * dim * count or len(rows) != count:
-                raise ValueError(
-                    f"{directory}: {INDEX_FILE} header counts {count} vectors of "
-                    f"dimension {dim} ({4 * dim * count} bytes), read {len(data)} "
-                    f"bytes; {SIDECAR_FILE} has {len(rows)} refs"
-                )
-            if builds != [build_id]:
-                raise ValueError(f"{directory}: {INDEX_FILE} is build {build_id}, but "
-                                 f"{SIDECAR_FILE} records builds {builds}")
-            refs = [(rec["ticker"], rec["filing_date"], rec["chunk_index"]) for rec in rows]
-            hashes = [rec["sha256"] for rec in rows]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"{directory}: malformed {SIDECAR_FILE} line: {exc!r}") from exc
-        vectors = np.frombuffer(data, dtype="<f4").reshape(count, dim)
+            header = json.loads(data[12:rows_at])
+            provider_id, dim = header["provider_id"], header["dimension"]
+            refs = [(ticker, filing_date, chunk_index)
+                    for ticker, filing_date, chunk_index in header["refs"]]
+            hashes = header["hashes"]
+            if not isinstance(dim, int) or dim < 1:
+                raise ValueError(f"dimension {dim!r} is not a positive integer")
+        except (ValueError, LookupError, TypeError) as exc:
+            raise ValueError(f"{directory}: malformed {INDEX_FILE} header: {exc!r}") from exc
+        size = 4 * dim * len(refs)
+        if len(data) - rows_at != size:
+            raise ValueError(
+                f"{directory}: {INDEX_FILE} header counts {len(refs)} vectors of "
+                f"dimension {dim} ({size} bytes), read {len(data) - rows_at} bytes"
+            )
+        vectors = np.frombuffer(data, dtype="<f4", offset=rows_at).reshape(len(refs), dim)
         return cls(provider_id, refs, hashes, vectors)

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import write_csv
 from .market_data import BASIS_FIELDS, ReturnRecord
 
 SOURCE_FIELDS = tuple(stock for stock, _ in BASIS_FIELDS.values())
@@ -82,11 +83,8 @@ def make_labels(
 
 
 def write_labels_csv(path: str | Path, examples: list[LabeledExample]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(LABELS_COLUMNS)
-        for e in examples:
-            writer.writerow([e.ticker, e.filing_date.isoformat(), e.year, repr(e.label)])
+    write_csv(path, LABELS_COLUMNS,
+              ([e.ticker, e.filing_date.isoformat(), e.year, repr(e.label)] for e in examples))
 
 
 def read_labels_csv(path: str | Path) -> list[LabeledExample]:

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Chunk, Filing, read_jsonl, write_atomic
+from .corpus import Chunk, Filing, read_jsonl, write_atomic, write_csv
 from .embed_index import ChunkRef, EmbeddingProvider, VectorIndex, embed_text
 from .errors import MAX_ATTEMPTS, RetriableError, RowScoringError, UnparseableScoreError
 from .net import post_json
@@ -319,7 +319,7 @@ def _ask(llm: LLMProvider, failure: _FirstFailure, filing_key: tuple[str, str],
     failure.record(miss.position)
     raise RowScoringError(
         f"question {miss.question_id} failed for {filing_key}: {last_error}"
-    )
+    ) from last_error
 
 
 def score_filing(
@@ -378,11 +378,8 @@ def score_filing(
 def write_features_csv(path: str | Path, rows: Sequence[FeatureRow],
                        qs: QuestionSet) -> None:
     header = ["ticker", "filing_date"] + [f"q_{q.question_id}" for q in qs.questions]
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for row in sorted(rows, key=lambda r: r.filing_key):
-            writer.writerow([*row.filing_key, *row.scores])
+    write_csv(path, header, ([*row.filing_key, *row.scores]
+                             for row in sorted(rows, key=lambda r: r.filing_key)))
 
 
 def read_features_csv(path: str | Path) -> tuple[list[str], list[FeatureRow]]:

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import write_csv
 from .errors import PipelineError
 
 logger = logging.getLogger(__name__)
@@ -99,13 +100,14 @@ def load_price_csv(path: str | Path) -> dict[str, PriceSeries | str]:
             for line, rec in enumerate(reader, start=2):
                 if not rec:  # blank line
                     continue
-                symbol = rec[i_sym]
                 try:
+                    symbol = rec[i_sym]
                     day = date.fromisoformat(rec[i_date]).toordinal()
                     close = float(rec[i_close])
                 except (ValueError, IndexError) as exc:  # IndexError: a short row
-                    unparsed.setdefault(symbol, f"{symbol}: {path} line {line}: "
-                                                f"{','.join(rec)!r}: {exc}")
+                    symbol = rec[i_sym] if i_sym < len(rec) else ""
+                    unparsed.setdefault(symbol, f"{symbol or '(no symbol)'}: {path} line "
+                                                f"{line}: {','.join(rec)!r}: {exc}")
                     continue
                 days, closes = rows.setdefault(symbol, ([], []))
                 days.append(day)
@@ -374,15 +376,11 @@ def compute_return_records(
 
 
 def write_returns_csv(path: str | Path, records: list[ReturnRecord]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(RETURNS_COLUMNS)
-        for r in records:
-            writer.writerow([
-                r.ticker, r.filing_date.isoformat(), r.next_filing_date.isoformat(),
-                repr(r.target_12m), repr(r.target_max), repr(r.target_min),
-                repr(r.sp500_12m), repr(r.sp500_max), ";".join(r.flags),
-            ])
+    write_csv(path, RETURNS_COLUMNS, ([
+        r.ticker, r.filing_date.isoformat(), r.next_filing_date.isoformat(),
+        repr(r.target_12m), repr(r.target_max), repr(r.target_min),
+        repr(r.sp500_12m), repr(r.sp500_max), ";".join(r.flags),
+    ] for r in records))
 
 
 def read_returns_csv(path: str | Path) -> list[ReturnRecord]:

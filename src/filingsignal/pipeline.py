@@ -6,18 +6,19 @@ and output hashes plus wall time. Re-running skips a stage whose inputs are
 unchanged and whose outputs still match their recorded hashes, so interrupted
 runs resume where they left off. Per-item failures (one filing, one price
 series, one window) never abort a stage; they accumulate in an error report.
-The embed stage builds the vector index, embedding only the chunk texts the
-previous index does not hold; a filing it cannot embed is recorded in
-embed_errors.jsonl and left out, and the stage runs again on the next run
+The embed stage builds the vector index, one file, embedding only the chunk
+texts the previous index does not hold; a filing it cannot embed is recorded
+in embed_errors.jsonl and left out, and the stage runs again on the next run
 until every filing is embedded. The score stage chunks each filing as it
 scores it, and refuses a filing whose chunk texts differ from its rows in the
-index.
+index; a row lost to a provider outage makes it run again on the next run.
 A provider that waits on the network is asked a filing's uncached questions
 through a bounded thread pool.
 
-The manifest is replaced whole after each stage. A stage refuses an input
-whose producing stage is not requested in the same run and has changed
-config or inputs since it ran.
+Every declared output and the manifest are replaced whole through
+``write_atomic``, the manifest after each stage, so a run killed at any point
+is recovered by the next. A stage refuses an input whose producing stage is
+not requested in the same run and has changed config or inputs since it ran.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .corpus import CorpusStore, TickerUniverse, chunk_filing, write_atomic
 from .edgar import EdgarClient, EdgarSubmissionsResolver, fetch_filing
 from .embed_index import (INDEX_FILE, HashEmbeddingProvider, HTTPEmbeddingProvider,
                           VectorIndex, embed_item)
-from .errors import PipelineError, RowScoringError, StageInputError
+from .errors import PipelineError, RetriableError, RowScoringError, StageInputError
 from .llm_scoring import (MAX_WORKERS, ConstantLLM, HTTPChatLLM,
                           KeywordLLM, QuestionSet, ScoreCache, embed_questions,
                           read_features_csv, score_filing, write_features_csv)
@@ -60,6 +61,7 @@ def _is_int(value) -> bool:
 # By PipelineConfig field annotation: a test of the field's YAML value, and what
 # the test asks for.
 _YAML_TYPES = {
+    "str": (lambda v: isinstance(v, str), "a string"),
     "int": (_is_int, "an integer"),
     "tuple[int, int]": (lambda v: isinstance(v, list) and len(v) == 2
                         and all(map(_is_int, v)), "two integers"),
@@ -141,8 +143,8 @@ class PipelineConfig:
         return Path(self.corpus_dir) / "manifest.jsonl"
 
     @property
-    def index_files(self) -> list[Path]:
-        return [Path(self.index_dir) / "vectors.bin", Path(self.index_dir) / "refs.jsonl"]
+    def index_file(self) -> Path:
+        return Path(self.index_dir) / INDEX_FILE
 
     def out(self, name: str) -> Path:
         return Path(self.out_dir) / name
@@ -240,8 +242,8 @@ def _reusable_vectors(index_dir: str, provider_id: str) -> dict[str, np.ndarray]
     """The previous index's vectors in ``index_dir`` by chunk-text sha256.
 
     Empty when there is no index or another provider embedded it. An index
-    that cannot be read, say a pair that a crash mixed, is treated as absent
-    with a warning.
+    that cannot be read, say one of an older index version, is treated as
+    absent with a warning.
     """
     if not (Path(index_dir) / INDEX_FILE).exists():
         return {}
@@ -291,7 +293,7 @@ def stage_embed(config: PipelineConfig) -> int:
     return len(failed)
 
 
-def stage_score(config: PipelineConfig) -> None:
+def stage_score(config: PipelineConfig) -> int:
     store = CorpusStore(config.corpus_dir)
     try:
         index = VectorIndex.load(config.index_dir)
@@ -311,7 +313,7 @@ def stage_score(config: PipelineConfig) -> None:
     queries = embed_questions(qs, embedder)
     cache = ScoreCache(config.out("score_cache.jsonl"))
     report = ErrorReport(config.out("score_errors.jsonl"))
-    rows = []
+    rows, outages = [], 0
     with ThreadPoolExecutor(MAX_WORKERS, thread_name_prefix="score") as pool:
         # Only a provider that waits on the network gains from overlapping its
         # calls; the in-process stubs would only add hand-offs under the GIL.
@@ -329,7 +331,9 @@ def stage_score(config: PipelineConfig) -> None:
                                          config.chunks_per_question, map_calls))
             except RowScoringError as exc:
                 report.record(f"{filing.ticker} {filing.filing_date}", str(exc))
+                outages += isinstance(exc.__cause__, RetriableError)
     write_features_csv(config.out("features.csv"), rows, qs)
+    return outages
 
 
 def stage_returns(config: PipelineConfig) -> None:
@@ -394,7 +398,7 @@ def stage_backtest(config: PipelineConfig) -> None:
     if not report.per_year:
         raise PipelineError(f"no filing in test_years {list(config.test_years)} "
                             "has both features and a return window")
-    config.out("report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+    write_atomic(config.out("report.json"), report.to_json() + "\n")
     bt.write_cumulative_csv(config.out("cumulative.csv"), report)
     table = bt.k_sweep(model, feature_rows, records, split,
                        config.k_values, config.basis)
@@ -428,10 +432,10 @@ STAGES = [
           lambda c: [c.corpus_manifest]),
     Stage("embed", stage_embed, ("chunk_chars", "overlap_chars", "embedding_provider"),
           lambda c: [c.corpus_manifest],
-          lambda c: c.index_files),
+          lambda c: [c.index_file]),
     Stage("score", stage_score,
           ("llm_provider", "chunks_per_question", "chunk_chars", "overlap_chars"),
-          lambda c: [c.corpus_manifest, *c.index_files,
+          lambda c: [c.corpus_manifest, c.index_file,
                      *([Path(c.questions_file)] if c.questions_file else [])],
           lambda c: [c.out("features.csv")]),
     Stage("returns", stage_returns, ("benchmark_symbol",),

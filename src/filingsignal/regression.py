@@ -16,6 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import write_atomic
+
 logger = logging.getLogger(__name__)
 
 DUAL_TOLERANCE = 1e-10
@@ -111,8 +113,7 @@ class NNLSModel:
         }
         if extra:
             payload.update(extra)
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8")
+        write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "NNLSModel":

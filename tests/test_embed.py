@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -28,6 +29,18 @@ def assert_same_ranking(result, expected):
 def text_hashes(refs):
     """Stand-in text hashes, one per ref, for an index built from vectors alone."""
     return [hashlib.sha256(repr(ref).encode()).hexdigest() for ref in refs]
+
+
+def edit_header(directory, change):
+    """Rewrite the JSON header of the index file in ``directory``: ``change``
+    edits the parsed header in place, or returns the header's new bytes."""
+    path = directory / "vectors.bin"
+    data = path.read_bytes()
+    length, = struct.unpack_from("<I", data, 8)
+    header = json.loads(data[12:12 + length])
+    raw = change(header)
+    raw = raw if isinstance(raw, bytes) else json.dumps(header).encode()
+    path.write_bytes(data[:8] + struct.pack("<I", len(raw)) + raw + data[12 + length:])
 
 
 def random_index(rng, n, d=32):
@@ -208,35 +221,40 @@ class TestPersistence:
         index = random_index(np.random.default_rng(8), 20)[0]
         index.save(tmp_path)
         assert VectorIndex.load(tmp_path).hashes == index.hashes
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["refs.jsonl", "vectors.bin"]
+        assert [p.name for p in tmp_path.iterdir()] == ["vectors.bin"]
 
     def test_ref_without_text_hash_rejected(self, tmp_path):
         random_index(np.random.default_rng(9), 5)[0].save(tmp_path)
-        refs = tmp_path / "refs.jsonl"
-        lines = refs.read_text().splitlines(keepends=True)
-        record = json.loads(lines[2])
-        del record["sha256"]
-        lines[2] = json.dumps(record) + "\n"
-        refs.write_text("".join(lines))
-        with pytest.raises(ValueError, match="malformed refs.jsonl line: KeyError"):
+        edit_header(tmp_path, lambda header: header["hashes"].pop(2))
+        with pytest.raises(ValueError, match="5 refs but 4 text hashes"):
             VectorIndex.load(tmp_path)
 
     def test_fewer_refs_than_header_rejected(self, tmp_path):
         rng = np.random.default_rng(5)
         random_index(rng, 5)[0].save(tmp_path)
-        refs = tmp_path / "refs.jsonl"
-        refs.write_text("".join(refs.read_text().splitlines(keepends=True)[:3]))
-        with pytest.raises(ValueError, match=r"counts 5 vectors.*has 3 refs"):
+        edit_header(tmp_path, lambda header: (header["refs"].pop(), header["hashes"].pop()))
+        with pytest.raises(ValueError, match=r"counts 4 vectors.*\(512 bytes\), read 640"):
             VectorIndex.load(tmp_path)
 
     def test_more_refs_than_header_rejected(self, tmp_path):
         rng = np.random.default_rng(6)
         random_index(rng, 5)[0].save(tmp_path)
-        refs = tmp_path / "refs.jsonl"
-        extra = json.dumps({"ticker": "Z", "filing_date": "2020-01-01",
-                            "chunk_index": 0})
-        refs.write_text(refs.read_text() + extra + "\n")
-        with pytest.raises(ValueError, match=r"counts 5 vectors.*has 6 refs"):
+        edit_header(tmp_path, lambda header: (header["refs"].append(["Z", "2020-01-01", 0]),
+                                              header["hashes"].append("z")))
+        with pytest.raises(ValueError, match=r"counts 6 vectors.*\(768 bytes\), read 640"):
+            VectorIndex.load(tmp_path)
+
+    @pytest.mark.parametrize("damage, named", [
+        (lambda header: header.pop("refs"), r"KeyError\('refs'\)"),
+        (lambda header: header.update(refs=[["A", "2020-01-01"]]), "ValueError"),
+        (lambda header: header.update(dimension="32"),
+         r"ValueError\(\"dimension '32' is not a positive integer"),
+        (lambda header: b"{not json", "JSONDecodeError"),
+    ], ids=["no-refs", "short-ref", "text-dimension", "not-json"])
+    def test_malformed_header_rejected(self, tmp_path, damage, named):
+        random_index(np.random.default_rng(10), 5)[0].save(tmp_path)
+        edit_header(tmp_path, damage)
+        with pytest.raises(ValueError, match=f"malformed vectors.bin header: {named}"):
             VectorIndex.load(tmp_path)
 
     def test_truncated_vectors_rejected(self, tmp_path):

@@ -50,6 +50,13 @@ class TestPriceSeries:
         (tmp_path / "empty.csv").write_text("")
         assert load_price_csv(tmp_path / "empty.csv") == {}
 
+    def test_row_without_its_symbol_recorded(self, tmp_path):
+        p = tmp_path / "px.csv"
+        p.write_text("date,adjusted_close,symbol\n2020-01-02,10.5,TST\n2020-01-03,1.1\n")
+        rows = load_price_csv(p)
+        assert rows["TST"].closes.tolist() == [10.5]
+        assert rows[""] == f"(no symbol): {p} line 3: '2020-01-03,1.1': list index out of range"
+
     def test_load_dir_leaves_out_bad_series(self, tmp_path):
         (tmp_path / "px.csv").write_text(
             "symbol,date,adjusted_close\nTST,2020-01-02,10.5\nBAD,2020-01-02,0.0\n"
