@@ -22,6 +22,9 @@ from .regression import NNLSModel
 
 logger = logging.getLogger(__name__)
 
+# Each test year's (ticker, prediction, record) triples, best first.
+Ranking = dict[int, list[tuple[str, float, ReturnRecord]]]
+
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -81,36 +84,22 @@ def compound(returns: list[float]) -> list[float]:
     return wealth
 
 
-def run_backtest(
-    model: NNLSModel,
-    features: list[FeatureRow],
-    returns: list[ReturnRecord],
-    split: SplitSpec,
-    k: int,
-    return_basis: str,
-) -> BacktestReport:
-    """Predict, pick top-k per test year, compound equal-weight yearly returns.
+def rank_test_years(model: NNLSModel, features: list[FeatureRow],
+                    returns: list[ReturnRecord], split: SplitSpec) -> Ranking:
+    """Rank each test year's filings by prediction, best first.
 
-    Tickers are ranked by prediction, ties broken by ticker ascending. Picks
-    without a ReturnRecord are dropped and backfilled from the next
-    ranked ticker so the portfolio keeps its size.
+    Every test row is predicted once; ties are broken by filing key. A row
+    without a ReturnRecord is left out, so the next ranked ticker takes its
+    place in any top k, and so is a test year left with no row.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if return_basis not in BASIS_FIELDS:
-        raise ValueError(f"unknown return basis {return_basis!r}")
-    stock_field, bench_field = BASIS_FIELDS[return_basis]
     record_by_key = {(r.ticker, r.filing_date.isoformat()): r for r in returns}
-
     by_year: dict[int, list[FeatureRow]] = {}
     for row in features:
         year = int(row.filing_key[1][:4])
         if split.in_test(year):
             by_year.setdefault(year, []).append(row)
 
-    per_year: list[YearResult] = []
-    strategy_returns: list[float] = []
-    bench_returns: list[float] = []
+    ranked: Ranking = {}
     for year in range(split.test_years[0], split.test_years[1] + 1):
         rows = by_year.get(year, [])
         if not rows:
@@ -120,50 +109,52 @@ def run_backtest(
             ((row, model.predict(row.scores)) for row in rows),
             key=lambda t: (-t[1], t[0].filing_key),
         )
-        picks: list[tuple[str, float]] = []
-        pick_records: list[ReturnRecord] = []
+        ranking = []
         for row, prediction in scored:
-            if len(picks) == k:
-                break
             record = record_by_key.get(row.filing_key)
             if record is None:
-                logger.warning("pick %s has no return record, backfilling",
+                logger.warning("test row %s has no return record, left out",
                                row.filing_key)
                 continue
-            picks.append((row.filing_key[0], prediction))
-            pick_records.append(record)
-        if not picks:
-            logger.warning("no picks with return records in %d, omitted", year)
+            ranking.append((row.filing_key[0], prediction, record))
+        if not ranking:
+            logger.warning("no test row with a return record in %d, omitted", year)
             continue
-        mean_strategy = float(np.mean([getattr(r, stock_field) for r in pick_records]))
-        mean_bench = float(np.mean([getattr(r, bench_field) for r in pick_records]))
-        per_year.append(YearResult(year, picks, mean_strategy, mean_bench))
-        strategy_returns.append(mean_strategy)
-        bench_returns.append(mean_bench)
+        ranked[year] = ranking
+    return ranked
 
+
+def run_backtest(ranked: Ranking, k: int, return_basis: str) -> BacktestReport:
+    """Pick each ranked year's top k and compound equal-weight yearly returns."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if return_basis not in BASIS_FIELDS:
+        raise ValueError(f"unknown return basis {return_basis!r}")
+    stock_field, bench_field = BASIS_FIELDS[return_basis]
+    per_year: list[YearResult] = []
+    for year, ranking in ranked.items():
+        top = ranking[:k]
+        per_year.append(YearResult(
+            year, [(ticker, prediction) for ticker, prediction, _ in top],
+            float(np.mean([getattr(r, stock_field) for _, _, r in top])),
+            float(np.mean([getattr(r, bench_field) for _, _, r in top]))))
     return BacktestReport(
         per_year=per_year,
-        strategy_wealth=compound(strategy_returns),
-        benchmark_wealth=compound(bench_returns),
+        strategy_wealth=compound([y.mean_strategy_return for y in per_year]),
+        benchmark_wealth=compound([y.mean_benchmark_return for y in per_year]),
         k=k,
         return_basis=return_basis,
     )
 
 
-def k_sweep(
-    model: NNLSModel,
-    features: list[FeatureRow],
-    returns: list[ReturnRecord],
-    split: SplitSpec,
-    k_values: list[int],
-    return_basis: str,
-) -> list[tuple[int, float, float]]:
+def k_sweep(ranked: Ranking, k_values: list[int],
+            return_basis: str) -> list[tuple[int, float, float]]:
     """(k, mean strategy return, mean benchmark return) per candidate k."""
     if not k_values:
         raise ValueError("k_values must be non-empty")
     table = []
     for k in k_values:
-        report = run_backtest(model, features, returns, split, k, return_basis)
+        report = run_backtest(ranked, k, return_basis)
         strategy = float(np.mean([y.mean_strategy_return for y in report.per_year]))
         bench = float(np.mean([y.mean_benchmark_return for y in report.per_year]))
         table.append((k, strategy, bench))
@@ -171,11 +162,12 @@ def k_sweep(
 
 
 def write_cumulative_csv(path: str | Path, report: BacktestReport) -> None:
+    """One row per wealth step, labelled with its test year after a start row."""
     years = [y.year for y in report.per_year]
-    start = years[0] - 1 if years else 0
+    labels = [years[0] - 1, *years] if years else [0]
     write_csv(path, ["year", "strategy_wealth", "benchmark_wealth"],
-              ([start + i, repr(sw), repr(bw)] for i, (sw, bw)
-               in enumerate(zip(report.strategy_wealth, report.benchmark_wealth))))
+              ([year, repr(sw), repr(bw)] for year, sw, bw
+               in zip(labels, report.strategy_wealth, report.benchmark_wealth)))
 
 
 def write_ksweep_csv(path: str | Path, table: list[tuple[int, float, float]]) -> None:

@@ -45,6 +45,7 @@ class FilingEntry:
 class WarningRecord:
     ticker: str
     reason: str
+    retriable: bool = False  # the cause may pass, such as an HTTP 500
 
 
 class Transport(Protocol):
@@ -132,7 +133,8 @@ class EdgarSubmissionsResolver:
     """Resolve 10-K URLs from EDGAR's per-company submissions index.
 
     Amendments (10-K/A) are ignored; at most one filing per ticker per
-    calendar year survives, preferring the original 10-K.
+    calendar year survives, preferring the original 10-K. A ticker whose
+    submissions cannot be fetched or read is a warning, not a failure.
     """
 
     def __init__(self, client: EdgarClient | None = None):
@@ -154,8 +156,12 @@ class EdgarSubmissionsResolver:
             except RetriableError as exc:
                 if "HTTP 404" in str(exc):
                     warnings.append(WarningRecord(u.ticker, f"unknown cik {u.cik}"))
-                    continue
-                raise
+                else:
+                    warnings.append(WarningRecord(u.ticker, str(exc), retriable=True))
+                continue
+            except ValueError as exc:  # not JSON
+                warnings.append(WarningRecord(u.ticker, f"submissions not JSON: {exc}"))
+                continue
             found = self._extract(u, data, year_from, year_to)
             if not found:
                 warnings.append(

@@ -96,7 +96,10 @@ class PipelineConfig:
 
     @classmethod
     def from_yaml(cls, path: str | Path) -> "PipelineConfig":
-        data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        try:
+            data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        except yaml.YAMLError as exc:
+            raise PipelineError(f"{path}: not valid YAML: {exc}") from exc
         if not isinstance(data, dict):
             raise PipelineError(f"{path}: config must be a mapping of keys to values")
         names = {f.name for f in fields(cls)}
@@ -163,8 +166,11 @@ def _required(cfg: dict, key: str, section: str):
 def build_embedding_provider(cfg: dict):
     name = _required(cfg, "name", "embedding_provider")
     if name == "stub":
-        return HashEmbeddingProvider(dimension=cfg.get("dimension", 64),
-                                     seed=cfg.get("seed", 0))
+        dimension = cfg.get("dimension", 64)
+        if not _is_int(dimension) or dimension < 1:
+            raise PipelineError(f"embedding_provider dimension ({dimension!r}) must be "
+                                "a positive integer")
+        return HashEmbeddingProvider(dimension=dimension, seed=cfg.get("seed", 0))
     if name == "http":
         import os
         return HTTPEmbeddingProvider(
@@ -219,7 +225,7 @@ class ErrorReport:
 # --- stage implementations ----------------------------------------------------
 
 
-def stage_ingest(config: PipelineConfig) -> None:
+def stage_ingest(config: PipelineConfig) -> int:
     universe = TickerUniverse.from_csv(config.universe_csv)
     client = EdgarClient()
     resolver = EdgarSubmissionsResolver(client)
@@ -228,6 +234,11 @@ def stage_ingest(config: PipelineConfig) -> None:
     entries, warnings = resolver.resolve(universe, config.year_from, config.year_to)
     for w in warnings:
         report.record(w.ticker, w.reason)
+    if warnings and not entries:
+        raise PipelineError(f"no ticker resolved to a filing: {len(warnings)} recorded in "
+                            f"{report.path}; the first: {warnings[0].ticker}: "
+                            f"{warnings[0].reason}")
+    retry_items = sum(w.retriable for w in warnings)
     for entry in entries:
         key = (entry.ticker, entry.filing_date.isoformat())
         if key in store:
@@ -236,6 +247,8 @@ def stage_ingest(config: PipelineConfig) -> None:
             store.add(fetch_filing(entry, client))
         except PipelineError as exc:
             report.record(f"{entry.ticker} {entry.filing_date}", str(exc))
+            retry_items += isinstance(exc, RetriableError)
+    return retry_items
 
 
 def _reusable_vectors(index_dir: str, provider_id: str) -> dict[str, np.ndarray]:
@@ -392,17 +405,16 @@ def stage_backtest(config: PipelineConfig) -> None:
     model = NNLSModel.load(config.out("model.json"))
     _, feature_rows = read_features_csv(config.out("features.csv"))
     records = md.read_returns_csv(config.out("returns.csv"))
-    split = bt.SplitSpec(config.train_years, config.test_years)
-    report = bt.run_backtest(model, feature_rows, records, split,
-                             config.k, config.basis)
+    ranked = bt.rank_test_years(model, feature_rows, records,
+                                bt.SplitSpec(config.train_years, config.test_years))
+    report = bt.run_backtest(ranked, config.k, config.basis)
     if not report.per_year:
         raise PipelineError(f"no filing in test_years {list(config.test_years)} "
                             "has both features and a return window")
     write_atomic(config.out("report.json"), report.to_json() + "\n")
     bt.write_cumulative_csv(config.out("cumulative.csv"), report)
-    table = bt.k_sweep(model, feature_rows, records, split,
-                       config.k_values, config.basis)
-    bt.write_ksweep_csv(config.out("ksweep.csv"), table)
+    bt.write_ksweep_csv(config.out("ksweep.csv"),
+                        bt.k_sweep(ranked, config.k_values, config.basis))
 
 
 # --- orchestration ------------------------------------------------------------

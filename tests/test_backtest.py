@@ -4,8 +4,9 @@ from datetime import date
 import numpy as np
 import pytest
 
-from filingsignal.backtest import (BacktestReport, SplitSpec, compound,
-                                   k_sweep, run_backtest)
+from filingsignal.backtest import (BacktestReport, SplitSpec, YearResult,
+                                   compound, k_sweep, rank_test_years,
+                                   run_backtest, write_cumulative_csv)
 from filingsignal.llm_scoring import FeatureRow
 from filingsignal.market_data import ReturnRecord
 from filingsignal.regression import NNLSModel
@@ -14,6 +15,10 @@ from filingsignal.regression import NNLSModel
 def identity_model(p=1):
     return NNLSModel([f"q{i}" for i in range(p)], np.ones(p), 0.0,
                      np.zeros(p), np.ones(p))
+
+
+def rank(features, returns, split):
+    return rank_test_years(identity_model(), features, returns, split)
 
 
 def feature_row(ticker, year, score):
@@ -62,7 +67,7 @@ class TestRunBacktest:
         split = SplitSpec((2015, 2017), (2018, 2018))
         features = [feature_row("A", 2018, 10)]
         returns = [return_record("A", 2018, 0.10, sp12=0.04)]
-        report = run_backtest(identity_model(), features, returns, split, k=1,
+        report = run_backtest(rank(features, returns, split), k=1,
                               return_basis="12m")
         assert report.strategy_wealth == [1.0, pytest.approx(1.10)]
         assert report.benchmark_wealth == [1.0, pytest.approx(1.04)]
@@ -72,15 +77,15 @@ class TestRunBacktest:
         features = [feature_row("A", 2018, 5), feature_row("A", 2019, 5)]
         returns = [return_record("A", 2018, 0.1),
                    return_record("A", 2019, 0.2)]
-        report = run_backtest(identity_model(), features, returns,
-                              self.SPLIT, k=1, return_basis="12m")
+        report = run_backtest(rank(features, returns, self.SPLIT), k=1,
+                              return_basis="12m")
         assert report.strategy_wealth[-1] == pytest.approx(1.32, abs=1e-12)
 
     def test_train_rows_never_evaluated(self):
         features = [feature_row("A", 2016, 99), feature_row("B", 2018, 1)]
         returns = [return_record("A", 2016, 5.0), return_record("B", 2018, 0.0)]
-        report = run_backtest(identity_model(), features, returns,
-                              self.SPLIT, k=5, return_basis="12m")
+        report = run_backtest(rank(features, returns, self.SPLIT), k=5,
+                              return_basis="12m")
         picked = {t for y in report.per_year for t, _ in y.picks}
         assert picked == {"B"}
 
@@ -88,16 +93,15 @@ class TestRunBacktest:
         features = [feature_row("A", 2018, 9), feature_row("B", 2018, 5),
                     feature_row("C", 2018, 1)]
         returns = [return_record("B", 2018, 0.07), return_record("C", 2018, 0.01)]
-        report = run_backtest(identity_model(), features, returns,
-                              SplitSpec((2015, 2017), (2018, 2018)), k=2,
+        report = run_backtest(rank(features, returns, SplitSpec((2015, 2017), (2018, 2018))),
+                              k=2,
                               return_basis="12m")
         assert [t for t, _ in report.per_year[0].picks] == ["B", "C"]
 
     def test_empty_year_omitted(self):
         features = [feature_row("A", 2018, 5)]
         returns = [return_record("A", 2018, 0.1)]
-        report = run_backtest(identity_model(), features, returns,
-                              self.SPLIT, k=1,
+        report = run_backtest(rank(features, returns, self.SPLIT), k=1,
                               return_basis="12m")  # nothing filed in 2019
         assert [y.year for y in report.per_year] == [2018]
 
@@ -106,7 +110,7 @@ class TestRunBacktest:
         features = [feature_row("A", 2018, 5)]
         returns = [return_record("A", 2018, 0.10, sp12=0.04,
                                  rmax=0.30, spmax=0.12)]
-        report = run_backtest(identity_model(), features, returns, split,
+        report = run_backtest(rank(features, returns, split),
                               k=1, return_basis="max")
         assert report.strategy_wealth[-1] == pytest.approx(1.30)
         assert report.benchmark_wealth[-1] == pytest.approx(1.12)
@@ -114,15 +118,15 @@ class TestRunBacktest:
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_must_be_positive(self, k):
         with pytest.raises(ValueError, match="k must be >= 1"):
-            run_backtest(identity_model(), [feature_row("A", 2018, 5)],
-                         [return_record("A", 2018, 0.1)], self.SPLIT, k=k,
+            run_backtest(rank([feature_row("A", 2018, 5)],
+                              [return_record("A", 2018, 0.1)], self.SPLIT), k=k,
                          return_basis="12m")
 
     def test_tie_broken_by_ticker(self):
         features = [feature_row("B", 2018, 5), feature_row("A", 2018, 5)]
         returns = [return_record("A", 2018, 0.1), return_record("B", 2018, 0.2)]
-        report = run_backtest(identity_model(), features, returns,
-                              SplitSpec((2015, 2017), (2018, 2018)), k=1,
+        report = run_backtest(rank(features, returns, SplitSpec((2015, 2017), (2018, 2018))),
+                              k=1,
                               return_basis="12m")
         assert report.per_year[0].picks == [("A", 5.0)]
 
@@ -131,11 +135,21 @@ class TestRunBacktest:
         scores = [(f"T{i:03d}", rng.randint(0, 30)) for i in range(100)]  # with ties
         features = [feature_row(t, 2018, s) for t, s in scores]
         returns = [return_record(t, 2018, 0.0) for t, _ in scores]
-        report = run_backtest(identity_model(), features, returns,
-                              SplitSpec((2015, 2017), (2018, 2018)), k=5,
+        report = run_backtest(rank(features, returns, SplitSpec((2015, 2017), (2018, 2018))),
+                              k=5,
                               return_basis="12m")
         expected = sorted(scores, key=lambda x: (-x[1], x[0]))[:5]
         assert report.per_year[0].picks == [(t, float(s)) for t, s in expected]
+
+    def test_cumulative_rows_carry_their_years(self, tmp_path):
+        report = BacktestReport(  # test years 2018-2020, 2019 omitted
+            per_year=[YearResult(2018, [("A", 5.0)], 0.1, 0.04),
+                      YearResult(2020, [("A", 5.0)], 0.2, 0.04)],
+            strategy_wealth=compound([0.1, 0.2]),
+            benchmark_wealth=compound([0.04, 0.04]), k=1, return_basis="12m")
+        write_cumulative_csv(tmp_path / "cumulative.csv", report)
+        rows = (tmp_path / "cumulative.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["2017", "2018", "2020"]
 
     def test_determinism(self):
         features = [feature_row(t, 2018, s) for t, s in
@@ -143,9 +157,9 @@ class TestRunBacktest:
         returns = [return_record(t, 2018, r) for t, r in
                    [("A", 0.1), ("B", 0.2), ("C", 0.3), ("D", 0.0)]]
         split = SplitSpec((2015, 2017), (2018, 2018))
-        a = run_backtest(identity_model(), features, returns, split, k=2,
+        a = run_backtest(rank(features, returns, split), k=2,
                          return_basis="12m")
-        b = run_backtest(identity_model(), features, returns, split, k=2,
+        b = run_backtest(rank(features, returns, split), k=2,
                          return_basis="12m")
         assert a.to_json() == b.to_json()
 
@@ -165,24 +179,24 @@ class TestKSweep:
 
     def test_weakly_decreasing_in_k(self):
         features, returns, split = self.planted()
-        table = k_sweep(identity_model(), features, returns, split,
+        table = k_sweep(rank(features, returns, split),
                         [1, 2, 3, 5, 10], "12m")
         means = [s for _, s, _ in table]
         assert all(a >= b - 1e-12 for a, b in zip(means, means[1:]))
 
     def test_k_equals_universe_gives_universe_mean(self):
         features, returns, split = self.planted()
-        table = k_sweep(identity_model(), features, returns, split, [10], "12m")
+        table = k_sweep(rank(features, returns, split), [10], "12m")
         _, strategy, _ = table[0]
         universe_mean = np.mean([0.30 - 0.03 * i for i in range(10)])
         assert strategy == pytest.approx(universe_mean, abs=1e-12)
 
     def test_k1_equals_best_single_stock(self):
         features, returns, split = self.planted()
-        table = k_sweep(identity_model(), features, returns, split, [1], "12m")
+        table = k_sweep(rank(features, returns, split), [1], "12m")
         assert table[0][1] == pytest.approx(0.30, abs=1e-12)
 
     def test_empty_k_values_rejected(self):
         features, returns, split = self.planted()
         with pytest.raises(ValueError):
-            k_sweep(identity_model(), features, returns, split, [], "12m")
+            k_sweep(rank(features, returns, split), [], "12m")

@@ -11,12 +11,14 @@ from pathlib import Path
 import pytest
 import yaml
 
-from filingsignal import cli, corpus, pipeline
+from filingsignal import cli, corpus, edgar, pipeline
 from filingsignal.corpus import CorpusStore, chunk_filing
 from filingsignal.embed_index import HashEmbeddingProvider, VectorIndex
 from filingsignal.errors import PipelineError, RetriableError, StageInputError
-from filingsignal.llm_scoring import MAX_ATTEMPTS, MAX_WORKERS, KeywordLLM, ScoreCache
+from filingsignal.llm_scoring import (MAX_ATTEMPTS, MAX_WORKERS, KeywordLLM, ScoreCache,
+                                      read_features_csv)
 from filingsignal.pipeline import PipelineConfig, run_pipeline
+from filingsignal.regression import NNLSModel
 from filingsignal.synthetic import PLANTED_PHRASE, make_workspace
 
 from conftest import json_reply, loopback, synthetic_config
@@ -680,6 +682,77 @@ class TestRunPipeline:
         means = [float(line.split(",")[1]) for line in lines]
         assert all(a >= b - 1e-12 for a, b in zip(means, means[1:]))
 
+    def test_backtest_predicts_each_test_row_once(self, synth_root, tmp_path, monkeypatch):
+        config = synthetic_config(synth_root, tmp_path)
+        run_pipeline(config, SYNTH_STAGES[:-1])
+        _, rows = read_features_csv(tmp_path / "features.csv")
+        lo, hi = config.test_years
+        test_rows = [row for row in rows if lo <= int(row.filing_key[1][:4]) <= hi]
+        calls = []
+        predict = NNLSModel.predict
+        monkeypatch.setattr(NNLSModel, "predict",
+                            lambda model, scores: calls.append(1) or predict(model, scores))
+        run_pipeline(config, ["backtest"])
+        assert len(calls) == len(test_rows) == 24
+
+
+def submissions(filing_date, doc):
+    return json.dumps({"filings": {"recent": {
+        "form": ["10-K"], "filingDate": [filing_date],
+        "accessionNumber": ["0000000002-20-000001"], "primaryDocument": [doc]}}})
+
+
+def fake_edgar(aaa_reply, html):
+    """EDGAR answering AAA's submissions (cik 1) with ``aaa_reply``; BBB (cik 2)
+    has one 10-K."""
+    def transport(url):
+        if "CIK0000000001" in url:
+            return aaa_reply
+        if "CIK0000000002" in url:
+            return 200, submissions("2020-02-14", "bbb10k.htm")
+        if url.endswith("10k.htm"):
+            return 200, html
+        return 404, "not found"
+    return transport
+
+
+class TestIngest:
+    def config(self, tmp_path):
+        (tmp_path / "universe.csv").write_text("ticker,cik\nAAA,1\nBBB,2\n")
+        return dataclasses.replace(synthetic_config(tmp_path, tmp_path / "out"),
+                                   year_from=2020, year_to=2020)
+
+    @pytest.mark.parametrize("reply, named", [
+        ((500, "boom"), "HTTP 500 for submissions for AAA"),
+        ((200, "<html>not json</html>"), "Expecting value"),
+    ])
+    def test_one_ticker_failure_is_recorded(self, tmp_path, monkeypatch,
+                                            sample_10k_html, reply, named):
+        monkeypatch.setattr(edgar, "_http_transport", fake_edgar(reply, sample_10k_html))
+        config = self.config(tmp_path)
+        run_pipeline(config, ["ingest"])
+        assert ("BBB", "2020-02-14") in CorpusStore(config.corpus_dir)
+        errors = [json.loads(line) for line in
+                  (tmp_path / "out" / "ingest_errors.jsonl").read_text().splitlines()]
+        assert [e["item"] for e in errors] == ["AAA"]
+        assert named in errors[0]["error"]
+
+    def test_failed_ticker_fetched_on_the_next_run(self, tmp_path, monkeypatch,
+                                                   sample_10k_html):
+        config = self.config(tmp_path)
+        monkeypatch.setattr(edgar, "_http_transport",
+                            fake_edgar((500, "boom"), sample_10k_html))
+        assert run_pipeline(config, ["ingest"])["ingest"]["retry_items"] == 1
+        monkeypatch.setattr(edgar, "_http_transport", fake_edgar(
+            (200, submissions("2020-02-14", "aaa10k.htm")), sample_10k_html))
+        assert run_pipeline(config, ["ingest"])["ingest"]["retry_items"] == 0
+        assert ("AAA", "2020-02-14") in CorpusStore(config.corpus_dir)
+
+    def test_no_ticker_resolved_is_an_error(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(edgar.CONTACT_ENV_VAR, raising=False)  # refused before any request
+        with pytest.raises(PipelineError, match=f"ingest_errors.jsonl.*{edgar.CONTACT_ENV_VAR}"):
+            run_pipeline(self.config(tmp_path), ["ingest"])
+
 
 class TestIncrementalEmbed:
     @pytest.mark.parametrize("chunking", [(4096, 256), (400, 32)])
@@ -891,6 +964,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "absent.yaml" in err
 
+    def test_config_not_yaml_is_an_error_line(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text("corpus_dir: [unclosed\n")
+        rc = cli.main(["pipeline", "--config", str(cfg_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_path}: not valid YAML")
+
     @pytest.mark.parametrize("change, stages, named, code", [
         ({"llm_provider": {"name": "keyword-stub"}}, ["embed", "score"], "'phrase'", 1),
         ({"llm_provider": {"name": "gpt-x"}}, ["embed", "score"], "'gpt-x'", 1),
@@ -925,6 +1006,8 @@ class TestCli:
         ({"k_values": [1, "2"]}, ["embed"], "k_values ([1, '2']) must be a list of integers", 1),
         ({"k_values": 3}, ["embed"], "k_values (3)", 1),
         ({"corpus_dir": 5}, ["embed"], "corpus_dir (5) must be a string", 1),
+        ({"embedding_provider": {"name": "stub", "dimension": 0}}, ["embed"],
+         "dimension (0) must be a positive integer", 1),
     ])
     def test_config_mistake_is_an_error_line(self, synth_root, tmp_path, capsys,
                                              change, stages, named, code):
