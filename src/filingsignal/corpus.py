@@ -18,7 +18,7 @@ from datetime import date
 from html import unescape
 from html.parser import HTMLParser
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyDocumentError
 
@@ -199,22 +199,26 @@ def chunk_filing(filing: Filing, chunk_chars: int, overlap_chars: int) -> list[C
 # --- store --------------------------------------------------------------------
 
 
-def read_jsonl(path: Path) -> list[dict]:
-    """The records of an append-only JSONL file; none if it does not exist.
+def read_jsonl(path: Path) -> Iterator[dict]:
+    """The records of an append-only JSONL file, one at a time; none if it does not exist.
 
     Every record is appended as one line ending in a newline, so text after
-    the last newline is a record torn by an interrupted append: it is cut from
-    the file with a warning, and the next append starts on a fresh line. Any
-    other unreadable line raises.
+    the last newline is a record torn by an interrupted append: once the
+    records before it are read, it is cut from the file with a warning, and
+    the next append starts on a fresh line. Any other unreadable line raises.
     """
     if not path.exists():
-        return []
-    complete, newline, torn = path.read_bytes().rpartition(b"\n")
-    if torn:
-        logger.warning("%s: dropping torn final line (%d bytes)", path, len(torn))
-        with open(path, "r+b") as f:
-            f.truncate(len(complete) + len(newline))
-    return [json.loads(line) for line in complete.split(b"\n") if line.strip()]
+        return
+    with open(path, "rb") as f:
+        complete = 0
+        for line in f:
+            if not line.endswith(b"\n"):
+                logger.warning("%s: dropping torn final line (%d bytes)", path, len(line))
+                os.truncate(path, complete)
+                return
+            complete += len(line)
+            if line.strip():
+                yield json.loads(line)
 
 
 def write_atomic(path: str | Path, data: str | bytes) -> None:

@@ -134,7 +134,8 @@ class EdgarSubmissionsResolver:
 
     Amendments (10-K/A) are ignored; at most one filing per ticker per
     calendar year survives, preferring the original 10-K. A ticker whose
-    submissions cannot be fetched or read is a warning, not a failure.
+    submissions cannot be fetched or read, or are not of the expected shape,
+    is a warning, not a failure.
     """
 
     def __init__(self, client: EdgarClient | None = None):
@@ -152,17 +153,20 @@ class EdgarSubmissionsResolver:
                 body = self.client.get(
                     SUBMISSIONS_URL.format(cik=u.cik), context=f"submissions for {u.ticker}"
                 )
-                data = json.loads(body)
+                found = self._extract(u, json.loads(body), year_from, year_to)
             except RetriableError as exc:
                 if "HTTP 404" in str(exc):
                     warnings.append(WarningRecord(u.ticker, f"unknown cik {u.cik}"))
                 else:
                     warnings.append(WarningRecord(u.ticker, str(exc), retriable=True))
                 continue
-            except ValueError as exc:  # not JSON
+            except json.JSONDecodeError as exc:
                 warnings.append(WarningRecord(u.ticker, f"submissions not JSON: {exc}"))
                 continue
-            found = self._extract(u, data, year_from, year_to)
+            except (AttributeError, LookupError, TypeError, ValueError) as exc:
+                warnings.append(WarningRecord(u.ticker, f"submissions not of the "
+                                              f"expected shape: {exc!r}"))
+                continue
             if not found:
                 warnings.append(
                     WarningRecord(u.ticker, f"no 10-K filings in {year_from}-{year_to}")

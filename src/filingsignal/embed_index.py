@@ -174,6 +174,10 @@ class VectorIndex:
         """The text hashes of one filing's rows, in chunk order; empty if it has none."""
         return [self.hashes[i] for i in self._rows.get(filing_key, ())]
 
+    def vectors_of(self, filing_key: tuple[str, str]) -> np.ndarray:
+        """The vectors of one filing's rows, in chunk order; no rows if it has none."""
+        return self.vectors[self._rows.get(filing_key, np.empty(0, dtype=np.intp))]
+
     def top_k(
         self,
         query: Sequence[float],

@@ -3,9 +3,11 @@
 Each question is embedded once per run and answered against one filing's own
 chunks only. Answers are cached as JSONL keyed on the exact prompt, so a rerun
 asks the provider only prompts it has not seen; a filing either yields a full
-feature row or none at all. A filing's uncached prompts may be asked through a
-pool of threads, and the cache and the row come out the same as when they are
-asked one by one.
+feature row or none at all. The same file memoizes each full row, keyed on
+every input its prompts are built from, so a rerun retrieves and builds
+prompts only for the filings whose inputs changed. A filing's uncached
+prompts may be asked through a pool of threads, and the cache and the row
+come out the same as when they are asked one by one.
 """
 
 from __future__ import annotations
@@ -129,7 +131,7 @@ class KeywordLLM:
         self.miss_score = miss_score
         self.per_occurrence = per_occurrence
         self.provider_id = (
-            f"keyword-stub-{hit_score}-{miss_score}-{per_occurrence}"
+            f"keyword-stub-{hit_score}-{miss_score}-{per_occurrence}:{self.phrase}"
         )
         self.call_count = 0
 
@@ -208,37 +210,83 @@ def parse_score(raw_response: str) -> int:
     raise UnparseableScoreError(raw_response)
 
 
+def _sha256_of(parts: Iterable[bytes]) -> str:
+    """Hex sha256 over ``parts``, each preceded by its byte length."""
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(len(part).to_bytes(8, "big") + part)
+    return h.hexdigest()
+
+
 def prompt_key(provider_id: str, system_prompt: str, user_prompt: str) -> str:
     """sha256 over the provider id and both prompts, each preceded by its byte length."""
-    parts = [p.encode("utf-8") for p in (provider_id, system_prompt, user_prompt)]
-    return hashlib.sha256(b"".join(len(p).to_bytes(8, "big") + p for p in parts)).hexdigest()
+    return _sha256_of(p.encode("utf-8") for p in (provider_id, system_prompt, user_prompt))
+
+
+class RowInputs:
+    """What every filing's row is built from, apart from the filing's own rows.
+
+    ``key`` is a sha256, in the style of ``prompt_key``, over the LLM provider
+    id, the prompt pair that ``build_prompt`` makes from an empty question and
+    one empty chunk (the system prompt and the template), the number of chunks
+    retrieved per question, and each question's id, text and query vector.
+    One stage run shares it; ``score_filing`` adds a filing's own rows to it to
+    key that filing's row.
+    """
+
+    def __init__(self, qs: QuestionSet, queries: Sequence[np.ndarray], llm: LLMProvider,
+                 chunks_per_question: int):
+        self.qs = qs
+        self.queries = queries
+        self.llm = llm
+        self.chunks_per_question = chunks_per_question
+        template = build_prompt("", [Chunk(("", ""), 0, "", (0, 0))])
+        self.key = _sha256_of([
+            llm.provider_id.encode("utf-8"),
+            *(p.encode("utf-8") for p in template),
+            str(chunks_per_question).encode("ascii"),
+            *(part for q, query in zip(qs.questions, queries, strict=True)
+              for part in (q.question_id.encode("utf-8"), q.text.encode("utf-8"),
+                           np.asarray(query, dtype=np.float64).tobytes())),
+        ])
 
 
 class ScoreCache:
     """JSONL memo of provider answers keyed on ``prompt_key``, so an answer is
-    reused only for the exact prompt it answered. Memory holds only each
-    prompt's score; the file also keeps the filing, question, raw response and
-    context chunk refs for audit.
+    reused only for the exact prompt it answered, and of whole feature rows
+    keyed on every input of their prompts (see ``score_filing``). Memory holds
+    only each prompt's score and each row's scores; the file also keeps the
+    filing, question, raw response and context chunk refs of each answer for
+    audit, and the filing of each row.
 
-    ``put`` makes a record visible to ``get`` at once and buffers its line;
-    ``flush`` appends the buffered lines to the file in one write. A torn
-    final line is cut (see ``read_jsonl``). Older records without
-    ``prompt_sha256`` are dropped with one warning: the first load that finds
-    them rewrites the file without them (see ``write_atomic``), so their
-    prompts are asked again.
+    ``put`` and ``put_row`` make a record visible to ``get`` and ``get_row``
+    at once and buffer its line; ``flush`` appends the buffered lines to the
+    file in one write. The file is read one record at a time, and a torn
+    final line is cut (see ``read_jsonl``). Older records with neither
+    ``prompt_sha256`` nor ``row_sha256`` are dropped with one warning: the
+    first load that finds them rewrites the file without them (see
+    ``write_atomic``), so their prompts are asked again.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._pending: list[str] = []
-        records = read_jsonl(self.path)
-        keyed = [rec for rec in records if "prompt_sha256" in rec]
-        self._scores = {rec["prompt_sha256"]: rec["score"] for rec in keyed}
-        if len(keyed) < len(records):
-            logger.warning("%s: dropping %d records without prompt_sha256; "
-                           "their questions are asked again",
-                           self.path, len(records) - len(keyed))
-            write_atomic(self.path, "".join(json.dumps(rec) + "\n" for rec in keyed))
+        self._scores: dict[str, int] = {}
+        self._rows: dict[str, list[int]] = {}
+        dropped = 0
+        for rec in read_jsonl(self.path):
+            if "prompt_sha256" in rec:
+                self._scores[rec["prompt_sha256"]] = rec["score"]
+            elif "row_sha256" in rec:
+                self._rows[rec["row_sha256"]] = rec["scores"]
+            else:
+                dropped += 1
+        if dropped:
+            logger.warning("%s: dropping %d records without prompt_sha256 or row_sha256; "
+                           "their questions are asked again", self.path, dropped)
+            write_atomic(self.path, "".join(
+                json.dumps(rec) + "\n" for rec in read_jsonl(self.path)
+                if "prompt_sha256" in rec or "row_sha256" in rec))
 
     def get(self, key: str) -> int | None:
         """The cached score of the prompt with this key, or None."""
@@ -258,6 +306,16 @@ class ScoreCache:
             "context_chunk_refs": [list(r) for r in answer.context_chunk_refs],
         }) + "\n")
         return answer.score
+
+    def get_row(self, key: str) -> list[int] | None:
+        """The cached scores of the row with this key, or None."""
+        return self._rows.get(key)
+
+    def put_row(self, key: str, filing_key: tuple[str, str], scores: list[int]) -> None:
+        """Keep a whole row's scores, in question order, under its row key."""
+        self._rows[key] = scores
+        self._pending.append(json.dumps({"row_sha256": key, "filing_key": list(filing_key),
+                                         "scores": scores}) + "\n")
 
     def flush(self) -> None:
         """Append every record put since the last flush, in put order."""
@@ -325,33 +383,40 @@ def _ask(llm: LLMProvider, failure: _FirstFailure, filing_key: tuple[str, str],
 def score_filing(
     filing: Filing,
     chunks: Sequence[Chunk],
-    qs: QuestionSet,
-    queries: Sequence[np.ndarray],
+    inputs: RowInputs,
     index: VectorIndex,
-    llm: LLMProvider,
     cache: ScoreCache,
-    chunks_per_question: int,
     map_calls: Callable[[Callable[[_Miss], tuple[str, int]], Iterable[_Miss]],
                         Iterator[tuple[str, int]]],
 ) -> FeatureRow:
     """Score every question for one filing; all-or-nothing.
 
     ``chunks`` are the filing's own chunks in chunk_index order, as the index
-    was built from them, and ``queries`` are the question vectors from
-    ``embed_questions``. For each question in order, this thread retrieves
-    the filing's top chunks, builds the prompt and looks it up in ``cache``.
-    The misses are then asked of ``llm`` through ``map_calls``: the builtin
-    ``map`` asks them one by one, an executor's ``map`` overlaps them. Either
-    way the answers are put in the cache in question order, as they are read.
-    Any question that stays unparseable or unreachable after MAX_ATTEMPTS
-    fails the whole row (partial rows would corrupt the design matrix); the
-    answers put before it are flushed to the cache either way.
+    was built from them. The row key is a sha256 over ``inputs.key``, the
+    filing key, and the text hashes and vectors of the filing's rows in the
+    index in chunk order: every input the row's prompts are built from. A row
+    the cache holds under it is returned as it is. Otherwise, for each
+    question in order, this thread retrieves the filing's top chunks, builds
+    the prompt and looks it up in ``cache``. The misses are then asked of
+    ``inputs.llm`` through ``map_calls``: the builtin ``map`` asks them one by
+    one, an executor's ``map`` overlaps them. Either way the answers are put
+    in the cache in question order, as they are read, and then the row under
+    its row key. Any question that stays unparseable or unreachable after
+    MAX_ATTEMPTS fails the whole row (partial rows would corrupt the design
+    matrix), and no row is put; the answers put before it are flushed to the
+    cache either way.
     """
     key = filing.key
+    row_key = _sha256_of([inputs.key.encode("ascii"), *(part.encode("utf-8") for part in key),
+                          *(h.encode("ascii") for h in index.hashes_of(key)),
+                          index.vectors_of(key).tobytes()])
+    if (memo := cache.get_row(row_key)) is not None:
+        return FeatureRow(key, list(memo))
+    llm = inputs.llm
     scores: list[int | None] = []
     misses: list[_Miss] = []
-    for question, query in zip(qs.questions, queries, strict=True):
-        hits = index.top_k(query, chunks_per_question, filing_key=key)
+    for question, query in zip(inputs.qs.questions, inputs.queries, strict=True):
+        hits = index.top_k(query, inputs.chunks_per_question, filing_key=key)
         if not hits:
             raise RowScoringError(f"no indexed chunks for filing {key}")
         context = [chunks[chunk_index] for (_, _, chunk_index), _ in hits]
@@ -367,6 +432,7 @@ def score_filing(
             # Two questions with one prompt both miss; both get the first answer.
             scores[miss.position] = cache.put(miss.key, ScoredAnswer(
                 key, miss.question_id, score, raw, miss.refs))
+        cache.put_row(row_key, key, scores)
     finally:
         cache.flush()
     return FeatureRow(key, scores)

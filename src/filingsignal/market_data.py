@@ -305,10 +305,8 @@ def window_returns(series: PriceSeries, start: date, end: date) -> WindowReturns
             f"{series.symbol}: only {len(closes)} observations in [{start}, {end}]"
         )
     cumulative = closes / closes[0] - 1.0
-    r_12m = float(cumulative[-1])
-    r_max = float(np.percentile(cumulative, MAX_PERCENTILE))
-    r_min = float(np.percentile(cumulative, MIN_PERCENTILE))
-    return WindowReturns(r_12m, r_max, r_min)
+    r_max, r_min = np.percentile(cumulative, [MAX_PERCENTILE, MIN_PERCENTILE])
+    return WindowReturns(float(cumulative[-1]), float(r_max), float(r_min))
 
 
 @dataclass

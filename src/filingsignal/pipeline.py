@@ -11,7 +11,9 @@ texts the previous index does not hold; a filing it cannot embed is recorded
 in embed_errors.jsonl and left out, and the stage runs again on the next run
 until every filing is embedded. The score stage chunks each filing as it
 scores it, and refuses a filing whose chunk texts differ from its rows in the
-index; a row lost to a provider outage makes it run again on the next run.
+index; a filing whose row inputs are unchanged gets its row from the score
+cache without retrieval; a row lost to a provider outage makes it run again on
+the next run.
 A provider that waits on the network is asked a filing's uncached questions
 through a bounded thread pool.
 
@@ -44,9 +46,9 @@ from .edgar import EdgarClient, EdgarSubmissionsResolver, fetch_filing
 from .embed_index import (INDEX_FILE, HashEmbeddingProvider, HTTPEmbeddingProvider,
                           VectorIndex, embed_item)
 from .errors import PipelineError, RetriableError, RowScoringError, StageInputError
-from .llm_scoring import (MAX_WORKERS, ConstantLLM, HTTPChatLLM,
-                          KeywordLLM, QuestionSet, ScoreCache, embed_questions,
-                          read_features_csv, score_filing, write_features_csv)
+from .llm_scoring import (MAX_WORKERS, ConstantLLM, HTTPChatLLM, KeywordLLM, QuestionSet,
+                          RowInputs, ScoreCache, embed_questions, read_features_csv,
+                          score_filing, write_features_csv)
 from .regression import DesignMatrix, NNLSModel, fit_nnls
 
 logger = logging.getLogger(__name__)
@@ -323,7 +325,7 @@ def stage_score(config: PipelineConfig) -> int:
             f"but the configured embedding provider is {embedder.provider_id!r}: "
             "run stage 'embed' first"
         )
-    queries = embed_questions(qs, embedder)
+    inputs = RowInputs(qs, embed_questions(qs, embedder), llm, config.chunks_per_question)
     cache = ScoreCache(config.out("score_cache.jsonl"))
     report = ErrorReport(config.out("score_errors.jsonl"))
     rows, outages = [], 0
@@ -340,8 +342,7 @@ def stage_score(config: PipelineConfig) -> int:
                     f"chunks unlike its {len(indexed)} rows in the index in "
                     f"{config.index_dir}", "embed")
             try:
-                rows.append(score_filing(filing, chunks, qs, queries, index, llm, cache,
-                                         config.chunks_per_question, map_calls))
+                rows.append(score_filing(filing, chunks, inputs, index, cache, map_calls))
             except RowScoringError as exc:
                 report.record(f"{filing.ticker} {filing.filing_date}", str(exc))
                 outages += isinstance(exc.__cause__, RetriableError)

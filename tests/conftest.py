@@ -33,6 +33,15 @@ def synthetic_config(root, out_dir):
     )
 
 
+def assert_cache_holds(cache, text):
+    """Every record of a ``score_cache.jsonl`` text is what ``cache`` looks up."""
+    for rec in map(json.loads, text.splitlines()):
+        if "prompt_sha256" in rec:
+            assert cache.get(rec["prompt_sha256"]) == rec["score"]
+        else:
+            assert cache.get_row(rec["row_sha256"]) == rec["scores"]
+
+
 def json_reply(obj, status=200):
     """A ``loopback`` reply carrying ``obj`` as JSON."""
     return status, json.dumps(obj).encode(), "application/json"

@@ -89,6 +89,22 @@ class TestResolver:
         entries, _ = resolver.resolve(universe(("AAPL", "0000000001")), 2020, 2020)
         assert [e.accession_id for e in entries] == ["acc-early"]
 
+    @pytest.mark.parametrize("body, reason", [
+        ("[]", "expected shape"),
+        (submissions_body([("10-K", "2020/02/14", "acc-odd", "doc.htm")]), "expected shape"),
+        ("<html>busy</html>", "not JSON"),
+    ], ids=["list", "slashed-date", "not-json"])
+    def test_odd_submissions_warn_and_other_tickers_resolve(self, body, reason):
+        good = submissions_body([("10-K", "2020-02-01", "acc-good", "doc.htm")])
+        transport = MapTransport({"CIK0000000001": (200, body),
+                                  "CIK0000000002": (200, good)})
+        resolver = EdgarSubmissionsResolver(make_client(transport))
+        entries, warnings = resolver.resolve(
+            universe(("ODD", "0000000001"), ("GOOD", "0000000002")), 2020, 2020)
+        assert [e.accession_id for e in entries] == ["acc-good"]
+        assert [(w.ticker, w.retriable) for w in warnings] == [("ODD", False)]
+        assert reason in warnings[0].reason
+
     def test_bad_year_range(self):
         resolver = EdgarSubmissionsResolver(make_client(MapTransport({})))
         with pytest.raises(ValueError):

@@ -217,6 +217,17 @@ class TestWindowReturns:
         assert r.r_max == pytest.approx(np.percentile(cumulative, 98), abs=1e-12)
         assert r.r_min == pytest.approx(np.percentile(cumulative, 2), abs=1e-12)
 
+    def test_percentiles_equal_separate_calls_exactly(self):
+        # window_returns takes both percentiles from one np.percentile call.
+        rng = np.random.default_rng(13)
+        for n in range(market_data.MIN_WINDOW_OBSERVATIONS, 400):
+            prices = rng.uniform(1, 500) * np.exp(np.cumsum(rng.normal(0, 0.02, n)))
+            s = series_from(list(prices))
+            r = window_returns(s, s.dates[0], s.dates[-1])
+            cumulative = prices / prices[0] - 1.0
+            assert r.r_max == float(np.percentile(cumulative, market_data.MAX_PERCENTILE))
+            assert r.r_min == float(np.percentile(cumulative, market_data.MIN_PERCENTILE))
+
     def test_insufficient_observations_skipped(self):
         s = series_from([100.0] * 5)
         with pytest.raises(WindowSkipped):

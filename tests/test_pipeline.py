@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from filingsignal import cli, corpus, edgar, pipeline
+from filingsignal import cli, corpus, edgar, llm_scoring, pipeline
 from filingsignal.corpus import CorpusStore, chunk_filing
 from filingsignal.embed_index import HashEmbeddingProvider, VectorIndex
 from filingsignal.errors import PipelineError, RetriableError, StageInputError
@@ -21,7 +21,7 @@ from filingsignal.pipeline import PipelineConfig, run_pipeline
 from filingsignal.regression import NNLSModel
 from filingsignal.synthetic import PLANTED_PHRASE, make_workspace
 
-from conftest import json_reply, loopback, synthetic_config
+from conftest import assert_cache_holds, json_reply, loopback, synthetic_config
 
 SYNTH_STAGES = ["embed", "score", "returns", "label", "train", "backtest"]
 
@@ -264,13 +264,12 @@ class TestRunPipeline:
         (tmp_path / "features.csv").unlink()
         run_pipeline(config, ["embed", "score"])
         assert cache_path.read_bytes() == original
-        cache = ScoreCache(cache_path)
-        for line in original.splitlines():
-            rec = json.loads(line)
-            assert cache.get(rec["prompt_sha256"]) == rec["score"]
+        assert_cache_holds(ScoreCache(cache_path), original.decode())
 
-    @pytest.mark.parametrize("key, value", [("chunks_per_question", 1),
-                                            ("chunk_chars", 300)])
+    @pytest.mark.parametrize("key, value", [
+        ("chunks_per_question", 1), ("chunk_chars", 300),
+        ("llm_provider", {"name": "keyword-stub", "phrase": "restated",
+                          "hit_score": 30, "miss_score": 10, "per_occurrence": 8})])
     def test_changed_retrieval_not_answered_from_cache(self, synth_root, tmp_path,
                                                        key, value):
         def config(out):  # chunks small enough that a filing has several
@@ -836,6 +835,80 @@ class TestIncrementalEmbed:
                                    out_dir=str(tmp_path / "cold"))
         run_pipeline(cold, ["embed"])
         assert index_bytes(config) == index_bytes(cold)
+
+
+def count_top_k(monkeypatch):
+    """The filing key of every ``VectorIndex.top_k`` call from here on."""
+    calls = []
+    real = VectorIndex.top_k
+
+    def top_k(self, query, k, filing_key=None):
+        calls.append(filing_key)
+        return real(self, query, k, filing_key)
+
+    monkeypatch.setattr(VectorIndex, "top_k", top_k)
+    return calls
+
+
+def features_bytes(config):
+    return Path(config.out("features.csv")).read_bytes()
+
+
+class TestRowMemo:
+    def test_yearly_update_retrieves_only_for_new_filings(self, synth_root, tmp_path,
+                                                          monkeypatch):
+        config = synthetic_config(synth_root, tmp_path / "grown")
+        config.corpus_dir = str(corpus_copy(synth_root, tmp_path / "corpus",
+                                            lambda record: record["filing_date"] < "2020"))
+        run_pipeline(config, ["embed", "score"])
+        config.corpus_dir = str(synth_root / "corpus")
+        calls = count_top_k(monkeypatch)
+        run_pipeline(config, ["embed", "score"])
+        new = [key for key in CorpusStore(config.corpus_dir).keys() if key[1] >= "2020"]
+        assert sorted(set(calls)) == new
+        assert len(calls) == len(pipeline.load_questions(config)) * len(new)
+        cold = synthetic_config(synth_root, tmp_path / "cold")
+        run_pipeline(cold, ["embed", "score"])
+        assert features_bytes(config) == features_bytes(cold)
+
+    @pytest.mark.parametrize("change", ["chunks_per_question", "question_text",
+                                        "system_prompt", "edited_filing", "llm_id"])
+    def test_change_recomputes_only_the_rows_it_affects(self, synth_root, tmp_path,
+                                                        monkeypatch, change):
+        questions = tmp_path / "questions.json"
+        questions.write_text(json.dumps({"questions": [
+            {"id": q.question_id, "text": q.text}
+            for q in pipeline.QuestionSet.default().questions]}))
+        config = synthetic_config(synth_root, tmp_path / "rerun")
+        config.chunk_chars, config.overlap_chars = 400, 32  # several chunks per filing
+        config.corpus_dir = str(corpus_copy(synth_root, tmp_path / "corpus"))
+        config.questions_file = str(questions)
+        run_pipeline(config, ["embed", "score"])
+        affected = CorpusStore(config.corpus_dir).keys()
+        if change == "chunks_per_question":
+            config.chunks_per_question = 1
+        elif change == "question_text":
+            data = json.loads(questions.read_text())
+            data["questions"][0]["text"] += " Answer for the last fiscal year."
+            questions.write_text(json.dumps(data))
+        elif change == "system_prompt":
+            monkeypatch.setattr(llm_scoring, "SYSTEM_PROMPT",
+                                llm_scoring.SYSTEM_PROMPT + " Be brief.")
+        elif change == "edited_filing":
+            affected = [append_to_filing(config.corpus_dir).key]
+        else:
+            config.llm_provider = {**config.llm_provider, "hit_score": 31}
+        # Code is not a stage input, so only a changed output makes the stage
+        # run again for a changed SYSTEM_PROMPT; the other changes need none.
+        Path(config.out("features.csv")).unlink()
+        calls = count_top_k(monkeypatch)
+        run_pipeline(config, ["embed", "score"])
+        assert sorted(set(calls)) == affected
+        assert len(calls) == len(pipeline.load_questions(config)) * len(affected)
+        cold = dataclasses.replace(config, index_dir=str(tmp_path / "cold" / "index"),
+                                   out_dir=str(tmp_path / "cold"))
+        run_pipeline(cold, ["embed", "score"])
+        assert features_bytes(config) == features_bytes(cold)
 
 
 class TestCrashSafeWrites:

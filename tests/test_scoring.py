@@ -7,12 +7,12 @@ from filingsignal.corpus import Chunk, Filing, chunk_filing
 from filingsignal.embed_index import HashEmbeddingProvider, VectorIndex, embed_text
 from filingsignal.errors import RowScoringError, UnparseableScoreError
 from filingsignal.llm_scoring import (MAX_ATTEMPTS, ConstantLLM, HTTPChatLLM,
-                                      KeywordLLM, Question, QuestionSet,
+                                      KeywordLLM, Question, QuestionSet, RowInputs,
                                       ScoreCache, build_prompt, embed_questions,
                                       parse_score, read_features_csv,
                                       score_filing, write_features_csv)
 
-from conftest import json_reply, loopback
+from conftest import assert_cache_holds, json_reply, loopback
 
 GROWTH_QUESTION = ("Does the company have a clear strategy for growth and "
                    "innovation? Are there any recent strategic initiatives "
@@ -45,8 +45,8 @@ def indexed_filing(text, ticker="TEST"):
 def score(indexed, qs, llm, cache):
     """score_filing on an ``indexed_filing``, four chunks per question, asked serially."""
     filing, chunks, index, embedder = indexed
-    return score_filing(filing, chunks, qs, embed_questions(qs, embedder), index,
-                        llm, cache, 4, map)
+    return score_filing(filing, chunks, RowInputs(qs, embed_questions(qs, embedder), llm, 4),
+                        index, cache, map)
 
 
 class TestQuestionSet:
@@ -179,9 +179,7 @@ class TestScoreFiling:
         with caplog.at_level("WARNING"):
             cache = ScoreCache(path)
         assert caplog.text == ""
-        for line in keyed.splitlines():
-            rec = json.loads(line)
-            assert cache.get(rec["prompt_sha256"]) == rec["score"]
+        assert_cache_holds(cache, keyed)
 
     def test_failed_row_keeps_earlier_answers(self, tmp_path):
         class FailsLastQuestion:
@@ -200,8 +198,9 @@ class TestScoreFiling:
     def test_cache_bytes_match_per_answer_appends(self, tmp_path):
         class PerAnswerCache(ScoreCache):
             def put(self, *args):
-                super().put(*args)
+                held = super().put(*args)
                 self.flush()
+                return held
 
         qs = small_questionset()
         filings = [indexed_filing("first filing text", "AAA"),
@@ -211,7 +210,9 @@ class TestScoreFiling:
             for indexed in filings:
                 score(indexed, qs, ConstantLLM(50), cache)
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
-        assert len((tmp_path / "a.jsonl").read_text().splitlines()) == 2 * len(qs)
+        records = [json.loads(line) for line in (tmp_path / "a.jsonl").read_text().splitlines()]
+        assert sum("prompt_sha256" in r for r in records) == 2 * len(qs)
+        assert [r["scores"] for r in records if "row_sha256" in r] == [[50, 50], [50, 50]]
 
     def test_repeated_prompt_scored_from_its_first_answer(self, tmp_path):
         class Counting:
