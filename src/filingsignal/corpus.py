@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import re
+from collections import Counter
 from dataclasses import asdict, dataclass
 from datetime import date
 from html import unescape
@@ -20,7 +21,7 @@ from html.parser import HTMLParser
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import EmptyDocumentError
+from .errors import EmptyDocumentError, PipelineError
 
 logger = logging.getLogger(__name__)
 
@@ -41,20 +42,30 @@ class TickerUniverse:
     def __post_init__(self):
         tickers = [e.ticker for e in self.entries]
         if len(set(tickers)) != len(tickers):
-            raise ValueError("duplicate tickers in universe")
+            repeated = sorted(t for t, n in Counter(tickers).items() if n > 1)
+            raise ValueError(f"duplicate tickers in universe: {repeated}")
         for e in self.entries:
             if not re.fullmatch(r"\d{10}", e.cik):
                 raise ValueError(f"cik must be 10 digits, got {e.cik!r} for {e.ticker}")
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "TickerUniverse":
-        """Load a universe from a CSV with columns ticker,cik."""
-        entries = []
+        """Load a universe from a CSV with columns ticker,cik; a cik of fewer
+        than 10 digits is zero-padded. Any mistake is a PipelineError naming
+        the file."""
         with open(path, newline="", encoding="utf-8") as f:
-            for row in csv.DictReader(f):
+            reader = csv.DictReader(f, restval="")
+            if missing := sorted({"ticker", "cik"} - set(reader.fieldnames or ())):
+                raise PipelineError(f"{path}: no column {missing}")
+            entries = []
+            for row in reader:
                 cik = row["cik"].strip()
-                entries.append(UniverseEntry(row["ticker"].strip(), cik.zfill(10)))
-        return cls(entries)
+                entries.append(UniverseEntry(row["ticker"].strip(),
+                                             cik.zfill(10) if cik.isdigit() else cik))
+        try:
+            return cls(entries)
+        except ValueError as exc:
+            raise PipelineError(f"{path}: {exc}") from exc
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -182,10 +193,8 @@ def chunk_filing(filing: Filing, chunk_chars: int, overlap_chars: int) -> list[C
             # Snap back to the last whitespace in the overlap window, keeping
             # enough progress that the next start strictly advances.
             window_start = max(end - overlap_chars, start + overlap_chars + 1)
-            ws = max(
-                (i for i in range(window_start, end) if text[i].isspace()),
-                default=None,
-            )
+            ws = next((i for i in range(end - 1, window_start - 1, -1) if text[i].isspace()),
+                      None)
             if ws is not None:
                 end = ws + 1
         chunks.append(Chunk(filing.key, index, text[start:end], (start, end)))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import struct
 from itertools import groupby
 from pathlib import Path
@@ -24,8 +25,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .corpus import write_atomic
-from .errors import (MAX_ATTEMPTS, DimensionMismatchError, PipelineError, RetriableError,
-                     ZeroNormError)
+from .errors import MAX_ATTEMPTS, DimensionMismatchError, PipelineError, RetriableError
 from .net import post_json
 
 logger = logging.getLogger(__name__)
@@ -52,7 +52,9 @@ class HashEmbeddingProvider:
     with zero network dependency.
     """
 
-    def __init__(self, dimension: int, seed: int):
+    def __init__(self, dimension: int = 64, seed: int = 0):
+        if dimension < 1:
+            raise ValueError(f"dimension ({dimension!r}) must be a positive integer")
         self.dimension = dimension
         self.seed = seed
         self.provider_id = f"hash-stub-d{dimension}-s{seed}"
@@ -75,10 +77,10 @@ class HashEmbeddingProvider:
 class HTTPEmbeddingProvider:
     """Provider contract over HTTP: POST texts, receive equal-length float arrays."""
 
-    def __init__(self, endpoint: str, model: str, api_key: str | None = None):
+    def __init__(self, endpoint: str, model: str, api_key_env: str = "EMBEDDING_API_KEY"):
         self.endpoint = endpoint
         self.model = model
-        self.api_key = api_key
+        self.api_key = os.environ.get(api_key_env)
         self.provider_id = f"http:{model}"
 
     def embed_batch(self, texts: Sequence[str]) -> list[list[float]]:
@@ -95,29 +97,38 @@ class HTTPEmbeddingProvider:
 
 
 def normalize(values: Sequence[float]) -> np.ndarray:
-    vec = np.asarray(values, dtype=np.float64)
+    """``values`` scaled to unit length; ValueError unless they are one vector
+    of finite numbers, not all zero."""
+    try:
+        vec = np.asarray(values, dtype=np.float64)
+    except TypeError as exc:
+        raise ValueError(f"embedding is not a vector of numbers: {exc}") from exc
+    if vec.ndim != 1:
+        raise ValueError(f"embedding is not one vector (shape {vec.shape})")
     if not np.all(np.isfinite(vec)):
         raise ValueError("embedding contains non-finite values")
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
-        raise ZeroNormError("cannot normalize a zero vector")
+        raise ValueError("cannot normalize a zero vector")
     return vec / norm
 
 
 def embed_item(provider: EmbeddingProvider, texts: Sequence[str], item: str) -> list[np.ndarray]:
     """Unit vectors of one item's texts, whatever the provider's raw scale.
 
-    A RetriableError, or a reply without exactly one vector per text, is
-    tried again; after MAX_ATTEMPTS calls a PipelineError names ``item``.
+    A RetriableError, a reply without exactly one vector per text, or a
+    vector that ``normalize`` refuses is tried again; after MAX_ATTEMPTS calls
+    a PipelineError names ``item``. Its cause is the last call's error, so a
+    RetriableError only when the last call found no answer.
     """
     for attempt in range(1, MAX_ATTEMPTS + 1):
         try:
             vectors = provider.embed_batch(texts)
             if len(vectors) != len(texts):
-                raise RetriableError(f"{provider.provider_id} returned {len(vectors)} "
-                                     f"vectors for {len(texts)} texts")
+                raise ValueError(f"{provider.provider_id} returned {len(vectors)} "
+                                 f"vectors for {len(texts)} texts")
             return [normalize(v) for v in vectors]
-        except RetriableError as exc:
+        except (RetriableError, ValueError) as exc:
             if attempt == MAX_ATTEMPTS:
                 raise PipelineError(f"embedding of {item} failed {MAX_ATTEMPTS} times: "
                                     f"{exc}") from exc

@@ -22,10 +22,6 @@ class DimensionMismatchError(PipelineError):
     """Embedding dimension does not match the target index."""
 
 
-class ZeroNormError(PipelineError):
-    """A zero vector was passed where a direction is required."""
-
-
 class UnparseableScoreError(PipelineError):
     """No valid 0-100 integer could be extracted from a provider response."""
 

@@ -18,6 +18,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import re
 import threading
 from dataclasses import dataclass
@@ -61,17 +62,32 @@ class QuestionSet:
     questions: list[Question]
 
     def __post_init__(self):
-        ids = [q.question_id for q in self.questions]
-        if len(set(ids)) != len(ids):
-            raise ValueError("question_ids must be unique")
+        """Refuse an empty set, an id or text that is not a string, an empty
+        text and a repeated id."""
+        if not self.questions:
+            raise ValueError("there are no questions")
+        seen = set()
+        for q in self.questions:
+            if not (isinstance(q.question_id, str) and isinstance(q.text, str) and q.text):
+                raise ValueError(f"question {q.question_id!r}: the id and the text must be "
+                                 "strings, and the text not empty")
+            if q.question_id in seen:
+                raise ValueError(f"question {q.question_id!r} is repeated: question_ids "
+                                 "must be unique")
+            seen.add(q.question_id)
 
     def __len__(self) -> int:
         return len(self.questions)
 
     @classmethod
     def from_json(cls, text: str) -> "QuestionSet":
-        """Parse ``{"questions": [{"id": ..., "text": ...}]}``; other keys are ignored."""
-        return cls([Question(q["id"], q["text"]) for q in json.loads(text)["questions"]])
+        """Parse ``{"questions": [{"id": ..., "text": ...}]}``, ignoring other keys;
+        ValueError unless ``text`` is JSON of that form."""
+        try:
+            return cls([Question(q["id"], q["text"]) for q in json.loads(text)["questions"]])
+        except (LookupError, TypeError) as exc:
+            raise ValueError('not of the form {"questions": [{"id": ..., "text": ...}]}: '
+                             f"{exc!r}") from exc
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "QuestionSet":
@@ -107,7 +123,7 @@ class LLMProvider(Protocol):
 class ConstantLLM:
     """Stub that answers every question with the same score."""
 
-    def __init__(self, score: int):
+    def __init__(self, score: int = 50):
         self.score = score
         self.provider_id = f"constant-stub-{score}"
         self.call_count = 0
@@ -124,8 +140,8 @@ class KeywordLLM:
     gives graded scores for planted-signal fixtures.
     """
 
-    def __init__(self, phrase: str, hit_score: int, miss_score: int,
-                 per_occurrence: int):
+    def __init__(self, phrase: str, hit_score: int = 90, miss_score: int = 10,
+                 per_occurrence: int = 0):
         self.phrase = phrase.lower()
         self.hit_score = hit_score
         self.miss_score = miss_score
@@ -148,10 +164,10 @@ class KeywordLLM:
 class HTTPChatLLM:
     """Chat-style HTTP provider: system + user message in, assistant text out."""
 
-    def __init__(self, endpoint: str, model: str, api_key: str | None = None):
+    def __init__(self, endpoint: str, model: str, api_key_env: str = "LLM_API_KEY"):
         self.endpoint = endpoint
         self.model = model
-        self.api_key = api_key
+        self.api_key = os.environ.get(api_key_env)
         self.provider_id = f"http:{model}"
 
     def complete(self, system_prompt: str, user_prompt: str) -> str:

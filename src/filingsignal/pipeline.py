@@ -8,8 +8,8 @@ runs resume where they left off. Per-item failures (one filing, one price
 series, one window) never abort a stage; they accumulate in an error report.
 The embed stage builds the vector index, one file, embedding only the chunk
 texts the previous index does not hold; a filing it cannot embed is recorded
-in embed_errors.jsonl and left out, and the stage runs again on the next run
-until every filing is embedded. The score stage chunks each filing as it
+in embed_errors.jsonl and left out, and one lost to a provider outage makes
+the stage run again on the next run. The score stage chunks each filing as it
 scores it, and refuses a filing whose chunk texts differ from its rows in the
 index; a filing whose row inputs are unchanged gets its row from the score
 cache without retrieval; a row lost to a provider outage makes it run again on
@@ -26,6 +26,7 @@ not requested in the same run and has changed config or inputs since it ran.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import logging
 import time
@@ -60,8 +61,8 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# By PipelineConfig field annotation: a test of the field's YAML value, and what
-# the test asks for.
+# By annotation, of a PipelineConfig field or a provider constructor's
+# parameter: a test of its YAML value, and what the test asks for.
 _YAML_TYPES = {
     "str": (lambda v: isinstance(v, str), "a string"),
     "int": (_is_int, "an integer"),
@@ -70,6 +71,14 @@ _YAML_TYPES = {
     "list[int]": (lambda v: isinstance(v, list) and all(map(_is_int, v)),
                   "a list of integers"),
 }
+
+
+def _check_types(where: str, values: dict, annotations: dict[str, str]) -> None:
+    """Refuse a value whose annotation ``_YAML_TYPES`` holds and whose test it fails."""
+    for key, value in values.items():
+        fits, kind = _YAML_TYPES.get(annotations.get(key), (lambda v: True, ""))
+        if not fits(value):
+            raise PipelineError(f"{where}: {key} ({value!r}) must be {kind}")
 
 
 @dataclass
@@ -111,11 +120,7 @@ class PipelineConfig:
             raise PipelineError(f"{path}: unknown config keys {unknown}")
         if missing := sorted(required - set(data)):
             raise PipelineError(f"{path}: missing config keys {missing}")
-        for f in fields(cls):
-            if f.name in data and f.type in _YAML_TYPES:
-                fits, kind = _YAML_TYPES[f.type]
-                if not fits(data[f.name]):
-                    raise PipelineError(f"{path}: {f.name} ({data[f.name]!r}) must be {kind}")
+        _check_types(str(path), data, {f.name: f.type for f in fields(cls)})
         for key in ("train_years", "test_years"):
             if key in data:
                 data[key] = tuple(data[key])
@@ -139,6 +144,9 @@ class PipelineConfig:
         except ValueError as exc:
             raise PipelineError(f"{path}: train_years {list(config.train_years)} and "
                                 f"test_years {list(config.test_years)}: {exc}") from exc
+        build_embedding_provider(config.embedding_provider)  # to check; stages build their own
+        build_llm_provider(config.llm_provider)
+        load_questions(config)
         return config
 
     # paths ------------------------------------------------------------------
@@ -155,59 +163,46 @@ class PipelineConfig:
         return Path(self.out_dir) / name
 
 
-def _required(cfg: dict, key: str, section: str):
-    """``cfg[key]``, or a PipelineError naming the key the provider needs."""
+def _build(section: str, providers: dict[str, type], cfg):
+    """The provider ``cfg["name"]`` names, built from the other keys of ``cfg``; its
+    constructor declares each setting and its default. A mistake is a PipelineError."""
     if not isinstance(cfg, dict):
         raise PipelineError(f"{section} must be a mapping with a 'name', not {cfg!r}")
-    if key not in cfg:
-        named = f" {cfg['name']!r}" if "name" in cfg else ""
-        raise PipelineError(f"{section}{named} needs the key {key!r}")
-    return cfg[key]
+    if "name" not in cfg:
+        raise PipelineError(f"{section} needs the key 'name'")
+    settings = dict(cfg)
+    name = settings.pop("name")
+    if not isinstance(name, str) or name not in providers:
+        raise PipelineError(f"unknown {section} name {name!r}; known: {sorted(providers)}")
+    where, params = f"{section} {name!r}", inspect.signature(providers[name]).parameters
+    if unknown := sorted(set(settings) - set(params)):
+        raise PipelineError(f"{where}: unknown keys {unknown}; it takes {list(params)}")
+    if missing := [k for k, p in params.items() if p.default is p.empty and k not in settings]:
+        raise PipelineError(f"{where}: missing keys {missing}")
+    _check_types(where, settings, {key: p.annotation for key, p in params.items()})
+    try:
+        return providers[name](**settings)
+    except ValueError as exc:
+        raise PipelineError(f"{where}: {exc}") from exc
 
 
 def build_embedding_provider(cfg: dict):
-    name = _required(cfg, "name", "embedding_provider")
-    if name == "stub":
-        dimension = cfg.get("dimension", 64)
-        if not _is_int(dimension) or dimension < 1:
-            raise PipelineError(f"embedding_provider dimension ({dimension!r}) must be "
-                                "a positive integer")
-        return HashEmbeddingProvider(dimension=dimension, seed=cfg.get("seed", 0))
-    if name == "http":
-        import os
-        return HTTPEmbeddingProvider(
-            endpoint=_required(cfg, "endpoint", "embedding_provider"),
-            model=_required(cfg, "model", "embedding_provider"),
-            api_key=os.environ.get(cfg.get("api_key_env", "EMBEDDING_API_KEY")),
-        )
-    raise PipelineError(f"unknown embedding_provider name {name!r}")
+    return _build("embedding_provider", {"stub": HashEmbeddingProvider,
+                                         "http": HTTPEmbeddingProvider}, cfg)
 
 
 def build_llm_provider(cfg: dict):
-    name = _required(cfg, "name", "llm_provider")
-    if name == "constant-stub":
-        return ConstantLLM(score=cfg.get("score", 50))
-    if name == "keyword-stub":
-        return KeywordLLM(
-            phrase=_required(cfg, "phrase", "llm_provider"),
-            hit_score=cfg.get("hit_score", 90),
-            miss_score=cfg.get("miss_score", 10),
-            per_occurrence=cfg.get("per_occurrence", 0),
-        )
-    if name == "http":
-        import os
-        return HTTPChatLLM(
-            endpoint=_required(cfg, "endpoint", "llm_provider"),
-            model=_required(cfg, "model", "llm_provider"),
-            api_key=os.environ.get(cfg.get("api_key_env", "LLM_API_KEY")),
-        )
-    raise PipelineError(f"unknown llm_provider name {name!r}")
+    return _build("llm_provider", {"constant-stub": ConstantLLM, "keyword-stub": KeywordLLM,
+                                   "http": HTTPChatLLM}, cfg)
 
 
 def load_questions(config: PipelineConfig) -> QuestionSet:
-    if config.questions_file:
+    if not config.questions_file:
+        return QuestionSet.default()
+    try:
         return QuestionSet.from_json_file(config.questions_file)
-    return QuestionSet.default()
+    except ValueError as exc:
+        raise PipelineError(f"questions_file {config.questions_file}: {exc}") from exc
 
 
 class ErrorReport:
@@ -280,7 +275,7 @@ def stage_embed(config: PipelineConfig) -> int:
     reusable = _reusable_vectors(config.index_dir, provider.provider_id)
     store = CorpusStore(config.corpus_dir)
     report = ErrorReport(config.out("embed_errors.jsonl"))
-    refs, hashes, units, failed = [], [], [], []
+    refs, hashes, units, failed, outages = [], [], [], [], 0
     for filing in store.load_all():
         chunks = chunk_filing(filing, config.chunk_chars, config.overlap_chars)
         keys = [chunk.sha256 for chunk in chunks]
@@ -291,6 +286,7 @@ def stage_embed(config: PipelineConfig) -> int:
         except PipelineError as exc:  # left out of the index; score records it as failed
             failed.append(str(exc))
             report.record(f"{filing.ticker} {filing.filing_date}", failed[-1])
+            outages += isinstance(exc.__cause__, RetriableError)
             continue
         units += [reusable[key] if key in reusable else next(fresh) for key in keys]
         refs += [(*chunk.filing_key, chunk.chunk_index) for chunk in chunks]
@@ -301,11 +297,15 @@ def stage_embed(config: PipelineConfig) -> int:
     if not refs:
         raise PipelineError("corpus is empty, nothing to embed")
     VectorIndex(provider.provider_id, refs, hashes, units).save(config.index_dir)
-    if failed:
+    if outages:
         logger.warning("filings that could not be embedded and are left out of the "
                        "index: %d, each recorded in %s; the next run tries them again",
-                       len(failed), report.path)
-    return len(failed)
+                       outages, report.path)
+    if len(failed) > outages:
+        logger.warning("filings left out of the index for a cause a rerun would not mend: "
+                       "%d, each recorded in %s; the stage tries them again once its "
+                       "inputs change", len(failed) - outages, report.path)
+    return outages
 
 
 def stage_score(config: PipelineConfig) -> int:

@@ -112,6 +112,22 @@ class TestChunking:
         for c in chunks[:-1]:
             assert c.text[-1].isspace()
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_boundary_is_the_last_whitespace_of_the_window(self, seed):
+        rng = random.Random(seed)
+        text = "".join(rng.choices("ab \n\xa0", weights=[20, 20, 1, 1, 1],
+                                   k=rng.randrange(1, 3000)))
+        chunk_chars = rng.randrange(2, 400)
+        overlap = rng.randrange(chunk_chars)
+        chunks = chunk_filing(make_filing(text), chunk_chars, overlap)
+        assert reassemble_chunks(chunks) == text
+        for chunk in chunks[:-1]:
+            start, end = chunk.char_span
+            full = start + chunk_chars
+            window = range(max(full - overlap, start + overlap + 1), full)
+            spaces = [i for i in window if text[i].isspace()] if overlap else []
+            assert end == (spaces[-1] + 1 if spaces else full)
+
     def test_bad_overlap_rejected(self):
         with pytest.raises(ValueError):
             chunk_filing(make_filing("abc"), chunk_chars=4, overlap_chars=4)

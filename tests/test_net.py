@@ -26,7 +26,8 @@ PROVIDERS = pytest.mark.parametrize("make, call, answer, expected", [CHAT, EMBED
 
 
 @PROVIDERS
-def test_200_with_json_is_answered(make, call, answer, expected):
+def test_200_with_json_is_answered(monkeypatch, make, call, answer, expected):
+    monkeypatch.setenv("PROVIDER_TEST_KEY", "sk-1")
     seen = []
 
     def reply(body, headers):
@@ -34,7 +35,7 @@ def test_200_with_json_is_answered(make, call, answer, expected):
         return json_reply(answer)
 
     with loopback(reply) as url:
-        assert call(make(url + "/v1", "m", api_key="sk-1")) == expected
+        assert call(make(url + "/v1", "m", api_key_env="PROVIDER_TEST_KEY")) == expected
     [(payload, content_type, auth)] = seen
     assert payload["model"] == "m"
     assert (content_type, auth) == ("application/json", "Bearer sk-1")

@@ -80,6 +80,21 @@ def embed_down_for_one_filing(synth_root, config, monkeypatch):
     return down, refused
 
 
+def chunk_texts_of(config, keys):
+    """The set of chunk texts of the stored filings with these keys."""
+    store = CorpusStore(config.corpus_dir)
+    return {c.text for key in keys
+            for c in chunk_filing(store.load(key), config.chunk_chars, config.overlap_chars)}
+
+
+def write_config(synth_root, tmp_path, **change):
+    """A config file for the synthetic workspace, writing to ``tmp_path / "out"``."""
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({
+        **yaml_mapping(synthetic_config(synth_root, tmp_path / "out")), **change}))
+    return path
+
+
 def corpus_copy(synth_root, dest, keep=lambda record: True):
     """A copy of the synthetic corpus with the filings whose manifest record ``keep`` accepts."""
     shutil.copytree(synth_root / "corpus", dest)
@@ -433,6 +448,56 @@ class TestRunPipeline:
         run_pipeline(config, ["embed", "score"])
         assert embedders == []  # embed skipped: nothing left to retry
 
+    @pytest.mark.parametrize("bad", [float("nan"), "x"])
+    def test_unusable_vector_recorded_and_left_out(self, synth_root, tmp_path, monkeypatch,
+                                                   bad):
+        config = synthetic_config(synth_root, tmp_path / "out")
+        keys = CorpusStore(config.corpus_dir).keys()
+        down_texts = chunk_texts_of(config, [keys[3]])
+        asked = []
+
+        class Unusable(HashEmbeddingProvider):
+            def embed_batch(self, texts):
+                vectors = super().embed_batch(texts)
+                if down_texts & set(texts):
+                    asked.append(texts)
+                    vectors[0][0] = bad
+                return vectors
+
+        monkeypatch.setattr(pipeline, "build_embedding_provider",
+                            lambda cfg: Unusable(cfg["dimension"], cfg["seed"]))
+        manifest = run_pipeline(config, ["embed"])
+        assert len(asked) == MAX_ATTEMPTS and manifest["embed"]["retry_items"] == 0
+        [record] = [json.loads(line) for line in
+                    (tmp_path / "out" / "embed_errors.jsonl").read_text().splitlines()]
+        assert record["item"] == f"{keys[3][0]} {keys[3][1]}"
+        assert f"failed {MAX_ATTEMPTS} times" in record["error"]
+        index = VectorIndex.load(config.index_dir)
+        assert index.hashes_of(keys[3]) == [] and index.hashes_of(keys[4]) != []
+
+    def test_lasting_embed_failure_not_rerun(self, synth_root, tmp_path, monkeypatch):
+        config = synthetic_config(synth_root, tmp_path / "out")
+        keys = CorpusStore(config.corpus_dir).keys()
+        zeroed = [key for key in keys if key[0] == keys[0][0]]
+        zero_texts = chunk_texts_of(config, zeroed)
+        batches = []
+
+        class ZeroForOneTicker(HashEmbeddingProvider):
+            def embed_batch(self, texts):
+                batches.append(texts)
+                return [[0.0] * self.dimension if text in zero_texts else vector
+                        for text, vector in zip(texts, super().embed_batch(texts))]
+
+        monkeypatch.setattr(pipeline, "build_embedding_provider",
+                            lambda cfg: ZeroForOneTicker(cfg["dimension"], cfg["seed"]))
+        first = run_pipeline(config, ["embed"])
+        assert first["embed"]["retry_items"] == 0
+        errors = (tmp_path / "out" / "embed_errors.jsonl").read_text().splitlines()
+        assert [json.loads(line)["item"] for line in errors] == [f"{t} {d}" for t, d in zeroed]
+        batches.clear()
+        assert run_pipeline(config, ["embed"])["embed"] == first["embed"]
+        assert batches == []  # skipped: nothing a rerun could mend
+
     def test_row_failed_by_an_outage_scored_on_the_next_run(self, synth_root, tmp_path,
                                                             monkeypatch):
         config = synthetic_config(synth_root, tmp_path / "out")
@@ -747,6 +812,21 @@ class TestIngest:
         assert run_pipeline(config, ["ingest"])["ingest"]["retry_items"] == 0
         assert ("AAA", "2020-02-14") in CorpusStore(config.corpus_dir)
 
+    @pytest.mark.parametrize("text, named", [
+        ("ticker\nAAA\n", "no column ['cik']"),
+        ("ticker,cik\nAAA,12x\n", "cik must be 10 digits, got '12x' for AAA"),
+        ("ticker,cik\nAAA\n", "cik must be 10 digits, got '' for AAA"),
+        ("ticker,cik\nAAA,1\nAAA,2\n", "duplicate tickers in universe: ['AAA']"),
+    ], ids=["no-cik-column", "bad-cik", "no-cik", "repeated-ticker"])
+    def test_universe_mistake_is_an_error_line(self, tmp_path, capsys, text, named):
+        config = self.config(tmp_path)
+        (tmp_path / "universe.csv").write_text(text)
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump(yaml_mapping(config)))
+        assert cli.main(["pipeline", "--config", str(cfg_path), "--stages", "ingest"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'universe.csv'}: ") and named in err
+
     def test_no_ticker_resolved_is_an_error(self, tmp_path, monkeypatch):
         monkeypatch.delenv(edgar.CONTACT_ENV_VAR, raising=False)  # refused before any request
         with pytest.raises(PipelineError, match=f"ingest_errors.jsonl.*{edgar.CONTACT_ENV_VAR}"):
@@ -987,6 +1067,28 @@ class TestConfigFile:
         with pytest.raises(PipelineError, match=key):
             PipelineConfig.from_yaml(path)
 
+    @pytest.mark.parametrize("build, cfg, provider_id", [
+        ("build_embedding_provider", {"name": "stub"}, "hash-stub-d64-s0"),
+        ("build_embedding_provider", {"name": "stub", "dimension": 8, "seed": 3},
+         "hash-stub-d8-s3"),
+        ("build_embedding_provider", {"name": "http", "endpoint": "http://h/v1", "model": "e"},
+         "http:e"),
+        ("build_llm_provider", {"name": "constant-stub"}, "constant-stub-50"),
+        ("build_llm_provider", {"name": "keyword-stub", "phrase": "Record Growth"},
+         "keyword-stub-90-10-0:record growth"),
+        ("build_llm_provider", {"name": "http", "endpoint": "http://h/v1", "model": "c"},
+         "http:c"),
+    ])
+    def test_provider_defaults_keep_their_ids(self, build, cfg, provider_id):
+        assert getattr(pipeline, build)(cfg).provider_id == provider_id
+
+    @pytest.mark.parametrize("build", ["build_embedding_provider", "build_llm_provider"])
+    def test_http_provider_reads_the_named_key_variable(self, monkeypatch, build):
+        monkeypatch.setenv("PROVIDER_TEST_KEY", "sk-2")
+        provider = getattr(pipeline, build)({"name": "http", "endpoint": "http://h/v1",
+                                             "model": "m", "api_key_env": "PROVIDER_TEST_KEY"})
+        assert provider.api_key == "sk-2"
+
 
 class TestCli:
     def test_pipeline_subcommand(self, synth_root, tmp_path):
@@ -1081,6 +1183,11 @@ class TestCli:
         ({"corpus_dir": 5}, ["embed"], "corpus_dir (5) must be a string", 1),
         ({"embedding_provider": {"name": "stub", "dimension": 0}}, ["embed"],
          "dimension (0) must be a positive integer", 1),
+        ({"embedding_provider": {"name": "stub", "dimesion": 32}}, ["embed"], "'dimesion'", 1),
+        ({"llm_provider": {"name": "keyword-stub", "phrase": 5}}, ["embed", "score"],
+         "phrase (5) must be a string", 1),
+        ({"llm_provider": {"name": "keyword-stub", "phrase": "x", "hit_score": "90"}},
+         ["embed", "score"], "hit_score ('90') must be an integer", 1),
     ])
     def test_config_mistake_is_an_error_line(self, synth_root, tmp_path, capsys,
                                              change, stages, named, code):
@@ -1103,6 +1210,59 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") or "error: argument --stages" in err
         assert named in err
+
+    @pytest.mark.parametrize("key, provider, named", [
+        ("llm_provider", {"name": "keyword-stub"}, "llm_provider 'keyword-stub': "
+         "missing keys ['phrase']"),
+        ("llm_provider", {"name": "keyword-stub", "phrase": "x", "hit_scor": 90},
+         "llm_provider 'keyword-stub': unknown keys ['hit_scor']; it takes ['phrase', "
+         "'hit_score', 'miss_score', 'per_occurrence']"),
+        ("llm_provider", {"name": "constant-stub", "score": 1.5},
+         "llm_provider 'constant-stub': score (1.5) must be an integer"),
+        ("llm_provider", {"name": "gpt-x"}, "unknown llm_provider name 'gpt-x'; known: "
+         "['constant-stub', 'http', 'keyword-stub']"),
+        ("llm_provider", {"name": ["http"]}, "unknown llm_provider name ['http']"),
+        ("llm_provider", {"name": "http", "endpoint": "http://127.0.0.1:9/v1", "model": "m",
+                          "api_key_env": 1},
+         "llm_provider 'http': api_key_env (1) must be a string"),
+        ("embedding_provider", {"name": "stub", "dimension": 0},
+         "embedding_provider 'stub': dimension (0) must be a positive integer"),
+        ("embedding_provider", {"name": "http", "model": "m"},
+         "embedding_provider 'http': missing keys ['endpoint']"),
+    ], ids=["missing-key", "unknown-key", "mistyped", "unknown-name", "list-name",
+            "mistyped-key-variable", "dimension-0", "http-missing-key"])
+    def test_provider_mistake_runs_no_stage(self, synth_root, tmp_path, capsys, key,
+                                            provider, named):
+        cfg_path = write_config(synth_root, tmp_path, **{key: provider})
+        rc = cli.main(["pipeline", "--config", str(cfg_path), "--stages", "embed", "score"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {named}")
+        assert not (tmp_path / "out" / pipeline.MANIFEST_FILE).exists()
+        assert not (tmp_path / "out" / "index").exists()
+
+    @pytest.mark.parametrize("text, named", [
+        ('{"questions": [{"id": "a"}]}', "KeyError('text')"),
+        ("[1]", "not of the form"),
+        ('{"questions": [1]}', "not of the form"),
+        ('{"questions": [{"id": "a", "text": "x"}, {"id": "a", "text": "y"}]}',
+         "question 'a' is repeated"),
+        ('{"questions": [{"id": "a", "text": ""}]}', "question 'a': the id and the text"),
+        ('{"questions": [{"id": 1, "text": "x"}]}', "question 1: the id and the text"),
+        ('{"questions": []}', "there are no questions"),
+        ("{", "Expecting property name"),
+    ], ids=["no-text", "list", "number", "repeated-id", "empty-text", "number-id", "none",
+            "not-json"])
+    def test_questions_file_mistake_runs_no_stage(self, synth_root, tmp_path, capsys, text,
+                                                  named):
+        questions = tmp_path / "questions.json"
+        questions.write_text(text)
+        cfg_path = write_config(synth_root, tmp_path, questions_file=str(questions))
+        rc = cli.main(["pipeline", "--config", str(cfg_path), "--stages", "embed", "score"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: questions_file {questions}: ")
+        assert named in err
+        assert not (tmp_path / "out" / pipeline.MANIFEST_FILE).exists()
 
     @pytest.mark.parametrize("key", ["llm_provider", "embedding_provider"])
     def test_config_without_provider_is_an_error_line(self, synth_root, tmp_path,
