@@ -3,32 +3,27 @@
 Network access goes through an injectable transport so tests run offline.
 EDGAR fair-access rules are enforced here: a descriptive user-agent with a
 contact address (from the EDGAR_CONTACT env var) and at most 8 requests per
-second, with exponential backoff on 429/503.
+second. A failed request is retried as ``net.with_retries`` says.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import os
 import time
 from dataclasses import dataclass
 from datetime import date
-from typing import Callable, Protocol
+from typing import Callable, Mapping, Protocol
 
 from .corpus import Filing, TickerUniverse, clean_filing_text
-from .errors import RetriableError
-from .net import request
-
-logger = logging.getLogger(__name__)
+from .errors import FinalStatusError, PipelineError, RetriableError
+from .net import check_status, request, with_retries
 
 CONTACT_ENV_VAR = "EDGAR_CONTACT"
 SUBMISSIONS_URL = "https://data.sec.gov/submissions/CIK{cik}.json"
 ARCHIVE_URL = "https://www.sec.gov/Archives/edgar/data/{cik_int}/{acc_nodash}/{doc}"
 
 MAX_REQUESTS_PER_SECOND = 8
-BACKOFF_STATUSES = (429, 503)
-MAX_RETRIES = 5
 EDGAR_TIMEOUT_S = 30.0
 
 
@@ -49,7 +44,7 @@ class WarningRecord:
 
 
 class Transport(Protocol):
-    def __call__(self, url: str) -> tuple[int, str]: ...
+    def __call__(self, url: str) -> tuple[int, str, Mapping[str, str]]: ...
 
 
 class RateLimiter:
@@ -88,45 +83,34 @@ def _decode(data: bytes, content_type: str) -> str:
         return data.decode("utf-8", errors="replace")
 
 
-def _http_transport(url: str) -> tuple[int, str]:
+def _http_transport(url: str) -> tuple[int, str, Mapping[str, str]]:
     contact = os.environ.get(CONTACT_ENV_VAR)
-    if not contact:
-        raise RuntimeError(
+    if not contact:  # a configuration mistake: raised at once, never retried
+        raise PipelineError(
             f"refusing to contact EDGAR without {CONTACT_ENV_VAR} set to a "
             "descriptive identity string with a contact address"
         )
-    status, data, content_type = request(url, {"User-Agent": contact}, None,
-                                         EDGAR_TIMEOUT_S)
-    return status, _decode(data, content_type)
+    status, data, headers = request(url, {"User-Agent": contact}, None, EDGAR_TIMEOUT_S)
+    return status, _decode(data, headers.get("Content-Type", "")), headers
 
 
 class EdgarClient:
-    """Rate-limited, retrying HTTP access to EDGAR endpoints."""
+    """Rate-limited HTTP access to EDGAR endpoints, retried through ``with_retries``."""
 
     def __init__(self, transport: Transport | None = None,
-                 limiter: RateLimiter | None = None,
-                 sleep: Callable[[float], None] = time.sleep):
+                 limiter: RateLimiter | None = None):
         self.transport = transport or _http_transport
         self.limiter = limiter or RateLimiter()
-        self._sleep = sleep
 
     def get(self, url: str, context: str = "") -> str:
-        delay = 1.0
-        for attempt in range(MAX_RETRIES):
+        """The text of a 200 from ``url``; errors name ``context``, or ``url``."""
+        def attempt() -> str:
             self.limiter.acquire()
-            try:
-                status, body = self.transport(url)
-            except Exception as exc:  # transport-level failure (DNS, timeout)
-                raise RetriableError(f"network failure for {context or url}: {exc}") from exc
-            if status == 200:
-                return body
-            if status in BACKOFF_STATUSES and attempt < MAX_RETRIES - 1:
-                logger.warning("EDGAR %s for %s, backing off %.1fs", status, url, delay)
-                self._sleep(delay)
-                delay *= 2
-                continue
-            raise RetriableError(f"HTTP {status} for {context or url}")
-        raise RetriableError(f"retries exhausted for {context or url}")
+            status, text, headers = self.transport(url)
+            check_status(status, headers, url)
+            return text
+
+        return with_retries(attempt, context or url)
 
 
 class EdgarSubmissionsResolver:
@@ -154,11 +138,13 @@ class EdgarSubmissionsResolver:
                     SUBMISSIONS_URL.format(cik=u.cik), context=f"submissions for {u.ticker}"
                 )
                 found = self._extract(u, json.loads(body), year_from, year_to)
+            except FinalStatusError as exc:
+                if exc.status != 404:
+                    raise  # such as a 403, which every ticker would get
+                warnings.append(WarningRecord(u.ticker, f"unknown cik {u.cik}"))
+                continue
             except RetriableError as exc:
-                if "HTTP 404" in str(exc):
-                    warnings.append(WarningRecord(u.ticker, f"unknown cik {u.cik}"))
-                else:
-                    warnings.append(WarningRecord(u.ticker, str(exc), retriable=True))
+                warnings.append(WarningRecord(u.ticker, str(exc), retriable=True))
                 continue
             except json.JSONDecodeError as exc:
                 warnings.append(WarningRecord(u.ticker, f"submissions not JSON: {exc}"))

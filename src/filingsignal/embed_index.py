@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 import struct
 from itertools import groupby
@@ -25,10 +24,8 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .corpus import write_atomic
-from .errors import MAX_ATTEMPTS, DimensionMismatchError, PipelineError, RetriableError
-from .net import post_json
-
-logger = logging.getLogger(__name__)
+from .errors import DimensionMismatchError, RetriableError
+from .net import check_endpoint, post_json, with_retries
 
 INDEX_MAGIC = b"VIDX"
 INDEX_VERSION = 3
@@ -78,7 +75,7 @@ class HTTPEmbeddingProvider:
     """Provider contract over HTTP: POST texts, receive equal-length float arrays."""
 
     def __init__(self, endpoint: str, model: str, api_key_env: str = "EMBEDDING_API_KEY"):
-        self.endpoint = endpoint
+        self.endpoint = check_endpoint(endpoint)
         self.model = model
         self.api_key = os.environ.get(api_key_env)
         self.provider_id = f"http:{model}"
@@ -113,26 +110,27 @@ def normalize(values: Sequence[float]) -> np.ndarray:
     return vec / norm
 
 
-def embed_item(provider: EmbeddingProvider, texts: Sequence[str], item: str) -> list[np.ndarray]:
+def embed_item(provider: EmbeddingProvider, texts: Sequence[str], item: str,
+               dimension: int | None = None) -> list[np.ndarray]:
     """Unit vectors of one item's texts, whatever the provider's raw scale.
 
-    A RetriableError, a reply without exactly one vector per text, or a
-    vector that ``normalize`` refuses is tried again; after MAX_ATTEMPTS calls
-    a PipelineError names ``item``. Its cause is the last call's error, so a
-    RetriableError only when the last call found no answer.
+    Asked through ``with_retries``, which also retries a reply without
+    exactly one vector per text, with a vector that ``normalize`` refuses, or
+    with vectors not all of one length, ``dimension`` when it is given.
     """
-    for attempt in range(1, MAX_ATTEMPTS + 1):
-        try:
-            vectors = provider.embed_batch(texts)
-            if len(vectors) != len(texts):
-                raise ValueError(f"{provider.provider_id} returned {len(vectors)} "
-                                 f"vectors for {len(texts)} texts")
-            return [normalize(v) for v in vectors]
-        except (RetriableError, ValueError) as exc:
-            if attempt == MAX_ATTEMPTS:
-                raise PipelineError(f"embedding of {item} failed {MAX_ATTEMPTS} times: "
-                                    f"{exc}") from exc
-            logger.warning("embedding of %s: %s; retrying", item, exc)
+    def attempt() -> list[np.ndarray]:
+        vectors = provider.embed_batch(texts)
+        if len(vectors) != len(texts):
+            raise ValueError(f"{provider.provider_id} returned {len(vectors)} "
+                             f"vectors for {len(texts)} texts")
+        units = [normalize(v) for v in vectors]
+        lengths = {len(u) for u in units} | ({dimension} if dimension else set())
+        if len(lengths) > 1:
+            raise ValueError(f"{provider.provider_id} returned vectors of lengths "
+                             f"{sorted(lengths)}")
+        return units
+
+    return with_retries(attempt, f"embedding of {item}", (ValueError,))
 
 
 def embed_text(provider: EmbeddingProvider, text: str, item: str) -> np.ndarray:

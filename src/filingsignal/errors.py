@@ -1,9 +1,4 @@
-"""Exception hierarchy shared across pipeline stages, and how often a
-RetriableError is retried."""
-
-# Provider calls made for one item (a filing's chunks, a question, a prompt)
-# before its failure is final.
-MAX_ATTEMPTS = 3
+"""Exception hierarchy shared across pipeline stages."""
 
 
 class PipelineError(Exception):
@@ -11,7 +6,21 @@ class PipelineError(Exception):
 
 
 class RetriableError(PipelineError):
-    """Transient failure (network, rate limit); safe to retry."""
+    """Transient failure (no response, a 408, 429 or 5xx); safe to retry."""
+
+    def __init__(self, message: str, status: int | None = None,
+                 retry_after: int | None = None):  # a Retry-After's seconds
+        super().__init__(message)
+        self.status = status  # None without a response
+        self.retry_after = retry_after
+
+
+class FinalStatusError(PipelineError):
+    """An HTTP status that asking again cannot mend, such as 401 or 404."""
+
+    def __init__(self, message: str, status: int):
+        super().__init__(message)
+        self.status = status
 
 
 class EmptyDocumentError(PipelineError):

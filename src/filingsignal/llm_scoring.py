@@ -30,8 +30,9 @@ import numpy as np
 
 from .corpus import Chunk, Filing, read_jsonl, write_atomic, write_csv
 from .embed_index import ChunkRef, EmbeddingProvider, VectorIndex, embed_text
-from .errors import MAX_ATTEMPTS, RetriableError, RowScoringError, UnparseableScoreError
-from .net import post_json
+from .errors import (FinalStatusError, PipelineError, RetriableError, RowScoringError,
+                     UnparseableScoreError)
+from .net import check_endpoint, post_json, with_retries
 
 logger = logging.getLogger(__name__)
 
@@ -120,10 +121,17 @@ class LLMProvider(Protocol):
     def complete(self, system_prompt: str, user_prompt: str) -> str: ...
 
 
+def _check_score(name: str, value: int) -> None:
+    """Refuse a stub score that ``parse_score`` would refuse in every answer."""
+    if not 0 <= value <= 100:
+        raise ValueError(f"{name} ({value!r}) must be from 0 to 100")
+
+
 class ConstantLLM:
     """Stub that answers every question with the same score."""
 
     def __init__(self, score: int = 50):
+        _check_score("score", score)
         self.score = score
         self.provider_id = f"constant-stub-{score}"
         self.call_count = 0
@@ -142,6 +150,10 @@ class KeywordLLM:
 
     def __init__(self, phrase: str, hit_score: int = 90, miss_score: int = 10,
                  per_occurrence: int = 0):
+        _check_score("hit_score", hit_score)
+        _check_score("miss_score", miss_score)
+        if per_occurrence < 0:
+            raise ValueError(f"per_occurrence ({per_occurrence!r}) must not be negative")
         self.phrase = phrase.lower()
         self.hit_score = hit_score
         self.miss_score = miss_score
@@ -165,7 +177,7 @@ class HTTPChatLLM:
     """Chat-style HTTP provider: system + user message in, assistant text out."""
 
     def __init__(self, endpoint: str, model: str, api_key_env: str = "LLM_API_KEY"):
-        self.endpoint = endpoint
+        self.endpoint = check_endpoint(endpoint)
         self.model = model
         self.api_key = os.environ.get(api_key_env)
         self.provider_id = f"http:{model}"
@@ -378,22 +390,21 @@ class _FirstFailure:
             self.position = min(self.position, position)
 
 
-def _ask(llm: LLMProvider, failure: _FirstFailure, filing_key: tuple[str, str],
-         miss: _Miss) -> tuple[str, int]:
-    """(raw response, score) for one miss, in up to MAX_ATTEMPTS calls."""
-    last_error: Exception | None = None
-    for _ in range(MAX_ATTEMPTS):
-        if failure.position < miss.position:
-            break
-        try:
-            raw = llm.complete(miss.system_prompt, miss.user_prompt)
-            return raw, parse_score(raw)
-        except (RetriableError, UnparseableScoreError) as exc:
-            last_error = exc
-    failure.record(miss.position)
-    raise RowScoringError(
-        f"question {miss.question_id} failed for {filing_key}: {last_error}"
-    ) from last_error
+def _ask(llm: LLMProvider, failure: _FirstFailure, miss: _Miss) -> tuple[str, int]:
+    """(raw response, score) for one miss, asked through ``with_retries``, which
+    also retries an answer without a score. A final status is raised as it is."""
+    def attempt() -> tuple[str, int]:
+        raw = llm.complete(miss.system_prompt, miss.user_prompt)
+        return raw, parse_score(raw)
+
+    try:
+        return with_retries(attempt, f"question {miss.question_id}", (UnparseableScoreError,),
+                            stop=lambda: failure.position < miss.position)
+    except PipelineError as exc:
+        failure.record(miss.position)
+        if isinstance(exc, FinalStatusError):
+            raise
+        raise RowScoringError(str(exc)) from exc
 
 
 def score_filing(
@@ -418,9 +429,9 @@ def score_filing(
     one, an executor's ``map`` overlaps them. Either way the answers are put
     in the cache in question order, as they are read, and then the row under
     its row key. Any question that stays unparseable or unreachable after
-    MAX_ATTEMPTS fails the whole row (partial rows would corrupt the design
-    matrix), and no row is put; the answers put before it are flushed to the
-    cache either way.
+    its attempts fails the whole row (partial rows would corrupt the design
+    matrix), and no row is put; a final status is raised as it is. The
+    answers put before either are flushed to the cache.
     """
     key = filing.key
     row_key = _sha256_of([inputs.key.encode("ascii"), *(part.encode("utf-8") for part in key),
@@ -442,7 +453,7 @@ def score_filing(
         if scores[-1] is None:
             misses.append(_Miss(len(scores) - 1, question.question_id, pkey, system_prompt,
                                 user_prompt, [ref for ref, _ in hits]))
-    ask = functools.partial(_ask, llm, _FirstFailure(), key)
+    ask = functools.partial(_ask, llm, _FirstFailure())
     try:
         for miss, (raw, score) in zip(misses, map_calls(ask, misses)):
             # Two questions with one prompt both miss; both get the first answer.

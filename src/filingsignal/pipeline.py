@@ -46,7 +46,8 @@ from .corpus import CorpusStore, TickerUniverse, chunk_filing, write_atomic
 from .edgar import EdgarClient, EdgarSubmissionsResolver, fetch_filing
 from .embed_index import (INDEX_FILE, HashEmbeddingProvider, HTTPEmbeddingProvider,
                           VectorIndex, embed_item)
-from .errors import PipelineError, RetriableError, RowScoringError, StageInputError
+from .errors import (FinalStatusError, PipelineError, RetriableError, RowScoringError,
+                     StageInputError)
 from .llm_scoring import (MAX_WORKERS, ConstantLLM, HTTPChatLLM, KeywordLLM, QuestionSet,
                           RowInputs, ScoreCache, embed_questions, read_features_csv,
                           score_filing, write_features_csv)
@@ -236,6 +237,7 @@ def stage_ingest(config: PipelineConfig) -> int:
                             f"{report.path}; the first: {warnings[0].ticker}: "
                             f"{warnings[0].reason}")
     retry_items = sum(w.retriable for w in warnings)
+    failed = []
     for entry in entries:
         key = (entry.ticker, entry.filing_date.isoformat())
         if key in store:
@@ -243,8 +245,14 @@ def stage_ingest(config: PipelineConfig) -> int:
         try:
             store.add(fetch_filing(entry, client))
         except PipelineError as exc:
+            if isinstance(exc, FinalStatusError) and exc.status != 404:
+                raise  # such as a 403, which every filing would get
+            failed.append(f"{entry.ticker} {entry.filing_date}: {exc}")
             report.record(f"{entry.ticker} {entry.filing_date}", str(exc))
             retry_items += isinstance(exc, RetriableError)
+    if failed and not store:
+        raise PipelineError(f"no filing could be fetched: {len(failed)} recorded in "
+                            f"{report.path}; the first: {failed[0]}")
     return retry_items
 
 
@@ -281,12 +289,14 @@ def stage_embed(config: PipelineConfig) -> int:
         keys = [chunk.sha256 for chunk in chunks]
         new = [c.text for c, key in zip(chunks, keys) if key not in reusable]
         try:
-            fresh = iter(embed_item(provider, new, f"filing {filing.ticker} {filing.filing_date}")
-                         if new else [])
+            fresh = iter(embed_item(provider, new, f"filing {filing.ticker} {filing.filing_date}",
+                                    len(units[0]) if units else None) if new else [])
+        except FinalStatusError:
+            raise  # the endpoint refuses every filing: its config or key is wrong
         except PipelineError as exc:  # left out of the index; score records it as failed
             failed.append(str(exc))
             report.record(f"{filing.ticker} {filing.filing_date}", failed[-1])
-            outages += isinstance(exc.__cause__, RetriableError)
+            outages += isinstance(exc, RetriableError)
             continue
         units += [reusable[key] if key in reusable else next(fresh) for key in keys]
         refs += [(*chunk.filing_key, chunk.chunk_index) for chunk in chunks]

@@ -5,6 +5,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from filingsignal import net
 from filingsignal.synthetic import PLANTED_PHRASE, make_workspace
 
 FIXTURES = __file__.rsplit("/", 1)[0] + "/fixtures"
@@ -57,8 +58,10 @@ class _Server(ThreadingHTTPServer):
 def loopback(reply):
     """Serve ``reply(body, headers) -> (status, body, content type)`` on 127.0.0.1.
 
-    Yields the server's URL. Every request, GET or POST, is answered in its
-    own thread; leaving the block stops the server and joins those threads.
+    A reply may add a fourth item, a dict of more headers to send, such as
+    ``{"Retry-After": "2"}``. Yields the server's URL. Every request, GET or
+    POST, is answered in its own thread; leaving the block stops the server
+    and joins those threads.
     """
     class Handler(BaseHTTPRequestHandler):
         def log_message(self, *_):
@@ -66,9 +69,11 @@ def loopback(reply):
 
         def do_POST(self):
             body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
-            status, data, content_type = reply(body, self.headers)
+            status, data, content_type, *more = reply(body, self.headers)
             self.send_response(status)
             self.send_header("Content-Type", content_type)
+            for name, value in dict(*more).items():
+                self.send_header(name, value)
             self.send_header("Content-Length", str(len(data)))
             self.end_headers()
             self.wfile.write(data)
@@ -85,6 +90,14 @@ def loopback(reply):
         server.server_close()
         thread.join(timeout=10)
         assert not thread.is_alive()
+
+
+@pytest.fixture(autouse=True)
+def slept(monkeypatch):
+    """The seconds of every wait between retries, in order, in place of waiting."""
+    waits = []
+    monkeypatch.setattr(net, "sleep", waits.append)
+    return waits
 
 
 @pytest.fixture(scope="session")

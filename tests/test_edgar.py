@@ -7,7 +7,9 @@ from filingsignal.corpus import TickerUniverse, UniverseEntry
 from filingsignal.edgar import (CONTACT_ENV_VAR, EdgarClient,
                                 EdgarSubmissionsResolver, FilingEntry,
                                 RateLimiter, fetch_filing)
-from filingsignal.errors import EmptyDocumentError, RetriableError
+from filingsignal.errors import (EmptyDocumentError, FinalStatusError, PipelineError,
+                                 RetriableError)
+from filingsignal.net import MAX_ATTEMPTS
 
 
 def submissions_body(forms):
@@ -20,7 +22,8 @@ def submissions_body(forms):
 
 
 class MapTransport:
-    """Canned (status, body) responses keyed by URL substring."""
+    """Canned (status, body) responses keyed by URL substring; a list of them
+    answers successive requests."""
 
     def __init__(self, responses):
         self.responses = responses
@@ -30,12 +33,12 @@ class MapTransport:
         self.calls.append(url)
         for key, value in self.responses.items():
             if key in url:
-                return value
-        return 404, "not found"
+                return (*(value.pop(0) if isinstance(value, list) else value), {})
+        return 404, "not found", {}
 
 
 def make_client(transport):
-    return EdgarClient(transport=transport, sleep=lambda s: None)
+    return EdgarClient(transport=transport)
 
 
 def universe(*pairs):
@@ -58,12 +61,28 @@ class TestResolver:
         entries, warnings = resolver.resolve(universe(), 2002, 2023)
         assert entries == [] and warnings == []
 
-    def test_unknown_cik_warns_and_skips(self):
-        resolver = EdgarSubmissionsResolver(make_client(MapTransport({})))
+    def test_unknown_cik_warns_and_skips(self, slept):
+        transport = MapTransport({})
+        resolver = EdgarSubmissionsResolver(make_client(transport))
         entries, warnings = resolver.resolve(universe(("FAKE", "0009999999")), 2010, 2020)
         assert entries == []
-        assert len(warnings) == 1
-        assert warnings[0].ticker == "FAKE"
+        assert [(w.ticker, w.reason, w.retriable) for w in warnings] == [
+            ("FAKE", "unknown cik 0009999999", False)]
+        assert len(transport.calls) == 1 and slept == []  # a 404 is not asked again
+
+    def test_server_error_then_answer_resolves_in_the_same_run(self, slept):
+        forms = [("10-K", "2020-02-01", "acc-1", "doc.htm")]
+        transport = MapTransport({"CIK0000000001": [(500, "boom"),
+                                                    (200, submissions_body(forms))]})
+        resolver = EdgarSubmissionsResolver(make_client(transport))
+        entries, warnings = resolver.resolve(universe(("AAPL", "0000000001")), 2020, 2020)
+        assert [e.accession_id for e in entries] == ["acc-1"] and warnings == []
+        assert len(transport.calls) == 2 and slept == []
+
+    def test_other_final_status_stops_the_resolver(self):
+        resolver = EdgarSubmissionsResolver(make_client(MapTransport({"CIK": (403, "no")})))
+        with pytest.raises(FinalStatusError, match="HTTP 403"):
+            resolver.resolve(universe(("AAPL", "0000000001")), 2020, 2020)
 
     def test_no_filings_in_range_warns(self):
         forms = [("10-K", "1999-02-01", "acc-old", "doc.htm")]
@@ -114,34 +133,31 @@ class TestResolver:
 class TestClient:
     def test_network_failure_is_retriable_with_context(self):
         def boom(url):
-            raise OSError("connection reset")
+            raise RetriableError("no response from http://x: connection reset")
 
-        client = EdgarClient(transport=boom, sleep=lambda s: None)
-        with pytest.raises(RetriableError, match="TICK"):
+        client = EdgarClient(transport=boom)
+        with pytest.raises(RetriableError, match=f"TICK 2020 failed {MAX_ATTEMPTS} times"):
             client.get("http://x", context="TICK 2020")
 
-    def test_backoff_then_success(self):
-        calls = {"n": 0}
-
-        def flaky(url):
-            calls["n"] += 1
-            return (429, "slow down") if calls["n"] < 3 else (200, "body")
-
-        slept = []
-        client = EdgarClient(transport=flaky, sleep=slept.append)
-        assert client.get("http://x") == "body"
+    def test_backoff_then_success(self, slept):
+        transport = MapTransport({"x": [(429, "slow down"), (429, "slow down"),
+                                        (200, "body")]})
+        assert make_client(transport).get("http://x") == "body"
         assert slept == [1.0, 2.0]  # exponential
 
-    def test_http_error_is_retriable(self):
-        client = EdgarClient(transport=lambda u: (500, "boom"), sleep=lambda s: None)
+    def test_http_error_is_retriable(self, slept):
+        transport = MapTransport({"x": (500, "boom")})
         with pytest.raises(RetriableError, match="HTTP 500"):
-            client.get("http://x")
+            make_client(transport).get("http://x")
+        assert len(transport.calls) == MAX_ATTEMPTS
+        assert slept == [2.0]  # the first retry after a 5xx is at once
 
-    def test_refuses_network_without_contact_env(self, monkeypatch):
+    def test_refuses_network_without_contact_env(self, monkeypatch, slept):
         monkeypatch.delenv(CONTACT_ENV_VAR, raising=False)
-        client = EdgarClient()  # default transport
-        with pytest.raises(RetriableError, match=CONTACT_ENV_VAR):
-            client.get("http://example.invalid")
+        with pytest.raises(PipelineError, match=CONTACT_ENV_VAR) as exc:
+            EdgarClient().get("http://example.invalid")  # default transport
+        assert not isinstance(exc.value, RetriableError)  # a mistake: never retried
+        assert slept == []
 
 
 class TestRateLimiter:
@@ -177,3 +193,9 @@ class TestFetch:
         client = make_client(MapTransport({"doc.htm": (503, "maintenance")}))
         with pytest.raises(RetriableError):
             fetch_filing(self.entry(), client)
+
+    def test_missing_document_is_final(self):
+        transport = MapTransport({})
+        with pytest.raises(FinalStatusError, match="HTTP 404") as exc:
+            fetch_filing(self.entry(), make_client(transport))
+        assert exc.value.status == 404 and len(transport.calls) == 1

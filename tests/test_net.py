@@ -1,4 +1,5 @@
-"""The HTTP path that the chat, embedding and EDGAR clients share, on loopback."""
+"""The HTTP path and retry policy that the chat, embedding and EDGAR clients
+share, on loopback."""
 
 import json
 import os
@@ -9,9 +10,9 @@ import sys
 import pytest
 import yaml
 
-from filingsignal import edgar
+from filingsignal import edgar, net
 from filingsignal.embed_index import HTTPEmbeddingProvider
-from filingsignal.errors import RetriableError
+from filingsignal.errors import FinalStatusError, PipelineError, RetriableError
 from filingsignal.llm_scoring import HTTPChatLLM
 
 from conftest import json_reply, loopback, synthetic_config
@@ -42,12 +43,85 @@ def test_200_with_json_is_answered(monkeypatch, make, call, answer, expected):
 
 
 @PROVIDERS
-@pytest.mark.parametrize("status", [503, 201])
-def test_status_other_than_200_is_retriable_and_named(make, call, answer, expected,
-                                                      status):
+@pytest.mark.parametrize("status", [408, 429, 500, 503])
+def test_status_that_may_pass_is_retriable_and_named(make, call, answer, expected,
+                                                     status):
     with loopback(lambda body, headers: json_reply(answer, status)) as url:
-        with pytest.raises(RetriableError, match=f"HTTP {status}"):
+        with pytest.raises(RetriableError, match=f"HTTP {status} from the .* endpoint"):
             call(make(url, "m"))
+
+
+@PROVIDERS
+@pytest.mark.parametrize("status", [201, 400, 401, 404])
+def test_other_status_is_final_and_asked_once(make, call, answer, expected, status, slept):
+    posts = []
+
+    def reply(body, headers):
+        posts.append(body)
+        return json_reply(answer, status)
+
+    with loopback(reply) as url:
+        with pytest.raises(FinalStatusError, match=f"HTTP {status} from the .* endpoint") \
+                as exc:
+            net.with_retries(lambda: call(make(url, "m")), "item")
+    assert exc.value.status == status
+    assert len(posts) == 1 and slept == []
+
+
+@PROVIDERS
+@pytest.mark.parametrize("first, waits", [
+    ((503, {}), []),  # the first retry after a 5xx is at once
+    ((408, {}), []),
+    ((429, {}), [1.0]),
+    ((429, {"Retry-After": "2"}), [2.0]),
+    ((503, {"Retry-After": "2"}), [2.0]),
+    ((429, {"Retry-After": "86400"}), [net.MAX_RETRY_AFTER_S]),
+    ((429, {"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"}), [1.0]),  # not an integer
+], ids=["503", "408", "429", "retry-after", "503-retry-after", "capped", "date"])
+def test_refused_once_then_answered(make, call, answer, expected, slept, first, waits):
+    posts = []
+
+    def reply(body, headers):
+        posts.append(body)
+        status, more = first if len(posts) == 1 else (200, {})
+        return (*json_reply(answer, status), more)
+
+    with loopback(reply) as url:
+        assert net.with_retries(lambda: call(make(url, "m")), "item") == expected
+    assert len(posts) == 2 and slept == waits
+
+
+@PROVIDERS
+def test_refused_every_time_gives_up_as_retriable(make, call, answer, expected, slept):
+    with loopback(lambda body, headers: json_reply(answer, 503)) as url:
+        with pytest.raises(RetriableError, match=(f"item failed {net.MAX_ATTEMPTS} times: "
+                                                  "HTTP 503")) as exc:
+            net.with_retries(lambda: call(make(url, "m")), "item")
+    assert isinstance(exc.value.__cause__, RetriableError)
+    assert slept == [2.0]  # retry 1 at once, retry 2 after 2 s
+
+
+def test_unusable_reply_retried_at_once_and_not_retriable(slept):
+    calls = []
+
+    def call():
+        calls.append(1)
+        raise ValueError("bad vector")
+
+    with pytest.raises(PipelineError, match=f"item failed {net.MAX_ATTEMPTS} times: "
+                                            "bad vector") as exc:
+        net.with_retries(call, "item", (ValueError,))
+    assert len(calls) == net.MAX_ATTEMPTS and slept == []
+    assert not isinstance(exc.value, RetriableError)  # a later run would get it again
+
+
+@pytest.mark.parametrize("endpoint", ["api.example.com/v1", "ftp://example.com/v1",
+                                      "http:///v1", "localhost:8080/v1"])
+@pytest.mark.parametrize("make", [HTTPChatLLM, HTTPEmbeddingProvider],
+                         ids=["chat", "embed"])
+def test_endpoint_without_http_scheme_and_host_refused(make, endpoint):
+    with pytest.raises(ValueError, match="must be an http or https URL with a host"):
+        make(endpoint, "m")
 
 
 @PROVIDERS
@@ -85,7 +159,7 @@ def test_edgar_client_decodes_as_requests_did(monkeypatch, content_type, data, t
     assert agents == ["Research Bot research@example.com"]
 
 
-def test_edgar_client_backs_off_on_a_bad_status(monkeypatch):
+def test_edgar_client_backs_off_on_a_bad_status(monkeypatch, slept):
     monkeypatch.setenv(edgar.CONTACT_ENV_VAR, "Research Bot research@example.com")
     calls = []
 
@@ -95,8 +169,24 @@ def test_edgar_client_backs_off_on_a_bad_status(monkeypatch):
 
     with loopback(reply) as url:
         with pytest.raises(RetriableError, match="HTTP 429"):
-            edgar.EdgarClient(sleep=lambda s: None).get(url)
-    assert len(calls) == edgar.MAX_RETRIES
+            edgar.EdgarClient().get(url)
+    assert len(calls) == net.MAX_ATTEMPTS
+    assert slept == [1.0, 2.0]
+
+
+def test_edgar_client_obeys_retry_after(monkeypatch, slept):
+    monkeypatch.setenv(edgar.CONTACT_ENV_VAR, "Research Bot research@example.com")
+    calls = []
+
+    def reply(body, headers):
+        calls.append(body)
+        if len(calls) == 1:
+            return 429, b"slow down", "text/plain", {"Retry-After": "2"}
+        return 200, b"ok", "text/plain"
+
+    with loopback(reply) as url:
+        assert edgar.EdgarClient().get(url) == "ok"
+    assert slept == [2.0]
 
 
 def test_stub_run_loads_no_http_client(synth_root, tmp_path):

@@ -14,9 +14,10 @@ import yaml
 from filingsignal import cli, corpus, edgar, llm_scoring, pipeline
 from filingsignal.corpus import CorpusStore, chunk_filing
 from filingsignal.embed_index import HashEmbeddingProvider, VectorIndex
-from filingsignal.errors import PipelineError, RetriableError, StageInputError
-from filingsignal.llm_scoring import (MAX_ATTEMPTS, MAX_WORKERS, KeywordLLM, ScoreCache,
-                                      read_features_csv)
+from filingsignal.errors import (FinalStatusError, PipelineError, RetriableError,
+                                 StageInputError)
+from filingsignal.llm_scoring import MAX_WORKERS, KeywordLLM, ScoreCache, read_features_csv
+from filingsignal.net import MAX_ATTEMPTS
 from filingsignal.pipeline import PipelineConfig, run_pipeline
 from filingsignal.regression import NNLSModel
 from filingsignal.synthetic import PLANTED_PHRASE, make_workspace
@@ -375,6 +376,40 @@ class TestRunPipeline:
             run_pipeline(healthy, ["embed"])
         assert index_bytes(retried) == index_bytes(healthy)
 
+    def test_final_status_stops_embed_after_one_call(self, synth_root, tmp_path, capsys):
+        posts = []
+
+        def post(data, headers):
+            posts.append(data)
+            return json_reply({"error": "invalid key"}, status=401)
+
+        with loopback(post) as url:
+            cfg_path = write_config(synth_root, tmp_path, embedding_provider={
+                "name": "http", "endpoint": url + "/v1", "model": "m"})
+            rc = cli.main(["pipeline", "--config", str(cfg_path), "--stages", "embed"])
+        assert rc == 1 and len(posts) == 1
+        assert capsys.readouterr().err == f"error: HTTP 401 from the embedding endpoint {url}/v1\n"
+        assert not (tmp_path / "out" / "embed_errors.jsonl").exists()
+
+    def test_vectors_of_another_length_in_one_reply_asked_again(self, synth_root, tmp_path,
+                                                                monkeypatch):
+        class LongerOnce(HashEmbeddingProvider):
+            calls = 0
+
+            def embed_batch(self, texts):
+                LongerOnce.calls += 1
+                vectors = super().embed_batch(texts)
+                return [v + [1.0] for v in vectors] if LongerOnce.calls == 5 else vectors
+
+        healthy = synthetic_config(synth_root, tmp_path / "healthy")
+        run_pipeline(healthy, ["embed"])
+        config = synthetic_config(synth_root, tmp_path / "longer")
+        monkeypatch.setattr(pipeline, "build_embedding_provider",
+                            lambda cfg: LongerOnce(cfg["dimension"], cfg["seed"]))
+        assert run_pipeline(config, ["embed"])["embed"]["retry_items"] == 0
+        assert index_bytes(config) == index_bytes(healthy)
+        assert not (tmp_path / "longer" / "embed_errors.jsonl").exists()
+
     def test_embed_gives_up_after_max_attempts(self, synth_root, tmp_path, monkeypatch):
         class Down(HashEmbeddingProvider):
             calls = 0
@@ -448,7 +483,7 @@ class TestRunPipeline:
         run_pipeline(config, ["embed", "score"])
         assert embedders == []  # embed skipped: nothing left to retry
 
-    @pytest.mark.parametrize("bad", [float("nan"), "x"])
+    @pytest.mark.parametrize("bad", [float("nan"), "x", "longer"])
     def test_unusable_vector_recorded_and_left_out(self, synth_root, tmp_path, monkeypatch,
                                                    bad):
         config = synthetic_config(synth_root, tmp_path / "out")
@@ -461,6 +496,8 @@ class TestRunPipeline:
                 vectors = super().embed_batch(texts)
                 if down_texts & set(texts):
                     asked.append(texts)
+                    if bad == "longer":  # unlike the vectors of the other filings
+                        return [v + [1.0] for v in vectors]
                     vectors[0][0] = bad
                 return vectors
 
@@ -766,10 +803,11 @@ def submissions(filing_date, doc):
         "accessionNumber": ["0000000002-20-000001"], "primaryDocument": [doc]}}})
 
 
-def fake_edgar(aaa_reply, html):
+def fake_edgar(aaa_reply, html, calls=None):
     """EDGAR answering AAA's submissions (cik 1) with ``aaa_reply``; BBB (cik 2)
-    has one 10-K."""
-    def transport(url):
+    has one 10-K, and any document but a ``10k.htm`` is missing. Appends each
+    URL asked to ``calls``."""
+    def reply(url):
         if "CIK0000000001" in url:
             return aaa_reply
         if "CIK0000000002" in url:
@@ -777,6 +815,11 @@ def fake_edgar(aaa_reply, html):
         if url.endswith("10k.htm"):
             return 200, html
         return 404, "not found"
+
+    def transport(url):
+        if calls is not None:
+            calls.append(url)
+        return (*reply(url), {})
     return transport
 
 
@@ -787,7 +830,7 @@ class TestIngest:
                                    year_from=2020, year_to=2020)
 
     @pytest.mark.parametrize("reply, named", [
-        ((500, "boom"), "HTTP 500 for submissions for AAA"),
+        ((500, "boom"), f"submissions for AAA failed {MAX_ATTEMPTS} times: HTTP 500"),
         ((200, "<html>not json</html>"), "Expecting value"),
     ])
     def test_one_ticker_failure_is_recorded(self, tmp_path, monkeypatch,
@@ -828,8 +871,51 @@ class TestIngest:
         assert err.startswith(f"error: {tmp_path / 'universe.csv'}: ") and named in err
 
     def test_no_ticker_resolved_is_an_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(edgar, "_http_transport", lambda url: (404, "not found", {}))
+        with pytest.raises(PipelineError, match="no ticker resolved.*ingest_errors.jsonl.*"
+                                                "AAA: unknown cik 0000000001"):
+            run_pipeline(self.config(tmp_path), ["ingest"])
+
+    def test_missing_contact_is_an_error_line(self, tmp_path, monkeypatch, capsys, slept):
         monkeypatch.delenv(edgar.CONTACT_ENV_VAR, raising=False)  # refused before any request
-        with pytest.raises(PipelineError, match=f"ingest_errors.jsonl.*{edgar.CONTACT_ENV_VAR}"):
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump(yaml_mapping(self.config(tmp_path))))
+        assert cli.main(["pipeline", "--config", str(cfg_path), "--stages", "ingest"]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: refusing to contact EDGAR without {edgar.CONTACT_ENV_VAR}")
+        assert slept == [] and not (tmp_path / "out" / "ingest_errors.jsonl").exists()
+
+    def test_missing_document_recorded_and_not_retried(self, tmp_path, monkeypatch,
+                                                       sample_10k_html, slept):
+        calls = []
+        monkeypatch.setattr(edgar, "_http_transport", fake_edgar(
+            (200, submissions("2020-02-14", "gone.htm")), sample_10k_html, calls))
+        config = self.config(tmp_path)
+        assert run_pipeline(config, ["ingest"])["ingest"]["retry_items"] == 0
+        assert [url.rsplit("/", 1)[1] for url in calls].count("gone.htm") == 1
+        assert ("BBB", "2020-02-14") in CorpusStore(config.corpus_dir)
+        [error] = [json.loads(line) for line in
+                   (tmp_path / "out" / "ingest_errors.jsonl").read_text().splitlines()]
+        assert error["item"] == "AAA 2020-02-14" and "HTTP 404" in error["error"]
+        calls.clear()
+        run_pipeline(config, ["ingest"])
+        assert calls == [] and slept == []  # skipped: nothing a rerun could mend
+
+    def test_no_filing_fetched_is_an_error(self, tmp_path, monkeypatch, sample_10k_html):
+        config = self.config(tmp_path)
+        (tmp_path / "universe.csv").write_text("ticker,cik\nAAA,1\n")
+        monkeypatch.setattr(edgar, "_http_transport", fake_edgar(
+            (200, submissions("2020-02-14", "gone.htm")), sample_10k_html))
+        with pytest.raises(PipelineError, match=(
+                "no filing could be fetched: 1 recorded in .*ingest_errors.jsonl; "
+                "the first: AAA 2020-02-14: HTTP 404 from https://")):
+            run_pipeline(config, ["ingest"])
+
+    def test_final_status_other_than_404_stops_ingest(self, tmp_path, monkeypatch,
+                                                      sample_10k_html):
+        monkeypatch.setattr(edgar, "_http_transport", fake_edgar((403, "forbidden"),
+                                                                 sample_10k_html))
+        with pytest.raises(FinalStatusError, match="HTTP 403 from https://"):
             run_pipeline(self.config(tmp_path), ["ingest"])
 
 
@@ -1166,7 +1252,18 @@ class TestCli:
         ({"train_years": [2015, 2018], "test_years": [2018, 2020]}, ["embed"],
          "train_years [2015, 2018] and test_years [2018, 2020]", 1),
         ({"llm_provider": {"name": "http", "endpoint": "api.example.com/v1", "model": "m"}},
-         ["embed", "score"], "cannot request 'api.example.com/v1'", 1),
+         ["embed", "score"], "llm_provider 'http': endpoint ('api.example.com/v1') must be "
+         "an http or https URL with a host", 1),
+        ({"embedding_provider": {"name": "http", "endpoint": "http:///v1", "model": "m"}},
+         ["embed"], "embedding_provider 'http': endpoint ('http:///v1') must be", 1),
+        ({"llm_provider": {"name": "constant-stub", "score": 150}}, ["embed", "score"],
+         "llm_provider 'constant-stub': score (150) must be from 0 to 100", 1),
+        ({"llm_provider": {"name": "keyword-stub", "phrase": "x", "hit_score": 101}},
+         ["embed", "score"], "hit_score (101) must be from 0 to 100", 1),
+        ({"llm_provider": {"name": "keyword-stub", "phrase": "x", "miss_score": -1}},
+         ["embed", "score"], "miss_score (-1) must be from 0 to 100", 1),
+        ({"llm_provider": {"name": "keyword-stub", "phrase": "x", "per_occurrence": -2}},
+         ["embed", "score"], "per_occurrence (-2) must not be negative", 1),
         ({"train_years": [2015]}, ["embed"], "train_years ([2015]) must be two integers", 1),
         ({"test_years": [2018, "2020"]}, ["embed"], "test_years ([2018, '2020'])", 1),
         ({"train_years": 2015}, ["embed"], "train_years (2015)", 1),
@@ -1229,8 +1326,11 @@ class TestCli:
          "embedding_provider 'stub': dimension (0) must be a positive integer"),
         ("embedding_provider", {"name": "http", "model": "m"},
          "embedding_provider 'http': missing keys ['endpoint']"),
+        ("llm_provider", {"name": "http", "endpoint": "api.example.com/v1", "model": "m"},
+         "llm_provider 'http': endpoint ('api.example.com/v1') must be an http or https "
+         "URL with a host"),
     ], ids=["missing-key", "unknown-key", "mistyped", "unknown-name", "list-name",
-            "mistyped-key-variable", "dimension-0", "http-missing-key"])
+            "mistyped-key-variable", "dimension-0", "http-missing-key", "http-no-scheme"])
     def test_provider_mistake_runs_no_stage(self, synth_root, tmp_path, capsys, key,
                                             provider, named):
         cfg_path = write_config(synth_root, tmp_path, **{key: provider})
@@ -1405,6 +1505,24 @@ class TestScorePool:
         # The row fails on its first question, as it does when asked serially.
         assert f"question {questions.questions[0].question_id} failed" in error["error"]
         assert (tmp_path / "out" / "features.csv").read_text().count("\n") == 1
+
+    def test_final_status_stops_the_stage_after_one_call_per_worker(self, synth_root,
+                                                                     tmp_path, capsys):
+        questions = pipeline.load_questions(synthetic_config(synth_root, tmp_path))
+        server = ChatServer(questions.questions, lambda i: 0.0, status=401)
+        with loopback(server) as url:
+            config = self.http_config(synth_root, tmp_path, "out", filings=2, url=url)
+            cfg_path = tmp_path / "config.yaml"
+            cfg_path.write_text(yaml.safe_dump(yaml_mapping(config)))
+            rc = cli.main(["pipeline", "--config", str(cfg_path), "--stages", "embed",
+                           "score"])
+        assert rc == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == [f"error: HTTP 401 from the LLM endpoint {url}/v1"]
+        assert 1 <= server.calls <= MAX_WORKERS
+        assert not (tmp_path / "out" / "score_errors.jsonl").exists()
+        assert "score" not in json.loads((tmp_path / "out" / pipeline.MANIFEST_FILE).read_text())
 
     def test_pool_threads_end_with_the_stage(self, synth_root, tmp_path):
         questions = pipeline.load_questions(synthetic_config(synth_root, tmp_path))

@@ -6,11 +6,11 @@ import pytest
 from filingsignal.corpus import Chunk, Filing, chunk_filing
 from filingsignal.embed_index import HashEmbeddingProvider, VectorIndex, embed_text
 from filingsignal.errors import RowScoringError, UnparseableScoreError
-from filingsignal.llm_scoring import (MAX_ATTEMPTS, ConstantLLM, HTTPChatLLM,
-                                      KeywordLLM, Question, QuestionSet, RowInputs,
-                                      ScoreCache, build_prompt, embed_questions,
-                                      parse_score, read_features_csv,
+from filingsignal.llm_scoring import (ConstantLLM, HTTPChatLLM, KeywordLLM, Question,
+                                      QuestionSet, RowInputs, ScoreCache, build_prompt,
+                                      embed_questions, parse_score, read_features_csv,
                                       score_filing, write_features_csv)
+from filingsignal.net import MAX_ATTEMPTS
 
 from conftest import assert_cache_holds, json_reply, loopback
 
