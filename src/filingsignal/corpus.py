@@ -208,26 +208,32 @@ def chunk_filing(filing: Filing, chunk_chars: int, overlap_chars: int) -> list[C
 # --- store --------------------------------------------------------------------
 
 
-def read_jsonl(path: Path) -> Iterator[dict]:
-    """The records of an append-only JSONL file, one at a time; none if it does not exist.
+def read_whole_lines(path: Path) -> bytes:
+    """The bytes of an append-only JSONL file up to its last newline; b"" if
+    it does not exist.
 
     Every record is appended as one line ending in a newline, so text after
-    the last newline is a record torn by an interrupted append: once the
-    records before it are read, it is cut from the file with a warning, and
-    the next append starts on a fresh line. Any other unreadable line raises.
+    the last newline is a record torn by an interrupted append: it is cut
+    from the file with a warning, and the next append starts on a fresh line.
     """
-    if not path.exists():
-        return
-    with open(path, "rb") as f:
-        complete = 0
-        for line in f:
-            if not line.endswith(b"\n"):
-                logger.warning("%s: dropping torn final line (%d bytes)", path, len(line))
-                os.truncate(path, complete)
-                return
-            complete += len(line)
-            if line.strip():
-                yield json.loads(line)
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return b""
+    complete = data.rfind(b"\n") + 1
+    if complete < len(data):
+        logger.warning("%s: dropping torn final line (%d bytes)", path, len(data) - complete)
+        os.truncate(path, complete)
+    return data[:complete]
+
+
+def read_jsonl(path: Path) -> Iterator[dict]:
+    """The records of an append-only JSONL file, one at a time, after its torn
+    final line is cut (see ``read_whole_lines``). Any unreadable line raises.
+    """
+    for line in read_whole_lines(path).split(b"\n"):
+        if line.strip():
+            yield json.loads(line)
 
 
 def write_atomic(path: str | Path, data: str | bytes) -> None:

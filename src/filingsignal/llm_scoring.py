@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Chunk, Filing, read_jsonl, write_atomic, write_csv
+from .corpus import Chunk, Filing, read_whole_lines, write_atomic, write_csv
 from .embed_index import ChunkRef, EmbeddingProvider, VectorIndex, embed_text
 from .errors import (FinalStatusError, PipelineError, RetriableError, RowScoringError,
                      UnparseableScoreError)
@@ -279,6 +279,11 @@ class RowInputs:
         ])
 
 
+# An answer's key and score as ``ScoreCache.put`` writes them. JSON escapes
+# every quote inside a string, so this text occurs only as a record's own keys.
+_ANSWER = re.compile(r'"prompt_sha256": "([0-9a-f]{64})", "score": (-?(?:0|[1-9][0-9]*))[,}]')
+
+
 class ScoreCache:
     """JSONL memo of provider answers keyed on ``prompt_key``, so an answer is
     reused only for the exact prompt it answered, and of whole feature rows
@@ -289,11 +294,13 @@ class ScoreCache:
 
     ``put`` and ``put_row`` make a record visible to ``get`` and ``get_row``
     at once and buffer its line; ``flush`` appends the buffered lines to the
-    file in one write. The file is read one record at a time, and a torn
-    final line is cut (see ``read_jsonl``). Older records with neither
-    ``prompt_sha256`` nor ``row_sha256`` are dropped with one warning: the
-    first load that finds them rewrites the file without them (see
-    ``write_atomic``), so their prompts are asked again.
+    file in one write. The file is read whole, after its torn final line is
+    cut (see ``read_whole_lines``), and its lines are taken in order: an
+    answer's key and score are read by ``_ANSWER`` without parsing the rest
+    of its line, and any other line is parsed as JSON. Older records with
+    neither ``prompt_sha256`` nor ``row_sha256`` are dropped with one
+    warning: the first load that finds them rewrites the file without their
+    lines (see ``write_atomic``), so their prompts are asked again.
     """
 
     def __init__(self, path: str | Path):
@@ -301,20 +308,24 @@ class ScoreCache:
         self._pending: list[str] = []
         self._scores: dict[str, int] = {}
         self._rows: dict[str, list[int]] = {}
-        dropped = 0
-        for rec in read_jsonl(self.path):
-            if "prompt_sha256" in rec:
-                self._scores[rec["prompt_sha256"]] = rec["score"]
-            elif "row_sha256" in rec:
-                self._rows[rec["row_sha256"]] = rec["scores"]
-            else:
-                dropped += 1
+        lines = read_whole_lines(self.path).decode("utf-8").split("\n")
+        dropped: set[int] = set()
+        for i, line in enumerate(lines):
+            if answer := _ANSWER.search(line):
+                self._scores[answer[1]] = int(answer[2])
+            elif line.strip():
+                rec = json.loads(line)
+                if "prompt_sha256" in rec:
+                    self._scores[rec["prompt_sha256"]] = rec["score"]
+                elif "row_sha256" in rec:
+                    self._rows[rec["row_sha256"]] = rec["scores"]
+                else:
+                    dropped.add(i)
         if dropped:
             logger.warning("%s: dropping %d records without prompt_sha256 or row_sha256; "
-                           "their questions are asked again", self.path, dropped)
-            write_atomic(self.path, "".join(
-                json.dumps(rec) + "\n" for rec in read_jsonl(self.path)
-                if "prompt_sha256" in rec or "row_sha256" in rec))
+                           "their questions are asked again", self.path, len(dropped))
+            write_atomic(self.path, "\n".join(
+                line for i, line in enumerate(lines) if i not in dropped))
 
     def get(self, key: str) -> int | None:
         """The cached score of the prompt with this key, or None."""

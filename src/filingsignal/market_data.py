@@ -6,18 +6,23 @@ never calendar days, so boundaries always land on priced dates. The window's
 max/min returns use the 98th/2nd percentile of daily cumulative returns as
 robust proxies, with linear interpolation between closest ranks.
 
-A price CSV is parsed a column at a time in numpy blocks. A file that this
-parse refuses, a row that does not parse among them, is read again a row at
-a time, so that the bad row can be named by file, line and row.
+Only the symbols a run needs are loaded: its corpus tickers and its
+benchmark. A price CSV is parsed a column at a time in numpy blocks, and the
+rows of other symbols are dropped before their dates and closes are parsed,
+so a bad row there is never seen. A file that this parse refuses, a needed
+row that does not parse among them, is read again a row at a time, so that
+the bad row can be named by file, line and row.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
+from typing import Collection
 
 import numpy as np
 
@@ -73,8 +78,10 @@ class PriceSeries:
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 
-def load_price_csv(path: str | Path) -> dict[str, PriceSeries | str]:
-    """Read daily bars (symbol,date,adjusted_close) into one PriceSeries per symbol.
+def load_price_csv(path: str | Path, symbols: Collection[str]) -> dict[str, PriceSeries | str]:
+    """Read daily bars (symbol,date,adjusted_close) into one PriceSeries per
+    symbol of ``symbols`` that the file prices; the rows of other symbols are
+    skipped unread.
 
     A symbol with a row whose date or close does not parse, or is missing,
     maps instead to a reason naming the file, the line and the row; a symbol
@@ -93,7 +100,8 @@ def load_price_csv(path: str | Path) -> dict[str, PriceSeries | str]:
             raise PipelineError(f"{path}: header {','.join(header)!r} has no column "
                                 f"{', '.join(missing)}")
         i_sym, i_date, i_close = map(header.index, PRICE_COLUMNS)
-        rows = _parse_columns(path, len(header), i_sym, i_date, i_close)
+        wanted = np.array([s.encode("utf-8") for s in symbols], dtype=bytes)
+        rows = _parse_columns(path, len(header), i_sym, i_date, i_close, wanted)
         unparsed: dict[str, str] = {}
         if rows is None:
             rows = {}
@@ -102,12 +110,15 @@ def load_price_csv(path: str | Path) -> dict[str, PriceSeries | str]:
                     continue
                 try:
                     symbol = rec[i_sym]
+                    if symbol not in symbols:
+                        continue
                     day = date.fromisoformat(rec[i_date]).toordinal()
                     close = float(rec[i_close])
                 except (ValueError, IndexError) as exc:  # IndexError: a short row
                     symbol = rec[i_sym] if i_sym < len(rec) else ""
-                    unparsed.setdefault(symbol, f"{symbol or '(no symbol)'}: {path} line "
-                                                f"{line}: {','.join(rec)!r}: {exc}")
+                    if symbol in symbols:
+                        unparsed.setdefault(symbol, f"{symbol or '(no symbol)'}: {path} "
+                                                    f"line {line}: {','.join(rec)!r}: {exc}")
                     continue
                 days, closes = rows.setdefault(symbol, ([], []))
                 days.append(day)
@@ -130,17 +141,17 @@ _FIELD_BYTES = 32
 _BLOCK_BYTES = 1 << 18
 
 
-def _parse_columns(path: str | Path, fields: int, i_sym: int, i_date: int,
-                   i_close: int) -> dict[str, tuple[np.ndarray, np.ndarray]] | None:
-    """Each symbol's dates and closes, in file order, from the rows after the
-    header, parsed a column at a time (see ``_parse_block``); None when the
-    file must be read by csv.reader and parsed a row at a time.
+def _parse_columns(path: str | Path, fields: int, i_sym: int, i_date: int, i_close: int,
+                   wanted: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]] | None:
+    """Each ``wanted`` symbol's dates and closes, in file order, from the rows
+    after the header, parsed a column at a time (see ``_parse_block``); None
+    when the file must be read by csv.reader and parsed a row at a time.
     """
     columns: tuple[list[np.ndarray], ...] = ([], [], [])
     with open(path, "rb") as f:
         while block := f.read(_BLOCK_BYTES):
             parsed = _parse_block(block + f.readline(), fields, i_sym, i_date, i_close,
-                                  header=not columns[0])
+                                  wanted, header=not columns[0])
             if parsed is None:
                 return None
             for column, part in zip(columns, parsed):
@@ -160,25 +171,33 @@ def _parse_columns(path: str | Path, fields: int, i_sym: int, i_date: int,
 
 
 def _parse_block(block: bytes, fields: int, i_sym: int, i_date: int, i_close: int,
-                 header: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+                 wanted: np.ndarray, header: bool
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """The symbols, dates and closes of the rows of ``block`` (whole lines of
-    a price CSV, the header first if ``header``), or None.
+    a price CSV, the header first if ``header``) whose symbol is in
+    ``wanted``, or None.
 
-    None means the block holds a NUL, a quote, a byte outside ASCII or a
-    carriage return not followed by a newline; a row (a blank one too)
-    without ``fields`` fields; a symbol or close wider than ``_FIELD_BYTES``;
-    a date not written YYYY-MM-DD or not in the calendar from year 1; or a
-    close numpy cannot parse. In every other block csv.reader splits rows at
-    exactly the commas and line ends, each date names the day
-    ``date.fromisoformat`` names, and numpy reads a close as ``float`` does.
+    None means the block holds a NUL, a byte outside ASCII, a quote that
+    starts a field or a carriage return not followed by a newline; a row (a
+    blank one too) without ``fields`` fields; or a symbol wider than
+    ``_FIELD_BYTES``. Among the wanted rows only, it also means a close wider
+    than that, a date not written YYYY-MM-DD or not in the calendar from
+    year 1, or a close numpy cannot parse. In every other block csv.reader
+    splits rows at exactly the commas and line ends and reads each field as
+    it is written, each date names the day ``date.fromisoformat`` names, and
+    numpy reads a close as ``float`` does. A block without a wanted row gives
+    three empty arrays.
     """
     block += b"" if block.endswith(b"\n") else b"\n"
     # Room after the last row for the widest field.
     buf = np.frombuffer(block + bytes(_FIELD_BYTES), dtype=np.uint8)
     newlines = np.flatnonzero(buf == ord("\n"))
     crlf = buf[newlines - 1] == ord("\r")
-    if not block.isascii() or b"\0" in block or b'"' in block \
-            or block.count(b"\r") > np.count_nonzero(crlf):
+    # csv.reader reads a quote inside a field as it is; one that starts a
+    # field opens a quoted field, which may span commas and lines.
+    quoted = b'"' in block and (block.startswith(b'"') or b',"' in block or b'\n"' in block)
+    if not block.isascii() or b"\0" in block or quoted \
+            or np.count_nonzero(buf == ord("\r")) > np.count_nonzero(crlf):
         return None
     starts, ends = np.r_[0, newlines[:-1] + 1], newlines - crlf
     # Every row has fields - 1 commas when each row's share of the commas, in
@@ -204,9 +223,19 @@ def _parse_block(block: bytes, fields: int, i_sym: int, i_date: int, i_close: in
             chars *= np.arange(chars.shape[1]) < width[:, None]
         return chars.view(f"S{chars.shape[1]}").ravel()
 
-    symbols, day_text, close_text = column(i_sym), column(i_date), column(i_close)
-    if symbols is None or close_text is None or day_text is None \
-            or day_text.dtype.itemsize != 10:
+    symbols = column(i_sym)
+    if symbols is None:
+        return None
+    # A price file keeps each symbol's rows together, so each run of one
+    # symbol is looked up once (no run in a block without rows).
+    firsts = np.flatnonzero(np.r_[True, symbols[1:] != symbols[:-1]])[:len(symbols)]
+    keep = np.repeat(np.isin(symbols[firsts], wanted), np.diff(np.r_[firsts, len(symbols)]))
+    if not keep.all():  # the date and close columns are cut from the wanted rows only
+        symbols, starts, ends, commas = symbols[keep], starts[keep], ends[keep], commas[keep]
+    if not len(symbols):
+        return symbols, np.empty(0, dtype="datetime64[D]"), np.empty(0)
+    day_text, close_text = column(i_date), column(i_close)
+    if close_text is None or day_text is None or day_text.dtype.itemsize != 10:
         return None
     # YYYY-MM-DD read from its digits: numpy's own date parser can crash on a
     # bad date in a long array.
@@ -238,8 +267,10 @@ def price_files(directory: str | Path) -> list[Path]:
     return sorted(Path(directory).glob("*.csv"))
 
 
-def load_price_dir(directory: str | Path, rejected: dict[str, str]) -> dict[str, PriceSeries]:
-    """Every valid series of a directory's price CSVs; a later file replaces a symbol.
+def load_price_dir(directory: str | Path, symbols: Collection[str],
+                   rejected: dict[str, str]) -> dict[str, PriceSeries]:
+    """Every valid series of ``symbols`` in a directory's price CSVs; a later
+    file replaces a symbol. Other symbols are skipped unread.
 
     A series with a row that does not parse, unordered dates or a bad price
     is left out, and its reason is put in ``rejected`` under its symbol, so
@@ -247,7 +278,7 @@ def load_price_dir(directory: str | Path, rejected: dict[str, str]) -> dict[str,
     """
     loaded: dict[str, PriceSeries | str] = {}
     for path in price_files(directory):
-        loaded.update(load_price_csv(path))
+        loaded.update(load_price_csv(path, symbols))
     rejected.update({sym: why for sym, why in loaded.items() if isinstance(why, str)})
     return {sym: series for sym, series in loaded.items() if not isinstance(series, str)}
 
@@ -305,8 +336,22 @@ def window_returns(series: PriceSeries, start: date, end: date) -> WindowReturns
             f"{series.symbol}: only {len(closes)} observations in [{start}, {end}]"
         )
     cumulative = closes / closes[0] - 1.0
-    r_max, r_min = np.percentile(cumulative, [MAX_PERCENTILE, MIN_PERCENTILE])
-    return WindowReturns(float(cumulative[-1]), float(r_max), float(r_min))
+    ordered = np.sort(cumulative)
+    return WindowReturns(float(cumulative[-1]), _percentile(ordered, MAX_PERCENTILE),
+                         _percentile(ordered, MIN_PERCENTILE))
+
+
+def _percentile(ordered: np.ndarray, percent: float) -> float:
+    """``np.percentile(ordered, percent)`` of a sorted array of two or more
+    values, for ``percent`` in [0, 100), with numpy's own steps for its
+    default linear method: the rank
+    ``(n - 1) * q``, and ``_lerp``'s two formulas either side of a half."""
+    rank = (len(ordered) - 1) * (percent / 100)
+    i = math.floor(rank)
+    gamma = rank - i
+    below, above = float(ordered[i]), float(ordered[i + 1])
+    step = above - below
+    return above - step * (1 - gamma) if gamma >= 0.5 else below + step * gamma
 
 
 @dataclass

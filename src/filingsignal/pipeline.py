@@ -362,17 +362,18 @@ def stage_score(config: PipelineConfig) -> int:
 
 def stage_returns(config: PipelineConfig) -> None:
     store = CorpusStore(config.corpus_dir)
+    filing_dates: dict[str, list[date]] = {}
+    for ticker, iso in store.keys():
+        filing_dates.setdefault(ticker, []).append(date.fromisoformat(iso))
     rejected: dict[str, str] = {}
-    prices = md.load_price_dir(config.prices_dir, rejected)
+    prices = md.load_price_dir(config.prices_dir, {*filing_dates, config.benchmark_symbol},
+                               rejected)
     if config.benchmark_symbol in rejected:
         raise PipelineError(f"benchmark series unusable: {rejected[config.benchmark_symbol]}")
     if config.benchmark_symbol not in prices:
         raise PipelineError(
             f"benchmark symbol {config.benchmark_symbol!r} not in price data"
         )
-    filing_dates: dict[str, list[date]] = {}
-    for ticker, iso in store.keys():
-        filing_dates.setdefault(ticker, []).append(date.fromisoformat(iso))
     records, warnings = md.compute_return_records(
         filing_dates, prices, prices[config.benchmark_symbol]
     )

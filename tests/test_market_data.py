@@ -36,33 +36,35 @@ class TestPriceSeries:
         p = tmp_path / "px.csv"
         p.write_text("symbol,date,adjusted_close\nTST,2020-01-02,10.5\n"
                      "TST,2020-01-03,10.6\nSPX,2020-01-02,3000\n")
-        rows = load_price_csv(p)
+        rows = load_price_csv(p, {"TST", "SPX", "OTHER"})
         assert set(rows) == {"TST", "SPX"}
+        assert set(load_price_csv(p, {"TST"})) == {"TST"}
         assert (rows["TST"].dates[0].item(), rows["TST"].closes[0]) == (date(2020, 1, 2), 10.5)
 
     def test_load_csv_reads_columns_by_header(self, tmp_path):
         p = tmp_path / "px.csv"
         p.write_text("date,adjusted_close,symbol\n2020-01-03,10.6,TST\n\n"
                      "2020-01-02,10.5,TST\n")
-        rows = load_price_csv(p)
+        rows = load_price_csv(p, {"TST"})
         assert rows["TST"].dates.tolist() == [date(2020, 1, 2), date(2020, 1, 3)]
         assert rows["TST"].closes.tolist() == [10.5, 10.6]
         (tmp_path / "empty.csv").write_text("")
-        assert load_price_csv(tmp_path / "empty.csv") == {}
+        assert load_price_csv(tmp_path / "empty.csv", {"TST"}) == {}
 
     def test_row_without_its_symbol_recorded(self, tmp_path):
         p = tmp_path / "px.csv"
         p.write_text("date,adjusted_close,symbol\n2020-01-02,10.5,TST\n2020-01-03,1.1\n")
-        rows = load_price_csv(p)
+        rows = load_price_csv(p, {"TST", ""})
         assert rows["TST"].closes.tolist() == [10.5]
         assert rows[""] == f"(no symbol): {p} line 3: '2020-01-03,1.1': list index out of range"
+        assert set(load_price_csv(p, {"TST"})) == {"TST"}  # a row of no needed symbol
 
     def test_load_dir_leaves_out_bad_series(self, tmp_path):
         (tmp_path / "px.csv").write_text(
             "symbol,date,adjusted_close\nTST,2020-01-02,10.5\nBAD,2020-01-02,0.0\n"
             "DUP,2020-01-02,1.0\nDUP,2020-01-02,1.0\nSPX,2020-01-02,3000\n")
         rejected = {}
-        prices = load_price_dir(tmp_path, rejected)
+        prices = load_price_dir(tmp_path, {"TST", "BAD", "DUP", "SPX"}, rejected)
         assert set(prices) == {"TST", "SPX"}
         assert rejected == {"BAD": "BAD: bad price 0.0 on 2020-01-02",
                             "DUP": "DUP: dates must be strictly increasing"}
@@ -75,7 +77,7 @@ class TestPriceSeries:
         (tmp_path / "b.csv").write_text(  # a later file replaces a symbol
             "symbol,date,adjusted_close\nFIX,2020-01-02,2.0\n")
         rejected = {}
-        prices = load_price_dir(tmp_path, rejected)
+        prices = load_price_dir(tmp_path, {"TST", "BAD", "DAY", "FIX"}, rejected)
         assert set(prices) == {"TST", "FIX"}
         assert prices["FIX"].dates.tolist() == [date(2020, 1, 2)]
         assert prices["FIX"].closes.tolist() == [2.0]
@@ -86,15 +88,20 @@ class TestPriceSeries:
             f"DAY: {tmp_path / 'a.csv'} line 5: 'DAY,2020-02-30,1.0': ")
 
 
-def parsed(path, monkeypatch, whole):
-    """``load_price_csv(path)`` as plain values (or the error it raises), with
-    the column parse on or off, and whether the column parse took the file."""
+# Every symbol the files of TestColumnParse price, as either parse reads them.
+EVERY = {"A", "B", "C", "D", "E", "SPX", "", "É", 'C"D'}
+
+
+def parsed(path, monkeypatch, whole, symbols=EVERY):
+    """``load_price_csv(path, symbols)`` as plain values (or the error it
+    raises), with the column parse on or off, and whether the column parse
+    took the file."""
     parse, took = market_data._parse_columns, []
     with monkeypatch.context() as patch:
         patch.setattr(market_data, "_parse_columns", lambda *args: took.append(
             parse(*args) if whole else None) or took[-1])
         try:
-            loaded = load_price_csv(path)
+            loaded = load_price_csv(path, symbols)
         except PipelineError as exc:
             return str(exc), bool(took and took[0] is not None)
     return ([(sym, s if isinstance(s, str) else (s.dates.tolist(), s.closes.tolist()))
@@ -112,7 +119,7 @@ class TestColumnParse:
         (CLEAN.replace("\n", "\r\n"), True),
         (CLEAN.rstrip("\n"), True),
         ("date,volume,symbol,adjusted_close\n2020-01-02,7,SPX,3000.5\n", True),
-        ("symbol,date,adjusted_close\n", False),
+        ("symbol,date,adjusted_close\n", True),  # no row, so no wanted row
         (CLEAN + "A,2020-01-02,11\n", True),  # a repeated date
         (CLEAN + "C,2020-01-02,0.0\nD,2020-01-02,nan\nE,2020-01-02,-inf\n", True),
         (CLEAN + "C,2020-01-02,1_000\nD,2020-01-02, 2.5 \nE,2020-01-02,+.5e1\n", True),
@@ -130,6 +137,9 @@ class TestColumnParse:
         (CLEAN + "C,2020-01-06,1,extra\n", False),  # a long row
         (CLEAN + "\nC,2020-01-06,1\n", False),  # a blank line
         (CLEAN + '"C",2020-01-06,1\n', False),
+        (CLEAN + 'C,"2020-01-06",1\n', False),
+        (CLEAN + 'C"D,2020-01-06,1\n', True),  # a quote inside a field is read as it is
+        (CLEAN + 'C,2020-01-06,1"\n', False),
         (CLEAN + "C,2020-01-06,1\rD,2020-01-06,1\n", False),
         (CLEAN + "C\rD,2020-01-06,1\n", False),  # csv.reader ends a row at a lone \r
         (CLEAN + "É,2020-01-06,1\n", False),
@@ -144,6 +154,7 @@ class TestColumnParse:
     def test_equals_row_parse_on_seeded_files(self, tmp_path, monkeypatch):
         monkeypatch.setattr(market_data, "_BLOCK_BYTES", 64)  # several blocks a file
         rng = np.random.default_rng(7)
+        subsets = 0
         symbols = ["AAA", "BB", "C"]
         dates = ["2020-01-02", "2020-01-03", "2020-02-29", "2021-02-29", "2020-1-3"]
         closes = ["1.5", "100", "0", "-1", "1e3", "abc", ""]
@@ -160,11 +171,41 @@ class TestColumnParse:
             path = tmp_path / "px.csv"
             path.write_text(end.join(",".join(map(str, r)) for r in [header, *rows]) + end,
                             newline="")
-            rows_parsed, _ = parsed(path, monkeypatch, whole=False)
-            got, took = parsed(path, monkeypatch, whole=True)
-            assert got == rows_parsed, path.read_text()
+            wanted = set(rng.choice(symbols, rng.integers(0, len(symbols) + 1), replace=False))
+            rows_parsed, _ = parsed(path, monkeypatch, whole=False, symbols=wanted)
+            got, took = parsed(path, monkeypatch, whole=True, symbols=wanted)
+            assert got == rows_parsed, (wanted, path.read_text())
             whole += took
+            subsets += len(wanted) < len(symbols)
         assert whole >= 100  # every file without a bad field
+        assert subsets >= 100
+
+    def test_block_without_a_wanted_row_stays_on_the_column_path(self, tmp_path,
+                                                                  monkeypatch):
+        monkeypatch.setattr(market_data, "_BLOCK_BYTES", 64)
+        blocks, parse = [], market_data._parse_block
+        monkeypatch.setattr(market_data, "_parse_block",
+                            lambda *args, **kw: blocks.append(parse(*args, **kw)) or blocks[-1])
+        path = tmp_path / "px.csv"
+        path.write_text(CLEAN + "Z,2020-01-02,1.5\n" * 20 + "A,2020-01-03,11\n")
+        rows, took = parsed(path, monkeypatch, whole=True, symbols={"A", "B"})
+        assert took and rows == parsed(path, monkeypatch, whole=False, symbols={"A", "B"})[0]
+        assert rows[1] == ("A", ([date(2020, 1, 2), date(2020, 1, 3)], [10.0, 11.0]))
+        assert [len(b[0]) for b in blocks if b is not None].count(0) >= 2
+        assert None not in blocks
+
+    @pytest.mark.parametrize("bad", [
+        "Z,2020-01-06,n/a", "Z,2020-02-30,1", "Z,2020-1-6,1", 'Z,2020-01-06,1"5',
+        "Z,2020-01-06," + "1" * 40 + "e"])
+    def test_bad_row_of_an_unneeded_symbol_is_not_read(self, tmp_path, monkeypatch, bad):
+        path = tmp_path / "px.csv"
+        path.write_text(CLEAN + bad + "\n")
+        rows, _ = parsed(path, monkeypatch, whole=False, symbols={"A", "B"})
+        assert parsed(path, monkeypatch, whole=True, symbols={"A", "B"}) == (rows, True)
+        assert [sym for sym, _ in rows] == ["B", "A"]
+        needed, took = parsed(path, monkeypatch, whole=True, symbols={"A", "B", "Z"})
+        assert not took  # a needed bad row still sends the file to the row parse
+        assert dict(needed)["Z"].startswith(f"Z: {path} line 5: {bad!r}: ")
 
 
 class TestWindowBounds:

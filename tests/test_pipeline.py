@@ -748,6 +748,31 @@ class TestRunPipeline:
         [series] = [rec["error"] for rec in errors if rec["item"] == "series"]
         assert series.startswith(f"HTEL: {prices} line {line + 1}: {named}")
 
+    def test_unneeded_symbol_not_read_but_its_edit_reruns_returns(self, tmp_path,
+                                                                   monkeypatch):
+        root = make_workspace(tmp_path / "ws", seed=0)
+        run_pipeline(synthetic_config(root, tmp_path / "clean"), ["returns"])
+        prices = root / "prices" / "prices.csv"
+        extra = [f"XTRA,2015-01-{day:02d},{10 + day}.0" for day in range(2, 10)]
+        extra[3] = "XTRA,2015-01-05,n/a"  # a row that does not parse
+        prices.write_bytes(prices.read_bytes() + "\n".join(extra + [""]).encode())
+        loads, load = [], pipeline.md.load_price_dir
+        monkeypatch.setattr(pipeline.md, "load_price_dir",
+                            lambda *args: loads.append(args) or load(*args))
+        out = tmp_path / "out"
+        config = synthetic_config(root, out)
+        run_pipeline(config, ["returns"])
+        errors = out / "returns_errors.jsonl"
+        assert not errors.exists() or b"XTRA" not in errors.read_bytes()
+        assert (out / "returns.csv").read_bytes() == \
+            (tmp_path / "clean" / "returns.csv").read_bytes()
+        run_pipeline(config, ["returns"])
+        assert len(loads) == 1  # unchanged prices: the stage is skipped
+        prices.write_bytes(prices.read_bytes().replace(b"XTRA,2015-01-06,16.0",
+                                                       b"XTRA,2015-01-06,17.0"))
+        run_pipeline(config, ["returns"])
+        assert len(loads) == 2  # the input hash covers every symbol's rows
+
     def test_unparseable_benchmark_row_is_an_error_line(self, tmp_path, capsys):
         root = make_workspace(tmp_path / "ws", seed=0)
         prices = root / "prices" / "prices.csv"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from datetime import date
 
@@ -7,7 +8,8 @@ from filingsignal.corpus import Chunk, Filing, chunk_filing
 from filingsignal.embed_index import HashEmbeddingProvider, VectorIndex, embed_text
 from filingsignal.errors import RowScoringError, UnparseableScoreError
 from filingsignal.llm_scoring import (ConstantLLM, HTTPChatLLM, KeywordLLM, Question,
-                                      QuestionSet, RowInputs, ScoreCache, build_prompt,
+                                      QuestionSet, RowInputs, ScoreCache, ScoredAnswer,
+                                      build_prompt,
                                       embed_questions, parse_score, read_features_csv,
                                       score_filing, write_features_csv)
 from filingsignal.net import MAX_ATTEMPTS
@@ -180,6 +182,50 @@ class TestScoreFiling:
             cache = ScoreCache(path)
         assert caplog.text == ""
         assert_cache_holds(cache, keyed)
+
+    def test_cache_reader_equals_parsing_every_line(self, tmp_path, caplog):
+        def key(n):
+            return hashlib.sha256(b"%d" % n).hexdigest()
+
+        decoy = f'"prompt_sha256": "{key(99)}", "score": 7, "raw_response": "x"'
+        responses = ["SCORE: 40", f"{decoy} and a \\{decoy}\\ \\\" SCORE: 41",
+                     "très bien, 日本 SCORE: 42"]
+        path = tmp_path / "cache.jsonl"
+        writer = ScoreCache(path)
+        for n, raw in enumerate(responses):
+            writer.put(key(n), ScoredAnswer(("TEST", "2020-02-01"), f"q{n}", 40 + n, raw,
+                                            [("TEST", "2020-02-01", n)]))
+        writer.put_row(key(10), ("TEST", "2020-02-01"), [40, 41, 42])
+        writer.flush()
+        kept = path.read_text(encoding="utf-8") + "\n".join([
+            json.dumps({"raw_response": decoy,  # not as put writes it
+                        "prompt_sha256": key(3), "score": 43}),
+            json.dumps({"filing_key": ["TEST", "2020-02-01"], "question_id": "q4",
+                        "prompt_sha256": key(4), "score": 44, "raw_response": "日本 44"},
+                       ensure_ascii=False),
+            json.dumps({"score": 45, "prompt_sha256": key(5)}),
+            json.dumps({"row_sha256": key(11), "scores": [1, 2, 3]}), ""])
+        legacy = json.dumps({"filing_key": ["TEST", "2020-02-01"], "question_id": "q0",
+                             "score": 50}) + "\n"
+        torn = f'{{"prompt_sha256": "{key(6)}", "score": 46'
+        path.write_text(legacy + kept + torn, encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            cache = ScoreCache(path)
+        assert "dropping torn final line" in caplog.text
+        assert "dropping 1 records without prompt_sha256" in caplog.text
+        assert path.read_text(encoding="utf-8") == kept
+        records = [json.loads(line) for line in kept.splitlines()]
+        answers = {r["prompt_sha256"]: r["score"] for r in records if "prompt_sha256" in r}
+        rows = {r["row_sha256"]: r["scores"] for r in records if "row_sha256" in r}
+        assert sorted(answers) == sorted(key(n) for n in range(6))
+        assert {k: cache.get(k) for k in answers} == answers
+        assert all(type(cache.get(k)) is int for k in answers)
+        assert {k: cache.get_row(k) for k in rows} == rows
+        assert cache.get(key(99)) is None and cache.get(key(6)) is None
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert_cache_holds(ScoreCache(path), kept)
+        assert caplog.text == ""
 
     def test_failed_row_keeps_earlier_answers(self, tmp_path):
         class FailsLastQuestion:
