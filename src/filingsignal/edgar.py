@@ -16,7 +16,7 @@ from datetime import date
 from typing import Callable, Mapping, Protocol
 
 from .corpus import Filing, TickerUniverse, clean_filing_text
-from .errors import FinalStatusError, PipelineError, RetriableError
+from .errors import Failures, FinalStatusError, PipelineError, RetriableError
 from .net import check_status, request, with_retries
 
 CONTACT_ENV_VAR = "EDGAR_CONTACT"
@@ -34,13 +34,6 @@ class FilingEntry:
     filing_date: date
     accession_id: str
     raw_uri: str
-
-
-@dataclass
-class WarningRecord:
-    ticker: str
-    reason: str
-    retriable: bool = False  # the cause may pass, such as an HTTP 500
 
 
 class Transport(Protocol):
@@ -118,20 +111,18 @@ class EdgarSubmissionsResolver:
 
     Amendments (10-K/A) are ignored; at most one filing per ticker per
     calendar year survives, preferring the original 10-K. A ticker whose
-    submissions cannot be fetched or read, or are not of the expected shape,
-    is a warning, not a failure.
+    submissions cannot be fetched or read, are not of the expected shape or
+    hold no 10-K in the years asked is recorded in ``failures``, not fatal.
     """
 
     def __init__(self, client: EdgarClient | None = None):
         self.client = client or EdgarClient()
 
-    def resolve(
-        self, universe: TickerUniverse, year_from: int, year_to: int
-    ) -> tuple[list[FilingEntry], list[WarningRecord]]:
+    def resolve(self, universe: TickerUniverse, year_from: int, year_to: int,
+                failures: Failures) -> list[FilingEntry]:
         if year_from > year_to:
             raise ValueError("year_from must be <= year_to")
         entries: list[FilingEntry] = []
-        warnings: list[WarningRecord] = []
         for u in universe.entries:
             try:
                 body = self.client.get(
@@ -141,25 +132,22 @@ class EdgarSubmissionsResolver:
             except FinalStatusError as exc:
                 if exc.status != 404:
                     raise  # such as a 403, which every ticker would get
-                warnings.append(WarningRecord(u.ticker, f"unknown cik {u.cik}"))
+                failures.record(u.ticker, f"unknown cik {u.cik}")
                 continue
             except RetriableError as exc:
-                warnings.append(WarningRecord(u.ticker, str(exc), retriable=True))
+                failures.record(u.ticker, exc)
                 continue
             except json.JSONDecodeError as exc:
-                warnings.append(WarningRecord(u.ticker, f"submissions not JSON: {exc}"))
+                failures.record(u.ticker, f"submissions not JSON: {exc}")
                 continue
             except (AttributeError, LookupError, TypeError, ValueError) as exc:
-                warnings.append(WarningRecord(u.ticker, f"submissions not of the "
-                                              f"expected shape: {exc!r}"))
+                failures.record(u.ticker, f"submissions not of the expected shape: {exc!r}")
                 continue
             if not found:
-                warnings.append(
-                    WarningRecord(u.ticker, f"no 10-K filings in {year_from}-{year_to}")
-                )
+                failures.record(u.ticker, f"no 10-K filings in {year_from}-{year_to}")
             entries.extend(found)
         entries.sort(key=lambda e: (e.ticker, e.filing_date))
-        return entries, warnings
+        return entries
 
     @staticmethod
     def _extract(u, data, year_from, year_to) -> list[FilingEntry]:

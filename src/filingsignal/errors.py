@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across pipeline stages."""
+"""Exception hierarchy shared across pipeline stages, and the record of the
+items a stage leaves out."""
+
+from pathlib import Path
 
 
 class PipelineError(Exception):
@@ -52,3 +55,29 @@ class StageInputError(PipelineError):
     def __init__(self, problem: str, producing_stage: str):
         super().__init__(f"{problem}: run stage {producing_stage!r} first")
         self.producing_stage = producing_stage
+
+
+class Failures:
+    """The items one stage run left out, each as (item, error or reason);
+    ``run_pipeline`` writes them to ``path`` and counts the retriable ones."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.items: list[tuple[str, BaseException | str]] = []
+
+    def record(self, item: str, error: BaseException | str) -> None:
+        self.items.append((item, error))
+
+    @property
+    def retriable(self) -> int:
+        """Items left out for a cause that may pass: the error, or its cause,
+        is a RetriableError."""
+        return sum(isinstance(error, RetriableError)
+                   or isinstance(getattr(error, "__cause__", None), RetriableError)
+                   for _, error in self.items)
+
+    def refusal(self, what: str) -> PipelineError:
+        """The error that stops a stage which kept nothing, naming the first failure."""
+        item, error = self.items[0]
+        return PipelineError(f"{what}: {len(self.items)} failed, each recorded in "
+                             f"{self.path}; the first: {item}: {error}")

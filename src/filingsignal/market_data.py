@@ -371,8 +371,10 @@ def compute_return_records(
     filing_dates: dict[str, list[date]],
     prices: dict[str, PriceSeries],
     benchmark: PriceSeries,
-) -> tuple[list[ReturnRecord], list[str]]:
-    """Build one ReturnRecord per filing-to-filing window.
+) -> tuple[list[ReturnRecord], list[tuple[str, str]]]:
+    """Build one ReturnRecord per filing-to-filing window, and list each
+    window skipped as (``TICKER DATE``, reason), or a ticker without a price
+    series as (``TICKER``, reason).
 
     The last filing of a ticker gets an open window ending 2 trading days
     before the last priced date. A series ending before the window end is
@@ -381,11 +383,11 @@ def compute_return_records(
     """
     calendar = benchmark.dates
     records: list[ReturnRecord] = []
-    warnings: list[str] = []
+    skipped: list[tuple[str, str]] = []
     for ticker in sorted(filing_dates):
         series = prices.get(ticker)
         if series is None:
-            warnings.append(f"{ticker}: no price series, skipped")
+            skipped.append((ticker, "no price series, skipped"))
             continue
         dates = sorted(filing_dates[ticker])
         for i, fdate in enumerate(dates):
@@ -405,14 +407,14 @@ def compute_return_records(
                 stock = window_returns(series, start, end)
                 bench = window_returns(benchmark, start, end)
             except WindowSkipped as exc:
-                warnings.append(f"{ticker} {fdate}: {exc}")
+                skipped.append((f"{ticker} {fdate}", str(exc)))
                 continue
             records.append(ReturnRecord(
                 ticker, fdate, next_fdate,
                 stock.r_12m, stock.r_max, stock.r_min,
                 bench.r_12m, bench.r_max, flags,
             ))
-    return records, warnings
+    return records, skipped
 
 
 # --- returns.csv --------------------------------------------------------------

@@ -4,16 +4,18 @@ Every stage is declared once in STAGES: its function, the config fields it
 hashes, the files it reads and the files it writes. A manifest records input
 and output hashes plus wall time. Re-running skips a stage whose inputs are
 unchanged and whose outputs still match their recorded hashes, so interrupted
-runs resume where they left off. Per-item failures (one filing, one price
-series, one window) never abort a stage; they accumulate in an error report.
+runs resume where they left off.
+A failed item (one filing, one price series, one window) never aborts a
+stage: the stage records it in a ``Failures`` and goes on. The runner writes
+them to ``<stage>_errors.jsonl`` and counts those whose cause may pass, such
+as a provider outage, as the manifest's ``retry_items``; while that count is
+above 0 the stage runs again on the next run. A stage that failed items and
+kept none is refused, naming the first failure.
 The embed stage builds the vector index, one file, embedding only the chunk
-texts the previous index does not hold; a filing it cannot embed is recorded
-in embed_errors.jsonl and left out, and one lost to a provider outage makes
-the stage run again on the next run. The score stage chunks each filing as it
-scores it, and refuses a filing whose chunk texts differ from its rows in the
-index; a filing whose row inputs are unchanged gets its row from the score
-cache without retrieval; a row lost to a provider outage makes it run again on
-the next run.
+texts the previous index does not hold; a filing it cannot embed is left out.
+The score stage chunks each filing as it scores it, and refuses a filing whose
+chunk texts differ from its rows in the index; a filing whose row inputs are
+unchanged gets its row from the score cache without retrieval.
 A provider that waits on the network is asked a filing's uncached questions
 through a bounded thread pool.
 
@@ -46,8 +48,7 @@ from .corpus import CorpusStore, TickerUniverse, chunk_filing, write_atomic
 from .edgar import EdgarClient, EdgarSubmissionsResolver, fetch_filing
 from .embed_index import (INDEX_FILE, HashEmbeddingProvider, HTTPEmbeddingProvider,
                           VectorIndex, embed_item)
-from .errors import (FinalStatusError, PipelineError, RetriableError, RowScoringError,
-                     StageInputError)
+from .errors import Failures, FinalStatusError, PipelineError, RowScoringError, StageInputError
 from .llm_scoring import (MAX_WORKERS, ConstantLLM, HTTPChatLLM, KeywordLLM, QuestionSet,
                           RowInputs, ScoreCache, embed_questions, read_features_csv,
                           score_filing, write_features_csv)
@@ -206,38 +207,19 @@ def load_questions(config: PipelineConfig) -> QuestionSet:
         raise PipelineError(f"questions_file {config.questions_file}: {exc}") from exc
 
 
-class ErrorReport:
-    def __init__(self, path: Path):
-        self.path = path
-        self.count = 0
-        if path.exists():
-            path.unlink()
-
-    def record(self, item: str, error: str) -> None:
-        self.count += 1
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as f:
-            f.write(json.dumps({"item": item, "error": error}) + "\n")
-
-
 # --- stage implementations ----------------------------------------------------
 
 
-def stage_ingest(config: PipelineConfig) -> int:
+def stage_ingest(config: PipelineConfig, failures: Failures) -> None:
+    if not config.universe_csv:
+        raise PipelineError("stage 'ingest' needs universe_csv: the tickers and CIKs to fetch")
     universe = TickerUniverse.from_csv(config.universe_csv)
     client = EdgarClient()
-    resolver = EdgarSubmissionsResolver(client)
     store = CorpusStore(config.corpus_dir)
-    report = ErrorReport(config.out("ingest_errors.jsonl"))
-    entries, warnings = resolver.resolve(universe, config.year_from, config.year_to)
-    for w in warnings:
-        report.record(w.ticker, w.reason)
-    if warnings and not entries:
-        raise PipelineError(f"no ticker resolved to a filing: {len(warnings)} recorded in "
-                            f"{report.path}; the first: {warnings[0].ticker}: "
-                            f"{warnings[0].reason}")
-    retry_items = sum(w.retriable for w in warnings)
-    failed = []
+    entries = EdgarSubmissionsResolver(client).resolve(universe, config.year_from,
+                                                       config.year_to, failures)
+    if failures.items and not entries:
+        raise failures.refusal("no ticker resolved to a filing")
     for entry in entries:
         key = (entry.ticker, entry.filing_date.isoformat())
         if key in store:
@@ -247,13 +229,9 @@ def stage_ingest(config: PipelineConfig) -> int:
         except PipelineError as exc:
             if isinstance(exc, FinalStatusError) and exc.status != 404:
                 raise  # such as a 403, which every filing would get
-            failed.append(f"{entry.ticker} {entry.filing_date}: {exc}")
-            report.record(f"{entry.ticker} {entry.filing_date}", str(exc))
-            retry_items += isinstance(exc, RetriableError)
-    if failed and not store:
-        raise PipelineError(f"no filing could be fetched: {len(failed)} recorded in "
-                            f"{report.path}; the first: {failed[0]}")
-    return retry_items
+            failures.record(f"{entry.ticker} {entry.filing_date}", exc)
+    if failures.items and not store:
+        raise failures.refusal("no filing could be fetched")
 
 
 def _reusable_vectors(index_dir: str, provider_id: str) -> dict[str, np.ndarray]:
@@ -278,12 +256,11 @@ def _reusable_vectors(index_dir: str, provider_id: str) -> dict[str, np.ndarray]
     return dict(zip(previous.hashes, previous.vectors))
 
 
-def stage_embed(config: PipelineConfig) -> int:
+def stage_embed(config: PipelineConfig, failures: Failures) -> None:
     provider = build_embedding_provider(config.embedding_provider)
     reusable = _reusable_vectors(config.index_dir, provider.provider_id)
     store = CorpusStore(config.corpus_dir)
-    report = ErrorReport(config.out("embed_errors.jsonl"))
-    refs, hashes, units, failed, outages = [], [], [], [], 0
+    refs, hashes, units = [], [], []
     for filing in store.load_all():
         chunks = chunk_filing(filing, config.chunk_chars, config.overlap_chars)
         keys = [chunk.sha256 for chunk in chunks]
@@ -294,31 +271,19 @@ def stage_embed(config: PipelineConfig) -> int:
         except FinalStatusError:
             raise  # the endpoint refuses every filing: its config or key is wrong
         except PipelineError as exc:  # left out of the index; score records it as failed
-            failed.append(str(exc))
-            report.record(f"{filing.ticker} {filing.filing_date}", failed[-1])
-            outages += isinstance(exc, RetriableError)
+            failures.record(f"{filing.ticker} {filing.filing_date}", exc)
             continue
         units += [reusable[key] if key in reusable else next(fresh) for key in keys]
         refs += [(*chunk.filing_key, chunk.chunk_index) for chunk in chunks]
         hashes += keys
-    if failed and not refs:
-        raise PipelineError(f"no filing was embedded: {len(failed)} failed, each recorded "
-                            f"in {report.path}; the first: {failed[0]}")
+    if failures.items and not refs:
+        raise failures.refusal("no filing was embedded")
     if not refs:
         raise PipelineError("corpus is empty, nothing to embed")
     VectorIndex(provider.provider_id, refs, hashes, units).save(config.index_dir)
-    if outages:
-        logger.warning("filings that could not be embedded and are left out of the "
-                       "index: %d, each recorded in %s; the next run tries them again",
-                       outages, report.path)
-    if len(failed) > outages:
-        logger.warning("filings left out of the index for a cause a rerun would not mend: "
-                       "%d, each recorded in %s; the stage tries them again once its "
-                       "inputs change", len(failed) - outages, report.path)
-    return outages
 
 
-def stage_score(config: PipelineConfig) -> int:
+def stage_score(config: PipelineConfig, failures: Failures) -> None:
     store = CorpusStore(config.corpus_dir)
     try:
         index = VectorIndex.load(config.index_dir)
@@ -337,8 +302,7 @@ def stage_score(config: PipelineConfig) -> int:
         )
     inputs = RowInputs(qs, embed_questions(qs, embedder), llm, config.chunks_per_question)
     cache = ScoreCache(config.out("score_cache.jsonl"))
-    report = ErrorReport(config.out("score_errors.jsonl"))
-    rows, outages = [], 0
+    rows = []
     with ThreadPoolExecutor(MAX_WORKERS, thread_name_prefix="score") as pool:
         # Only a provider that waits on the network gains from overlapping its
         # calls; the in-process stubs would only add hand-offs under the GIL.
@@ -354,13 +318,13 @@ def stage_score(config: PipelineConfig) -> int:
             try:
                 rows.append(score_filing(filing, chunks, inputs, index, cache, map_calls))
             except RowScoringError as exc:
-                report.record(f"{filing.ticker} {filing.filing_date}", str(exc))
-                outages += isinstance(exc.__cause__, RetriableError)
+                failures.record(f"{filing.ticker} {filing.filing_date}", exc)
+    if failures.items and not rows:
+        raise failures.refusal("no filing was scored")
     write_features_csv(config.out("features.csv"), rows, qs)
-    return outages
 
 
-def stage_returns(config: PipelineConfig) -> None:
+def stage_returns(config: PipelineConfig, failures: Failures) -> None:
     store = CorpusStore(config.corpus_dir)
     filing_dates: dict[str, list[date]] = {}
     for ticker, iso in store.keys():
@@ -374,18 +338,15 @@ def stage_returns(config: PipelineConfig) -> None:
         raise PipelineError(
             f"benchmark symbol {config.benchmark_symbol!r} not in price data"
         )
-    records, warnings = md.compute_return_records(
+    records, skipped = md.compute_return_records(
         filing_dates, prices, prices[config.benchmark_symbol]
     )
-    report = ErrorReport(config.out("returns_errors.jsonl"))
-    for symbol in sorted(rejected):
-        report.record("series", rejected[symbol])
-    for w in warnings:
-        report.record("window", w)
+    for item, reason in [*sorted(rejected.items()), *skipped]:
+        failures.record(item, reason)
     md.write_returns_csv(config.out("returns.csv"), records)
 
 
-def stage_label(config: PipelineConfig) -> None:
+def stage_label(config: PipelineConfig, failures: Failures) -> None:
     records = md.read_returns_csv(config.out("returns.csv"))
     if not records:
         raise PipelineError(f"{config.out('returns.csv')} holds no return windows; "
@@ -395,7 +356,7 @@ def stage_label(config: PipelineConfig) -> None:
     labeling.write_labels_csv(config.out("labels.csv"), examples)
 
 
-def stage_train(config: PipelineConfig) -> None:
+def stage_train(config: PipelineConfig, failures: Failures) -> None:
     qcols, feature_rows = read_features_csv(config.out("features.csv"))
     labels = labeling.read_labels_csv(config.out("labels.csv"))
     label_by_key = {(e.ticker, e.filing_date.isoformat()): e.label for e in labels}
@@ -413,7 +374,7 @@ def stage_train(config: PipelineConfig) -> None:
     model.save(config.out("model.json"), extra={"train_years": list(config.train_years)})
 
 
-def stage_backtest(config: PipelineConfig) -> None:
+def stage_backtest(config: PipelineConfig, failures: Failures) -> None:
     model = NNLSModel.load(config.out("model.json"))
     _, feature_rows = read_features_csv(config.out("features.csv"))
     records = md.read_returns_csv(config.out("returns.csv"))
@@ -438,13 +399,13 @@ class Stage:
 
     ``inputs`` lists every file the stage reads and ``outputs`` every file it
     writes; both are hashed into the manifest, together with the config
-    fields named in ``config_keys``. ``run`` may return the number of items
-    it left out for a cause that may pass, such as a provider outage; while
-    that number is above 0 the stage is not skipped.
+    fields named in ``config_keys``. ``run`` records each item it leaves out
+    (a filing, a price series, a window) in its ``Failures`` and goes on;
+    a stage that kept no item raises ``Failures.refusal``.
     """
 
     name: str
-    run: Callable[[PipelineConfig], int | None]
+    run: Callable[[PipelineConfig, Failures], None]
     config_keys: tuple[str, ...]
     inputs: Callable[[PipelineConfig], list[Path]]
     outputs: Callable[[PipelineConfig], list[Path]]
@@ -524,9 +485,11 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
 
     A stage is skipped only when its inputs hash as recorded, its outputs
     still match their recorded hashes and its last run left no item to
-    retry. A stage whose input was written by a stage not requested here,
-    and whose config or inputs have changed since, is refused with a
-    StageInputError naming that stage. The manifest is
+    retry. Each stage run writes the items it left out to
+    ``<stage>_errors.jsonl``, or removes that file when it left none out,
+    also when the stage raises. A stage whose input was written by a stage
+    not requested here, and whose config or inputs have changed since, is
+    refused with a StageInputError naming that stage. The manifest is
     replaced whole after each stage (see ``write_atomic``). Returns the
     updated pipeline manifest.
     """
@@ -557,11 +520,24 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
                         prior["retry_items"])
         logger.info("stage %s: running", stage.name)
         t0 = time.monotonic()
-        retry_items = stage.run(config) or 0
+        failures = Failures(config.out(f"{stage.name}_errors.jsonl"))
+        try:
+            stage.run(config, failures)
+        finally:
+            if failures.items:
+                write_atomic(failures.path, "".join(
+                    json.dumps({"item": item, "error": str(error)}) + "\n"
+                    for item, error in failures.items))
+            else:
+                failures.path.unlink(missing_ok=True)
+        if failures.items:
+            logger.warning("stage %s: %d left out, each recorded in %s; %d of them "
+                           "for a cause that may pass, which the next run tries again",
+                           stage.name, len(failures.items), failures.path, failures.retriable)
         manifest[stage.name] = {
             "inputs": inputs,
             "outputs": _output_hashes(config, stage),
-            "retry_items": retry_items,
+            "retry_items": failures.retriable,
             "wall_time_s": round(time.monotonic() - t0, 3),
         }
         write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -1,5 +1,6 @@
 import json
 from datetime import date
+from pathlib import Path
 
 import pytest
 
@@ -7,8 +8,8 @@ from filingsignal.corpus import TickerUniverse, UniverseEntry
 from filingsignal.edgar import (CONTACT_ENV_VAR, EdgarClient,
                                 EdgarSubmissionsResolver, FilingEntry,
                                 RateLimiter, fetch_filing)
-from filingsignal.errors import (EmptyDocumentError, FinalStatusError, PipelineError,
-                                 RetriableError)
+from filingsignal.errors import (EmptyDocumentError, Failures, FinalStatusError,
+                                 PipelineError, RetriableError)
 from filingsignal.net import MAX_ATTEMPTS
 
 
@@ -45,29 +46,39 @@ def universe(*pairs):
     return TickerUniverse([UniverseEntry(t, c) for t, c in pairs])
 
 
+def resolved(resolver, tickers, year_from, year_to):
+    """The entries ``resolver`` finds for ``tickers``, and the failures it records."""
+    failures = Failures(Path("ingest_errors.jsonl"))
+    return resolver.resolve(tickers, year_from, year_to, failures), failures
+
+
+def recorded(failures):
+    return [(item, str(error)) for item, error in failures.items]
+
+
 class TestResolver:
     def test_one_entry_per_annual_filing(self):
         forms = [("10-K", f"{y}-02-01", f"acc-{y}", "doc.htm")
                  for y in range(2002, 2024)]
         transport = MapTransport({"CIK0000000001": (200, submissions_body(forms))})
         resolver = EdgarSubmissionsResolver(make_client(transport))
-        entries, warnings = resolver.resolve(universe(("AAPL", "0000000001")), 2002, 2023)
+        entries, failures = resolved(resolver, universe(("AAPL", "0000000001")), 2002, 2023)
         assert len(entries) == 22
-        assert warnings == []
+        assert failures.items == []
         assert entries == sorted(entries, key=lambda e: (e.ticker, e.filing_date))
 
     def test_empty_universe(self):
         resolver = EdgarSubmissionsResolver(make_client(MapTransport({})))
-        entries, warnings = resolver.resolve(universe(), 2002, 2023)
-        assert entries == [] and warnings == []
+        entries, failures = resolved(resolver, universe(), 2002, 2023)
+        assert entries == [] and failures.items == []
 
     def test_unknown_cik_warns_and_skips(self, slept):
         transport = MapTransport({})
         resolver = EdgarSubmissionsResolver(make_client(transport))
-        entries, warnings = resolver.resolve(universe(("FAKE", "0009999999")), 2010, 2020)
+        entries, failures = resolved(resolver, universe(("FAKE", "0009999999")), 2010, 2020)
         assert entries == []
-        assert [(w.ticker, w.reason, w.retriable) for w in warnings] == [
-            ("FAKE", "unknown cik 0009999999", False)]
+        assert recorded(failures) == [("FAKE", "unknown cik 0009999999")]
+        assert failures.retriable == 0
         assert len(transport.calls) == 1 and slept == []  # a 404 is not asked again
 
     def test_server_error_then_answer_resolves_in_the_same_run(self, slept):
@@ -75,29 +86,29 @@ class TestResolver:
         transport = MapTransport({"CIK0000000001": [(500, "boom"),
                                                     (200, submissions_body(forms))]})
         resolver = EdgarSubmissionsResolver(make_client(transport))
-        entries, warnings = resolver.resolve(universe(("AAPL", "0000000001")), 2020, 2020)
-        assert [e.accession_id for e in entries] == ["acc-1"] and warnings == []
+        entries, failures = resolved(resolver, universe(("AAPL", "0000000001")), 2020, 2020)
+        assert [e.accession_id for e in entries] == ["acc-1"] and failures.items == []
         assert len(transport.calls) == 2 and slept == []
 
     def test_other_final_status_stops_the_resolver(self):
         resolver = EdgarSubmissionsResolver(make_client(MapTransport({"CIK": (403, "no")})))
         with pytest.raises(FinalStatusError, match="HTTP 403"):
-            resolver.resolve(universe(("AAPL", "0000000001")), 2020, 2020)
+            resolved(resolver, universe(("AAPL", "0000000001")), 2020, 2020)
 
     def test_no_filings_in_range_warns(self):
         forms = [("10-K", "1999-02-01", "acc-old", "doc.htm")]
         transport = MapTransport({"CIK0000000001": (200, submissions_body(forms))})
         resolver = EdgarSubmissionsResolver(make_client(transport))
-        entries, warnings = resolver.resolve(universe(("AAPL", "0000000001")), 2010, 2020)
+        entries, failures = resolved(resolver, universe(("AAPL", "0000000001")), 2010, 2020)
         assert entries == []
-        assert len(warnings) == 1
+        assert recorded(failures) == [("AAPL", "no 10-K filings in 2010-2020")]
 
     def test_amendments_ignored(self):
         forms = [("10-K", "2020-02-01", "acc-orig", "doc.htm"),
                  ("10-K/A", "2020-03-01", "acc-amend", "doc.htm")]
         transport = MapTransport({"CIK0000000001": (200, submissions_body(forms))})
         resolver = EdgarSubmissionsResolver(make_client(transport))
-        entries, _ = resolver.resolve(universe(("AAPL", "0000000001")), 2020, 2020)
+        entries, _ = resolved(resolver, universe(("AAPL", "0000000001")), 2020, 2020)
         assert [e.accession_id for e in entries] == ["acc-orig"]
 
     def test_one_per_year_prefers_earliest(self):
@@ -105,7 +116,7 @@ class TestResolver:
                  ("10-K", "2020-02-01", "acc-early", "doc.htm")]
         transport = MapTransport({"CIK0000000001": (200, submissions_body(forms))})
         resolver = EdgarSubmissionsResolver(make_client(transport))
-        entries, _ = resolver.resolve(universe(("AAPL", "0000000001")), 2020, 2020)
+        entries, _ = resolved(resolver, universe(("AAPL", "0000000001")), 2020, 2020)
         assert [e.accession_id for e in entries] == ["acc-early"]
 
     @pytest.mark.parametrize("body, reason", [
@@ -118,16 +129,16 @@ class TestResolver:
         transport = MapTransport({"CIK0000000001": (200, body),
                                   "CIK0000000002": (200, good)})
         resolver = EdgarSubmissionsResolver(make_client(transport))
-        entries, warnings = resolver.resolve(
-            universe(("ODD", "0000000001"), ("GOOD", "0000000002")), 2020, 2020)
+        entries, failures = resolved(
+            resolver, universe(("ODD", "0000000001"), ("GOOD", "0000000002")), 2020, 2020)
         assert [e.accession_id for e in entries] == ["acc-good"]
-        assert [(w.ticker, w.retriable) for w in warnings] == [("ODD", False)]
-        assert reason in warnings[0].reason
+        [(item, error)] = recorded(failures)
+        assert item == "ODD" and reason in error and failures.retriable == 0
 
     def test_bad_year_range(self):
         resolver = EdgarSubmissionsResolver(make_client(MapTransport({})))
         with pytest.raises(ValueError):
-            resolver.resolve(universe(), 2020, 2010)
+            resolved(resolver, universe(), 2020, 2010)
 
 
 class TestClient:

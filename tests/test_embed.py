@@ -68,7 +68,8 @@ class TestStubProvider:
         assert np.dot(a, b) > np.dot(a, c)
 
     def test_matches_golden_file(self):
-        golden = json.load(open(f"{FIXTURES}/stub_embeddings_golden.json"))
+        with open(f"{FIXTURES}/stub_embeddings_golden.json", encoding="utf-8") as f:
+            golden = json.load(f)
         p = HashEmbeddingProvider(dimension=16, seed=7)
         assert p.provider_id == golden["provider_id"]
         for text, expected in golden["vectors"].items():

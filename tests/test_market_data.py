@@ -361,9 +361,9 @@ class TestReturnRecords:
     def test_missing_series_warns(self):
         filing_dates, prices, bench = self.build()
         del prices["TST"]
-        records, warnings = compute_return_records(filing_dates, prices, bench)
+        records, skipped = compute_return_records(filing_dates, prices, bench)
         assert records == []
-        assert any("no price series" in w for w in warnings)
+        assert skipped == [("TST", "no price series, skipped")]
 
     def test_csv_round_trip(self, tmp_path):
         filing_dates, prices, bench = self.build()
@@ -408,7 +408,7 @@ def oracle_return_records(filing_dates, observations, benchmark):
     records, warnings = [], []
     for ticker in sorted(filing_dates):
         if ticker not in observations:
-            warnings.append(f"{ticker}: no price series, skipped")
+            warnings.append((ticker, "no price series, skipped"))
             continue
         dates = sorted(filing_dates[ticker])
         for i, fdate in enumerate(dates):
@@ -424,7 +424,7 @@ def oracle_return_records(filing_dates, observations, benchmark):
                 stock = returns(ticker, start, end)
                 bench = returns(benchmark, start, end)
             except WindowSkipped as exc:
-                warnings.append(f"{ticker} {fdate}: {exc}")
+                warnings.append((f"{ticker} {fdate}", str(exc)))
                 continue
             flags = ["open_window"] if open_window else []
             if observations[ticker][-1][0] < end:
@@ -473,7 +473,7 @@ def test_return_records_equal_list_oracle_exactly():
         filing_dates, observations, "SPX")
     assert records == expected_records
     assert warnings == expected_warnings
-    messages = "\n".join(warnings)
+    messages = "\n".join(reason for _, reason in warnings)
     for skipped in ["window collapsed", "open window collapsed", "calendar ends",
                     "calendar starts", "observations in", "no price series"]:
         assert skipped in messages

@@ -14,8 +14,9 @@ import yaml
 from filingsignal import cli, corpus, edgar, llm_scoring, pipeline
 from filingsignal.corpus import CorpusStore, chunk_filing
 from filingsignal.embed_index import HashEmbeddingProvider, VectorIndex
-from filingsignal.errors import (FinalStatusError, PipelineError, RetriableError,
-                                 StageInputError)
+from filingsignal.errors import (EmptyDocumentError, Failures, FinalStatusError,
+                                 PipelineError, RetriableError, RowScoringError,
+                                 StageInputError, UnparseableScoreError)
 from filingsignal.llm_scoring import MAX_WORKERS, KeywordLLM, ScoreCache, read_features_csv
 from filingsignal.net import MAX_ATTEMPTS
 from filingsignal.pipeline import PipelineConfig, run_pipeline
@@ -423,8 +424,8 @@ class TestRunPipeline:
         keys = CorpusStore(config.corpus_dir).keys()
         with pytest.raises(PipelineError, match=(
                 f"no filing was embedded: {len(keys)} failed, each recorded in "
-                f".*embed_errors.jsonl; the first: embedding of filing {keys[0][0]} "
-                f"{keys[0][1]} failed {MAX_ATTEMPTS} times")):
+                f".*embed_errors.jsonl; the first: {keys[0][0]} {keys[0][1]}: embedding of "
+                f"filing {keys[0][0]} {keys[0][1]} failed {MAX_ATTEMPTS} times")):
             run_pipeline(config, ["embed"])
         assert Down.calls == MAX_ATTEMPTS * len(keys)
         records = [json.loads(line)
@@ -439,9 +440,10 @@ class TestRunPipeline:
         with caplog.at_level("WARNING", logger="filingsignal.pipeline"):
             run_pipeline(config, ["embed", "score"])
         assert [r.getMessage() for r in caplog.records if r.name == "filingsignal.pipeline"] \
-            == ["filings that could not be embedded and are left out of the index: 1, each "
-                f"recorded in {tmp_path / 'down' / 'embed_errors.jsonl'}; the next run tries "
-                "them again"]
+            == [f"stage {stage}: 1 left out, each recorded in "
+                f"{tmp_path / 'down' / f'{stage}_errors.jsonl'}; {retriable} of them for a "
+                "cause that may pass, which the next run tries again"
+                for stage, retriable in [("embed", 1), ("score", 0)]]
         monkeypatch.undo()
         without = synthetic_config(synth_root, tmp_path / "without")
         without.corpus_dir = str(corpus_copy(
@@ -578,10 +580,30 @@ class TestRunPipeline:
         is a filing left out of the index; see
         test_left_out_filing_tried_again_on_the_next_run.)"""
         config = synthetic_config(synth_root, tmp_path / "out")
-        monkeypatch.setattr(KeywordLLM, "complete", lambda self, system, user: "no score")
+        down = CorpusStore(config.corpus_dir).keys()[3]
+        down_texts = chunk_texts_of(config, [down])
+        complete = KeywordLLM.complete
+        monkeypatch.setattr(KeywordLLM, "complete", lambda self, system, user: (
+            "no score" if any(text in user for text in down_texts)
+            else complete(self, system, user)))
         first = run_pipeline(config, ["embed", "score"])
-        assert (tmp_path / "out" / "score_errors.jsonl").exists()
+        [error] = [json.loads(line) for line in
+                   (tmp_path / "out" / "score_errors.jsonl").read_text().splitlines()]
+        assert error["item"] == f"{down[0]} {down[1]}"
         assert first["score"]["retry_items"] == 0
+
+    def test_no_filing_scored_is_an_error(self, synth_root, tmp_path, monkeypatch):
+        config = synthetic_config(synth_root, tmp_path)
+        monkeypatch.setattr(KeywordLLM, "complete", lambda self, system, user: "no score")
+        keys = CorpusStore(config.corpus_dir).keys()
+        with pytest.raises(PipelineError, match=(
+                f"no filing was scored: {len(keys)} failed, each recorded in "
+                f".*score_errors.jsonl; the first: {keys[0][0]} {keys[0][1]}: .*"
+                "no parseable score in response: 'no score'")):
+            run_pipeline(config, ["embed", "score"])
+        assert len((tmp_path / "score_errors.jsonl").read_text().splitlines()) == len(keys)
+        assert not (tmp_path / "features.csv").exists()
+        assert "score" not in json.loads((tmp_path / pipeline.MANIFEST_FILE).read_text())
 
     @pytest.mark.parametrize("reply", [json_reply({}, status=503),
                                        json_reply({"embeddings": []})])
@@ -745,8 +767,9 @@ class TestRunPipeline:
         assert (tmp_path / "out" / "returns.csv").read_text().splitlines() == kept
         errors = [json.loads(rec) for rec in
                   (tmp_path / "out" / "returns_errors.jsonl").read_text().splitlines()]
-        [series] = [rec["error"] for rec in errors if rec["item"] == "series"]
+        series, windows = [rec["error"] for rec in errors if rec["item"] == "HTEL"]
         assert series.startswith(f"HTEL: {prices} line {line + 1}: {named}")
+        assert windows == "no price series, skipped"
 
     def test_unneeded_symbol_not_read_but_its_edit_reruns_returns(self, tmp_path,
                                                                    monkeypatch):
@@ -932,7 +955,8 @@ class TestIngest:
         monkeypatch.setattr(edgar, "_http_transport", fake_edgar(
             (200, submissions("2020-02-14", "gone.htm")), sample_10k_html))
         with pytest.raises(PipelineError, match=(
-                "no filing could be fetched: 1 recorded in .*ingest_errors.jsonl; "
+                "no filing could be fetched: 1 failed, each recorded in "
+                ".*ingest_errors.jsonl; "
                 "the first: AAA 2020-02-14: HTTP 404 from https://")):
             run_pipeline(config, ["ingest"])
 
@@ -942,6 +966,106 @@ class TestIngest:
                                                                  sample_10k_html))
         with pytest.raises(FinalStatusError, match="HTTP 403 from https://"):
             run_pipeline(self.config(tmp_path), ["ingest"])
+
+    def test_ingest_without_universe_csv_is_an_error_line(self, tmp_path, capsys):
+        mapping = yaml_mapping(self.config(tmp_path))
+        del mapping["universe_csv"]
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump(mapping))
+        assert cli.main(["pipeline", "--config", str(cfg_path), "--stages", "ingest"]) == 1
+        assert capsys.readouterr().err.startswith("error: stage 'ingest' needs universe_csv")
+
+
+def caused(error, cause):
+    """``error`` as ``raise error from cause`` leaves it."""
+    error.__cause__ = cause
+    return error
+
+
+class TestFailures:
+    @pytest.mark.parametrize("error, retriable", [
+        (RetriableError("HTTP 503 from the LLM endpoint", 503), 1),
+        (caused(PipelineError("embedding of filing AAA 2020-02-14 failed 3 times: "
+                              "2 vectors for 3 texts"), ValueError("2 vectors")), 0),
+        (caused(RowScoringError("question q failed 3 times: HTTP 503"),
+                RetriableError("HTTP 503", 503)), 1),
+        (caused(RowScoringError("no parseable score in response: 'no score'"),
+                UnparseableScoreError("no score")), 0),
+        (FinalStatusError("HTTP 404 from https://www.sec.gov/x", 404), 0),
+        (EmptyDocumentError("filing text is empty after cleaning"), 0),
+        ("no price series, skipped", 0),
+    ], ids=["retriable", "unusable-reply", "row-after-outage", "row-unparseable",
+            "final-404", "empty-document", "reason"])
+    def test_retry_rule(self, tmp_path, error, retriable):
+        failures = Failures(tmp_path / "x_errors.jsonl")
+        failures.record("AAA 2020-02-14", error)
+        assert failures.retriable == retriable
+
+    def test_one_item_failing_in_each_stage(self, synth_root, tmp_path, monkeypatch):
+        """Each stage that leaves items out writes them in one schema; the
+        manifest counts the retriable ones; a clean rerun removes each file."""
+        corpus = corpus_copy(synth_root, tmp_path / "corpus")
+        prices = shutil.copytree(synth_root / "prices", tmp_path / "prices") / "prices.csv"
+        clean_prices = prices.read_text()
+        prices.write_text(clean_prices.replace("HTEL,2015-01-02,100.0", "HTEL,2015-01-02,0.0"))
+        keys = CorpusStore(corpus).keys()
+        filed = {ticker: day for ticker, day in keys if day.startswith("2020")}
+        resolving, outage = sorted(filed)[:2]
+        (tmp_path / "universe.csv").write_text(f"ticker,cik\n{outage},1\n{resolving},2\n")
+        config = dataclasses.replace(
+            synthetic_config(synth_root, tmp_path / "out"), corpus_dir=str(corpus),
+            prices_dir=str(prices.parent), universe_csv=str(tmp_path / "universe.csv"),
+            year_from=2020, year_to=2020)
+        down = [True]
+
+        def transport(url):  # both tickers' 2020 10-K is stored: no document is fetched
+            if down and "CIK0000000001" in url:
+                return 500, "boom", {}
+            ticker = outage if "CIK0000000001" in url else resolving
+            return 200, submissions(filed[ticker], "10k.htm"), {}
+
+        unembedded = chunk_texts_of(config, [keys[3]])
+        unscored = chunk_texts_of(config, [keys[5]])
+
+        class Embedder(HashEmbeddingProvider):
+            def embed_batch(self, texts):
+                if down and unembedded & set(texts):
+                    raise RetriableError("HTTP 503")
+                return super().embed_batch(texts)
+
+        complete = KeywordLLM.complete
+
+        def llm(self, system, user):
+            if down and any(text in user for text in unscored):
+                raise RetriableError("HTTP 503")
+            return complete(self, system, user)
+
+        monkeypatch.setattr(edgar, "_http_transport", transport)
+        monkeypatch.setattr(pipeline, "build_embedding_provider",
+                            lambda cfg: Embedder(cfg["dimension"], cfg["seed"]))
+        monkeypatch.setattr(KeywordLLM, "complete", llm)
+        stages = ["ingest", "embed", "score", "returns"]
+        manifest = run_pipeline(config, stages)
+        items = {}
+        for stage in stages:
+            records = [json.loads(line) for line in
+                       (tmp_path / "out" / f"{stage}_errors.jsonl").read_text().splitlines()]
+            assert all(sorted(r) == ["error", "item"] and isinstance(r["item"], str)
+                       and isinstance(r["error"], str) for r in records), stage
+            items[stage] = [r["item"] for r in records]
+            assert manifest[stage]["retry_items"] == \
+                sum("HTTP 50" in r["error"] for r in records), stage
+        assert items == {"ingest": [outage],
+                         "embed": [" ".join(keys[3])],
+                         "score": [" ".join(keys[3]), " ".join(keys[5])],
+                         "returns": ["HTEL", "HTEL"]}
+        assert [manifest[stage]["retry_items"] for stage in stages] == [1, 1, 1, 0]
+        down.clear()
+        prices.write_text(clean_prices)
+        manifest = run_pipeline(config, stages)
+        for stage in stages:
+            assert manifest[stage]["retry_items"] == 0
+            assert not (tmp_path / "out" / f"{stage}_errors.jsonl").exists(), stage
 
 
 class TestIncrementalEmbed:
@@ -1520,7 +1644,8 @@ class TestScorePool:
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)  # switch threads often, to shake out races
             try:
-                run_pipeline(config, ["embed", "score"])
+                with pytest.raises(PipelineError, match="no filing was scored: 1 failed"):
+                    run_pipeline(config, ["embed", "score"])
             finally:
                 sys.setswitchinterval(interval)
         assert MAX_ATTEMPTS <= server.calls <= MAX_ATTEMPTS * MAX_WORKERS
@@ -1529,7 +1654,7 @@ class TestScorePool:
                    (tmp_path / "out" / "score_errors.jsonl").read_text().splitlines()]
         # The row fails on its first question, as it does when asked serially.
         assert f"question {questions.questions[0].question_id} failed" in error["error"]
-        assert (tmp_path / "out" / "features.csv").read_text().count("\n") == 1
+        assert not (tmp_path / "out" / "features.csv").exists()
 
     def test_final_status_stops_the_stage_after_one_call_per_worker(self, synth_root,
                                                                      tmp_path, capsys):
