@@ -58,7 +58,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PipelineError, FileNotFoundError) as exc:
+    except (PipelineError, OSError) as exc:  # OSError: a config path, say a directory
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import deque
 from dataclasses import dataclass
 from datetime import date
 from typing import Callable, Mapping, Protocol
@@ -41,26 +42,21 @@ class Transport(Protocol):
 
 
 class RateLimiter:
-    """Simple fixed-window limiter: at most `per_second` calls per second."""
+    """At most ``per_second`` calls start in any one second: a call waits
+    until the ``per_second``-th latest start is a second old."""
 
     def __init__(self, per_second: int = MAX_REQUESTS_PER_SECOND, clock=time.monotonic,
                  sleep: Callable[[float], None] = time.sleep):
-        self.per_second = per_second
         self._clock = clock
         self._sleep = sleep
-        self._window_start = 0.0
-        self._count = 0
+        self._starts: deque[float] = deque(maxlen=per_second)
 
     def acquire(self) -> None:
-        now = self._clock()
-        if now - self._window_start >= 1.0:
-            self._window_start = now
-            self._count = 0
-        if self._count >= self.per_second:
-            self._sleep(self._window_start + 1.0 - now)
-            self._window_start = self._clock()
-            self._count = 0
-        self._count += 1
+        if len(self._starts) == self._starts.maxlen:
+            wait = self._starts[0] + 1.0 - self._clock()
+            if wait > 0:
+                self._sleep(wait)
+        self._starts.append(self._clock())
 
 
 def _decode(data: bytes, content_type: str) -> str:
@@ -115,8 +111,8 @@ class EdgarSubmissionsResolver:
     hold no 10-K in the years asked is recorded in ``failures``, not fatal.
     """
 
-    def __init__(self, client: EdgarClient | None = None):
-        self.client = client or EdgarClient()
+    def __init__(self, client: EdgarClient):
+        self.client = client
 
     def resolve(self, universe: TickerUniverse, year_from: int, year_to: int,
                 failures: Failures) -> list[FilingEntry]:
@@ -174,9 +170,8 @@ class EdgarSubmissionsResolver:
         return list(by_year.values())
 
 
-def fetch_filing(entry: FilingEntry, client: EdgarClient | None = None) -> Filing:
-    """Download one filing and return it with markup stripped."""
-    client = client or EdgarClient()
+def fetch_filing(entry: FilingEntry, client: EdgarClient) -> Filing:
+    """Download one filing through ``client`` and return it with markup stripped."""
     raw = client.get(entry.raw_uri, context=f"{entry.ticker} {entry.filing_date}")
     clean = clean_filing_text(raw)  # raises EmptyDocumentError on markup-only docs
     return Filing(

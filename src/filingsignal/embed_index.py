@@ -141,14 +141,14 @@ def embed_text(provider: EmbeddingProvider, text: str, item: str) -> np.ndarray:
 
 
 class VectorIndex:
-    """Unit vectors with exact top-k queries, restricted to one filing or not.
+    """Unit vectors with exact top-k queries within one filing.
 
     Built once from all its rows and never changed. The vectors live in one
     read-only float64 matrix, each row cast from the float32 vector that is
     stored on disk. Beside each ref the index keeps the sha256 of the chunk
-    text its row embeds. For each filing, and for the whole index, the index
-    keeps the row positions sorted by ref, so a query scans only the filing's
-    own rows and a stable sort breaks similarity ties by ref.
+    text its row embeds. For each filing the index keeps the row positions
+    sorted by ref, so a query scans only the filing's own rows and a stable
+    sort breaks similarity ties by chunk index.
     """
 
     def __init__(self, provider_id: str, refs: Sequence[ChunkRef], hashes: Sequence[str],
@@ -174,7 +174,6 @@ class VectorIndex:
                 raise ValueError(f"duplicate chunk ref {self.refs[a]}")
         self._rows = {key: np.array(list(rows), dtype=np.intp) for key, rows
                       in groupby(order, key=lambda i: self.refs[i][:2])}
-        self._rows[None] = np.array(order, dtype=np.intp)
 
     def __len__(self) -> int:
         return len(self.refs)
@@ -187,16 +186,12 @@ class VectorIndex:
         """The vectors of one filing's rows, in chunk order; no rows if it has none."""
         return self.vectors[self._rows.get(filing_key, np.empty(0, dtype=np.intp))]
 
-    def top_k(
-        self,
-        query: Sequence[float],
-        k: int,
-        filing_key: tuple[str, str] | None = None,
-    ) -> list[tuple[ChunkRef, float]]:
-        """Exact k most similar chunks, optionally restricted to one filing.
+    def top_k(self, query: Sequence[float], k: int,
+              filing_key: tuple[str, str]) -> list[tuple[ChunkRef, float]]:
+        """Exact k chunks of one filing most similar to ``query``; empty if
+        the filing has no rows.
 
-        Sorted by similarity descending; ties broken by (filing_key,
-        chunk_index) ascending.
+        Sorted by similarity descending; ties broken by chunk_index ascending.
         """
         q = np.asarray(query, dtype=np.float64)
         if q.shape != (self.dimension,):

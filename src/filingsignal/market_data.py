@@ -283,22 +283,6 @@ def load_price_dir(directory: str | Path, symbols: Collection[str],
     return {sym: series for sym, series in loaded.items() if not isinstance(series, str)}
 
 
-def _trading_days(
-    filing_date: date, next_filing_date: date, calendar: np.ndarray
-) -> tuple[date, date]:
-    """The 2nd trading day strictly after filing_date and the 2nd strictly
-    before next_filing_date, on the sorted date array ``calendar``."""
-    i = calendar.searchsorted(np.datetime64(filing_date, "D"), "right") + TRADING_DAY_OFFSET - 1
-    if i >= len(calendar):
-        raise WindowSkipped(f"calendar ends before {TRADING_DAY_OFFSET} trading days "
-                            f"after {filing_date}")
-    j = calendar.searchsorted(np.datetime64(next_filing_date, "D")) - TRADING_DAY_OFFSET
-    if j < 0:
-        raise WindowSkipped(f"calendar starts after {TRADING_DAY_OFFSET} trading days "
-                            f"before {next_filing_date}")
-    return calendar[i].item(), calendar[j].item()
-
-
 def window_bounds(
     filing_date: date, next_filing_date: date, calendar: np.ndarray
 ) -> tuple[date, date]:
@@ -306,11 +290,21 @@ def window_bounds(
 
     start = 2nd trading day strictly after filing_date;
     end   = 2nd trading day strictly before next_filing_date.
-    ``calendar`` is the benchmark's date array.
+    ``calendar`` is the benchmark's sorted date array. Its end is checked
+    before the filing order, so the open window of a filing on or after the
+    last priced date is skipped, not refused.
     """
+    i = calendar.searchsorted(np.datetime64(filing_date, "D"), "right") + TRADING_DAY_OFFSET - 1
+    if i >= len(calendar):
+        raise WindowSkipped(f"calendar ends before {TRADING_DAY_OFFSET} trading days "
+                            f"after {filing_date}")
     if next_filing_date <= filing_date:
         raise ValueError("next_filing_date must be after filing_date")
-    start, end = _trading_days(filing_date, next_filing_date, calendar)
+    j = calendar.searchsorted(np.datetime64(next_filing_date, "D")) - TRADING_DAY_OFFSET
+    if j < 0:
+        raise WindowSkipped(f"calendar starts after {TRADING_DAY_OFFSET} trading days "
+                            f"before {next_filing_date}")
+    start, end = calendar[i].item(), calendar[j].item()
     if start >= end:
         raise WindowSkipped(
             f"window collapsed: start {start} >= end {end} "
@@ -391,17 +385,11 @@ def compute_return_records(
             continue
         dates = sorted(filing_dates[ticker])
         for i, fdate in enumerate(dates):
-            flags: list[str] = []
+            is_open = i + 1 == len(dates)
+            next_fdate = calendar[-1].item() if is_open else dates[i + 1]
+            flags = [FLAG_OPEN_WINDOW] if is_open else []
             try:
-                if i + 1 < len(dates):
-                    next_fdate = dates[i + 1]
-                    start, end = window_bounds(fdate, next_fdate, calendar)
-                else:
-                    next_fdate = calendar[-1].item()
-                    start, end = _trading_days(fdate, next_fdate, calendar)
-                    flags.append(FLAG_OPEN_WINDOW)
-                    if start >= end:
-                        raise WindowSkipped(f"open window collapsed for {ticker} {fdate}")
+                start, end = window_bounds(fdate, next_fdate, calendar)
                 if series.dates[-1].item() < end:
                     flags.append(FLAG_DELISTED)
                 stock = window_returns(series, start, end)

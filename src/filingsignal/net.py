@@ -2,13 +2,15 @@
 
 ``urllib.request`` loads ``ssl``, so it is imported on the first request:
 a run with the offline stub providers never pays for it. HTTPS is verified
-against the system CA store.
+against the system CA store, through one TLS context that the process builds
+on its first https request and every later one shares.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import threading
 import time
 from typing import Callable, Mapping, TypeVar
 from urllib.parse import urlsplit
@@ -22,6 +24,9 @@ logger = logging.getLogger(__name__)
 MAX_ATTEMPTS = 3
 MAX_RETRY_AFTER_S = 60.0
 sleep = time.sleep  # every wait between attempts goes through it
+
+_https_opener = None  # built by the first https request, under _https_lock
+_https_lock = threading.Lock()
 
 T = TypeVar("T")
 
@@ -46,15 +51,32 @@ def request(url: str, headers: dict[str, str], body: bytes | None,
     import urllib.request
 
     req = urllib.request.Request(url, data=body, headers=headers)
+    open_url = _https().open if req.type == "https" else urllib.request.urlopen
     try:
         try:
-            resp = urllib.request.urlopen(req, timeout=timeout)
+            resp = open_url(req, timeout=timeout)
         except urllib.error.HTTPError as exc:
             resp = exc  # a bad status still carries its body and headers
         with resp:
             return resp.status, resp.read(), resp.headers
     except (OSError, http.client.HTTPException) as exc:
         raise RetriableError(f"no response from {url}: {exc}") from exc
+
+
+def _https():
+    """The opener of every https request, whose one TLS context is built on
+    first use: left to itself, urllib builds a context per connection."""
+    global _https_opener
+    with _https_lock:
+        if _https_opener is None:
+            import ssl
+            import urllib.request
+
+            context = ssl.create_default_context()
+            context.set_alpn_protocols(["http/1.1"])  # as urllib's own contexts
+            _https_opener = urllib.request.build_opener(
+                urllib.request.HTTPSHandler(context=context))
+        return _https_opener
 
 
 def check_status(status: int, headers: Mapping[str, str], source: str) -> None:

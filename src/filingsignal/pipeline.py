@@ -338,8 +338,10 @@ def stage_returns(config: PipelineConfig, failures: Failures) -> None:
         raise PipelineError(
             f"benchmark symbol {config.benchmark_symbol!r} not in price data"
         )
+    # A rejected series is recorded once, with its reason, and none of its windows.
     records, skipped = md.compute_return_records(
-        filing_dates, prices, prices[config.benchmark_symbol]
+        {t: dates for t, dates in filing_dates.items() if t not in rejected},
+        prices, prices[config.benchmark_symbol]
     )
     for item, reason in [*sorted(rejected.items()), *skipped]:
         failures.record(item, reason)

@@ -91,17 +91,15 @@ class NNLSModel:
     shift: np.ndarray  # per-feature center applied at fit time
     scale: np.ndarray  # per-feature divisor, > 0
 
-    def predict_matrix(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        return self.intercept + ((X - self.shift) / self.scale) @ self.coefficients
-
     def predict(self, features: Sequence[float]) -> float:
         vec = np.asarray(features, dtype=np.float64)
         if vec.shape != (len(self.feature_names),):
             raise ValueError(
                 f"expected {len(self.feature_names)} features, got {vec.shape}"
             )
-        return float(self.predict_matrix(vec[None, :])[0])
+        # A one-row matrix product: a 1-D dot product may round differently.
+        row = (vec[None, :] - self.shift) / self.scale
+        return float(self.intercept + (row @ self.coefficients)[0])
 
     def save(self, path: str | Path, extra: dict | None = None) -> None:
         payload = {

@@ -27,20 +27,43 @@ ROOT = Path(__file__).resolve().parents[1]
 RUNNER_ONLY = {"trace.overhead_ratio", "machine.calibration_s"}
 
 
-def test_traced_run_reports_every_per_layer_metric(synth_root, tmp_path):
+def traced_run(config, tmp_path) -> dict:
+    """The result that ``benchmarks/traced_run.py`` writes for a run of ``config``."""
     cfg_path = tmp_path / "config.yaml"
-    cfg_path.write_text(yaml.safe_dump(yaml_mapping(synthetic_config(synth_root, tmp_path))))
+    cfg_path.write_text(yaml.safe_dump(yaml_mapping(config)))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "benchmarks")])}
     subprocess.run([sys.executable, str(ROOT / "benchmarks" / "traced_run.py"),
                     "--config", str(cfg_path), "--out", str(tmp_path / "metrics.json"),
                     "--spans", str(tmp_path / "spans.jsonl")],
                    env=env, cwd=tmp_path, check=True, timeout=300)
-    result = json.loads((tmp_path / "metrics.json").read_text())
+    return json.loads((tmp_path / "metrics.json").read_text())
+
+
+def assert_every_per_layer_metric(result):
     assert result["notes"] == []
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     expected = {m["name"] for m in spec["per_layer"]} - RUNNER_ONLY
     assert sorted(expected - set(result["metrics"])) == []
+
+
+def test_traced_run_reports_every_per_layer_metric(synth_root, tmp_path):
+    assert_every_per_layer_metric(traced_run(synthetic_config(synth_root, tmp_path), tmp_path))
+
+
+def test_traced_yearly_update_reports_every_per_layer_metric(synth_root, tmp_path):
+    """The warm path of a yearly update still passes through every wrapped function."""
+    full = CorpusStore(synth_root / "corpus")
+    appended = max(full.keys())
+    corpus = corpus_copy(synth_root, tmp_path / "corpus",
+                         lambda record: (record["ticker"], record["filing_date"]) != appended)
+    config = synthetic_config(synth_root, tmp_path / "out")
+    config.corpus_dir = str(corpus)
+    traced_run(config, tmp_path)
+    CorpusStore(corpus).add(full.load(appended))
+    result = traced_run(config, tmp_path)
+    assert_every_per_layer_metric(result)
+    assert result["metrics"]["embed_index.embed_texts"] > 0
 
 
 def test_benchmark_runs_every_stage_after_ingest():

@@ -183,6 +183,22 @@ class TestRateLimiter:
         limiter.acquire()  # ninth call in the same second must wait
         assert len(slept) == 1
 
+    def test_no_second_holds_more_than_the_limit(self):
+        now = {"t": 0.0}
+        starts = []
+
+        def sleep(seconds):
+            now["t"] += seconds
+
+        limiter = RateLimiter(per_second=8, clock=lambda: now["t"], sleep=sleep)
+        # a burst either side of the edge of the first second
+        for at, calls in [(0.0, 1), (0.875, 7), (1.0, 8)]:
+            now["t"] = max(now["t"], at)
+            for _ in range(calls):
+                limiter.acquire()
+                starts.append(now["t"])
+        assert max(sum(t <= u < t + 1.0 for u in starts) for t in starts) == 8
+
 
 class TestFetch:
     def entry(self):

@@ -43,10 +43,15 @@ def edit_header(directory, change):
     path.write_bytes(data[:8] + struct.pack("<I", len(raw)) + raw + data[12 + length:])
 
 
-def random_index(rng, n, d=32):
+FILING = ("T0", "2020-01-01")
+
+
+def random_index(rng, n, d=32, filings=1):
+    """An index of ``n`` random unit vectors, chunk i of filing ``(f"T{i % filings}",
+    "2020-01-01")``; with one filing, every ref is in ``FILING``."""
     vectors = rng.standard_normal((n, d))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    refs = [(f"T{i % 7}", f"2020-01-{1 + i % 28:02d}", i) for i in range(n)]
+    refs = [(f"T{i % filings}", "2020-01-01", i) for i in range(n)]
     return VectorIndex("test", refs, text_hashes(refs), vectors), vectors, refs
 
 
@@ -84,12 +89,12 @@ class TestStubProvider:
 class TestTopK:
     def test_k_exceeds_size(self):
         index = VectorIndex("test", [("A", "2020-01-01", 0)], ["a"], [[1.0, 0.0]])
-        assert len(index.top_k([1.0, 0.0], 5)) == 1
+        assert len(index.top_k([1.0, 0.0], 5, ("A", "2020-01-01"))) == 1
 
     def test_self_match_first(self):
         rng = np.random.default_rng(0)
         index, vectors, refs = random_index(rng, 50)
-        result = index.top_k(vectors[17], 3)
+        result = index.top_k(vectors[17], 3, FILING)
         assert result[0][0] == refs[17]
         assert result[0][1] == pytest.approx(1.0)
 
@@ -98,7 +103,7 @@ class TestTopK:
         index, _, refs = random_index(rng, 1000)
         query = normalize(rng.standard_normal(32))
         stored = index.vectors.astype(np.float64)
-        assert_same_ranking(index.top_k(query, 10),
+        assert_same_ranking(index.top_k(query, 10, FILING),
                             brute_force_top_k(stored, refs, query, 10))
 
     @pytest.mark.parametrize("seed", range(10))
@@ -109,25 +114,26 @@ class TestTopK:
         query = normalize(rng.standard_normal(32))
         k = int(rng.integers(1, 20))
         stored = index.vectors.astype(np.float64)
-        assert_same_ranking(index.top_k(query, k),
+        assert_same_ranking(index.top_k(query, k, FILING),
                             brute_force_top_k(stored, refs, query, k))
 
     def test_tie_break_by_ref(self):
         # identical vectors, refs out of row order
-        index = VectorIndex("test", [("B", "2020-01-01", 0), ("A", "2020-01-01", 1),
-                                     ("A", "2020-01-01", 0)], ["b0", "a1", "a0"],
+        index = VectorIndex("test", [("A", "2020-01-01", 2), ("A", "2020-01-01", 1),
+                                     ("A", "2020-01-01", 0)], ["a2", "a1", "a0"],
                             [[1.0, 0.0]] * 3)
-        refs = [r for r, _ in index.top_k([1.0, 0.0], 3)]
+        refs = [r for r, _ in index.top_k([1.0, 0.0], 3, ("A", "2020-01-01"))]
         assert refs == [("A", "2020-01-01", 0), ("A", "2020-01-01", 1),
-                        ("B", "2020-01-01", 0)]
+                        ("A", "2020-01-01", 2)]
 
     def test_empty_index(self):
-        assert VectorIndex("test", [], [], np.zeros((0, 4))).top_k([1, 0, 0, 0], 3) == []
+        assert VectorIndex("test", [], [], np.zeros((0, 4))).top_k([1, 0, 0, 0], 3,
+                                                                   FILING) == []
 
     def test_filing_filter(self):
         rng = np.random.default_rng(2)
-        index, vectors, refs = random_index(rng, 100)
-        target = ("T3", "2020-01-04")
+        index, vectors, refs = random_index(rng, 100, filings=7)
+        target = ("T3", "2020-01-01")
         result = index.top_k(normalize(rng.standard_normal(32)), 100,
                              filing_key=target)
         assert result
@@ -136,7 +142,7 @@ class TestTopK:
     def test_dimension_mismatch(self):
         index = VectorIndex("test", [("A", "2020-01-01", 0)], ["a"], [[1.0, 0.0, 0.0, 0.0]])
         with pytest.raises(DimensionMismatchError):
-            index.top_k([1.0, 0.0], 1)
+            index.top_k([1.0, 0.0], 1, ("A", "2020-01-01"))
 
 
 class TestFilingRows:
@@ -155,8 +161,8 @@ class TestFilingRows:
         index, keys = self.interleaved_index(rng)
         stored, refs = index.vectors, index.refs
         query = normalize(rng.standard_normal(stored.shape[1]))
-        for key in [*keys, None]:
-            rows = [i for i, r in enumerate(refs) if key is None or r[:2] == key]
+        for key in keys:
+            rows = [i for i, r in enumerate(refs) if r[:2] == key]
             expected = brute_force_top_k(stored[rows], [refs[i] for i in rows],
                                          query, 4)
             assert_same_ranking(index.top_k(query, 4, filing_key=key), expected)
@@ -195,7 +201,7 @@ class TestPersistence:
         index.save(tmp_path)
         loaded = VectorIndex.load(tmp_path)
         query = normalize(rng.standard_normal(32))
-        assert loaded.top_k(query, 7) == index.top_k(query, 7)
+        assert loaded.top_k(query, 7, FILING) == index.top_k(query, 7, FILING)
 
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / "vectors.bin").write_bytes(b"NOPE" + b"\0" * 32)

@@ -232,6 +232,12 @@ class TestWindowBounds:
         with pytest.raises(WindowSkipped):
             window_bounds(date(2020, 3, 2), date(2020, 3, 5), cal)
 
+    def test_filing_on_the_last_priced_date_is_skipped_not_refused(self):
+        cal = weekday_calendar()
+        last = cal[-1].item()  # an open window's end date is the last priced date
+        with pytest.raises(WindowSkipped, match="calendar ends before"):
+            window_bounds(last, last, cal)
+
     def test_filing_order_enforced(self):
         cal = weekday_calendar()
         with pytest.raises(ValueError):
@@ -417,10 +423,8 @@ def oracle_return_records(filing_dates, observations, benchmark):
             try:
                 start, end = after(fdate), before(next_fdate)
                 if start >= end:
-                    raise WindowSkipped(
-                        f"open window collapsed for {ticker} {fdate}" if open_window else
-                        f"window collapsed: start {start} >= end {end} "
-                        f"for filings {fdate} / {next_fdate}")
+                    raise WindowSkipped(f"window collapsed: start {start} >= end {end} "
+                                        f"for filings {fdate} / {next_fdate}")
                 stock = returns(ticker, start, end)
                 bench = returns(benchmark, start, end)
             except WindowSkipped as exc:
@@ -461,6 +465,7 @@ def test_return_records_equal_list_oracle_exactly():
         "LATE": [date(2021, 3, 1), last, last + timedelta(days=30)],  # after the last price
         "OPEN": [date(2021, 3, 1), calendar[-4]],  # collapsed open window
         "EARLY": [date(2017, 6, 1), calendar[1], date(2019, 3, 1)],  # before the first
+        "LAST": [date(2021, 3, 1), last],  # an open window from the last price
     }.items():
         observations[symbol] = walk(calendar, 0.1)
         filing_dates[symbol] = filed
@@ -474,7 +479,10 @@ def test_return_records_equal_list_oracle_exactly():
     assert records == expected_records
     assert warnings == expected_warnings
     messages = "\n".join(reason for _, reason in warnings)
-    for skipped in ["window collapsed", "open window collapsed", "calendar ends",
+    for skipped in ["window collapsed", "calendar ends",
                     "calendar starts", "observations in", "no price series"]:
         assert skipped in messages
+    reasons = dict(warnings)
+    assert reasons[f"OPEN {calendar[-4]}"].startswith("window collapsed")
+    assert reasons[f"LAST {last}"].startswith("calendar ends")
     assert any("delisted" in r.flags for r in records)

@@ -4,6 +4,7 @@ share, on loopback."""
 import json
 import os
 import socket
+import ssl
 import subprocess
 import sys
 
@@ -17,6 +18,14 @@ from filingsignal.llm_scoring import HTTPChatLLM
 
 from conftest import json_reply, loopback, synthetic_config
 from test_pipeline import SYNTH_STAGES, yaml_mapping
+
+
+def closed_port():
+    """A loopback port that was free a moment ago."""
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        return s.getsockname()[1]
+
 
 CHAT = (HTTPChatLLM, lambda p: p.complete("system", "user"),
         {"choices": [{"message": {"content": "SCORE: 7"}}]}, "SCORE: 7")
@@ -133,11 +142,29 @@ def test_body_that_is_not_json_is_retriable(make, call, answer, expected):
 
 @PROVIDERS
 def test_closed_port_is_retriable(make, call, answer, expected):
-    with socket.socket() as s:  # a port that was free a moment ago
-        s.bind(("127.0.0.1", 0))
-        port = s.getsockname()[1]
     with pytest.raises(RetriableError, match="no response from"):
-        call(make(f"http://127.0.0.1:{port}/v1", "m"))
+        call(make(f"http://127.0.0.1:{closed_port()}/v1", "m"))
+
+
+def test_https_requests_share_one_tls_context(monkeypatch):
+    """A TLS context loads the CA store, tens of ms of CPU; an http request builds none."""
+    built = []
+    new = ssl.SSLContext.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ssl.SSLContext, "__new__", counted)
+    monkeypatch.setattr(net, "_https_opener", None)  # as in a new process
+    port = closed_port()
+    with pytest.raises(RetriableError, match="no response from"):
+        net.request(f"http://127.0.0.1:{port}/", {}, None, 5.0)
+    assert built == []
+    for _ in range(2):
+        with pytest.raises(RetriableError, match="no response from"):
+            net.request(f"https://127.0.0.1:{port}/", {}, None, 5.0)
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("content_type, data, text", [

@@ -767,9 +767,8 @@ class TestRunPipeline:
         assert (tmp_path / "out" / "returns.csv").read_text().splitlines() == kept
         errors = [json.loads(rec) for rec in
                   (tmp_path / "out" / "returns_errors.jsonl").read_text().splitlines()]
-        series, windows = [rec["error"] for rec in errors if rec["item"] == "HTEL"]
+        series, = [rec["error"] for rec in errors if rec["item"].startswith("HTEL")]
         assert series.startswith(f"HTEL: {prices} line {line + 1}: {named}")
-        assert windows == "no price series, skipped"
 
     def test_unneeded_symbol_not_read_but_its_edit_reruns_returns(self, tmp_path,
                                                                    monkeypatch):
@@ -1058,7 +1057,7 @@ class TestFailures:
         assert items == {"ingest": [outage],
                          "embed": [" ".join(keys[3])],
                          "score": [" ".join(keys[3]), " ".join(keys[5])],
-                         "returns": ["HTEL", "HTEL"]}
+                         "returns": ["HTEL"]}
         assert [manifest[stage]["retry_items"] for stage in stages] == [1, 1, 1, 0]
         down.clear()
         prices.write_text(clean_prices)
@@ -1157,7 +1156,7 @@ def count_top_k(monkeypatch):
     calls = []
     real = VectorIndex.top_k
 
-    def top_k(self, query, k, filing_key=None):
+    def top_k(self, query, k, filing_key):
         calls.append(filing_key)
         return real(self, query, k, filing_key)
 
@@ -1373,6 +1372,18 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "absent.yaml" in err
+
+    @pytest.mark.parametrize("key, stage", [("questions_file", "score"),
+                                            ("universe_csv", "ingest")])
+    def test_config_path_naming_a_directory_is_an_error_line(self, synth_root, tmp_path,
+                                                             capsys, key, stage):
+        mapping = yaml_mapping(synthetic_config(synth_root, tmp_path / "out"))
+        mapping[key] = str(tmp_path)
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump(mapping))
+        assert cli.main(["pipeline", "--config", str(cfg_path), "--stages", stage]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and f"{tmp_path}'" in err
 
     def test_config_not_yaml_is_an_error_line(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.yaml"

@@ -6,6 +6,11 @@ import pytest
 from filingsignal.regression import DesignMatrix, NNLSModel, fit_nnls, nnls
 
 
+def predict_rows(model, X):
+    """``model.predict`` of each row of ``X``."""
+    return np.array([model.predict(row) for row in X])
+
+
 def enumeration_oracle(A, b):
     """Try every active set: unconstrained least squares on each feasible
     subset of columns, return the feasible minimizer."""
@@ -87,7 +92,7 @@ class TestFit:
         model = fit_nnls(DesignMatrix(X, y, ["a", "b"]))
         assert model.coefficients[0] == pytest.approx(1.0, abs=1e-8)
         assert model.coefficients[1] == pytest.approx(0.0, abs=1e-8)
-        residual = model.predict_matrix(X) - y
+        residual = predict_rows(model, X) - y
         assert np.max(np.abs(residual)) < 1e-8
 
     def test_kkt_conditions(self):
@@ -157,7 +162,7 @@ class TestPredict:
         y = (X - X.mean(0)) / X.std(0) @ w
         y = (y - y.min()) / (y.max() - y.min())
         model = fit_nnls(DesignMatrix(X, y, [f"q{i}" for i in range(5)]))
-        got = model.predict_matrix(X[:3])
+        got = predict_rows(model, X[:3])
         assert np.allclose(got, [0.58563240, 0.46974188, 0.60186707], atol=1e-6)
 
     def test_shift_invariance_of_ranking(self):
@@ -169,8 +174,8 @@ class TestPredict:
         shifted = X.copy()
         shifted[:, 2] += 37.0  # constant shift of one feature
         model_b = fit_nnls(DesignMatrix(shifted, y, names))
-        pred_a = model_a.predict_matrix(X)
-        pred_b = model_b.predict_matrix(shifted)
+        pred_a = predict_rows(model_a, X)
+        pred_b = predict_rows(model_b, shifted)
         assert np.array_equal(np.argsort(pred_a), np.argsort(pred_b))
 
     def test_monotone_response(self):
@@ -195,4 +200,4 @@ class TestPredict:
         loaded = NNLSModel.load(path)
         assert loaded.feature_names == model.feature_names
         assert np.array_equal(loaded.coefficients, model.coefficients)
-        assert np.array_equal(loaded.predict_matrix(X), model.predict_matrix(X))
+        assert np.array_equal(predict_rows(loaded, X), predict_rows(model, X))
