@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="run stages from a YAML config")
     p.add_argument("--config", required=True)
-    p.add_argument("--stages", nargs="*", default=None,
+    p.add_argument("--stages", nargs="+", default=None,
                    choices=[s.name for s in pl.STAGES],
                    help="stages to run, in pipeline order (default: all)")
     p.set_defaults(func=cmd_pipeline)

@@ -21,7 +21,7 @@ from html.parser import HTMLParser
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import EmptyDocumentError, PipelineError
+from .errors import PipelineError
 
 logger = logging.getLogger(__name__)
 
@@ -144,7 +144,7 @@ def clean_filing_text(raw: str) -> str:
     """Strip markup and non-text artifacts from a raw filing document.
 
     Plain-text filings (pre-2001 style) pass through with whitespace
-    normalization only. Raises EmptyDocumentError when nothing survives.
+    normalization only. Raises PipelineError when nothing survives.
     """
     if _looks_like_markup(raw):
         extractor = _TextExtractor()
@@ -163,7 +163,7 @@ def clean_filing_text(raw: str) -> str:
     text = text.strip()
 
     if not text:
-        raise EmptyDocumentError("document is empty after cleaning")
+        raise PipelineError("document is empty after cleaning")
     return text
 
 
@@ -227,13 +227,23 @@ def read_whole_lines(path: Path) -> bytes:
     return data[:complete]
 
 
+def json_line(path: Path, number: int, line: str | bytes) -> dict:
+    """Line ``number`` (from 1) of the JSONL file ``path``, parsed; a
+    PipelineError naming the file and the line if it is not JSON."""
+    try:
+        return json.loads(line)
+    except ValueError as exc:
+        raise PipelineError(f"{path}: line {number} is not JSON: {exc}") from exc
+
+
 def read_jsonl(path: Path) -> Iterator[dict]:
     """The records of an append-only JSONL file, one at a time, after its torn
-    final line is cut (see ``read_whole_lines``). Any unreadable line raises.
+    final line is cut (see ``read_whole_lines``). An unreadable line raises
+    ``json_line``'s PipelineError.
     """
-    for line in read_whole_lines(path).split(b"\n"):
+    for number, line in enumerate(read_whole_lines(path).split(b"\n"), start=1):
         if line.strip():
-            yield json.loads(line)
+            yield json_line(path, number, line)
 
 
 def write_atomic(path: str | Path, data: str | bytes) -> None:

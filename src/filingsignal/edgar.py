@@ -17,7 +17,7 @@ from datetime import date
 from typing import Callable, Mapping, Protocol
 
 from .corpus import Filing, TickerUniverse, clean_filing_text
-from .errors import Failures, FinalStatusError, PipelineError, RetriableError
+from .errors import Failures, PipelineError
 from .net import check_status, request, with_retries
 
 CONTACT_ENV_VAR = "EDGAR_CONTACT"
@@ -73,13 +73,9 @@ def _decode(data: bytes, content_type: str) -> str:
 
 
 def _http_transport(url: str) -> tuple[int, str, Mapping[str, str]]:
-    contact = os.environ.get(CONTACT_ENV_VAR)
-    if not contact:  # a configuration mistake: raised at once, never retried
-        raise PipelineError(
-            f"refusing to contact EDGAR without {CONTACT_ENV_VAR} set to a "
-            "descriptive identity string with a contact address"
-        )
-    status, data, headers = request(url, {"User-Agent": contact}, None, EDGAR_TIMEOUT_S)
+    # EdgarClient refuses to use this transport without the contact.
+    status, data, headers = request(url, {"User-Agent": os.environ[CONTACT_ENV_VAR]},
+                                    None, EDGAR_TIMEOUT_S)
     return status, _decode(data, headers.get("Content-Type", "")), headers
 
 
@@ -88,14 +84,22 @@ class EdgarClient:
 
     def __init__(self, transport: Transport | None = None,
                  limiter: RateLimiter | None = None):
+        if transport is None and not os.environ.get(CONTACT_ENV_VAR):  # before any request
+            raise PipelineError(
+                f"refusing to contact EDGAR without {CONTACT_ENV_VAR} set to a "
+                "descriptive identity string with a contact address"
+            )
         self.transport = transport or _http_transport
         self.limiter = limiter or RateLimiter()
 
     def get(self, url: str, context: str = "") -> str:
-        """The text of a 200 from ``url``; errors name ``context``, or ``url``."""
+        """The text of a 200 from ``url``; errors name ``context``, or ``url``. A
+        404, a missing ticker or document, is one item's error and is not retried."""
         def attempt() -> str:
             self.limiter.acquire()
             status, text, headers = self.transport(url)
+            if status == 404:
+                raise PipelineError(f"HTTP 404 from {url}")
             check_status(status, headers, url)
             return text
 
@@ -125,12 +129,7 @@ class EdgarSubmissionsResolver:
                     SUBMISSIONS_URL.format(cik=u.cik), context=f"submissions for {u.ticker}"
                 )
                 found = self._extract(u, json.loads(body), year_from, year_to)
-            except FinalStatusError as exc:
-                if exc.status != 404:
-                    raise  # such as a 403, which every ticker would get
-                failures.record(u.ticker, f"unknown cik {u.cik}")
-                continue
-            except RetriableError as exc:
+            except PipelineError as exc:  # a final status, such as a 403, is raised
                 failures.record(u.ticker, exc)
                 continue
             except json.JSONDecodeError as exc:
@@ -173,7 +172,7 @@ class EdgarSubmissionsResolver:
 def fetch_filing(entry: FilingEntry, client: EdgarClient) -> Filing:
     """Download one filing through ``client`` and return it with markup stripped."""
     raw = client.get(entry.raw_uri, context=f"{entry.ticker} {entry.filing_date}")
-    clean = clean_filing_text(raw)  # raises EmptyDocumentError on markup-only docs
+    clean = clean_filing_text(raw)  # raises PipelineError on markup-only docs
     return Filing(
         ticker=entry.ticker,
         cik=entry.cik,

@@ -24,7 +24,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .corpus import write_atomic
-from .errors import DimensionMismatchError, RetriableError
+from .errors import PipelineError, RetriableError
 from .net import check_endpoint, post_json, with_retries
 
 INDEX_MAGIC = b"VIDX"
@@ -162,9 +162,9 @@ class VectorIndex:
         try:
             stored = np.asarray(vectors, dtype=np.float32)
         except ValueError as exc:  # e.g. rows of unequal length
-            raise DimensionMismatchError(f"vectors are not one matrix: {exc}") from exc
+            raise PipelineError(f"vectors are not one matrix: {exc}") from exc
         if stored.ndim != 2 or len(stored) != len(self.refs):
-            raise DimensionMismatchError(f"{len(self.refs)} refs, vectors of shape {stored.shape}")
+            raise PipelineError(f"{len(self.refs)} refs, vectors of shape {stored.shape}")
         self.dimension = stored.shape[1]
         self.vectors = stored.astype(np.float64)
         self.vectors.flags.writeable = False
@@ -195,7 +195,7 @@ class VectorIndex:
         """
         q = np.asarray(query, dtype=np.float64)
         if q.shape != (self.dimension,):
-            raise DimensionMismatchError(
+            raise PipelineError(
                 f"query dimension {q.shape} != index dimension {self.dimension}"
             )
         rows = self._rows.get(filing_key)

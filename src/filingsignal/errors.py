@@ -19,19 +19,7 @@ class RetriableError(PipelineError):
 
 
 class FinalStatusError(PipelineError):
-    """An HTTP status that asking again cannot mend, such as 401 or 404."""
-
-    def __init__(self, message: str, status: int):
-        super().__init__(message)
-        self.status = status
-
-
-class EmptyDocumentError(PipelineError):
-    """A filing decoded to empty text after cleaning."""
-
-
-class DimensionMismatchError(PipelineError):
-    """Embedding dimension does not match the target index."""
+    """An HTTP status that asking again cannot mend, such as 401 or 403."""
 
 
 class UnparseableScoreError(PipelineError):
@@ -40,10 +28,6 @@ class UnparseableScoreError(PipelineError):
     def __init__(self, raw_response: str):
         super().__init__(f"no parseable score in response: {raw_response!r}")
         self.raw_response = raw_response
-
-
-class RowScoringError(PipelineError):
-    """A filing could not be fully scored; the whole feature row is dropped."""
 
 
 class StageInputError(PipelineError):
@@ -66,15 +50,16 @@ class Failures:
         self.items: list[tuple[str, BaseException | str]] = []
 
     def record(self, item: str, error: BaseException | str) -> None:
+        """Keep ``item`` as left out for ``error``; a FinalStatusError is raised
+        instead, and stops the stage, since it would come back for every item."""
+        if isinstance(error, FinalStatusError):
+            raise error
         self.items.append((item, error))
 
     @property
     def retriable(self) -> int:
-        """Items left out for a cause that may pass: the error, or its cause,
-        is a RetriableError."""
-        return sum(isinstance(error, RetriableError)
-                   or isinstance(getattr(error, "__cause__", None), RetriableError)
-                   for _, error in self.items)
+        """Items left out for a cause that may pass: a RetriableError."""
+        return sum(isinstance(error, RetriableError) for _, error in self.items)
 
     def refusal(self, what: str) -> PipelineError:
         """The error that stops a stage which kept nothing, naming the first failure."""

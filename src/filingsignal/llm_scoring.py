@@ -28,10 +28,9 @@ from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Chunk, Filing, read_whole_lines, write_atomic, write_csv
+from .corpus import Chunk, Filing, json_line, read_whole_lines, write_atomic, write_csv
 from .embed_index import ChunkRef, EmbeddingProvider, VectorIndex, embed_text
-from .errors import (FinalStatusError, PipelineError, RetriableError, RowScoringError,
-                     UnparseableScoreError)
+from .errors import PipelineError, RetriableError, UnparseableScoreError
 from .net import check_endpoint, post_json, with_retries
 
 logger = logging.getLogger(__name__)
@@ -314,7 +313,7 @@ class ScoreCache:
             if answer := _ANSWER.search(line):
                 self._scores[answer[1]] = int(answer[2])
             elif line.strip():
-                rec = json.loads(line)
+                rec = json_line(self.path, i + 1, line)
                 if "prompt_sha256" in rec:
                     self._scores[rec["prompt_sha256"]] = rec["score"]
                 elif "row_sha256" in rec:
@@ -403,7 +402,7 @@ class _FirstFailure:
 
 def _ask(llm: LLMProvider, failure: _FirstFailure, miss: _Miss) -> tuple[str, int]:
     """(raw response, score) for one miss, asked through ``with_retries``, which
-    also retries an answer without a score. A final status is raised as it is."""
+    also retries an answer without a score; its error is raised as it is."""
     def attempt() -> tuple[str, int]:
         raw = llm.complete(miss.system_prompt, miss.user_prompt)
         return raw, parse_score(raw)
@@ -411,11 +410,9 @@ def _ask(llm: LLMProvider, failure: _FirstFailure, miss: _Miss) -> tuple[str, in
     try:
         return with_retries(attempt, f"question {miss.question_id}", (UnparseableScoreError,),
                             stop=lambda: failure.position < miss.position)
-    except PipelineError as exc:
+    except PipelineError:
         failure.record(miss.position)
-        if isinstance(exc, FinalStatusError):
-            raise
-        raise RowScoringError(str(exc)) from exc
+        raise
 
 
 def score_filing(
@@ -441,8 +438,8 @@ def score_filing(
     in the cache in question order, as they are read, and then the row under
     its row key. Any question that stays unparseable or unreachable after
     its attempts fails the whole row (partial rows would corrupt the design
-    matrix), and no row is put; a final status is raised as it is. The
-    answers put before either are flushed to the cache.
+    matrix): its error is raised and no row is put. The answers put before
+    it are flushed to the cache.
     """
     key = filing.key
     row_key = _sha256_of([inputs.key.encode("ascii"), *(part.encode("utf-8") for part in key),
@@ -456,7 +453,7 @@ def score_filing(
     for question, query in zip(inputs.qs.questions, inputs.queries, strict=True):
         hits = index.top_k(query, inputs.chunks_per_question, filing_key=key)
         if not hits:
-            raise RowScoringError(f"no indexed chunks for filing {key}")
+            raise PipelineError(f"no indexed chunks for filing {key}")
         context = [chunks[chunk_index] for (_, _, chunk_index), _ in hits]
         system_prompt, user_prompt = build_prompt(question.text, context)
         pkey = prompt_key(llm.provider_id, system_prompt, user_prompt)

@@ -86,7 +86,7 @@ def check_status(status: int, headers: Mapping[str, str], source: str) -> None:
         return
     message = f"HTTP {status} from {source}"
     if status not in (408, 429) and status // 100 != 5:
-        raise FinalStatusError(message, status)
+        raise FinalStatusError(message)
     after = (headers.get("Retry-After") or "").strip()
     raise RetriableError(message, status, int(after) if after.isdecimal() else None)
 

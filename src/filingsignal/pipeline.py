@@ -6,11 +6,12 @@ and output hashes plus wall time. Re-running skips a stage whose inputs are
 unchanged and whose outputs still match their recorded hashes, so interrupted
 runs resume where they left off.
 A failed item (one filing, one price series, one window) never aborts a
-stage: the stage records it in a ``Failures`` and goes on. The runner writes
-them to ``<stage>_errors.jsonl`` and counts those whose cause may pass, such
-as a provider outage, as the manifest's ``retry_items``; while that count is
-above 0 the stage runs again on the next run. A stage that failed items and
-kept none is refused, naming the first failure.
+stage: the stage records it in a ``Failures`` and goes on. Only a final HTTP
+status, which every item would get, stops the stage, from ``Failures.record``.
+The runner writes the items to ``<stage>_errors.jsonl`` and counts those whose
+cause may pass, such as a provider outage, as the manifest's ``retry_items``;
+while that count is above 0 the stage runs again on the next run. A stage
+that failed items and kept none is refused, naming the first failure.
 The embed stage builds the vector index, one file, embedding only the chunk
 texts the previous index does not hold; a filing it cannot embed is left out.
 The score stage chunks each filing as it scores it, and refuses a filing whose
@@ -48,7 +49,7 @@ from .corpus import CorpusStore, TickerUniverse, chunk_filing, write_atomic
 from .edgar import EdgarClient, EdgarSubmissionsResolver, fetch_filing
 from .embed_index import (INDEX_FILE, HashEmbeddingProvider, HTTPEmbeddingProvider,
                           VectorIndex, embed_item)
-from .errors import Failures, FinalStatusError, PipelineError, RowScoringError, StageInputError
+from .errors import Failures, PipelineError, StageInputError
 from .llm_scoring import (MAX_WORKERS, ConstantLLM, HTTPChatLLM, KeywordLLM, QuestionSet,
                           RowInputs, ScoreCache, embed_questions, read_features_csv,
                           score_filing, write_features_csv)
@@ -130,8 +131,12 @@ class PipelineConfig:
         if not 0 <= config.overlap_chars < config.chunk_chars:
             raise PipelineError(f"{path}: overlap_chars ({config.overlap_chars}) must be "
                                 f"at least 0 and below chunk_chars ({config.chunk_chars})")
-        if config.k < 1:
-            raise PipelineError(f"{path}: k ({config.k}) must be at least 1")
+        for key in ("k", "chunks_per_question"):
+            if getattr(config, key) < 1:
+                raise PipelineError(f"{path}: {key} ({getattr(config, key)}) must be at least 1")
+        if config.year_from > config.year_to:
+            raise PipelineError(f"{path}: year_from ({config.year_from}) must not be "
+                                f"after year_to ({config.year_to})")
         if not config.k_values or min(config.k_values) < 1:
             raise PipelineError(f"{path}: k_values ({config.k_values}) must be a "
                                 "non-empty list of values at least 1")
@@ -227,8 +232,6 @@ def stage_ingest(config: PipelineConfig, failures: Failures) -> None:
         try:
             store.add(fetch_filing(entry, client))
         except PipelineError as exc:
-            if isinstance(exc, FinalStatusError) and exc.status != 404:
-                raise  # such as a 403, which every filing would get
             failures.record(f"{entry.ticker} {entry.filing_date}", exc)
     if failures.items and not store:
         raise failures.refusal("no filing could be fetched")
@@ -268,8 +271,6 @@ def stage_embed(config: PipelineConfig, failures: Failures) -> None:
         try:
             fresh = iter(embed_item(provider, new, f"filing {filing.ticker} {filing.filing_date}",
                                     len(units[0]) if units else None) if new else [])
-        except FinalStatusError:
-            raise  # the endpoint refuses every filing: its config or key is wrong
         except PipelineError as exc:  # left out of the index; score records it as failed
             failures.record(f"{filing.ticker} {filing.filing_date}", exc)
             continue
@@ -317,7 +318,7 @@ def stage_score(config: PipelineConfig, failures: Failures) -> None:
                     f"{config.index_dir}", "embed")
             try:
                 rows.append(score_filing(filing, chunks, inputs, index, cache, map_calls))
-            except RowScoringError as exc:
+            except PipelineError as exc:
                 failures.record(f"{filing.ticker} {filing.filing_date}", exc)
     if failures.items and not rows:
         raise failures.refusal("no filing was scored")
@@ -345,6 +346,8 @@ def stage_returns(config: PipelineConfig, failures: Failures) -> None:
     )
     for item, reason in [*sorted(rejected.items()), *skipped]:
         failures.record(item, reason)
+    if failures.items and not records:
+        raise failures.refusal("no return window was computed")
     md.write_returns_csv(config.out("returns.csv"), records)
 
 

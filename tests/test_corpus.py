@@ -5,7 +5,7 @@ import pytest
 
 from filingsignal.corpus import (Chunk, CorpusStore, Filing, TickerUniverse,
                                  UniverseEntry, chunk_filing, clean_filing_text)
-from filingsignal.errors import EmptyDocumentError
+from filingsignal.errors import PipelineError
 
 
 def reassemble_chunks(chunks):
@@ -58,7 +58,7 @@ class TestCleaner:
         assert "R0lGODlh" not in text  # base64 blob
 
     def test_pure_markup_is_empty_error(self):
-        with pytest.raises(EmptyDocumentError):
+        with pytest.raises(PipelineError, match="empty after cleaning"):
             clean_filing_text("<html><body><div></div><p> </p></body></html>")
 
     def test_plain_text_identity_modulo_whitespace(self):

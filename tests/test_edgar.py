@@ -8,8 +8,7 @@ from filingsignal.corpus import TickerUniverse, UniverseEntry
 from filingsignal.edgar import (CONTACT_ENV_VAR, EdgarClient,
                                 EdgarSubmissionsResolver, FilingEntry,
                                 RateLimiter, fetch_filing)
-from filingsignal.errors import (EmptyDocumentError, Failures, FinalStatusError,
-                                 PipelineError, RetriableError)
+from filingsignal.errors import Failures, FinalStatusError, PipelineError, RetriableError
 from filingsignal.net import MAX_ATTEMPTS
 
 
@@ -77,7 +76,8 @@ class TestResolver:
         resolver = EdgarSubmissionsResolver(make_client(transport))
         entries, failures = resolved(resolver, universe(("FAKE", "0009999999")), 2010, 2020)
         assert entries == []
-        assert recorded(failures) == [("FAKE", "unknown cik 0009999999")]
+        assert recorded(failures) == [
+            ("FAKE", "HTTP 404 from https://data.sec.gov/submissions/CIK0009999999.json")]
         assert failures.retriable == 0
         assert len(transport.calls) == 1 and slept == []  # a 404 is not asked again
 
@@ -213,7 +213,7 @@ class TestFetch:
 
     def test_markup_only_document_fails_hard(self):
         client = make_client(MapTransport({"doc.htm": (200, "<html><p></p></html>")}))
-        with pytest.raises(EmptyDocumentError):
+        with pytest.raises(PipelineError, match="empty after cleaning"):
             fetch_filing(self.entry(), client)
 
     def test_http_error_propagates(self):
@@ -223,6 +223,8 @@ class TestFetch:
 
     def test_missing_document_is_final(self):
         transport = MapTransport({})
-        with pytest.raises(FinalStatusError, match="HTTP 404") as exc:
+        with pytest.raises(PipelineError, match="HTTP 404 from http://edgar/doc.htm") as exc:
             fetch_filing(self.entry(), make_client(transport))
-        assert exc.value.status == 404 and len(transport.calls) == 1
+        # one missing item: neither a status that stops the stage nor one worth a retry
+        assert not isinstance(exc.value, (FinalStatusError, RetriableError))
+        assert len(transport.calls) == 1

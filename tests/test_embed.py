@@ -7,7 +7,7 @@ import pytest
 
 from filingsignal.embed_index import (HashEmbeddingProvider, VectorIndex,
                                       embed_text, normalize)
-from filingsignal.errors import DimensionMismatchError
+from filingsignal.errors import PipelineError
 
 from conftest import FIXTURES
 
@@ -141,7 +141,7 @@ class TestTopK:
 
     def test_dimension_mismatch(self):
         index = VectorIndex("test", [("A", "2020-01-01", 0)], ["a"], [[1.0, 0.0, 0.0, 0.0]])
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(PipelineError, match="query dimension"):
             index.top_k([1.0, 0.0], 1, ("A", "2020-01-01"))
 
 
@@ -216,7 +216,7 @@ class TestPersistence:
     @pytest.mark.parametrize("vectors", [[[1.0, 0.0]], [[1.0, 0.0], [1.0]]])
     def test_vectors_not_one_row_per_ref_rejected(self, vectors):
         refs = [("A", "2020-01-01", 0), ("A", "2020-01-01", 1)]
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(PipelineError, match="vectors"):
             VectorIndex("test", refs, text_hashes(refs), vectors)
 
     def test_hashes_not_one_per_ref_rejected(self):

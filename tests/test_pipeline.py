@@ -14,8 +14,7 @@ import yaml
 from filingsignal import cli, corpus, edgar, llm_scoring, pipeline
 from filingsignal.corpus import CorpusStore, chunk_filing
 from filingsignal.embed_index import HashEmbeddingProvider, VectorIndex
-from filingsignal.errors import (EmptyDocumentError, Failures, FinalStatusError,
-                                 PipelineError, RetriableError, RowScoringError,
+from filingsignal.errors import (Failures, FinalStatusError, PipelineError, RetriableError,
                                  StageInputError, UnparseableScoreError)
 from filingsignal.llm_scoring import MAX_WORKERS, KeywordLLM, ScoreCache, read_features_csv
 from filingsignal.net import MAX_ATTEMPTS
@@ -722,6 +721,21 @@ class TestRunPipeline:
         errors = (tmp_path / "out" / "returns_errors.jsonl").read_text()
         assert "HTEL: bad price 0.0 on 2015-01-02" in errors
 
+    def test_no_return_window_is_refused(self, tmp_path):
+        root = make_workspace(tmp_path / "ws", seed=0)
+        prices = root / "prices" / "prices.csv"
+        prices.write_text("".join(row for row in prices.read_text().splitlines(keepends=True)
+                                  if row.startswith(("symbol,", "SPX,"))))
+        config = synthetic_config(root, tmp_path / "out")
+        with pytest.raises(PipelineError, match=(
+                "no return window was computed: 8 failed, each recorded in "
+                ".*returns_errors.jsonl; the first: ")):
+            run_pipeline(config, ["returns"])
+        assert not (tmp_path / "out" / "returns.csv").exists()
+        assert not (tmp_path / "out" / pipeline.MANIFEST_FILE).exists()
+        errors = (tmp_path / "out" / "returns_errors.jsonl").read_text().splitlines()
+        assert len(errors) == 8
+
     def test_bad_benchmark_series_is_an_error_line(self, tmp_path, capsys):
         root = make_workspace(tmp_path / "ws", seed=0)
         prices = root / "prices" / "prices.csv"
@@ -850,6 +864,14 @@ def submissions(filing_date, doc):
         "accessionNumber": ["0000000002-20-000001"], "primaryDocument": [doc]}}})
 
 
+@pytest.fixture
+def edgar_transport(monkeypatch):
+    """Installs a fake in place of EDGAR's HTTP transport, with EDGAR_CONTACT
+    set, as a client on the default transport requires."""
+    monkeypatch.setenv(edgar.CONTACT_ENV_VAR, "Research Bot research@example.com")
+    return lambda transport: monkeypatch.setattr(edgar, "_http_transport", transport)
+
+
 def fake_edgar(aaa_reply, html, calls=None):
     """EDGAR answering AAA's submissions (cik 1) with ``aaa_reply``; BBB (cik 2)
     has one 10-K, and any document but a ``10k.htm`` is missing. Appends each
@@ -880,9 +902,9 @@ class TestIngest:
         ((500, "boom"), f"submissions for AAA failed {MAX_ATTEMPTS} times: HTTP 500"),
         ((200, "<html>not json</html>"), "Expecting value"),
     ])
-    def test_one_ticker_failure_is_recorded(self, tmp_path, monkeypatch,
+    def test_one_ticker_failure_is_recorded(self, tmp_path, edgar_transport,
                                             sample_10k_html, reply, named):
-        monkeypatch.setattr(edgar, "_http_transport", fake_edgar(reply, sample_10k_html))
+        edgar_transport(fake_edgar(reply, sample_10k_html))
         config = self.config(tmp_path)
         run_pipeline(config, ["ingest"])
         assert ("BBB", "2020-02-14") in CorpusStore(config.corpus_dir)
@@ -891,13 +913,12 @@ class TestIngest:
         assert [e["item"] for e in errors] == ["AAA"]
         assert named in errors[0]["error"]
 
-    def test_failed_ticker_fetched_on_the_next_run(self, tmp_path, monkeypatch,
+    def test_failed_ticker_fetched_on_the_next_run(self, tmp_path, edgar_transport,
                                                    sample_10k_html):
         config = self.config(tmp_path)
-        monkeypatch.setattr(edgar, "_http_transport",
-                            fake_edgar((500, "boom"), sample_10k_html))
+        edgar_transport(fake_edgar((500, "boom"), sample_10k_html))
         assert run_pipeline(config, ["ingest"])["ingest"]["retry_items"] == 1
-        monkeypatch.setattr(edgar, "_http_transport", fake_edgar(
+        edgar_transport(fake_edgar(
             (200, submissions("2020-02-14", "aaa10k.htm")), sample_10k_html))
         assert run_pipeline(config, ["ingest"])["ingest"]["retry_items"] == 0
         assert ("AAA", "2020-02-14") in CorpusStore(config.corpus_dir)
@@ -917,10 +938,11 @@ class TestIngest:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {tmp_path / 'universe.csv'}: ") and named in err
 
-    def test_no_ticker_resolved_is_an_error(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(edgar, "_http_transport", lambda url: (404, "not found", {}))
+    def test_no_ticker_resolved_is_an_error(self, tmp_path, edgar_transport):
+        edgar_transport(lambda url: (404, "not found", {}))
         with pytest.raises(PipelineError, match="no ticker resolved.*ingest_errors.jsonl.*"
-                                                "AAA: unknown cik 0000000001"):
+                                                "AAA: HTTP 404 from https://data.sec.gov/"
+                                                r"submissions/CIK0000000001\.json"):
             run_pipeline(self.config(tmp_path), ["ingest"])
 
     def test_missing_contact_is_an_error_line(self, tmp_path, monkeypatch, capsys, slept):
@@ -932,10 +954,10 @@ class TestIngest:
             f"error: refusing to contact EDGAR without {edgar.CONTACT_ENV_VAR}")
         assert slept == [] and not (tmp_path / "out" / "ingest_errors.jsonl").exists()
 
-    def test_missing_document_recorded_and_not_retried(self, tmp_path, monkeypatch,
+    def test_missing_document_recorded_and_not_retried(self, tmp_path, edgar_transport,
                                                        sample_10k_html, slept):
         calls = []
-        monkeypatch.setattr(edgar, "_http_transport", fake_edgar(
+        edgar_transport(fake_edgar(
             (200, submissions("2020-02-14", "gone.htm")), sample_10k_html, calls))
         config = self.config(tmp_path)
         assert run_pipeline(config, ["ingest"])["ingest"]["retry_items"] == 0
@@ -948,10 +970,10 @@ class TestIngest:
         run_pipeline(config, ["ingest"])
         assert calls == [] and slept == []  # skipped: nothing a rerun could mend
 
-    def test_no_filing_fetched_is_an_error(self, tmp_path, monkeypatch, sample_10k_html):
+    def test_no_filing_fetched_is_an_error(self, tmp_path, edgar_transport, sample_10k_html):
         config = self.config(tmp_path)
         (tmp_path / "universe.csv").write_text("ticker,cik\nAAA,1\n")
-        monkeypatch.setattr(edgar, "_http_transport", fake_edgar(
+        edgar_transport(fake_edgar(
             (200, submissions("2020-02-14", "gone.htm")), sample_10k_html))
         with pytest.raises(PipelineError, match=(
                 "no filing could be fetched: 1 failed, each recorded in "
@@ -959,10 +981,9 @@ class TestIngest:
                 "the first: AAA 2020-02-14: HTTP 404 from https://")):
             run_pipeline(config, ["ingest"])
 
-    def test_final_status_other_than_404_stops_ingest(self, tmp_path, monkeypatch,
+    def test_final_status_other_than_404_stops_ingest(self, tmp_path, edgar_transport,
                                                       sample_10k_html):
-        monkeypatch.setattr(edgar, "_http_transport", fake_edgar((403, "forbidden"),
-                                                                 sample_10k_html))
+        edgar_transport(fake_edgar((403, "forbidden"), sample_10k_html))
         with pytest.raises(FinalStatusError, match="HTTP 403 from https://"):
             run_pipeline(self.config(tmp_path), ["ingest"])
 
@@ -986,21 +1007,29 @@ class TestFailures:
         (RetriableError("HTTP 503 from the LLM endpoint", 503), 1),
         (caused(PipelineError("embedding of filing AAA 2020-02-14 failed 3 times: "
                               "2 vectors for 3 texts"), ValueError("2 vectors")), 0),
-        (caused(RowScoringError("question q failed 3 times: HTTP 503"),
+        (caused(RetriableError("question q failed 3 times: HTTP 503"),
                 RetriableError("HTTP 503", 503)), 1),
-        (caused(RowScoringError("no parseable score in response: 'no score'"),
-                UnparseableScoreError("no score")), 0),
-        (FinalStatusError("HTTP 404 from https://www.sec.gov/x", 404), 0),
-        (EmptyDocumentError("filing text is empty after cleaning"), 0),
+        (caused(PipelineError("question q failed 3 times: no parseable score in "
+                              "response: 'no score'"), UnparseableScoreError("no score")), 0),
+        (PipelineError("HTTP 404 from https://www.sec.gov/x"), 0),
+        (PipelineError("document is empty after cleaning"), 0),
         ("no price series, skipped", 0),
     ], ids=["retriable", "unusable-reply", "row-after-outage", "row-unparseable",
-            "final-404", "empty-document", "reason"])
+            "missing-404", "empty-document", "reason"])
     def test_retry_rule(self, tmp_path, error, retriable):
         failures = Failures(tmp_path / "x_errors.jsonl")
         failures.record("AAA 2020-02-14", error)
         assert failures.retriable == retriable
 
-    def test_one_item_failing_in_each_stage(self, synth_root, tmp_path, monkeypatch):
+    def test_final_status_is_raised_and_not_recorded(self, tmp_path):
+        failures = Failures(tmp_path / "x_errors.jsonl")
+        error = FinalStatusError("HTTP 401 from the LLM endpoint http://127.0.0.1/v1")
+        with pytest.raises(FinalStatusError) as exc:
+            failures.record("AAA 2020-02-14", error)
+        assert exc.value is error and failures.items == []
+
+    def test_one_item_failing_in_each_stage(self, synth_root, tmp_path, monkeypatch,
+                                            edgar_transport):
         """Each stage that leaves items out writes them in one schema; the
         manifest counts the retriable ones; a clean rerun removes each file."""
         corpus = corpus_copy(synth_root, tmp_path / "corpus")
@@ -1039,7 +1068,7 @@ class TestFailures:
                 raise RetriableError("HTTP 503")
             return complete(self, system, user)
 
-        monkeypatch.setattr(edgar, "_http_transport", transport)
+        edgar_transport(transport)
         monkeypatch.setattr(pipeline, "build_embedding_provider",
                             lambda cfg: Embedder(cfg["dimension"], cfg["seed"]))
         monkeypatch.setattr(KeywordLLM, "complete", llm)
@@ -1400,6 +1429,11 @@ class TestCli:
         ({"chunk_chars": 256, "overlap_chars": 256}, ["embed"], "overlap_chars", 1),
         ({}, ["frobnicate"], "'frobnicate'", 2),  # an argparse usage error
         ({"k": 0}, ["embed"], "k (0)", 1),
+        ({"chunks_per_question": 0}, ["embed"], "chunks_per_question (0) must be at least 1", 1),
+        ({"chunks_per_question": -1}, ["embed"], "chunks_per_question (-1)", 1),
+        ({"year_from": 2021, "year_to": 2020}, ["embed"],
+         "year_from (2021) must not be after year_to (2020)", 1),
+        ({}, [], "argument --stages: expected at least one argument", 2),
         ({"k_values": [3, 0]}, ["embed"], "k_values ([3, 0])", 1),
         ({"llm_provider": {"score": 50}}, ["embed", "score"],
          "llm_provider needs the key 'name'", 1),
@@ -1467,6 +1501,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") or "error: argument --stages" in err
         assert named in err
+
+    @pytest.mark.parametrize("name, stages", [("corpus/manifest.jsonl", ["embed"]),
+                                              ("out/score_cache.jsonl", ["embed", "score"])],
+                             ids=["corpus-manifest", "score-cache"])
+    def test_unreadable_jsonl_line_is_an_error_line(self, synth_root, tmp_path, capsys,
+                                                    name, stages):
+        corpus = corpus_copy(synth_root, tmp_path / "corpus")
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        first, *rest = (path.read_bytes().splitlines(keepends=True) if path.exists() else
+                        [b'{"row_sha256": "0", "filing_key": ["X", "2020-01-01"], '
+                         b'"scores": [1]}\n'])
+        path.write_bytes(first + b"{torn\n" + b"".join(rest))
+        cfg_path = write_config(synth_root, tmp_path, corpus_dir=str(corpus))
+        assert cli.main(["pipeline", "--config", str(cfg_path), "--stages", *stages]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: line 2 is not JSON: ")
 
     @pytest.mark.parametrize("key, provider, named", [
         ("llm_provider", {"name": "keyword-stub"}, "llm_provider 'keyword-stub': "

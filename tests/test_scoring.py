@@ -6,7 +6,7 @@ import pytest
 
 from filingsignal.corpus import Chunk, Filing, chunk_filing
 from filingsignal.embed_index import HashEmbeddingProvider, VectorIndex, embed_text
-from filingsignal.errors import RowScoringError, UnparseableScoreError
+from filingsignal.errors import PipelineError, RetriableError, UnparseableScoreError
 from filingsignal.llm_scoring import (ConstantLLM, HTTPChatLLM, KeywordLLM, Question,
                                       QuestionSet, RowInputs, ScoreCache, ScoredAnswer,
                                       build_prompt,
@@ -162,7 +162,7 @@ class TestScoreFiling:
         score(indexed_filing("some filing text"), small_questionset(), ConstantLLM(50),
               ScoreCache(path))
         path.write_bytes(b"{torn\n" + path.read_bytes())
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(PipelineError, match=f"^{path}: line 1 is not JSON: "):
             ScoreCache(path)
 
     def test_unkeyed_records_dropped_from_file_once(self, tmp_path, caplog):
@@ -235,7 +235,7 @@ class TestScoreFiling:
                 return "no idea" if "routine?" in u else "SCORE: 70"
 
         path = tmp_path / "cache.jsonl"
-        with pytest.raises(RowScoringError, match="risk"):
+        with pytest.raises(PipelineError, match="risk"):
             score(indexed_filing("some filing text"), small_questionset(),
                   FailsLastQuestion(), ScoreCache(path))
         records = [json.loads(line) for line in path.read_text().splitlines()]
@@ -282,9 +282,10 @@ class TestScoreFiling:
             def complete(self, s, u):
                 return "no idea"
 
-        with pytest.raises(RowScoringError):
+        with pytest.raises(PipelineError, match="no parseable score") as exc:
             score(indexed_filing("text"), small_questionset(), Garbage(),
                   ScoreCache(tmp_path / "cache.jsonl"))
+        assert not isinstance(exc.value, RetriableError)  # a later run would get it again
 
     @pytest.mark.parametrize("body", [{}, {"choices": []},
                                       {"choices": [{"message": {"content": None}}]}])
@@ -295,7 +296,7 @@ class TestScoreFiling:
             posts.append(json.loads(data))
             return json_reply(body)
 
-        with loopback(post) as url, pytest.raises(RowScoringError, match="choices|content"):
+        with loopback(post) as url, pytest.raises(RetriableError, match="choices|content"):
             score(indexed_filing("text"), small_questionset(),
                   HTTPChatLLM(url + "/v1", "m"), ScoreCache(tmp_path / "cache.jsonl"))
         assert len(posts) == MAX_ATTEMPTS
