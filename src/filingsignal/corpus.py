@@ -14,12 +14,12 @@ import logging
 import os
 import re
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import date
 from html import unescape
 from html.parser import HTMLParser
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import PipelineError
 
@@ -236,16 +236,6 @@ def json_line(path: Path, number: int, line: str | bytes) -> dict:
         raise PipelineError(f"{path}: line {number} is not JSON: {exc}") from exc
 
 
-def read_jsonl(path: Path) -> Iterator[dict]:
-    """The records of an append-only JSONL file, one at a time, after its torn
-    final line is cut (see ``read_whole_lines``). An unreadable line raises
-    ``json_line``'s PipelineError.
-    """
-    for number, line in enumerate(read_whole_lines(path).split(b"\n"), start=1):
-        if line.strip():
-            yield json_line(path, number, line)
-
-
 def write_atomic(path: str | Path, data: str | bytes) -> None:
     """Replace ``path`` with ``data`` through a temporary file and a rename.
 
@@ -283,7 +273,9 @@ class CorpusStore:
 
     Ingestion is idempotent keyed by (ticker, filing_date); the manifest is
     append-only under a single-writer discipline, and a torn final line is
-    cut (see ``read_jsonl``), so that filing is stored again by ``add``.
+    cut (see ``read_whole_lines``), so that filing is stored again by ``add``.
+    A line that is not JSON, or not a record of string fields as ``add``
+    writes them, raises PipelineError naming it.
     """
 
     def __init__(self, root: str | Path):
@@ -292,8 +284,16 @@ class CorpusStore:
         self.manifest_path = self.root / MANIFEST_NAME
         self.filings_dir.mkdir(parents=True, exist_ok=True)
         self._records: dict[tuple[str, str], ManifestRecord] = {}
-        for fields in read_jsonl(self.manifest_path):
-            rec = ManifestRecord(**fields)
+        keys = {f.name for f in fields(ManifestRecord)}
+        for number, line in enumerate(read_whole_lines(self.manifest_path).split(b"\n"), 1):
+            if not line.strip():
+                continue
+            record = json_line(self.manifest_path, number, line)
+            if not (isinstance(record, dict) and record.keys() == keys
+                    and all(isinstance(v, str) for v in record.values())):
+                raise PipelineError(f"{self.manifest_path}: line {number} is not a record "
+                                    f"of the string fields {', '.join(sorted(keys))}")
+            rec = ManifestRecord(**record)
             self._records[(rec.ticker, rec.filing_date)] = rec
 
     def __contains__(self, key: tuple[str, str]) -> bool:

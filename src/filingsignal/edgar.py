@@ -106,7 +106,8 @@ class EdgarClient:
         return with_retries(attempt, context or url)
 
 
-class EdgarSubmissionsResolver:
+def resolve_filings(client: EdgarClient, universe: TickerUniverse, year_from: int,
+                    year_to: int, failures: Failures) -> list[FilingEntry]:
     """Resolve 10-K URLs from EDGAR's per-company submissions index.
 
     Amendments (10-K/A) are ignored; at most one filing per ticker per
@@ -114,59 +115,52 @@ class EdgarSubmissionsResolver:
     submissions cannot be fetched or read, are not of the expected shape or
     hold no 10-K in the years asked is recorded in ``failures``, not fatal.
     """
+    if year_from > year_to:
+        raise ValueError("year_from must be <= year_to")
+    entries: list[FilingEntry] = []
+    for u in universe.entries:
+        try:
+            body = client.get(SUBMISSIONS_URL.format(cik=u.cik),
+                              context=f"submissions for {u.ticker}")
+            found = _extract(u, json.loads(body), year_from, year_to)
+        except PipelineError as exc:  # a final status, such as a 403, is raised
+            failures.record(u.ticker, exc)
+            continue
+        except json.JSONDecodeError as exc:
+            failures.record(u.ticker, f"submissions not JSON: {exc}")
+            continue
+        except (AttributeError, LookupError, TypeError, ValueError) as exc:
+            failures.record(u.ticker, f"submissions not of the expected shape: {exc!r}")
+            continue
+        if not found:
+            failures.record(u.ticker, f"no 10-K filings in {year_from}-{year_to}")
+        entries.extend(found)
+    entries.sort(key=lambda e: (e.ticker, e.filing_date))
+    return entries
 
-    def __init__(self, client: EdgarClient):
-        self.client = client
 
-    def resolve(self, universe: TickerUniverse, year_from: int, year_to: int,
-                failures: Failures) -> list[FilingEntry]:
-        if year_from > year_to:
-            raise ValueError("year_from must be <= year_to")
-        entries: list[FilingEntry] = []
-        for u in universe.entries:
-            try:
-                body = self.client.get(
-                    SUBMISSIONS_URL.format(cik=u.cik), context=f"submissions for {u.ticker}"
-                )
-                found = self._extract(u, json.loads(body), year_from, year_to)
-            except PipelineError as exc:  # a final status, such as a 403, is raised
-                failures.record(u.ticker, exc)
-                continue
-            except json.JSONDecodeError as exc:
-                failures.record(u.ticker, f"submissions not JSON: {exc}")
-                continue
-            except (AttributeError, LookupError, TypeError, ValueError) as exc:
-                failures.record(u.ticker, f"submissions not of the expected shape: {exc!r}")
-                continue
-            if not found:
-                failures.record(u.ticker, f"no 10-K filings in {year_from}-{year_to}")
-            entries.extend(found)
-        entries.sort(key=lambda e: (e.ticker, e.filing_date))
-        return entries
-
-    @staticmethod
-    def _extract(u, data, year_from, year_to) -> list[FilingEntry]:
-        recent = data.get("filings", {}).get("recent", {})
-        forms = recent.get("form", [])
-        dates = recent.get("filingDate", [])
-        accessions = recent.get("accessionNumber", [])
-        docs = recent.get("primaryDocument", [])
-        by_year: dict[int, FilingEntry] = {}
-        for form, d, acc, doc in zip(forms, dates, accessions, docs):
-            if form != "10-K":  # skips 10-K/A amendments
-                continue
-            filed = date.fromisoformat(d)
-            if not year_from <= filed.year <= year_to:
-                continue
-            uri = ARCHIVE_URL.format(
-                cik_int=int(u.cik), acc_nodash=acc.replace("-", ""), doc=doc
-            )
-            entry = FilingEntry(u.ticker, u.cik, filed, acc, uri)
-            prior = by_year.get(filed.year)
-            # One 10-K per fiscal year; keep the earliest-filed original.
-            if prior is None or filed < prior.filing_date:
-                by_year[filed.year] = entry
-        return list(by_year.values())
+def _extract(u, data, year_from, year_to) -> list[FilingEntry]:
+    recent = data.get("filings", {}).get("recent", {})
+    forms = recent.get("form", [])
+    dates = recent.get("filingDate", [])
+    accessions = recent.get("accessionNumber", [])
+    docs = recent.get("primaryDocument", [])
+    by_year: dict[int, FilingEntry] = {}
+    for form, d, acc, doc in zip(forms, dates, accessions, docs):
+        if form != "10-K":  # skips 10-K/A amendments
+            continue
+        filed = date.fromisoformat(d)
+        if not year_from <= filed.year <= year_to:
+            continue
+        uri = ARCHIVE_URL.format(
+            cik_int=int(u.cik), acc_nodash=acc.replace("-", ""), doc=doc
+        )
+        entry = FilingEntry(u.ticker, u.cik, filed, acc, uri)
+        prior = by_year.get(filed.year)
+        # One 10-K per fiscal year; keep the earliest-filed original.
+        if prior is None or filed < prior.filing_date:
+            by_year[filed.year] = entry
+    return list(by_year.values())
 
 
 def fetch_filing(entry: FilingEntry, client: EdgarClient) -> Filing:

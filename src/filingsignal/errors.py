@@ -22,23 +22,12 @@ class FinalStatusError(PipelineError):
     """An HTTP status that asking again cannot mend, such as 401 or 403."""
 
 
-class UnparseableScoreError(PipelineError):
-    """No valid 0-100 integer could be extracted from a provider response."""
-
-    def __init__(self, raw_response: str):
-        super().__init__(f"no parseable score in response: {raw_response!r}")
-        self.raw_response = raw_response
-
-
 class StageInputError(PipelineError):
-    """A pipeline stage input is missing, or its producer's inputs changed.
-
-    Carries the name of the stage that would (re)produce it.
-    """
+    """A pipeline stage input is missing, or its producer's inputs changed;
+    the message names the stage that would (re)produce it."""
 
     def __init__(self, problem: str, producing_stage: str):
         super().__init__(f"{problem}: run stage {producing_stage!r} first")
-        self.producing_stage = producing_stage
 
 
 class Failures:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .corpus import Chunk, Filing, json_line, read_whole_lines, write_atomic, write_csv
 from .embed_index import ChunkRef, EmbeddingProvider, VectorIndex, embed_text
-from .errors import PipelineError, RetriableError, UnparseableScoreError
+from .errors import PipelineError, RetriableError
 from .net import check_endpoint, post_json, with_retries
 
 logger = logging.getLogger(__name__)
@@ -100,15 +100,6 @@ class QuestionSet:
 
 
 @dataclass
-class ScoredAnswer:
-    filing_key: tuple[str, str]
-    question_id: str
-    score: int
-    raw_response: str
-    context_chunk_refs: list[ChunkRef]
-
-
-@dataclass
 class FeatureRow:
     filing_key: tuple[str, str]
     scores: list[int]  # aligned to QuestionSet order
@@ -133,10 +124,8 @@ class ConstantLLM:
         _check_score("score", score)
         self.score = score
         self.provider_id = f"constant-stub-{score}"
-        self.call_count = 0
 
     def complete(self, system_prompt: str, user_prompt: str) -> str:
-        self.call_count += 1
         return f"SCORE: {self.score}"
 
 
@@ -160,10 +149,8 @@ class KeywordLLM:
         self.provider_id = (
             f"keyword-stub-{hit_score}-{miss_score}-{per_occurrence}:{self.phrase}"
         )
-        self.call_count = 0
 
     def complete(self, system_prompt: str, user_prompt: str) -> str:
-        self.call_count += 1
         count = user_prompt.lower().count(self.phrase)
         if count == 0:
             score = self.miss_score
@@ -221,20 +208,16 @@ _STANDALONE_INT_RE = re.compile(r"(?<![\d.])(\d{1,3})(?![\d.])")
 def parse_score(raw_response: str) -> int:
     """Extract the 0-100 integer from a provider response.
 
-    Prefers the first "SCORE:" marker; falls back to the first standalone
-    integer in range. Out-of-range values are errors, never clamped.
+    Takes the first "SCORE:" marker or, without one, the first standalone
+    integer in range. A marker out of range is never clamped: it and a reply
+    without a score raise ValueError, a reply the caller cannot use.
     """
-    m = _MARKER_RE.search(raw_response)
-    if m:
-        value = int(m.group(1))
-        if not 0 <= value <= 100:
-            raise UnparseableScoreError(raw_response)
-        return value
-    for m in _STANDALONE_INT_RE.finditer(raw_response):
+    marker = _MARKER_RE.search(raw_response)
+    for m in [marker] if marker else _STANDALONE_INT_RE.finditer(raw_response):
         value = int(m.group(1))
         if 0 <= value <= 100:
             return value
-    raise UnparseableScoreError(raw_response)
+    raise ValueError(f"no parseable score in response: {raw_response!r}")
 
 
 def _sha256_of(parts: Iterable[bytes]) -> str:
@@ -294,7 +277,8 @@ class ScoreCache:
     ``put`` and ``put_row`` make a record visible to ``get`` and ``get_row``
     at once and buffer its line; ``flush`` appends the buffered lines to the
     file in one write. The file is read whole, after its torn final line is
-    cut (see ``read_whole_lines``), and its lines are taken in order: an
+    cut (see ``read_whole_lines``), and its lines are decoded and taken in
+    order; a line that is not UTF-8 raises PipelineError naming it. An
     answer's key and score are read by ``_ANSWER`` without parsing the rest
     of its line, and any other line is parsed as JSON. Older records with
     neither ``prompt_sha256`` nor ``row_sha256`` are dropped with one
@@ -307,9 +291,13 @@ class ScoreCache:
         self._pending: list[str] = []
         self._scores: dict[str, int] = {}
         self._rows: dict[str, list[int]] = {}
-        lines = read_whole_lines(self.path).decode("utf-8").split("\n")
+        lines = read_whole_lines(self.path).split(b"\n")
         dropped: set[int] = set()
-        for i, line in enumerate(lines):
+        for i, line_bytes in enumerate(lines):
+            try:
+                line = line_bytes.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise PipelineError(f"{self.path}: line {i + 1} is not UTF-8: {exc}") from exc
             if answer := _ANSWER.search(line):
                 self._scores[answer[1]] = int(answer[2])
             elif line.strip():
@@ -323,27 +311,28 @@ class ScoreCache:
         if dropped:
             logger.warning("%s: dropping %d records without prompt_sha256 or row_sha256; "
                            "their questions are asked again", self.path, len(dropped))
-            write_atomic(self.path, "\n".join(
+            write_atomic(self.path, b"\n".join(
                 line for i, line in enumerate(lines) if i not in dropped))
 
     def get(self, key: str) -> int | None:
         """The cached score of the prompt with this key, or None."""
         return self._scores.get(key)
 
-    def put(self, key: str, answer: ScoredAnswer) -> int:
-        """Keep ``answer`` unless the key is held; the score held for the key."""
+    def put(self, key: str, filing_key: tuple[str, str], question_id: str, score: int,
+            raw_response: str, context_chunk_refs: list[ChunkRef]) -> int:
+        """Keep one answer unless the key is held; the score held for the key."""
         if key in self._scores:
             return self._scores[key]
-        self._scores[key] = answer.score
+        self._scores[key] = score
         self._pending.append(json.dumps({
-            "filing_key": list(answer.filing_key),
-            "question_id": answer.question_id,
+            "filing_key": list(filing_key),
+            "question_id": question_id,
             "prompt_sha256": key,
-            "score": answer.score,
-            "raw_response": answer.raw_response,
-            "context_chunk_refs": [list(r) for r in answer.context_chunk_refs],
+            "score": score,
+            "raw_response": raw_response,
+            "context_chunk_refs": [list(r) for r in context_chunk_refs],
         }) + "\n")
-        return answer.score
+        return score
 
     def get_row(self, key: str) -> list[int] | None:
         """The cached scores of the row with this key, or None."""
@@ -408,7 +397,7 @@ def _ask(llm: LLMProvider, failure: _FirstFailure, miss: _Miss) -> tuple[str, in
         return raw, parse_score(raw)
 
     try:
-        return with_retries(attempt, f"question {miss.question_id}", (UnparseableScoreError,),
+        return with_retries(attempt, f"question {miss.question_id}", (ValueError,),
                             stop=lambda: failure.position < miss.position)
     except PipelineError:
         failure.record(miss.position)
@@ -465,8 +454,8 @@ def score_filing(
     try:
         for miss, (raw, score) in zip(misses, map_calls(ask, misses)):
             # Two questions with one prompt both miss; both get the first answer.
-            scores[miss.position] = cache.put(miss.key, ScoredAnswer(
-                key, miss.question_id, score, raw, miss.refs))
+            scores[miss.position] = cache.put(miss.key, key, miss.question_id, score, raw,
+                                              miss.refs)
         cache.put_row(row_key, key, scores)
     finally:
         cache.flush()

@@ -100,7 +100,7 @@ def load_price_csv(path: str | Path, symbols: Collection[str]) -> dict[str, Pric
             raise PipelineError(f"{path}: header {','.join(header)!r} has no column "
                                 f"{', '.join(missing)}")
         i_sym, i_date, i_close = map(header.index, PRICE_COLUMNS)
-        wanted = np.array([s.encode("utf-8") for s in symbols], dtype=bytes)
+        wanted = {s.encode("utf-8") for s in symbols}
         rows = _parse_columns(path, len(header), i_sym, i_date, i_close, wanted)
         unparsed: dict[str, str] = {}
         if rows is None:
@@ -142,7 +142,7 @@ _BLOCK_BYTES = 1 << 18
 
 
 def _parse_columns(path: str | Path, fields: int, i_sym: int, i_date: int, i_close: int,
-                   wanted: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]] | None:
+                   wanted: set[bytes]) -> dict[str, tuple[np.ndarray, np.ndarray]] | None:
     """Each ``wanted`` symbol's dates and closes, in file order, from the rows
     after the header, parsed a column at a time (see ``_parse_block``); None
     when the file must be read by csv.reader and parsed a row at a time.
@@ -171,7 +171,7 @@ def _parse_columns(path: str | Path, fields: int, i_sym: int, i_date: int, i_clo
 
 
 def _parse_block(block: bytes, fields: int, i_sym: int, i_date: int, i_close: int,
-                 wanted: np.ndarray, header: bool
+                 wanted: set[bytes], header: bool
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """The symbols, dates and closes of the rows of ``block`` (whole lines of
     a price CSV, the header first if ``header``) whose symbol is in
@@ -229,7 +229,9 @@ def _parse_block(block: bytes, fields: int, i_sym: int, i_date: int, i_close: in
     # A price file keeps each symbol's rows together, so each run of one
     # symbol is looked up once (no run in a block without rows).
     firsts = np.flatnonzero(np.r_[True, symbols[1:] != symbols[:-1]])[:len(symbols)]
-    keep = np.repeat(np.isin(symbols[firsts], wanted), np.diff(np.r_[firsts, len(symbols)]))
+    # A set lookup, not np.isin, whose sort path imports numpy.ma.
+    kept_runs = [symbol in wanted for symbol in symbols[firsts].tolist()]
+    keep = np.repeat(np.array(kept_runs, dtype=bool), np.diff(np.r_[firsts, len(symbols)]))
     if not keep.all():  # the date and close columns are cut from the wanted rows only
         symbols, starts, ends, commas = symbols[keep], starts[keep], ends[keep], commas[keep]
     if not len(symbols):

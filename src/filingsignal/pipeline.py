@@ -46,7 +46,7 @@ from . import backtest as bt
 from . import labeling
 from . import market_data as md
 from .corpus import CorpusStore, TickerUniverse, chunk_filing, write_atomic
-from .edgar import EdgarClient, EdgarSubmissionsResolver, fetch_filing
+from .edgar import EdgarClient, fetch_filing, resolve_filings
 from .embed_index import (INDEX_FILE, HashEmbeddingProvider, HTTPEmbeddingProvider,
                           VectorIndex, embed_item)
 from .errors import Failures, PipelineError, StageInputError
@@ -221,8 +221,7 @@ def stage_ingest(config: PipelineConfig, failures: Failures) -> None:
     universe = TickerUniverse.from_csv(config.universe_csv)
     client = EdgarClient()
     store = CorpusStore(config.corpus_dir)
-    entries = EdgarSubmissionsResolver(client).resolve(universe, config.year_from,
-                                                       config.year_to, failures)
+    entries = resolve_filings(client, universe, config.year_from, config.year_to, failures)
     if failures.items and not entries:
         raise failures.refusal("no ticker resolved to a filing")
     for entry in entries:
@@ -496,10 +495,13 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
     not requested here, and whose config or inputs have changed since, is
     refused with a StageInputError naming that stage. The manifest is
     replaced whole after each stage (see ``write_atomic``). Returns the
-    updated pipeline manifest.
+    updated pipeline manifest. ``stages`` None runs every stage; an empty
+    list is refused.
     """
     names = [s.name for s in STAGES]
-    requested = stages or names
+    requested = names if stages is None else stages
+    if not requested:
+        raise ValueError(f"no stages: name one or more of {names}, or None for all")
     unknown = set(requested) - set(names)
     if unknown:
         raise ValueError(f"unknown stages: {sorted(unknown)}")

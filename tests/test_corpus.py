@@ -1,3 +1,4 @@
+import json
 import random
 from datetime import date
 
@@ -168,6 +169,20 @@ class TestStore:
         assert store.add(make_filing("b", ticker="BBB")) is True
         assert manifest.read_bytes() == original
         assert len(CorpusStore(tmp_path)) == 2
+
+    @pytest.mark.parametrize("change", [lambda r: {"ticker": "A"}, lambda r: [1],
+                                        lambda r: r | {"ticker": 1},
+                                        lambda r: r | {"note": "x"}],
+                             ids=["part", "list", "number", "extra-field"])
+    def test_manifest_line_not_a_record_raises(self, tmp_path, change):
+        CorpusStore(tmp_path).add(make_filing("a", ticker="AAA"))
+        manifest = tmp_path / "manifest.jsonl"
+        record = json.loads(manifest.read_text())
+        with open(manifest, "a") as f:
+            f.write(json.dumps(change(record)) + "\n")
+        with pytest.raises(PipelineError, match=f"^{manifest}: line 2 is not a record of "
+                                                "the string fields accession_id, cik, "):
+            CorpusStore(tmp_path)
 
     def test_keys_sorted(self, tmp_path):
         store = CorpusStore(tmp_path)

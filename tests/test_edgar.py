@@ -5,9 +5,8 @@ from pathlib import Path
 import pytest
 
 from filingsignal.corpus import TickerUniverse, UniverseEntry
-from filingsignal.edgar import (CONTACT_ENV_VAR, EdgarClient,
-                                EdgarSubmissionsResolver, FilingEntry,
-                                RateLimiter, fetch_filing)
+from filingsignal.edgar import (CONTACT_ENV_VAR, EdgarClient, FilingEntry,
+                                RateLimiter, fetch_filing, resolve_filings)
 from filingsignal.errors import Failures, FinalStatusError, PipelineError, RetriableError
 from filingsignal.net import MAX_ATTEMPTS
 
@@ -45,10 +44,12 @@ def universe(*pairs):
     return TickerUniverse([UniverseEntry(t, c) for t, c in pairs])
 
 
-def resolved(resolver, tickers, year_from, year_to):
-    """The entries ``resolver`` finds for ``tickers``, and the failures it records."""
+def resolved(transport, tickers, year_from, year_to):
+    """The entries resolved for ``tickers`` through ``transport``, and the
+    failures recorded."""
     failures = Failures(Path("ingest_errors.jsonl"))
-    return resolver.resolve(tickers, year_from, year_to, failures), failures
+    return resolve_filings(make_client(transport), tickers, year_from, year_to,
+                           failures), failures
 
 
 def recorded(failures):
@@ -60,21 +61,18 @@ class TestResolver:
         forms = [("10-K", f"{y}-02-01", f"acc-{y}", "doc.htm")
                  for y in range(2002, 2024)]
         transport = MapTransport({"CIK0000000001": (200, submissions_body(forms))})
-        resolver = EdgarSubmissionsResolver(make_client(transport))
-        entries, failures = resolved(resolver, universe(("AAPL", "0000000001")), 2002, 2023)
+        entries, failures = resolved(transport, universe(("AAPL", "0000000001")), 2002, 2023)
         assert len(entries) == 22
         assert failures.items == []
         assert entries == sorted(entries, key=lambda e: (e.ticker, e.filing_date))
 
     def test_empty_universe(self):
-        resolver = EdgarSubmissionsResolver(make_client(MapTransport({})))
-        entries, failures = resolved(resolver, universe(), 2002, 2023)
+        entries, failures = resolved(MapTransport({}), universe(), 2002, 2023)
         assert entries == [] and failures.items == []
 
     def test_unknown_cik_warns_and_skips(self, slept):
         transport = MapTransport({})
-        resolver = EdgarSubmissionsResolver(make_client(transport))
-        entries, failures = resolved(resolver, universe(("FAKE", "0009999999")), 2010, 2020)
+        entries, failures = resolved(transport, universe(("FAKE", "0009999999")), 2010, 2020)
         assert entries == []
         assert recorded(failures) == [
             ("FAKE", "HTTP 404 from https://data.sec.gov/submissions/CIK0009999999.json")]
@@ -85,21 +83,19 @@ class TestResolver:
         forms = [("10-K", "2020-02-01", "acc-1", "doc.htm")]
         transport = MapTransport({"CIK0000000001": [(500, "boom"),
                                                     (200, submissions_body(forms))]})
-        resolver = EdgarSubmissionsResolver(make_client(transport))
-        entries, failures = resolved(resolver, universe(("AAPL", "0000000001")), 2020, 2020)
+        entries, failures = resolved(transport, universe(("AAPL", "0000000001")), 2020, 2020)
         assert [e.accession_id for e in entries] == ["acc-1"] and failures.items == []
         assert len(transport.calls) == 2 and slept == []
 
     def test_other_final_status_stops_the_resolver(self):
-        resolver = EdgarSubmissionsResolver(make_client(MapTransport({"CIK": (403, "no")})))
         with pytest.raises(FinalStatusError, match="HTTP 403"):
-            resolved(resolver, universe(("AAPL", "0000000001")), 2020, 2020)
+            resolved(MapTransport({"CIK": (403, "no")}), universe(("AAPL", "0000000001")),
+                     2020, 2020)
 
     def test_no_filings_in_range_warns(self):
         forms = [("10-K", "1999-02-01", "acc-old", "doc.htm")]
         transport = MapTransport({"CIK0000000001": (200, submissions_body(forms))})
-        resolver = EdgarSubmissionsResolver(make_client(transport))
-        entries, failures = resolved(resolver, universe(("AAPL", "0000000001")), 2010, 2020)
+        entries, failures = resolved(transport, universe(("AAPL", "0000000001")), 2010, 2020)
         assert entries == []
         assert recorded(failures) == [("AAPL", "no 10-K filings in 2010-2020")]
 
@@ -107,16 +103,14 @@ class TestResolver:
         forms = [("10-K", "2020-02-01", "acc-orig", "doc.htm"),
                  ("10-K/A", "2020-03-01", "acc-amend", "doc.htm")]
         transport = MapTransport({"CIK0000000001": (200, submissions_body(forms))})
-        resolver = EdgarSubmissionsResolver(make_client(transport))
-        entries, _ = resolved(resolver, universe(("AAPL", "0000000001")), 2020, 2020)
+        entries, _ = resolved(transport, universe(("AAPL", "0000000001")), 2020, 2020)
         assert [e.accession_id for e in entries] == ["acc-orig"]
 
     def test_one_per_year_prefers_earliest(self):
         forms = [("10-K", "2020-06-01", "acc-late", "doc.htm"),
                  ("10-K", "2020-02-01", "acc-early", "doc.htm")]
         transport = MapTransport({"CIK0000000001": (200, submissions_body(forms))})
-        resolver = EdgarSubmissionsResolver(make_client(transport))
-        entries, _ = resolved(resolver, universe(("AAPL", "0000000001")), 2020, 2020)
+        entries, _ = resolved(transport, universe(("AAPL", "0000000001")), 2020, 2020)
         assert [e.accession_id for e in entries] == ["acc-early"]
 
     @pytest.mark.parametrize("body, reason", [
@@ -128,17 +122,15 @@ class TestResolver:
         good = submissions_body([("10-K", "2020-02-01", "acc-good", "doc.htm")])
         transport = MapTransport({"CIK0000000001": (200, body),
                                   "CIK0000000002": (200, good)})
-        resolver = EdgarSubmissionsResolver(make_client(transport))
         entries, failures = resolved(
-            resolver, universe(("ODD", "0000000001"), ("GOOD", "0000000002")), 2020, 2020)
+            transport, universe(("ODD", "0000000001"), ("GOOD", "0000000002")), 2020, 2020)
         assert [e.accession_id for e in entries] == ["acc-good"]
         [(item, error)] = recorded(failures)
         assert item == "ODD" and reason in error and failures.retriable == 0
 
     def test_bad_year_range(self):
-        resolver = EdgarSubmissionsResolver(make_client(MapTransport({})))
         with pytest.raises(ValueError):
-            resolved(resolver, universe(), 2020, 2010)
+            resolved(MapTransport({}), universe(), 2020, 2010)
 
 
 class TestClient:

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from bisect import bisect_left, bisect_right
 from datetime import date, timedelta
 
@@ -206,6 +209,19 @@ class TestColumnParse:
         needed, took = parsed(path, monkeypatch, whole=True, symbols={"A", "B", "Z"})
         assert not took  # a needed bad row still sends the file to the row parse
         assert dict(needed)["Z"].startswith(f"Z: {path} line 5: {bad!r}: ")
+
+    def test_many_wanted_symbols_leave_numpy_ma_unimported(self, tmp_path):
+        """np.isin's sort path, taken for many wanted symbols and few runs,
+        imports numpy.ma: about 12 ms and 0.6 MB of a fresh process."""
+        (tmp_path / "px.csv").write_text(CLEAN)
+        wanted = sorted({"A", "B", "SPX"} | {f"W{i}" for i in range(12)})
+        script = ("import sys\nfrom filingsignal.market_data import load_price_dir\n"
+                  f"assert sorted(load_price_dir(sys.argv[1], {wanted!r}, {{}})) == ['A', 'B']\n"
+                  "print('numpy.ma' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
+                             text=True, timeout=120, env=env, check=True).stdout
+        assert out.splitlines()[-1] == "False"
 
 
 class TestWindowBounds:

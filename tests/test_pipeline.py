@@ -15,7 +15,7 @@ from filingsignal import cli, corpus, edgar, llm_scoring, pipeline
 from filingsignal.corpus import CorpusStore, chunk_filing
 from filingsignal.embed_index import HashEmbeddingProvider, VectorIndex
 from filingsignal.errors import (Failures, FinalStatusError, PipelineError, RetriableError,
-                                 StageInputError, UnparseableScoreError)
+                                 StageInputError)
 from filingsignal.llm_scoring import MAX_WORKERS, KeywordLLM, ScoreCache, read_features_csv
 from filingsignal.net import MAX_ATTEMPTS
 from filingsignal.pipeline import PipelineConfig, run_pipeline
@@ -191,6 +191,11 @@ class TestRunPipeline:
         config = synthetic_config(synth_root, tmp_path)
         with pytest.raises(ValueError, match="unknown stages"):
             run_pipeline(config, ["frobnicate"])
+
+    def test_empty_stage_list_rejected(self, synth_root, tmp_path):
+        config = synthetic_config(synth_root, tmp_path)
+        with pytest.raises(ValueError, match="^no stages: name one or more of "):
+            run_pipeline(config, [])
 
     def test_determinism_byte_identical_artifacts(self, synth_root, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -1010,7 +1015,8 @@ class TestFailures:
         (caused(RetriableError("question q failed 3 times: HTTP 503"),
                 RetriableError("HTTP 503", 503)), 1),
         (caused(PipelineError("question q failed 3 times: no parseable score in "
-                              "response: 'no score'"), UnparseableScoreError("no score")), 0),
+                              "response: 'no score'"),
+                ValueError("no parseable score in response: 'no score'")), 0),
         (PipelineError("HTTP 404 from https://www.sec.gov/x"), 0),
         (PipelineError("document is empty after cleaning"), 0),
         ("no price series, skipped", 0),
@@ -1502,21 +1508,27 @@ class TestCli:
         assert err.startswith("error: ") or "error: argument --stages" in err
         assert named in err
 
-    @pytest.mark.parametrize("name, stages", [("corpus/manifest.jsonl", ["embed"]),
-                                              ("out/score_cache.jsonl", ["embed", "score"])],
-                             ids=["corpus-manifest", "score-cache"])
+    @pytest.mark.parametrize("name, stages, bad, problem", [
+        ("corpus/manifest.jsonl", ["embed"], b"{torn", "is not JSON: "),
+        ("out/score_cache.jsonl", ["embed", "score"], b"{torn", "is not JSON: "),
+        ("corpus/manifest.jsonl", ["embed"], b'{"ticker": "A"}',
+         "is not a record of the string fields accession_id, cik, filing_date, path, "
+         "sha256, ticker"),
+        ("out/score_cache.jsonl", ["embed", "score"], b"\xff\xfe{}", "is not UTF-8: "),
+    ], ids=["corpus-manifest", "score-cache", "corpus-manifest-part-record",
+            "score-cache-not-utf8"])
     def test_unreadable_jsonl_line_is_an_error_line(self, synth_root, tmp_path, capsys,
-                                                    name, stages):
+                                                    name, stages, bad, problem):
         corpus = corpus_copy(synth_root, tmp_path / "corpus")
         path = tmp_path / name
         path.parent.mkdir(exist_ok=True)
         first, *rest = (path.read_bytes().splitlines(keepends=True) if path.exists() else
                         [b'{"row_sha256": "0", "filing_key": ["X", "2020-01-01"], '
                          b'"scores": [1]}\n'])
-        path.write_bytes(first + b"{torn\n" + b"".join(rest))
+        path.write_bytes(first + bad + b"\n" + b"".join(rest))
         cfg_path = write_config(synth_root, tmp_path, corpus_dir=str(corpus))
         assert cli.main(["pipeline", "--config", str(cfg_path), "--stages", *stages]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {path}: line 2 is not JSON: ")
+        assert capsys.readouterr().err.startswith(f"error: {path}: line 2 {problem}")
 
     @pytest.mark.parametrize("key, provider, named", [
         ("llm_provider", {"name": "keyword-stub"}, "llm_provider 'keyword-stub': "

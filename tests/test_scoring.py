@@ -6,10 +6,9 @@ import pytest
 
 from filingsignal.corpus import Chunk, Filing, chunk_filing
 from filingsignal.embed_index import HashEmbeddingProvider, VectorIndex, embed_text
-from filingsignal.errors import PipelineError, RetriableError, UnparseableScoreError
+from filingsignal.errors import PipelineError, RetriableError
 from filingsignal.llm_scoring import (ConstantLLM, HTTPChatLLM, KeywordLLM, Question,
-                                      QuestionSet, RowInputs, ScoreCache, ScoredAnswer,
-                                      build_prompt,
+                                      QuestionSet, RowInputs, ScoreCache, build_prompt,
                                       embed_questions, parse_score, read_features_csv,
                                       score_filing, write_features_csv)
 from filingsignal.net import MAX_ATTEMPTS
@@ -42,6 +41,18 @@ def indexed_filing(text, ticker="TEST"):
                         [c.sha256 for c in chunks],
                         [embed_text(embedder, c.text, "test") for c in chunks])
     return filing, chunks, index, embedder
+
+
+class CountingLLM(ConstantLLM):
+    """ConstantLLM that counts the prompts it is asked."""
+
+    def __init__(self, score):
+        super().__init__(score)
+        self.calls = 0
+
+    def complete(self, system_prompt, user_prompt):
+        self.calls += 1
+        return super().complete(system_prompt, user_prompt)
 
 
 def score(indexed, qs, llm, cache):
@@ -107,12 +118,14 @@ class TestParseScore:
         assert parse_score("The outlook is strong. 72/100 confidence.") == 72
 
     def test_no_number_is_error(self):
-        with pytest.raises(UnparseableScoreError):
+        with pytest.raises(ValueError, match="^no parseable score in response: "
+                                             "'cannot determine'$"):
             parse_score("cannot determine")
 
     def test_marker_out_of_range_is_error(self):
-        with pytest.raises(UnparseableScoreError):
-            parse_score("SCORE: 150")
+        with pytest.raises(ValueError, match="^no parseable score in response: "
+                                             "'SCORE: 150 or 60'$"):
+            parse_score("SCORE: 150 or 60")
 
     def test_out_of_range_standalone_skipped(self):
         assert parse_score("rating 400 is absurd, call it 60") == 60
@@ -148,13 +161,13 @@ class TestScoreFiling:
     def test_warm_cache_makes_zero_calls(self, tmp_path):
         indexed = indexed_filing("some filing text")
         qs = small_questionset()
-        llm = ConstantLLM(50)
+        llm = CountingLLM(50)
         first = score(indexed, qs, llm, ScoreCache(tmp_path / "cache.jsonl"))
-        assert llm.call_count == len(qs)
+        assert llm.calls == len(qs)
 
-        llm2 = ConstantLLM(50)  # same provider_id, fresh counter
+        llm2 = CountingLLM(50)  # same provider_id, fresh counter
         second = score(indexed, qs, llm2, ScoreCache(tmp_path / "cache.jsonl"))
-        assert llm2.call_count == 0
+        assert llm2.calls == 0
         assert second.scores == first.scores
 
     def test_bad_line_before_the_last_raises(self, tmp_path):
@@ -163,6 +176,16 @@ class TestScoreFiling:
               ScoreCache(path))
         path.write_bytes(b"{torn\n" + path.read_bytes())
         with pytest.raises(PipelineError, match=f"^{path}: line 1 is not JSON: "):
+            ScoreCache(path)
+
+    def test_non_utf8_answer_line_raises(self, tmp_path):
+        """A bad byte is refused in an answer the key-and-score regex could read too."""
+        path = tmp_path / "cache.jsonl"
+        score(indexed_filing("some filing text"), small_questionset(), ConstantLLM(50),
+              ScoreCache(path))
+        first, second, *rest = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(first + second.replace(b"SCORE: 50", b"SCORE: \xff50") + b"".join(rest))
+        with pytest.raises(PipelineError, match=f"^{path}: line 2 is not UTF-8: "):
             ScoreCache(path)
 
     def test_unkeyed_records_dropped_from_file_once(self, tmp_path, caplog):
@@ -193,8 +216,8 @@ class TestScoreFiling:
         path = tmp_path / "cache.jsonl"
         writer = ScoreCache(path)
         for n, raw in enumerate(responses):
-            writer.put(key(n), ScoredAnswer(("TEST", "2020-02-01"), f"q{n}", 40 + n, raw,
-                                            [("TEST", "2020-02-01", n)]))
+            writer.put(key(n), ("TEST", "2020-02-01"), f"q{n}", 40 + n, raw,
+                       [("TEST", "2020-02-01", n)])
         writer.put_row(key(10), ("TEST", "2020-02-01"), [40, 41, 42])
         writer.flush()
         kept = path.read_text(encoding="utf-8") + "\n".join([
