@@ -61,7 +61,7 @@ class RateLimiter:
 
 def _decode(data: bytes, content_type: str) -> str:
     """EDGAR's bytes as text: the charset if named, else UTF-8 for JSON, else Latin-1."""
-    from email.message import Message  # loaded with urllib.request anyway
+    from email.message import Message  # loaded with http.client anyway
 
     header = Message()
     header["Content-Type"] = content_type

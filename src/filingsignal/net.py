@@ -1,15 +1,27 @@
 """HTTP requests through the standard library, and the retry policy of every client.
 
-``urllib.request`` loads ``ssl``, so it is imported on the first request:
-a run with the offline stub providers never pays for it. HTTPS is verified
-against the system CA store, through one TLS context that the process builds
-on its first https request and every later one shares.
+Requests go through ``http.client`` on kept-alive connections. A request
+takes an idle connection to its origin (scheme and host:port) from one free
+list, or opens a new one, and puts it back once the whole reply is read
+unless the server closed it. So N threads asking one endpoint hold at most N
+connections to it, and ``close_connections``, which every ``run_pipeline``
+calls as it ends, closes them all. After sending, a request sets
+TCP_QUICKACK where the platform has it: a server that writes headers and
+body in two sends with Nagle's algorithm on holds the body until the client
+ACKs the headers, which a delayed ACK puts off by about 40 ms.
+
+``http.client`` loads ``ssl``, so it is imported on the first request: a run
+with the offline stub providers never pays for it. HTTPS is verified against
+the system CA store, through one TLS context that the process builds on its
+first https request and every later one shares. Redirects are not followed,
+and no proxy is used.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import sys
 import threading
 import time
 from typing import Callable, Mapping, TypeVar
@@ -25,8 +37,12 @@ MAX_ATTEMPTS = 3
 MAX_RETRY_AFTER_S = 60.0
 sleep = time.sleep  # every wait between attempts goes through it
 
-_https_opener = None  # built by the first https request, under _https_lock
-_https_lock = threading.Lock()
+# The User-Agent of a request whose caller names none, as urllib sends it.
+USER_AGENT = "Python-urllib/%d.%d" % sys.version_info[:2]
+
+_lock = threading.Lock()
+_idle: dict[tuple[str, str], list] = {}  # (scheme, host:port) -> idle connections
+_tls_context = None  # built by the first https request
 
 T = TypeVar("T")
 
@@ -43,40 +59,93 @@ def request(url: str, headers: dict[str, str], body: bytes | None,
             timeout: float) -> tuple[int, bytes, Mapping[str, str]]:
     """GET ``url``, or POST ``body`` to it; returns (status, body, reply headers).
 
-    A 4xx or 5xx is returned like any other status. No response at all
-    (refused, reset, timed out, cut short) raises RetriableError.
+    Any status, a 3xx, 4xx or 5xx too, is returned like a 200. No response at
+    all (refused, reset, timed out, cut short) raises RetriableError. A kept-
+    alive connection that the server closed while it was idle ends before any
+    reply byte; the request is then sent once more, on a new connection.
     """
     import http.client
-    import urllib.error
-    import urllib.request
+    import ssl
 
-    req = urllib.request.Request(url, data=body, headers=headers)
-    open_url = _https().open if req.type == "https" else urllib.request.urlopen
+    parts = urlsplit(url)
+    origin = (parts.scheme, parts.netloc)
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    send = ("GET" if body is None else "POST", target, body,
+            {"User-Agent": USER_AGENT, **headers})
+    conn = _idle_connection(origin, timeout)
     try:
-        try:
-            resp = open_url(req, timeout=timeout)
-        except urllib.error.HTTPError as exc:
-            resp = exc  # a bad status still carries its body and headers
-        with resp:
-            return resp.status, resp.read(), resp.headers
+        reply = None
+        if conn is not None:
+            try:
+                reply = _send(conn, *send)
+            except (ConnectionResetError, BrokenPipeError, ssl.SSLEOFError):
+                conn.close()  # closed while idle (RemoteDisconnected is a reset too)
+        if reply is None:
+            conn = _new_connection(origin, timeout)
+            reply = _send(conn, *send)
+        data = reply.read()
     except (OSError, http.client.HTTPException) as exc:
+        if conn is not None:
+            conn.close()
         raise RetriableError(f"no response from {url}: {exc}") from exc
+    if reply.will_close:
+        conn.close()
+    else:
+        with _lock:
+            _idle.setdefault(origin, []).append(conn)
+    return reply.status, data, reply.headers
 
 
-def _https():
-    """The opener of every https request, whose one TLS context is built on
-    first use: left to itself, urllib builds a context per connection."""
-    global _https_opener
-    with _https_lock:
-        if _https_opener is None:
+def _send(conn, method: str, target: str, body: bytes | None, headers: dict[str, str]):
+    """Send one request on ``conn`` and return its reply, headers read."""
+    import socket
+
+    conn.request(method, target, body, headers)
+    if hasattr(socket, "TCP_QUICKACK"):  # Linux: ACK the reply's first send at once
+        conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
+    return conn.getresponse()
+
+
+def _idle_connection(origin: tuple[str, str], timeout: float):
+    """The idle connection to ``origin`` used last, set to ``timeout``; or None."""
+    with _lock:
+        idle = _idle.get(origin)
+        conn = idle.pop() if idle else None
+    if conn is not None:
+        conn.sock.settimeout(timeout)
+    return conn
+
+
+def _new_connection(origin: tuple[str, str], timeout: float):
+    """An unopened connection to ``origin``: the first request opens it."""
+    import http.client
+
+    scheme, netloc = origin
+    if scheme == "https":
+        return http.client.HTTPSConnection(netloc, timeout=timeout, context=_tls())
+    return http.client.HTTPConnection(netloc, timeout=timeout)
+
+
+def _tls():
+    """The TLS context of every https connection, built on first use: it loads
+    the CA store, tens of ms of CPU."""
+    global _tls_context
+    with _lock:
+        if _tls_context is None:
             import ssl
-            import urllib.request
 
-            context = ssl.create_default_context()
-            context.set_alpn_protocols(["http/1.1"])  # as urllib's own contexts
-            _https_opener = urllib.request.build_opener(
-                urllib.request.HTTPSHandler(context=context))
-        return _https_opener
+            _tls_context = ssl.create_default_context()
+            _tls_context.set_alpn_protocols(["http/1.1"])  # as http.client's own
+        return _tls_context
+
+
+def close_connections() -> None:
+    """Close every idle connection; a later request opens new ones."""
+    with _lock:
+        conns = [conn for idle in _idle.values() for conn in idle]
+        _idle.clear()
+    for conn in conns:
+        conn.close()
 
 
 def check_status(status: int, headers: Mapping[str, str], source: str) -> None:

@@ -53,6 +53,7 @@ from .errors import Failures, PipelineError, StageInputError
 from .llm_scoring import (MAX_WORKERS, ConstantLLM, HTTPChatLLM, KeywordLLM, QuestionSet,
                           RowInputs, ScoreCache, embed_questions, read_features_csv,
                           score_filing, write_features_csv)
+from .net import close_connections
 from .regression import DesignMatrix, NNLSModel, fit_nnls
 
 logger = logging.getLogger(__name__)
@@ -496,7 +497,7 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
     refused with a StageInputError naming that stage. The manifest is
     replaced whole after each stage (see ``write_atomic``). Returns the
     updated pipeline manifest. ``stages`` None runs every stage; an empty
-    list is refused.
+    list is refused. Every kept-alive HTTP connection is closed as it ends.
     """
     names = [s.name for s in STAGES]
     requested = names if stages is None else stages
@@ -513,39 +514,43 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
     if manifest_path.exists():
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
 
-    for stage in (s for s in STAGES if s.name in requested):
-        inputs = _input_hashes(config, stage)
-        _check_producers(config, stage, requested, manifest)
-        prior = manifest.get(stage.name)
-        if prior and not prior.get("retry_items") and prior["inputs"] == inputs and \
-                all(p.exists() for p in stage.outputs(config)) and \
-                prior["outputs"] == _output_hashes(config, stage):
-            logger.info("stage %s: inputs and outputs unchanged, skipped", stage.name)
-            continue
-        if prior and prior.get("retry_items"):
-            logger.info("stage %s: %d items of its last run to retry", stage.name,
-                        prior["retry_items"])
-        logger.info("stage %s: running", stage.name)
-        t0 = time.monotonic()
-        failures = Failures(config.out(f"{stage.name}_errors.jsonl"))
-        try:
-            stage.run(config, failures)
-        finally:
+    try:
+        for stage in (s for s in STAGES if s.name in requested):
+            inputs = _input_hashes(config, stage)
+            _check_producers(config, stage, requested, manifest)
+            prior = manifest.get(stage.name)
+            if prior and not prior.get("retry_items") and prior["inputs"] == inputs and \
+                    all(p.exists() for p in stage.outputs(config)) and \
+                    prior["outputs"] == _output_hashes(config, stage):
+                logger.info("stage %s: inputs and outputs unchanged, skipped", stage.name)
+                continue
+            if prior and prior.get("retry_items"):
+                logger.info("stage %s: %d items of its last run to retry", stage.name,
+                            prior["retry_items"])
+            logger.info("stage %s: running", stage.name)
+            t0 = time.monotonic()
+            failures = Failures(config.out(f"{stage.name}_errors.jsonl"))
+            try:
+                stage.run(config, failures)
+            finally:
+                if failures.items:
+                    write_atomic(failures.path, "".join(
+                        json.dumps({"item": item, "error": str(error)}) + "\n"
+                        for item, error in failures.items))
+                else:
+                    failures.path.unlink(missing_ok=True)
             if failures.items:
-                write_atomic(failures.path, "".join(
-                    json.dumps({"item": item, "error": str(error)}) + "\n"
-                    for item, error in failures.items))
-            else:
-                failures.path.unlink(missing_ok=True)
-        if failures.items:
-            logger.warning("stage %s: %d left out, each recorded in %s; %d of them "
-                           "for a cause that may pass, which the next run tries again",
-                           stage.name, len(failures.items), failures.path, failures.retriable)
-        manifest[stage.name] = {
-            "inputs": inputs,
-            "outputs": _output_hashes(config, stage),
-            "retry_items": failures.retriable,
-            "wall_time_s": round(time.monotonic() - t0, 3),
-        }
-        write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+                logger.warning("stage %s: %d left out, each recorded in %s; %d of them "
+                               "for a cause that may pass, which the next run tries again",
+                               stage.name, len(failures.items), failures.path,
+                               failures.retriable)
+            manifest[stage.name] = {
+                "inputs": inputs,
+                "outputs": _output_hashes(config, stage),
+                "retry_items": failures.retriable,
+                "wall_time_s": round(time.monotonic() - t0, 3),
+            }
+            write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    finally:
+        close_connections()
     return manifest

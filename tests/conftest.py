@@ -1,4 +1,5 @@
 import json
+import ssl
 import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -53,17 +54,36 @@ class _Server(ThreadingHTTPServer):
     # that overflows it waits about 1 s for a TCP retransmission.
     request_queue_size = 64
 
+    def __init__(self, handler, tls):
+        super().__init__(("127.0.0.1", 0), handler)
+        self.url = f"http{'s' * tls}://127.0.0.1:{self.server_address[1]}"
+        if tls:
+            context = ssl.create_default_context(ssl.Purpose.CLIENT_AUTH)
+            context.load_cert_chain(f"{FIXTURES}/loopback_cert.pem",
+                                    f"{FIXTURES}/loopback_key.pem")
+            self.socket = context.wrap_socket(self.socket, server_side=True)
+        self.lock = threading.Lock()
+        self.accepted = 0  # connections, each handled in its own thread
+        self.open = 0  # of them, not yet closed
+
+    def process_request(self, request, client_address):
+        with self.lock:
+            self.accepted += 1
+            self.open += 1
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        with self.lock:
+            self.open -= 1
+
 
 @contextmanager
-def loopback(reply):
-    """Serve ``reply(body, headers) -> (status, body, content type)`` on 127.0.0.1.
-
-    A reply may add a fourth item, a dict of more headers to send, such as
-    ``{"Retry-After": "2"}``. Yields the server's URL. Every request, GET or
-    POST, is answered in its own thread; leaving the block stops the server
-    and joins those threads.
-    """
+def _serve(reply, protocol, requests_per_connection=None, tls=False):
     class Handler(BaseHTTPRequestHandler):
+        protocol_version = protocol
+        handled = 0
+
         def log_message(self, *_):
             pass
 
@@ -77,19 +97,59 @@ def loopback(reply):
             self.send_header("Content-Length", str(len(data)))
             self.end_headers()
             self.wfile.write(data)
+            self.handled += 1
+            if self.handled == requests_per_connection:
+                self.close_connection = True  # without a word, as an idle timeout does
 
         do_GET = do_POST
 
-    server = _Server(("127.0.0.1", 0), Handler)
+    server = _Server(Handler, tls)
     thread = threading.Thread(target=server.serve_forever, args=(0.01,))
     thread.start()
     try:
-        yield f"http://127.0.0.1:{server.server_address[1]}"
+        yield server
     finally:
         server.shutdown()
         server.server_close()
         thread.join(timeout=10)
         assert not thread.is_alive()
+
+
+@contextmanager
+def loopback(reply):
+    """Serve ``reply(body, headers) -> (status, body, content type)`` on 127.0.0.1.
+
+    A reply may add a fourth item, a dict of more headers to send, such as
+    ``{"Retry-After": "2"}``. Yields the server's URL. Every request, GET or
+    POST, is answered in its own thread, over HTTP/1.0, so the client closes
+    each connection; leaving the block stops the server and joins those
+    threads.
+    """
+    with _serve(reply, "HTTP/1.0") as server:
+        yield server.url
+
+
+@contextmanager
+def kept_alive(reply, requests_per_connection=None, scheme="http"):
+    """``loopback`` over HTTP/1.1: a connection serves requests until the client
+    closes it, or until it has answered ``requests_per_connection``. Yields the
+    server, whose ``url``, ``accepted`` and ``open`` count its connections.
+
+    With ``scheme`` "https", the server presents ``fixtures/loopback_cert.pem``,
+    which the client trusts in place of the system CA store while the block
+    runs. Leaving the block first closes the client's idle connections as
+    ``run_pipeline`` does, since the server joins the thread of each one.
+    """
+    tls = scheme == "https"
+    with _serve(reply, "HTTP/1.1", requests_per_connection, tls) as server, \
+            pytest.MonkeyPatch.context() as patch:
+        if tls:
+            patch.setattr(net, "_tls_context", ssl.create_default_context(
+                cafile=f"{FIXTURES}/loopback_cert.pem"))
+        try:
+            yield server
+        finally:
+            net.close_connections()
 
 
 @pytest.fixture(autouse=True)

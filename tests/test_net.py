@@ -7,6 +7,7 @@ import socket
 import ssl
 import subprocess
 import sys
+import time
 
 import pytest
 import yaml
@@ -16,7 +17,7 @@ from filingsignal.embed_index import HTTPEmbeddingProvider
 from filingsignal.errors import FinalStatusError, PipelineError, RetriableError
 from filingsignal.llm_scoring import HTTPChatLLM
 
-from conftest import json_reply, loopback, synthetic_config
+from conftest import json_reply, kept_alive, loopback, synthetic_config
 from test_pipeline import SYNTH_STAGES, yaml_mapping
 
 
@@ -41,14 +42,18 @@ def test_200_with_json_is_answered(monkeypatch, make, call, answer, expected):
     seen = []
 
     def reply(body, headers):
-        seen.append((json.loads(body), headers["Content-Type"], headers["Authorization"]))
+        seen.append((json.loads(body), dict(headers)))
         return json_reply(answer)
 
     with loopback(reply) as url:
         assert call(make(url + "/v1", "m", api_key_env="PROVIDER_TEST_KEY")) == expected
-    [(payload, content_type, auth)] = seen
+    [(payload, headers)] = seen
     assert payload["model"] == "m"
-    assert (content_type, auth) == ("application/json", "Bearer sk-1")
+    # urllib's headers, without its Connection: close
+    assert headers == {"Host": url.removeprefix("http://"), "Accept-Encoding": "identity",
+                       "Content-Length": headers["Content-Length"],
+                       "User-Agent": "Python-urllib/%d.%d" % sys.version_info[:2],
+                       "Content-Type": "application/json", "Authorization": "Bearer sk-1"}
 
 
 @PROVIDERS
@@ -61,13 +66,13 @@ def test_status_that_may_pass_is_retriable_and_named(make, call, answer, expecte
 
 
 @PROVIDERS
-@pytest.mark.parametrize("status", [201, 400, 401, 404])
+@pytest.mark.parametrize("status", [201, 302, 400, 401, 404])
 def test_other_status_is_final_and_asked_once(make, call, answer, expected, status, slept):
     posts = []
 
     def reply(body, headers):
         posts.append(body)
-        return json_reply(answer, status)
+        return (*json_reply(answer, status), {"Location": "/v1"})  # not followed
 
     with loopback(reply) as url:
         with pytest.raises(FinalStatusError, match=f"HTTP {status} from the .* endpoint"):
@@ -154,7 +159,7 @@ def test_https_requests_share_one_tls_context(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(ssl.SSLContext, "__new__", counted)
-    monkeypatch.setattr(net, "_https_opener", None)  # as in a new process
+    monkeypatch.setattr(net, "_tls_context", None)  # as in a new process
     port = closed_port()
     with pytest.raises(RetriableError, match="no response from"):
         net.request(f"http://127.0.0.1:{port}/", {}, None, 5.0)
@@ -163,6 +168,72 @@ def test_https_requests_share_one_tls_context(monkeypatch):
         with pytest.raises(RetriableError, match="no response from"):
             net.request(f"https://127.0.0.1:{port}/", {}, None, 5.0)
     assert len(built) == 1
+
+
+@PROVIDERS
+@pytest.mark.parametrize("scheme", ["http", "https"])
+def test_serial_calls_share_one_connection(make, call, answer, expected, scheme):
+    with kept_alive(lambda body, headers: json_reply(answer), scheme=scheme) as server:
+        provider = make(server.url + "/v1", "m")
+        for _ in range(20):
+            assert call(provider) == expected
+        assert server.accepted == 1
+
+
+def test_serial_edgar_requests_share_one_connection(monkeypatch):
+    monkeypatch.setenv(edgar.CONTACT_ENV_VAR, "Research Bot research@example.com")
+    client = edgar.EdgarClient(limiter=edgar.RateLimiter(sleep=lambda s: None))
+    with kept_alive(lambda body, headers: (200, b"ok", "text/plain")) as server:
+        for _ in range(20):
+            assert client.get(server.url + "/doc.htm") == "ok"
+        assert server.accepted == 1
+
+
+@pytest.mark.parametrize("scheme", ["http", "https"])
+def test_connection_closed_while_idle_is_replaced(slept, scheme):
+    answers = iter(["SCORE: 1", "SCORE: 2"])
+    requests = []
+
+    def reply(body, headers):
+        requests.append(body)
+        return json_reply({"choices": [{"message": {"content": next(answers)}}]})
+
+    with kept_alive(reply, requests_per_connection=1, scheme=scheme) as server:
+        llm = HTTPChatLLM(server.url + "/v1", "m")
+        assert llm.complete("system", "first") == "SCORE: 1"
+        assert llm.complete("system", "second") == "SCORE: 2"
+        assert server.accepted == 2
+    assert [json.loads(body)["messages"][1]["content"] for body in requests] == \
+        ["first", "second"]
+    assert slept == []
+
+
+def test_each_request_keeps_its_own_timeout():
+    def reply(body, headers):
+        time.sleep(0.3 if body == b"slow" else 0.0)
+        return 200, b"ok", "text/plain"
+
+    with kept_alive(reply) as server:
+        assert net.request(server.url, {}, b"fast", 5.0)[:2] == (200, b"ok")
+        with pytest.raises(RetriableError, match="no response from .*timed out"):
+            net.request(server.url, {}, b"slow", 0.1)  # on the same connection
+        assert server.accepted == 1
+
+
+@pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="Linux only")
+def test_reply_sent_in_two_parts_is_not_held_by_a_delayed_ack():
+    """The loopback handler writes headers and body in two sends, Nagle's
+    algorithm on, as ``benchmarks/chat_stub.py`` does. Were the headers' ACK
+    delayed, the body would wait for it, about 40 ms a call."""
+    answer = json_reply({"choices": [{"message": {"content": "SCORE: 7"}}]})
+    with kept_alive(lambda body, headers: answer) as server:
+        llm = HTTPChatLLM(server.url + "/v1", "m")
+        start = time.monotonic()
+        for _ in range(20):
+            assert llm.complete("system", "user") == "SCORE: 7"
+        elapsed = time.monotonic() - start
+        assert server.accepted == 1
+    assert elapsed < 0.5
 
 
 @pytest.mark.parametrize("content_type, data, text", [
@@ -221,8 +292,10 @@ def test_stub_run_loads_no_http_client(synth_root, tmp_path):
     argv = ["pipeline", "--config", str(cfg_path), "--stages", *SYNTH_STAGES]
     script = ("import sys\nfrom filingsignal import cli\n"
               f"assert cli.main({argv!r}) == 0\n"
-              "print(sorted({'urllib.request', 'ssl'} & set(sys.modules)))\n")
+              "print(sorted({'urllib.request', 'ssl'} & set(sys.modules)))\n"
+              "print('http.client' in sys.modules)\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, timeout=300, env=env, check=True).stdout
-    assert out.splitlines()[-1] == "[]"
+    assert out.splitlines()[-2] == "[]"
+    assert out.splitlines()[-1] == "False"

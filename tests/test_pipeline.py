@@ -22,7 +22,7 @@ from filingsignal.pipeline import PipelineConfig, run_pipeline
 from filingsignal.regression import NNLSModel
 from filingsignal.synthetic import PLANTED_PHRASE, make_workspace
 
-from conftest import assert_cache_holds, json_reply, loopback, synthetic_config
+from conftest import assert_cache_holds, json_reply, kept_alive, loopback, synthetic_config
 
 SYNTH_STAGES = ["embed", "score", "returns", "label", "train", "backtest"]
 
@@ -1746,6 +1746,26 @@ class TestScorePool:
         assert 1 <= server.calls <= MAX_WORKERS
         assert not (tmp_path / "out" / "score_errors.jsonl").exists()
         assert "score" not in json.loads((tmp_path / "out" / pipeline.MANIFEST_FILE).read_text())
+
+    def test_run_holds_a_connection_per_worker_and_closes_them(self, synth_root,
+                                                               tmp_path):
+        questions = pipeline.load_questions(synthetic_config(synth_root, tmp_path))
+        server = ChatServer(questions.questions, lambda i: 0.001)
+        with kept_alive(server) as http:
+            config = self.http_config(synth_root, tmp_path, "out", filings=3,
+                                      url=http.url)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # switch threads often, to shake out races
+            try:
+                run_pipeline(config, ["embed", "score"])
+            finally:
+                sys.setswitchinterval(interval)
+            assert server.calls == 3 * len(questions)  # no connection handed out twice
+            assert 1 <= http.accepted <= MAX_WORKERS
+            deadline = time.monotonic() + 10  # the server sees each close a moment later
+            while http.open and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert http.open == 0
 
     def test_pool_threads_end_with_the_stage(self, synth_root, tmp_path):
         questions = pipeline.load_questions(synthetic_config(synth_root, tmp_path))
