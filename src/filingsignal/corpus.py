@@ -311,14 +311,15 @@ class CorpusStore:
         if key in self._records:
             return False
         rel = f"{FILINGS_DIR}/{filing.ticker}_{filing.filing_date.isoformat()}.txt"
-        (self.root / rel).write_text(filing.clean_text, encoding="utf-8")
+        data = filing.clean_text.encode("utf-8")
+        (self.root / rel).write_bytes(data)
         rec = ManifestRecord(
             ticker=filing.ticker,
             cik=filing.cik,
             filing_date=filing.filing_date.isoformat(),
             accession_id=filing.accession_id,
             path=rel,
-            sha256=hashlib.sha256(filing.clean_text.encode("utf-8")).hexdigest(),
+            sha256=hashlib.sha256(data).hexdigest(),
         )
         with open(self.manifest_path, "a", encoding="utf-8") as f:
             f.write(json.dumps(asdict(rec)) + "\n")
@@ -326,15 +327,26 @@ class CorpusStore:
         return True
 
     def load(self, key: tuple[str, str]) -> Filing:
+        """The stored filing with this key, its text as ``add`` wrote it.
+
+        A file whose bytes do not hash as its manifest record says raises
+        PipelineError naming it: the stages' skip check hashes the manifest,
+        not the texts, so this is where an edited text is caught."""
         rec = self._records[key]
-        text = (self.root / rec.path).read_text(encoding="utf-8")
+        path = self.root / rec.path
+        data = path.read_bytes()
+        if hashlib.sha256(data).hexdigest() != rec.sha256:
+            raise PipelineError(
+                f"{path} was changed after ingest stored it: its sha256 is not the "
+                f"{rec.sha256} that {self.manifest_path} records; restore the file, or "
+                "remove its line from the manifest and run stage 'ingest' to fetch it again")
         return Filing(
             ticker=rec.ticker,
             cik=rec.cik,
             accession_id=rec.accession_id,
             filing_date=date.fromisoformat(rec.filing_date),
             raw_uri="",
-            clean_text=text,
+            clean_text=data.decode("utf-8"),
         )
 
     def load_all(self) -> list[Filing]:

@@ -6,14 +6,15 @@ asks the provider only prompts it has not seen; a filing either yields a full
 feature row or none at all. The same file memoizes each full row, keyed on
 every input its prompts are built from, so a rerun retrieves and builds
 prompts only for the filings whose inputs changed. A filing's uncached
-prompts may be asked through a pool of threads, and the cache and the row
-come out the same as when they are asked one by one.
+prompts may be asked through a pool of threads while later filings are
+planned, and a prompt already in flight is not asked again; the answers and
+rows are still put in filing and question order, so the cache and the rows
+come out the same as when every prompt is asked one by one.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import json
 import logging
@@ -24,21 +25,17 @@ import threading
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
 from .corpus import Chunk, Filing, json_line, read_whole_lines, write_atomic, write_csv
 from .embed_index import ChunkRef, EmbeddingProvider, VectorIndex, embed_text
 from .errors import PipelineError, RetriableError
-from .net import check_endpoint, post_json, with_retries
+from .net import Calls, check_endpoint, post_json, with_retries
 
 logger = logging.getLogger(__name__)
 
-# Provider calls in flight at once when a filing's uncached questions go
-# through a thread pool. It changes no output, so no config field or stage
-# hash holds it.
-MAX_WORKERS = 8
 CHAT_TIMEOUT_S = 120.0
 
 SYSTEM_PROMPT = (
@@ -320,7 +317,10 @@ class ScoreCache:
 
     def put(self, key: str, filing_key: tuple[str, str], question_id: str, score: int,
             raw_response: str, context_chunk_refs: list[ChunkRef]) -> int:
-        """Keep one answer unless the key is held; the score held for the key."""
+        """Keep one answer unless the key is held; the score held for the key.
+
+        A prompt that two questions or filings miss is asked once (see
+        ``score_filing``) and put by both: the second put writes nothing."""
         if key in self._scores:
             return self._scores[key]
         self._scores[key] = score
@@ -410,10 +410,11 @@ def score_filing(
     inputs: RowInputs,
     index: VectorIndex,
     cache: ScoreCache,
-    map_calls: Callable[[Callable[[_Miss], tuple[str, int]], Iterable[_Miss]],
-                        Iterator[tuple[str, int]]],
-) -> FeatureRow:
-    """Score every question for one filing; all-or-nothing.
+    calls: Calls,
+    in_flight: dict[str, Callable[[], tuple[str, int]]],
+) -> Callable[[], FeatureRow]:
+    """Start scoring every question of one filing, all-or-nothing; returns the
+    function that ends it and returns the row.
 
     ``chunks`` are the filing's own chunks in chunk_index order, as the index
     was built from them. The row key is a sha256 over ``inputs.key``, the
@@ -421,45 +422,70 @@ def score_filing(
     index in chunk order: every input the row's prompts are built from. A row
     the cache holds under it is returned as it is. Otherwise, for each
     question in order, this thread retrieves the filing's top chunks, builds
-    the prompt and looks it up in ``cache``. The misses are then asked of
-    ``inputs.llm`` through ``map_calls``: the builtin ``map`` asks them one by
-    one, an executor's ``map`` overlaps them. Either way the answers are put
-    in the cache in question order, as they are read, and then the row under
-    its row key. Any question that stays unparseable or unreachable after
-    its attempts fails the whole row (partial rows would corrupt the design
-    matrix): its error is raised and no row is put. The answers put before
-    it are flushed to the cache.
+    the prompt and looks it up in ``cache``. A miss whose prompt is in
+    ``in_flight``, asked for an earlier question or filing, takes that ask;
+    any other is submitted to ``calls`` and held in ``in_flight`` until this
+    filing ends, so a prompt in flight is asked once.
+
+    The end, called on the same thread and in filing order, waits for the
+    answers and puts them in the cache in question order, then the row under
+    its row key. A miss whose borrowed ask failed or was stopped is asked
+    again then. Any question that stays unparseable or unreachable after its
+    attempts fails the whole row (partial rows would corrupt the design
+    matrix): the end raises its error, or one met while planning, and puts
+    no row. Either way the answers put are flushed to the cache.
     """
     key = filing.key
     row_key = _sha256_of([inputs.key.encode("ascii"), *(part.encode("utf-8") for part in key),
                           *(h.encode("ascii") for h in index.hashes_of(key)),
                           index.vectors_of(key).tobytes()])
     if (memo := cache.get_row(row_key)) is not None:
-        return FeatureRow(key, list(memo))
-    llm = inputs.llm
+        return lambda: FeatureRow(key, list(memo))
+    llm, failure = inputs.llm, _FirstFailure()
     scores: list[int | None] = []
-    misses: list[_Miss] = []
-    for question, query in zip(inputs.qs.questions, inputs.queries, strict=True):
-        hits = index.top_k(query, inputs.chunks_per_question, filing_key=key)
-        if not hits:
-            raise PipelineError(f"no indexed chunks for filing {key}")
-        context = [chunks[chunk_index] for (_, _, chunk_index), _ in hits]
-        system_prompt, user_prompt = build_prompt(question.text, context)
-        pkey = prompt_key(llm.provider_id, system_prompt, user_prompt)
-        scores.append(cache.get(pkey))
-        if scores[-1] is None:
-            misses.append(_Miss(len(scores) - 1, question.question_id, pkey, system_prompt,
-                                user_prompt, [ref for ref, _ in hits]))
-    ask = functools.partial(_ask, llm, _FirstFailure())
+    asks: list[tuple[_Miss, Callable, bool]] = []  # each miss, its ask, and if this filing made it
+    error = None
     try:
-        for miss, (raw, score) in zip(misses, map_calls(ask, misses)):
-            # Two questions with one prompt both miss; both get the first answer.
-            scores[miss.position] = cache.put(miss.key, key, miss.question_id, score, raw,
-                                              miss.refs)
-        cache.put_row(row_key, key, scores)
-    finally:
-        cache.flush()
-    return FeatureRow(key, scores)
+        for question, query in zip(inputs.qs.questions, inputs.queries, strict=True):
+            hits = index.top_k(query, inputs.chunks_per_question, filing_key=key)
+            if not hits:
+                raise PipelineError(f"no indexed chunks for filing {key}")
+            context = [chunks[chunk_index] for (_, _, chunk_index), _ in hits]
+            system_prompt, user_prompt = build_prompt(question.text, context)
+            pkey = prompt_key(llm.provider_id, system_prompt, user_prompt)
+            scores.append(cache.get(pkey))
+            if scores[-1] is None:
+                miss = _Miss(len(scores) - 1, question.question_id, pkey, system_prompt,
+                             user_prompt, [ref for ref, _ in hits])
+                own = pkey not in in_flight
+                if own:
+                    in_flight[pkey] = calls.submit(_ask, llm, failure, miss)
+                asks.append((miss, in_flight[pkey], own))
+    except PipelineError as exc:  # raised by the end, in filing order
+        error = exc
+
+    def end() -> FeatureRow:
+        try:
+            if error is not None:
+                raise error
+            for miss, ask, own in asks:
+                try:
+                    raw, score = ask()
+                except PipelineError:
+                    if own:
+                        raise
+                    raw, score = calls.call(_ask, llm, failure, miss)
+                scores[miss.position] = cache.put(miss.key, key, miss.question_id, score, raw,
+                                                  miss.refs)
+            cache.put_row(row_key, key, scores)
+        finally:
+            cache.flush()
+            for miss, _, own in asks:
+                if own:
+                    del in_flight[miss.key]
+        return FeatureRow(key, scores)
+
+    return end
 
 
 # --- features.csv -------------------------------------------------------------

@@ -10,6 +10,10 @@ TCP_QUICKACK where the platform has it: a server that writes headers and
 body in two sends with Nagle's algorithm on holds the body until the client
 ACKs the headers, which a delayed ACK puts off by about 40 ms.
 
+``Calls`` is where a stage makes its provider calls: on a pool of threads
+for a provider that waits on the network, or one by one on the stage's own
+thread, and in either case a final status stops every call not yet started.
+
 ``http.client`` loads ``ssl``, so it is imported on the first request: a run
 with the offline stub providers never pays for it. HTTPS is verified against
 the system CA store, through one TLS context that the process builds on its
@@ -24,6 +28,7 @@ import logging
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Mapping, TypeVar
 from urllib.parse import urlsplit
 
@@ -35,6 +40,9 @@ logger = logging.getLogger(__name__)
 # a prompt) before its failure is final; the longest Retry-After obeyed.
 MAX_ATTEMPTS = 3
 MAX_RETRY_AFTER_S = 60.0
+# Provider calls in flight at once when a stage overlaps them. It changes no
+# output, so no config field or stage hash holds it.
+MAX_WORKERS = 8
 sleep = time.sleep  # every wait between attempts goes through it
 
 # The User-Agent of a request whose caller names none, as urllib sends it.
@@ -211,3 +219,53 @@ def with_retries(call: Callable[[], T], item: str,
             error = exc
     failure = RetriableError if isinstance(error, RetriableError) else PipelineError
     raise failure(f"{item} failed {made} times: {error}") from error
+
+
+class Calls:
+    """Where one stage makes its provider calls: on ``workers`` threads, or with
+    0 on the caller's thread as each call is submitted. Use it as a context
+    manager; leaving it drops the calls not yet started and waits for the rest.
+
+    Once a call has raised FinalStatusError, every call that has not yet
+    started raises it too, without a request, since every item would get it.
+    """
+
+    def __init__(self, workers: int):
+        self._pool = ThreadPoolExecutor(workers, thread_name_prefix="provider") \
+            if workers else None
+        self._final: FinalStatusError | None = None
+        self.submitted = 0  # calls submitted so far
+
+    def __enter__(self) -> "Calls":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+
+    def submit(self, fn: Callable[..., T], *args) -> Callable[[], T]:
+        """Start ``call(fn, *args)``; returns the function that returns its value
+        or raises its error, waiting for it on a worker. Without workers the
+        call is made here and now, and no future is made for it."""
+        self.submitted += 1
+        if self._pool is not None:
+            return self._pool.submit(self.call, fn, *args).result
+        try:
+            value = self.call(fn, *args)
+        except Exception as exc:
+            error = exc
+
+            def failed() -> T:
+                raise error
+            return failed
+        return lambda: value
+
+    def call(self, fn: Callable[..., T], *args) -> T:
+        """``fn(*args)`` on this thread, unless a call has raised FinalStatusError."""
+        if self._final is not None:
+            raise FinalStatusError(str(self._final))
+        try:
+            return fn(*args)
+        except FinalStatusError as exc:
+            self._final = exc
+            raise

@@ -17,8 +17,14 @@ texts the previous index does not hold; a filing it cannot embed is left out.
 The score stage chunks each filing as it scores it, and refuses a filing whose
 chunk texts differ from its rows in the index; a filing whose row inputs are
 unchanged gets its row from the score cache without retrieval.
-A provider that waits on the network is asked a filing's uncached questions
-through a bounded thread pool.
+The score stage goes through the filings in corpus order with ``_in_order``.
+For a chat provider that waits on the network it starts the next filings'
+calls on a bounded thread pool while earlier ones are in flight, and still
+ends each filing in corpus order, so the score cache and the features hold
+the same bytes as when every call is made one by one. The embed stage makes
+its calls one by one.
+An ingest run made only to retry the tickers its last run left out, which
+its manifest record keeps, resolves only those tickers.
 
 Every declared output and the manifest are replaced whole through
 ``write_atomic``, the manifest after each stage, so a run killed at any point
@@ -33,11 +39,11 @@ import inspect
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import date
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 import yaml
@@ -50,10 +56,10 @@ from .edgar import EdgarClient, fetch_filing, resolve_filings
 from .embed_index import (INDEX_FILE, HashEmbeddingProvider, HTTPEmbeddingProvider,
                           VectorIndex, embed_item)
 from .errors import Failures, PipelineError, StageInputError
-from .llm_scoring import (MAX_WORKERS, ConstantLLM, HTTPChatLLM, KeywordLLM, QuestionSet,
-                          RowInputs, ScoreCache, embed_questions, read_features_csv,
-                          score_filing, write_features_csv)
-from .net import close_connections
+from .llm_scoring import (ConstantLLM, HTTPChatLLM, KeywordLLM, QuestionSet, RowInputs,
+                          ScoreCache, embed_questions, read_features_csv, score_filing,
+                          write_features_csv)
+from .net import MAX_WORKERS, Calls, close_connections
 from .regression import DesignMatrix, NNLSModel, fit_nnls
 
 logger = logging.getLogger(__name__)
@@ -216,14 +222,21 @@ def load_questions(config: PipelineConfig) -> QuestionSet:
 # --- stage implementations ----------------------------------------------------
 
 
-def stage_ingest(config: PipelineConfig, failures: Failures) -> None:
+def stage_ingest(config: PipelineConfig, failures: Failures,
+                 retry_of: list[str] | None) -> None:
+    """Fetch and store every ticker's 10-Ks in the configured years; with
+    ``retry_of``, the items of a last run made with the same inputs, resolve
+    only the tickers those items name."""
     if not config.universe_csv:
         raise PipelineError("stage 'ingest' needs universe_csv: the tickers and CIKs to fetch")
     universe = TickerUniverse.from_csv(config.universe_csv)
+    if retry_of is not None:  # the tickers of `TICKER` and `TICKER DATE` items
+        named = {name for item in retry_of for name in (item, item.rsplit(" ", 1)[0])}
+        universe = TickerUniverse([e for e in universe.entries if e.ticker in named])
     client = EdgarClient()
     store = CorpusStore(config.corpus_dir)
     entries = resolve_filings(client, universe, config.year_from, config.year_to, failures)
-    if failures.items and not entries:
+    if failures.items and not entries and retry_of is None:  # a retry keeps the rest
         raise failures.refusal("no ticker resolved to a filing")
     for entry in entries:
         key = (entry.ticker, entry.filing_date.isoformat())
@@ -257,6 +270,47 @@ def _reusable_vectors(index_dir: str, provider_id: str) -> dict[str, np.ndarray]
                     index_dir, previous.provider_id)
         return {}
     return dict(zip(previous.hashes, previous.vectors))
+
+
+def _in_order(provider, items: Iterable, start: Callable, finish: Callable) -> None:
+    """``finish(item, start(item, calls))`` for each of ``items``, both on this
+    thread and in item order; ``start`` submits the item's provider calls to
+    ``calls`` (see ``net.Calls``).
+
+    Which providers' calls overlap is decided here. Only a provider that
+    waits on the network gains from it: for the http chat provider ``calls``
+    has MAX_WORKERS threads, and the oldest item is finished only once the
+    items started after it hold 2 × MAX_WORKERS calls (an item without calls
+    counts as one), so no worker idles while this thread waits for it. The
+    in-process stubs would only add hand-offs under the GIL, so their calls
+    are made as they are submitted and each item is finished before the next
+    starts. An error that ``start`` raises is raised once the items before
+    it are finished. The embed stage does not come through here: no
+    benchmark workload embeds over the network, so an overlap of the http
+    embedder would show no measured gain.
+    """
+    network = isinstance(provider, HTTPChatLLM)
+    started: deque = deque()  # (item, what start returned, its calls or 1)
+
+    def finish_oldest():
+        item, begun, _ = started.popleft()
+        finish(item, begun)
+
+    with Calls(MAX_WORKERS if network else 0) as calls:
+        for item in items:
+            submitted = calls.submitted
+            try:
+                begun = start(item, calls)
+            except Exception:
+                while started:
+                    finish_oldest()
+                raise
+            started.append((item, begun, max(1, calls.submitted - submitted)))
+            while started and (not network or sum(weight for *_, weight in started)
+                               - started[0][2] >= 2 * MAX_WORKERS):
+                finish_oldest()
+        while started:
+            finish_oldest()
 
 
 def stage_embed(config: PipelineConfig, failures: Failures) -> None:
@@ -303,23 +357,26 @@ def stage_score(config: PipelineConfig, failures: Failures) -> None:
         )
     inputs = RowInputs(qs, embed_questions(qs, embedder), llm, config.chunks_per_question)
     cache = ScoreCache(config.out("score_cache.jsonl"))
+    in_flight = {}  # prompt key -> its ask, until the filing that made it ends
     rows = []
-    with ThreadPoolExecutor(MAX_WORKERS, thread_name_prefix="score") as pool:
-        # Only a provider that waits on the network gains from overlapping its
-        # calls; the in-process stubs would only add hand-offs under the GIL.
-        map_calls = pool.map if isinstance(llm, HTTPChatLLM) else map
-        for filing in store.load_all():
-            chunks = chunk_filing(filing, config.chunk_chars, config.overlap_chars)
-            indexed = index.hashes_of(filing.key)
-            if indexed and indexed != [chunk.sha256 for chunk in chunks]:
-                raise StageInputError(
-                    f"filing {filing.ticker} {filing.filing_date} has {len(chunks)} "
-                    f"chunks unlike its {len(indexed)} rows in the index in "
-                    f"{config.index_dir}", "embed")
-            try:
-                rows.append(score_filing(filing, chunks, inputs, index, cache, map_calls))
-            except PipelineError as exc:
-                failures.record(f"{filing.ticker} {filing.filing_date}", exc)
+
+    def start(filing, calls):
+        chunks = chunk_filing(filing, config.chunk_chars, config.overlap_chars)
+        indexed = index.hashes_of(filing.key)
+        if indexed and indexed != [chunk.sha256 for chunk in chunks]:
+            raise StageInputError(
+                f"filing {filing.ticker} {filing.filing_date} has {len(chunks)} "
+                f"chunks unlike its {len(indexed)} rows in the index in "
+                f"{config.index_dir}", "embed")
+        return score_filing(filing, chunks, inputs, index, cache, calls, in_flight)
+
+    def finish(filing, end):
+        try:
+            rows.append(end())
+        except PipelineError as exc:
+            failures.record(f"{filing.ticker} {filing.filing_date}", exc)
+
+    _in_order(llm, store.load_all(), start, finish)
     if failures.items and not rows:
         raise failures.refusal("no filing was scored")
     write_features_csv(config.out("features.csv"), rows, qs)
@@ -407,19 +464,25 @@ class Stage:
     fields named in ``config_keys``. ``run`` records each item it leaves out
     (a filing, a price series, a window) in its ``Failures`` and goes on;
     a stage that kept no item raises ``Failures.refusal``.
+
+    A stage with ``narrows_retries`` is given a third argument: on a run made
+    only for its retry items, with its inputs and outputs unchanged, the
+    items its last run left out, which its manifest record keeps as
+    ``retry_of``; on any other run, None.
     """
 
     name: str
-    run: Callable[[PipelineConfig, Failures], None]
+    run: Callable[..., None]  # (config, failures[, retry_of])
     config_keys: tuple[str, ...]
     inputs: Callable[[PipelineConfig], list[Path]]
     outputs: Callable[[PipelineConfig], list[Path]]
+    narrows_retries: bool = False
 
 
 STAGES = [
     Stage("ingest", stage_ingest, ("universe_csv", "year_from", "year_to"),
           lambda c: [Path(c.universe_csv)] if c.universe_csv else [],
-          lambda c: [c.corpus_manifest]),
+          lambda c: [c.corpus_manifest], narrows_retries=True),
     Stage("embed", stage_embed, ("chunk_chars", "overlap_chars", "embedding_provider"),
           lambda c: [c.corpus_manifest],
           lambda c: [c.index_file]),
@@ -519,9 +582,10 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
             inputs = _input_hashes(config, stage)
             _check_producers(config, stage, requested, manifest)
             prior = manifest.get(stage.name)
-            if prior and not prior.get("retry_items") and prior["inputs"] == inputs and \
-                    all(p.exists() for p in stage.outputs(config)) and \
-                    prior["outputs"] == _output_hashes(config, stage):
+            unchanged = bool(prior) and prior["inputs"] == inputs and \
+                all(p.exists() for p in stage.outputs(config)) and \
+                prior["outputs"] == _output_hashes(config, stage)
+            if unchanged and not prior.get("retry_items"):
                 logger.info("stage %s: inputs and outputs unchanged, skipped", stage.name)
                 continue
             if prior and prior.get("retry_items"):
@@ -530,8 +594,10 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
             logger.info("stage %s: running", stage.name)
             t0 = time.monotonic()
             failures = Failures(config.out(f"{stage.name}_errors.jsonl"))
+            retry_of = (prior.get("retry_of") if unchanged else None,) \
+                if stage.narrows_retries else ()
             try:
-                stage.run(config, failures)
+                stage.run(config, failures, *retry_of)
             finally:
                 if failures.items:
                     write_atomic(failures.path, "".join(
@@ -550,6 +616,8 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
                 "retry_items": failures.retriable,
                 "wall_time_s": round(time.monotonic() - t0, 3),
             }
+            if stage.narrows_retries:
+                manifest[stage.name]["retry_of"] = [item for item, _ in failures.items]
             write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     finally:
         close_connections()

@@ -1,12 +1,15 @@
 import json
 import ssl
 import threading
+import time
+from collections import Counter
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from filingsignal import net
+from filingsignal.llm_scoring import KeywordLLM
 from filingsignal.synthetic import PLANTED_PHRASE, make_workspace
 
 FIXTURES = __file__.rsplit("/", 1)[0] + "/fixtures"
@@ -47,6 +50,47 @@ def assert_cache_holds(cache, text):
 def json_reply(obj, status=200):
     """A ``loopback`` reply carrying ``obj`` as JSON."""
     return status, json.dumps(obj).encode(), "application/json"
+
+
+class ChatServer:
+    """A ``loopback`` chat endpoint that HTTPChatLLM talks to in place of a network.
+
+    Each call sleeps ``delay_s(question position)`` and then answers as the
+    synthetic workspace's keyword stub would, with the status that ``status``
+    gives: a number, or a function of the question's position and how often
+    its prompt was asked before. It counts the calls, the most in flight at
+    once and the order in which questions finish.
+    """
+
+    def __init__(self, questions, delay_s, status=200):
+        self.position = {q.text: i for i, q in enumerate(questions)}
+        self.delay_s = delay_s
+        self.status = status if callable(status) else lambda position, asked: status
+        self.llm = KeywordLLM(PLANTED_PHRASE, 30, 10, 8)
+        self.lock = threading.Lock()
+        self.calls = 0
+        self.in_flight = 0
+        self.peak = 0
+        self.finished: list[int] = []
+        self.asked: Counter = Counter()  # by prompt
+
+    def __call__(self, body, headers):
+        system, user = (m["content"] for m in json.loads(body)["messages"])
+        position = self.position[user.rsplit("Question: ", 1)[1]]
+        with self.lock:
+            self.calls += 1
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            status = self.status(position, self.asked[system, user])
+            self.asked[system, user] += 1
+        time.sleep(self.delay_s(position))
+        with self.lock:
+            self.in_flight -= 1
+            self.finished.append(position)
+        if status != 200:
+            return json_reply({"error": "overloaded"}, status)
+        return json_reply({"choices": [{"message": {
+            "content": self.llm.complete(system, user)}}]})
 
 
 class _Server(ThreadingHTTPServer):

@@ -2,8 +2,9 @@
 
 ``benchmarks/traced_run.py`` wraps functions by name and leaves a metric out,
 with a note, when a name is gone; these tests turn such a rename, a stage the
-benchmark does not request, or a hook the yearly update bypasses into a
-failure. They only read ``benchmarks/`` and ``BENCHMARK.json``.
+benchmark does not request, a hook the yearly update or the HTTP providers'
+path bypasses, or a hook called off the stage's thread into a failure. They
+only read ``benchmarks/`` and ``BENCHMARK.json``.
 """
 
 import ast
@@ -11,16 +12,19 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from collections import defaultdict
 from pathlib import Path
 
 import yaml
 
 from filingsignal import market_data, pipeline
 from filingsignal.corpus import CorpusStore
+from filingsignal.embed_index import HashEmbeddingProvider
 from filingsignal.pipeline import run_pipeline
 
-from conftest import synthetic_config
-from test_pipeline import corpus_copy, yaml_mapping
+from conftest import ChatServer, json_reply, kept_alive, synthetic_config
+from test_pipeline import SYNTH_STAGES, corpus_copy, yaml_mapping
 
 ROOT = Path(__file__).resolve().parents[1]
 # Computed by benchmarks/run.py across runs, never by one traced run.
@@ -64,6 +68,73 @@ def test_traced_yearly_update_reports_every_per_layer_metric(synth_root, tmp_pat
     result = traced_run(config, tmp_path)
     assert_every_per_layer_metric(result)
     assert result["metrics"]["embed_index.embed_texts"] > 0
+
+
+def http_providers(config, chat_url, embed_url=None):
+    """``config`` with the http LLM at ``chat_url``, and the http embedder at ``embed_url``."""
+    config.llm_provider = {"name": "http", "endpoint": chat_url + "/v1", "model": "m"}
+    if embed_url:
+        config.embedding_provider = {"name": "http", "endpoint": embed_url + "/v1",
+                                     "model": "m"}
+    return config
+
+
+def test_traced_http_run_reports_every_per_layer_metric(synth_root, tmp_path):
+    """The benchmark's slow-provider path, the http LLM, still passes through
+    every wrapped function."""
+    questions = pipeline.load_questions(synthetic_config(synth_root, tmp_path))
+    server = ChatServer(questions.questions, lambda i: 0.0)
+    with kept_alive(server) as chat:
+        config = http_providers(synthetic_config(synth_root, tmp_path), chat.url)
+        result = traced_run(config, tmp_path)
+    assert_every_per_layer_metric(result)
+    assert result["metrics"]["llm_scoring.provider_calls"] == server.calls > 0
+
+
+class HookThreads:
+    """Stands in for the benchmark's ``Tracer``: each function it is asked to
+    wrap records the names of the threads that call it. The wraps are undone
+    with ``monkeypatch``."""
+
+    def __init__(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+        self.threads: dict[str, set[str]] = defaultdict(set)
+
+    def wrap(self, owner, attr, name, on_result=None):
+        raw = vars(owner).get(attr) if isinstance(owner, type) else None
+        original = raw.__func__ if isinstance(raw, classmethod) else getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            self.threads[name].add(threading.current_thread().name)
+            return original(*args, **kwargs)
+
+        self.monkeypatch.setattr(owner, attr,
+                                 classmethod(wrapper) if isinstance(raw, classmethod) else wrapper)
+
+
+def test_only_provider_calls_leave_the_stage_thread(synth_root, tmp_path, monkeypatch):
+    """The tracer keeps one span stack, so every function it wraps but the
+    chat provider's calls must run on the stage's thread, the http path too."""
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    import traced_run as benchmark
+
+    hooks = HookThreads(monkeypatch)
+    benchmark.install(hooks)
+    questions = pipeline.load_questions(synthetic_config(synth_root, tmp_path))
+    stub = HashEmbeddingProvider(64, 0)
+    with kept_alive(ChatServer(questions.questions, lambda i: 0.0)) as chat, \
+            kept_alive(lambda body, headers: json_reply(
+                {"embeddings": stub.embed_batch(json.loads(body)["texts"])})) as embedder:
+        run_pipeline(http_providers(synthetic_config(synth_root, tmp_path), chat.url,
+                                    embedder.url), SYNTH_STAGES)
+    stage_thread = threading.current_thread().name
+    # The loopback embedder calls the wrapped stub's embed_batch on its own thread.
+    providers = {"llm_scoring.provider", "embed_index.embed_batch"}
+    assert {name: threads for name, threads in hooks.threads.items()
+            if name not in providers} == \
+        {name: {stage_thread} for name in hooks.threads if name not in providers}
+    assert "llm_scoring.score_filing" in hooks.threads
+    assert hooks.threads["llm_scoring.provider"] - {stage_thread}  # the chat calls overlapped
 
 
 def test_benchmark_runs_every_stage_after_ingest():

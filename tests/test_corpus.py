@@ -189,3 +189,21 @@ class TestStore:
         store.add(make_filing("b", ticker="BBB"))
         store.add(make_filing("a", ticker="AAA"))
         assert store.keys() == [("AAA", "2020-01-01"), ("BBB", "2020-01-01")]
+
+    def test_text_loads_as_it_was_stored(self, tmp_path):
+        """No newline translation: a stored carriage return comes back as one."""
+        store = CorpusStore(tmp_path)
+        filing = make_filing("first line\r\nsecond\rthird\n")
+        store.add(filing)
+        assert CorpusStore(tmp_path).load(filing.key).clean_text == filing.clean_text
+
+    def test_edited_text_is_refused(self, tmp_path):
+        store = CorpusStore(tmp_path)
+        filing = make_filing("revenue grew in every segment")
+        store.add(filing)
+        path = tmp_path / "filings" / "TEST_2020-01-01.txt"
+        path.write_text("revenue fell in every segment")
+        with pytest.raises(PipelineError, match=(
+                f"^{path} was changed after ingest stored it: .* restore the file, or remove "
+                "its line from the manifest and run stage 'ingest'")):
+            store.load_all()

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import shutil
 import sys
 import threading
@@ -16,13 +17,14 @@ from filingsignal.corpus import CorpusStore, chunk_filing
 from filingsignal.embed_index import HashEmbeddingProvider, VectorIndex
 from filingsignal.errors import (Failures, FinalStatusError, PipelineError, RetriableError,
                                  StageInputError)
-from filingsignal.llm_scoring import MAX_WORKERS, KeywordLLM, ScoreCache, read_features_csv
-from filingsignal.net import MAX_ATTEMPTS
+from filingsignal.llm_scoring import KeywordLLM, ScoreCache, read_features_csv
+from filingsignal.net import MAX_ATTEMPTS, MAX_WORKERS
 from filingsignal.pipeline import PipelineConfig, run_pipeline
 from filingsignal.regression import NNLSModel
 from filingsignal.synthetic import PLANTED_PHRASE, make_workspace
 
-from conftest import assert_cache_holds, json_reply, kept_alive, loopback, synthetic_config
+from conftest import (ChatServer, assert_cache_holds, json_reply, kept_alive, loopback,
+                      synthetic_config)
 
 SYNTH_STAGES = ["embed", "score", "returns", "label", "train", "backtest"]
 
@@ -928,6 +930,51 @@ class TestIngest:
         assert run_pipeline(config, ["ingest"])["ingest"]["retry_items"] == 0
         assert ("AAA", "2020-02-14") in CorpusStore(config.corpus_dir)
 
+    def test_retry_run_asks_only_for_the_failed_tickers(self, tmp_path, edgar_transport,
+                                                        sample_10k_html):
+        calls = []
+        edgar_transport(fake_edgar((500, "boom"), sample_10k_html, calls))
+        config = self.config(tmp_path)
+        assert run_pipeline(config, ["ingest"])["ingest"]["retry_items"] == 1
+        aaa, bbb = (edgar.SUBMISSIONS_URL.format(cik=f"000000000{n}") for n in (1, 2))
+        calls.clear()
+        assert run_pipeline(config, ["ingest"])["ingest"]["retry_items"] == 1
+        assert calls == [aaa] * MAX_ATTEMPTS  # BBB's stored filing is not resolved again
+        errors = [json.loads(line) for line in
+                  (tmp_path / "out" / "ingest_errors.jsonl").read_text().splitlines()]
+        assert [e["item"] for e in errors] == ["AAA"]
+        assert ("BBB", "2020-02-14") in CorpusStore(config.corpus_dir)
+        calls.clear()
+        config.year_from = 2019  # other years: every ticker is resolved again
+        assert run_pipeline(config, ["ingest"])["ingest"]["retry_items"] == 1
+        assert sorted(set(calls)) == [aaa, bbb]
+
+    def test_stopped_retry_run_keeps_every_ticker_to_retry(self, tmp_path, edgar_transport,
+                                                           sample_10k_html):
+        """A retry run stopped after one of its tickers leaves the errors file
+        naming that one alone; the next run still retries them all."""
+        config = self.config(tmp_path)
+        (tmp_path / "universe.csv").write_text("ticker,cik\nAAA,1\nBBB,2\nCCC,3\n")
+        ccc_reply, calls = [(500, "boom")], []
+        aaa = fake_edgar((500, "boom"), sample_10k_html)
+
+        def transport(url):
+            calls.append(url)
+            return (*ccc_reply[0], {}) if "CIK0000000003" in url else aaa(url)
+        edgar_transport(transport)
+        assert run_pipeline(config, ["ingest"])["ingest"]["retry_items"] == 2
+        ccc_reply[0] = (403, "forbidden")  # AAA is recorded again, then CCC stops the run
+        with pytest.raises(FinalStatusError):
+            run_pipeline(config, ["ingest"])
+        errors = [json.loads(line) for line in
+                  (tmp_path / "out" / "ingest_errors.jsonl").read_text().splitlines()]
+        assert [e["item"] for e in errors] == ["AAA"]
+        ccc_reply[0] = (200, submissions("2020-02-14", "ccc10k.htm"))
+        calls.clear()
+        assert run_pipeline(config, ["ingest"])["ingest"]["retry_items"] == 1
+        assert edgar.SUBMISSIONS_URL.format(cik="0000000003") in calls
+        assert ("CCC", "2020-02-14") in CorpusStore(config.corpus_dir)
+
     @pytest.mark.parametrize("text, named", [
         ("ticker\nAAA\n", "no column ['cik']"),
         ("ticker,cik\nAAA,12x\n", "cik must be 10 digits, got '12x' for AAA"),
@@ -1621,51 +1668,36 @@ class TestCli:
         assert cli.main(["pipeline", "--config", str(cfg_path),
                          "--stages", "embed", "score"]) == 0
 
+    def test_edited_filing_text_is_an_error_line(self, synth_root, tmp_path, capsys):
+        """A filing text edited after ingest stops the first stage that reads it
+        with an error naming the file, not with a `run stage 'embed'` error
+        that the skipped embed stage could not mend."""
+        corpus = corpus_copy(synth_root, tmp_path / "corpus")
+        cfg_path = write_config(synth_root, tmp_path, corpus_dir=str(corpus))
+        assert cli.main(["pipeline", "--config", str(cfg_path), "--stages", "embed",
+                         "score"]) == 0
+        edited = corpus / "filings" / "ALFA_2015-02-03.txt"
+        text = edited.read_text()
+        words = text.split(" ")[:5]
+        edited.write_text(text.replace(" ".join(words), " ".join(reversed(words)), 1))
+        cfg_path = write_config(synth_root, tmp_path, corpus_dir=str(corpus),
+                                chunks_per_question=3)
+        capsys.readouterr()
+        assert cli.main(["pipeline", "--config", str(cfg_path), "--stages", "embed",
+                         "score"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {edited} was changed after ingest stored it")
+        assert "run stage 'ingest'" in err
+
     def test_help_exits_cleanly(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--help"])
         assert exc.value.code == 0
 
 
-class ChatServer:
-    """A ``loopback`` chat endpoint that HTTPChatLLM talks to in place of a network.
-
-    Each call sleeps ``delay_s(question position)`` and then answers as the
-    synthetic workspace's keyword stub would, or with ``status`` when that is
-    not 200. It counts the calls, the most in flight at once and the order in
-    which questions finish.
-    """
-
-    def __init__(self, questions, delay_s, status=200):
-        self.position = {q.text: i for i, q in enumerate(questions)}
-        self.delay_s = delay_s
-        self.status = status
-        self.llm = KeywordLLM(PLANTED_PHRASE, 30, 10, 8)
-        self.lock = threading.Lock()
-        self.calls = 0
-        self.in_flight = 0
-        self.peak = 0
-        self.finished: list[int] = []
-
-    def __call__(self, body, headers):
-        system, user = (m["content"] for m in json.loads(body)["messages"])
-        position = self.position[user.rsplit("Question: ", 1)[1]]
-        with self.lock:
-            self.calls += 1
-            self.in_flight += 1
-            self.peak = max(self.peak, self.in_flight)
-        time.sleep(self.delay_s(position))
-        with self.lock:
-            self.in_flight -= 1
-            self.finished.append(position)
-        if self.status != 200:
-            return json_reply({"error": "overloaded"}, self.status)
-        return json_reply({"choices": [{"message": {
-            "content": self.llm.complete(system, user)}}]})
-
-
 class TestScorePool:
-    """The score stage asks an HTTP provider a filing's misses through a pool."""
+    """The score stage asks an HTTP provider the misses of several filings
+    through a pool, and ends each filing in corpus order."""
 
     @staticmethod
     def http_config(synth_root, tmp_path, out, filings, url):
@@ -1680,23 +1712,36 @@ class TestScorePool:
         config.llm_provider = {"name": "http", "endpoint": url + "/v1", "model": "m"}
         return config
 
+    @staticmethod
+    def stored_twice(synth_root, tmp_path):
+        """A corpus of one synthetic filing's text stored under two dates."""
+        filing = CorpusStore(synth_root / "corpus").load_all()[0]
+        store = CorpusStore(tmp_path / "corpus")
+        store.add(filing)
+        store.add(dataclasses.replace(filing, filing_date=filing.filing_date.replace(month=12)))
+        return store
+
     def test_bytes_do_not_depend_on_worker_count(self, synth_root, tmp_path,
                                                  monkeypatch):
         questions = pipeline.load_questions(synthetic_config(synth_root, tmp_path))
         count = len(questions)
         for workers in (1, 2, 8):
-            # Later questions answer sooner, so with workers they finish first.
-            server = ChatServer(questions.questions,
-                                lambda i: (count - i) * 0.001)
+            rng = random.Random(workers)
+            server = ChatServer(questions.questions, lambda i: rng.uniform(0, 0.004))
             monkeypatch.setattr(pipeline, "MAX_WORKERS", workers)
             with loopback(server) as url:
                 config = self.http_config(synth_root, tmp_path, f"w{workers}",
-                                          filings=2, url=url)
-                run_pipeline(config, ["embed", "score"])
-            assert server.calls == 2 * count
+                                          filings=4, url=url)
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-6)  # switch threads often, to shake out races
+                try:
+                    run_pipeline(config, ["embed", "score"])
+                finally:
+                    sys.setswitchinterval(interval)
+            assert server.calls == 4 * count
             assert server.peak <= workers
-            if workers == 8:
-                assert server.finished[:8] != sorted(server.finished[:8])
+            if workers == 8:  # the answers come back out of order
+                assert server.finished != list(range(count)) * 4
         for name in ["score_cache.jsonl", "features.csv"]:
             serial = (tmp_path / "w1" / name).read_bytes()
             for workers in (2, 8):
@@ -1707,6 +1752,78 @@ class TestScorePool:
         run_pipeline(stub, ["embed", "score"])
         assert (tmp_path / "stub" / "features.csv").read_bytes() == \
             (tmp_path / "w8" / "features.csv").read_bytes()
+
+    def test_prompt_in_flight_is_asked_once(self, synth_root, tmp_path):
+        questions = pipeline.load_questions(synthetic_config(synth_root, tmp_path))
+        store = self.stored_twice(synth_root, tmp_path)
+        server = ChatServer(questions.questions, lambda i: 0.002)
+        with loopback(server) as url:
+            config = self.http_config(synth_root, tmp_path, "out", filings=0, url=url)
+            run_pipeline(config, ["embed", "score"])
+        assert server.calls == len(questions)  # not one per filing
+        records = [json.loads(line) for line in
+                   (tmp_path / "out" / "score_cache.jsonl").read_text().splitlines()]
+        first, second = store.keys()
+        assert [tuple(r["filing_key"]) for r in records] == \
+            [first] * len(questions) + [first, second]
+        _, rows = read_features_csv(tmp_path / "out" / "features.csv")
+        assert [row.filing_key for row in rows] == [first, second]
+        assert rows[0].scores == rows[1].scores
+
+    def test_failed_ask_is_asked_again_by_a_filing_that_took_it(self, synth_root, tmp_path,
+                                                                monkeypatch):
+        """The first filing's first question fails for good; the second filing,
+        which took that ask and the ones the failure stopped, asks them itself."""
+        questions = pipeline.load_questions(synthetic_config(synth_root, tmp_path))
+        count = len(questions)
+        first, second = self.stored_twice(synth_root, tmp_path).keys()
+        for workers in (1, 8):
+            server = ChatServer(
+                questions.questions, lambda i: 0.001,
+                status=lambda position, asked: 503 if position == 0 and
+                asked < MAX_ATTEMPTS else 200)
+            monkeypatch.setattr(pipeline, "MAX_WORKERS", workers)
+            with loopback(server) as url:
+                config = self.http_config(synth_root, tmp_path, f"w{workers}", filings=0,
+                                          url=url)
+                run_pipeline(config, ["embed", "score"])
+            assert server.calls == MAX_ATTEMPTS + count  # each other prompt asked once
+            [error] = [json.loads(line) for line in
+                       (tmp_path / f"w{workers}" / "score_errors.jsonl").read_text().splitlines()]
+            assert error["item"] == " ".join(first)
+            assert f"question {questions.questions[0].question_id} failed" in error["error"]
+            records = [json.loads(line) for line in
+                       (tmp_path / f"w{workers}" / "score_cache.jsonl").read_text().splitlines()]
+            assert [tuple(r["filing_key"]) for r in records] == [second] * (count + 1)
+            assert [r.get("question_id") for r in records[:count]] == \
+                [q.question_id for q in questions.questions]
+        assert (tmp_path / "w1" / "score_cache.jsonl").read_bytes() == \
+            (tmp_path / "w8" / "score_cache.jsonl").read_bytes()
+
+    def test_filings_before_a_refused_one_are_ended_first(self, synth_root, tmp_path):
+        """A filing whose chunks differ from the index stops the stage, as when
+        the filings are scored one by one: after the earlier ones' rows are put."""
+        questions = pipeline.load_questions(synthetic_config(synth_root, tmp_path))
+        server = ChatServer(questions.questions, lambda i: 0.001)
+        with loopback(server) as url:
+            config = self.http_config(synth_root, tmp_path, "out", filings=4, url=url)
+            run_pipeline(config, ["embed"])
+            store = CorpusStore(config.corpus_dir)
+            edited = store.load(store.keys()[2])
+            edited.clean_text += " The auditor restated the final quarter."
+            (tmp_path / "corpus" / "manifest.jsonl").unlink()
+            shutil.rmtree(store.filings_dir)
+            store = CorpusStore(config.corpus_dir)
+            for filing in CorpusStore(synth_root / "corpus").load_all()[:4]:
+                store.add(edited if filing.key == edited.key else filing)
+            # Else the stale-producer check refuses the run before the stage.
+            (tmp_path / "out" / pipeline.MANIFEST_FILE).unlink()
+            with pytest.raises(StageInputError, match=f"filing {edited.ticker} "):
+                run_pipeline(config, ["score"])
+        rows = [json.loads(line)["filing_key"] for line in
+                (tmp_path / "out" / "score_cache.jsonl").read_text().splitlines()
+                if "row_sha256" in line]
+        assert rows == [list(key) for key in store.keys()[:2]]
 
     def test_outage_bounded_per_row_and_row_failed(self, synth_root, tmp_path):
         questions = pipeline.load_questions(synthetic_config(synth_root, tmp_path))
@@ -1732,9 +1849,10 @@ class TestScorePool:
     def test_final_status_stops_the_stage_after_one_call_per_worker(self, synth_root,
                                                                      tmp_path, capsys):
         questions = pipeline.load_questions(synthetic_config(synth_root, tmp_path))
-        server = ChatServer(questions.questions, lambda i: 0.0, status=401)
+        # The first question answers last, so the other workers meet a 401 first.
+        server = ChatServer(questions.questions, lambda i: 0.0 if i else 0.05, status=401)
         with loopback(server) as url:
-            config = self.http_config(synth_root, tmp_path, "out", filings=2, url=url)
+            config = self.http_config(synth_root, tmp_path, "out", filings=3, url=url)
             cfg_path = tmp_path / "config.yaml"
             cfg_path.write_text(yaml.safe_dump(yaml_mapping(config)))
             rc = cli.main(["pipeline", "--config", str(cfg_path), "--stages", "embed",

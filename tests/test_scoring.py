@@ -11,7 +11,7 @@ from filingsignal.llm_scoring import (ConstantLLM, HTTPChatLLM, KeywordLLM, Ques
                                       QuestionSet, RowInputs, ScoreCache, build_prompt,
                                       embed_questions, parse_score, read_features_csv,
                                       score_filing, write_features_csv)
-from filingsignal.net import MAX_ATTEMPTS
+from filingsignal.net import MAX_ATTEMPTS, Calls
 
 from conftest import assert_cache_holds, json_reply, loopback
 
@@ -58,8 +58,9 @@ class CountingLLM(ConstantLLM):
 def score(indexed, qs, llm, cache):
     """score_filing on an ``indexed_filing``, four chunks per question, asked serially."""
     filing, chunks, index, embedder = indexed
-    return score_filing(filing, chunks, RowInputs(qs, embed_questions(qs, embedder), llm, 4),
-                        index, cache, map)
+    with Calls(0) as calls:
+        return score_filing(filing, chunks, RowInputs(qs, embed_questions(qs, embedder), llm, 4),
+                            index, cache, calls, {})()
 
 
 class TestQuestionSet:
@@ -297,6 +298,7 @@ class TestScoreFiling:
         cold = score(indexed, qs, Counting(), ScoreCache(tmp_path / "cache.jsonl"))
         warm = score(indexed, qs, Counting(), ScoreCache(tmp_path / "cache.jsonl"))
         assert cold.scores == warm.scores == [1, 1]
+        assert Counting.calls == 1  # the second question took the first one's ask
 
     def test_unparseable_fails_whole_row(self, tmp_path):
         class Garbage:
