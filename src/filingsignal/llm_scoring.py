@@ -260,7 +260,12 @@ class RowInputs:
 
 # An answer's key and score as ``ScoreCache.put`` writes them. JSON escapes
 # every quote inside a string, so this text occurs only as a record's own keys.
-_ANSWER = re.compile(r'"prompt_sha256": "([0-9a-f]{64})", "score": (-?(?:0|[1-9][0-9]*))[,}]')
+# A score outside 0-100 does not match, so the JSON parse refuses its line.
+_ANSWER = re.compile(r'"prompt_sha256": "([0-9a-f]{64})", "score": (100|[1-9]?[0-9])[,}]')
+
+
+def _is_score(value) -> bool:
+    return type(value) is int and 0 <= value <= 100  # a bool is no score
 
 
 class ScoreCache:
@@ -277,10 +282,13 @@ class ScoreCache:
     cut (see ``read_whole_lines``), and its lines are decoded and taken in
     order; a line that is not UTF-8 raises PipelineError naming it. An
     answer's key and score are read by ``_ANSWER`` without parsing the rest
-    of its line, and any other line is parsed as JSON. Older records with
-    neither ``prompt_sha256`` nor ``row_sha256`` are dropped with one
-    warning: the first load that finds them rewrites the file without their
-    lines (see ``write_atomic``), so their prompts are asked again.
+    of its line, and any other line is parsed as JSON. An answer needs an
+    integer score from 0 to 100 and a row a list of such scores; a line with
+    ``prompt_sha256`` or ``row_sha256`` that is not one, or a line that is
+    not a JSON object, raises PipelineError naming it. Older records with
+    neither key are dropped with one warning: the first load that finds them
+    rewrites the file without their lines (see ``write_atomic``), so their
+    prompts are asked again.
     """
 
     def __init__(self, path: str | Path):
@@ -299,10 +307,23 @@ class ScoreCache:
                 self._scores[answer[1]] = int(answer[2])
             elif line.strip():
                 rec = json_line(self.path, i + 1, line)
+                if not isinstance(rec, dict):
+                    raise PipelineError(f"{self.path}: line {i + 1} is not a JSON object")
                 if "prompt_sha256" in rec:
+                    if not (isinstance(rec["prompt_sha256"], str)
+                            and _is_score(rec.get("score"))):
+                        raise PipelineError(f"{self.path}: line {i + 1} is not an answer with a "
+                                            "string prompt_sha256 and an integer score "
+                                            "from 0 to 100")
                     self._scores[rec["prompt_sha256"]] = rec["score"]
                 elif "row_sha256" in rec:
-                    self._rows[rec["row_sha256"]] = rec["scores"]
+                    scores = rec.get("scores")
+                    if not (isinstance(rec["row_sha256"], str) and isinstance(scores, list)
+                            and all(map(_is_score, scores))):
+                        raise PipelineError(f"{self.path}: line {i + 1} is not a row with a "
+                                            "string row_sha256 and a list of integer "
+                                            "scores from 0 to 100")
+                    self._rows[rec["row_sha256"]] = scores
                 else:
                     dropped.add(i)
         if dropped:

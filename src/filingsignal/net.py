@@ -223,7 +223,8 @@ def with_retries(call: Callable[[], T], item: str,
 
 class Calls:
     """Where one stage makes its provider calls: on ``workers`` threads, or with
-    0 on the caller's thread as each call is submitted. Use it as a context
+    0 on the caller's thread as each call is submitted. ``workers`` is kept,
+    since the stage sizes how far it plans ahead by it. Use it as a context
     manager; leaving it drops the calls not yet started and waits for the rest.
 
     Once a call has raised FinalStatusError, every call that has not yet
@@ -231,10 +232,10 @@ class Calls:
     """
 
     def __init__(self, workers: int):
+        self.workers = workers
         self._pool = ThreadPoolExecutor(workers, thread_name_prefix="provider") \
             if workers else None
         self._final: FinalStatusError | None = None
-        self.submitted = 0  # calls submitted so far
 
     def __enter__(self) -> "Calls":
         return self
@@ -247,7 +248,6 @@ class Calls:
         """Start ``call(fn, *args)``; returns the function that returns its value
         or raises its error, waiting for it on a worker. Without workers the
         call is made here and now, and no future is made for it."""
-        self.submitted += 1
         if self._pool is not None:
             return self._pool.submit(self.call, fn, *args).result
         try:

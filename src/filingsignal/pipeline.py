@@ -17,12 +17,12 @@ texts the previous index does not hold; a filing it cannot embed is left out.
 The score stage chunks each filing as it scores it, and refuses a filing whose
 chunk texts differ from its rows in the index; a filing whose row inputs are
 unchanged gets its row from the score cache without retrieval.
-The score stage goes through the filings in corpus order with ``_in_order``.
-For a chat provider that waits on the network it starts the next filings'
-calls on a bounded thread pool while earlier ones are in flight, and still
-ends each filing in corpus order, so the score cache and the features hold
-the same bytes as when every call is made one by one. The embed stage makes
-its calls one by one.
+The score stage plans each filing's calls and ends the filings in corpus
+order, on its own thread. For a chat provider that waits on the network it
+makes the calls on MAX_WORKERS threads and plans the next filings while
+earlier ones are in flight, until those after the oldest hold 2 asks per
+worker; the score cache and the features hold the same bytes as when every
+call is made one by one. The embed stage makes its calls one by one.
 An ingest run made only to retry the tickers its last run left out, which
 its manifest record keeps, resolves only those tickers.
 
@@ -43,7 +43,7 @@ from collections import deque
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import date
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 import yaml
@@ -272,47 +272,6 @@ def _reusable_vectors(index_dir: str, provider_id: str) -> dict[str, np.ndarray]
     return dict(zip(previous.hashes, previous.vectors))
 
 
-def _in_order(provider, items: Iterable, start: Callable, finish: Callable) -> None:
-    """``finish(item, start(item, calls))`` for each of ``items``, both on this
-    thread and in item order; ``start`` submits the item's provider calls to
-    ``calls`` (see ``net.Calls``).
-
-    Which providers' calls overlap is decided here. Only a provider that
-    waits on the network gains from it: for the http chat provider ``calls``
-    has MAX_WORKERS threads, and the oldest item is finished only once the
-    items started after it hold 2 × MAX_WORKERS calls (an item without calls
-    counts as one), so no worker idles while this thread waits for it. The
-    in-process stubs would only add hand-offs under the GIL, so their calls
-    are made as they are submitted and each item is finished before the next
-    starts. An error that ``start`` raises is raised once the items before
-    it are finished. The embed stage does not come through here: no
-    benchmark workload embeds over the network, so an overlap of the http
-    embedder would show no measured gain.
-    """
-    network = isinstance(provider, HTTPChatLLM)
-    started: deque = deque()  # (item, what start returned, its calls or 1)
-
-    def finish_oldest():
-        item, begun, _ = started.popleft()
-        finish(item, begun)
-
-    with Calls(MAX_WORKERS if network else 0) as calls:
-        for item in items:
-            submitted = calls.submitted
-            try:
-                begun = start(item, calls)
-            except Exception:
-                while started:
-                    finish_oldest()
-                raise
-            started.append((item, begun, max(1, calls.submitted - submitted)))
-            while started and (not network or sum(weight for *_, weight in started)
-                               - started[0][2] >= 2 * MAX_WORKERS):
-                finish_oldest()
-        while started:
-            finish_oldest()
-
-
 def stage_embed(config: PipelineConfig, failures: Failures) -> None:
     provider = build_embedding_provider(config.embedding_provider)
     reusable = _reusable_vectors(config.index_dir, provider.provider_id)
@@ -358,25 +317,43 @@ def stage_score(config: PipelineConfig, failures: Failures) -> None:
     inputs = RowInputs(qs, embed_questions(qs, embedder), llm, config.chunks_per_question)
     cache = ScoreCache(config.out("score_cache.jsonl"))
     in_flight = {}  # prompt key -> its ask, until the filing that made it ends
+    started: deque = deque()  # (filing, its end, the asks it added or 1), oldest first
     rows = []
 
-    def start(filing, calls):
-        chunks = chunk_filing(filing, config.chunk_chars, config.overlap_chars)
-        indexed = index.hashes_of(filing.key)
-        if indexed and indexed != [chunk.sha256 for chunk in chunks]:
-            raise StageInputError(
-                f"filing {filing.ticker} {filing.filing_date} has {len(chunks)} "
-                f"chunks unlike its {len(indexed)} rows in the index in "
-                f"{config.index_dir}", "embed")
-        return score_filing(filing, chunks, inputs, index, cache, calls, in_flight)
-
-    def finish(filing, end):
+    def end_oldest():
+        filing, end, _ = started.popleft()
         try:
             rows.append(end())
         except PipelineError as exc:
             failures.record(f"{filing.ticker} {filing.filing_date}", exc)
 
-    _in_order(llm, store.load_all(), start, finish)
+    # Only a provider that waits on the network gains from overlapping its
+    # calls; the in-process stubs would add hand-offs under the GIL. With 0
+    # workers each filing ends before the next is planned.
+    with Calls(MAX_WORKERS if isinstance(llm, HTTPChatLLM) else 0) as calls:
+        for filing in store.load_all():
+            try:
+                chunks = chunk_filing(filing, config.chunk_chars, config.overlap_chars)
+                indexed = index.hashes_of(filing.key)
+                if indexed and indexed != [chunk.sha256 for chunk in chunks]:
+                    raise StageInputError(
+                        f"filing {filing.ticker} {filing.filing_date} has {len(chunks)} "
+                        f"chunks unlike its {len(indexed)} rows in the index in "
+                        f"{config.index_dir}", "embed")
+                before = len(in_flight)
+                end = score_filing(filing, chunks, inputs, index, cache, calls, in_flight)
+            except Exception:  # raised once the filings before it have ended
+                while started:
+                    end_oldest()
+                raise
+            started.append((filing, end, max(1, len(in_flight) - before)))
+            # The oldest ends once the filings after it hold 2 asks per worker,
+            # so no worker idles while this thread waits for it.
+            while started and (sum(weight for *_, weight in started) - started[0][2]
+                               >= 2 * calls.workers):
+                end_oldest()
+        while started:
+            end_oldest()
     if failures.items and not rows:
         raise failures.refusal("no filing was scored")
     write_features_csv(config.out("features.csv"), rows, qs)
@@ -548,6 +525,24 @@ def _output_hashes(config: PipelineConfig, stage: Stage) -> dict[str, str]:
     return {str(p): _sha256_file(p) for p in stage.outputs(config)}
 
 
+def _read_manifest(path: Path) -> dict:
+    """The pipeline manifest at ``path``, or {} if there is none. A PipelineError
+    names it unless it is a JSON object of stage records, each with an object
+    of input hashes and one of output hashes."""
+    if not path.exists():
+        return {}
+    problem = f"{path} is not a pipeline manifest; remove it to run every stage again"
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # also UnicodeDecodeError
+        raise PipelineError(f"{problem} ({exc})") from exc
+    if not (isinstance(manifest, dict) and all(
+            isinstance(record, dict) and isinstance(record.get("inputs"), dict)
+            and isinstance(record.get("outputs"), dict) for record in manifest.values())):
+        raise PipelineError(problem)
+    return manifest
+
+
 def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dict:
     """Execute the requested stages in dependency order; skip unchanged ones.
 
@@ -573,9 +568,7 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / MANIFEST_FILE
-    manifest = {}
-    if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = _read_manifest(manifest_path)
 
     try:
         for stage in (s for s in STAGES if s.name in requested):

@@ -1577,6 +1577,23 @@ class TestCli:
         assert cli.main(["pipeline", "--config", str(cfg_path), "--stages", *stages]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: line 2 {problem}")
 
+    @pytest.mark.parametrize("spoil", [
+        lambda text: text[:len(text) // 2],
+        lambda text: json.dumps({name: {k: v for k, v in record.items() if k != "inputs"}
+                                 for name, record in json.loads(text).items()}),
+    ], ids=["truncated", "record-without-inputs"])
+    def test_unreadable_pipeline_manifest_is_an_error_line(self, synth_root, tmp_path,
+                                                           capsys, spoil):
+        run_pipeline(synthetic_config(synth_root, tmp_path / "out"), ["embed"])
+        path = tmp_path / "out" / pipeline.MANIFEST_FILE
+        path.write_text(spoil(path.read_text()))
+        cfg_path = write_config(synth_root, tmp_path)
+        assert cli.main(["pipeline", "--config", str(cfg_path), "--stages", "embed"]) == 1
+        [error] = [line for line in capsys.readouterr().err.splitlines()
+                   if line.startswith("error:")]
+        assert error.startswith(f"error: {path} is not a pipeline manifest; "
+                                "remove it to run every stage again")
+
     @pytest.mark.parametrize("key, provider, named", [
         ("llm_provider", {"name": "keyword-stub"}, "llm_provider 'keyword-stub': "
          "missing keys ['phrase']"),
@@ -1752,6 +1769,45 @@ class TestScorePool:
         run_pipeline(stub, ["embed", "score"])
         assert (tmp_path / "stub" / "features.csv").read_bytes() == \
             (tmp_path / "w8" / "features.csv").read_bytes()
+
+    def test_filings_planned_ahead_by_the_worker_count(self, synth_root, tmp_path,
+                                                        monkeypatch):
+        """The order in which the stage plans ("P") and ends ("E") each filing:
+        a stub ends each before planning the next; with 2 workers the oldest
+        ends once the filings after it hold 4 asks, a memo hit counting as one."""
+        questions = pipeline.load_questions(synthetic_config(synth_root, tmp_path))
+        events = []
+        score_filing = pipeline.score_filing
+
+        def logged(filing, *args):
+            number = numbers[filing.key]
+            events.append(f"P{number}")
+            end = score_filing(filing, *args)
+
+            def logged_end():
+                events.append(f"E{number}")
+                return end()
+            return logged_end
+
+        monkeypatch.setattr(pipeline, "score_filing", logged)
+        monkeypatch.setattr(pipeline, "MAX_WORKERS", 2)
+        server = ChatServer(questions.questions, lambda i: 0.0)
+        with loopback(server) as url:
+            config = self.http_config(synth_root, tmp_path, "http", filings=6, url=url)
+            numbers = {key: n for n, key in enumerate(CorpusStore(config.corpus_dir).keys(), 1)}
+            run_pipeline(config, ["embed", "score"])
+            assert server.calls == 6 * len(questions)  # every question a miss
+            assert " ".join(events) == "P1 P2 E1 P3 E2 P4 E3 P5 E4 P6 E5 E6"
+            events.clear()
+            (tmp_path / "http" / "features.csv").unlink()
+            run_pipeline(config, ["score"])  # every filing a row memo hit
+            assert server.calls == 6 * len(questions)
+            assert " ".join(events) == "P1 P2 P3 P4 P5 E1 P6 E2 E3 E4 E5 E6"
+        events.clear()
+        stub = synthetic_config(synth_root, tmp_path / "stub")
+        stub.corpus_dir = config.corpus_dir
+        run_pipeline(stub, ["embed", "score"])
+        assert " ".join(events) == " ".join(f"P{n} E{n}" for n in range(1, 7))
 
     def test_prompt_in_flight_is_asked_once(self, synth_root, tmp_path):
         questions = pipeline.load_questions(synthetic_config(synth_root, tmp_path))

@@ -189,6 +189,28 @@ class TestScoreFiling:
         with pytest.raises(PipelineError, match=f"^{path}: line 2 is not UTF-8: "):
             ScoreCache(path)
 
+    @pytest.mark.parametrize("line, problem", [
+        ('{"prompt_sha256": "ab"}', "is not an answer with a string prompt_sha256 and an "
+         "integer score from 0 to 100"),
+        ('{"prompt_sha256": "ab", "score": "50"}', "is not an answer "),
+        (f'{{"prompt_sha256": "{"0" * 64}", "score": 500}}', "is not an answer "),
+        (f'{{"prompt_sha256": "{"0" * 64}", "score": -1}}', "is not an answer "),
+        ('{"prompt_sha256": "ab", "score": true}', "is not an answer "),
+        ('{"prompt_sha256": ["ab"], "score": 50}', "is not an answer "),
+        ('{"row_sha256": "cd"}', "is not a row with a string row_sha256 and a list of "
+         "integer scores from 0 to 100"),
+        ('{"row_sha256": "cd", "scores": [1, 101]}', "is not a row "),
+        ('{"row_sha256": "cd", "scores": 50}', "is not a row "),
+        ("[1]", "is not a JSON object"),
+    ], ids=["answer-without-score", "string-score", "score-above-100", "negative-score",
+            "bool-score", "list-key", "row-without-scores", "row-score-above-100",
+            "scores-not-a-list", "not-an-object"])
+    def test_record_without_the_fields_put_writes_raises(self, tmp_path, line, problem):
+        path = tmp_path / "cache.jsonl"
+        path.write_text('{"row_sha256": "ef", "scores": [0, 100]}\n' + line + "\n")
+        with pytest.raises(PipelineError, match=f"^{path}: line 2 {problem}"):
+            ScoreCache(path)
+
     def test_unkeyed_records_dropped_from_file_once(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
         score(indexed_filing("some filing text"), small_questionset(), ConstantLLM(50),
