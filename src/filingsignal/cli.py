@@ -13,7 +13,6 @@ import sys
 
 from . import pipeline as pl
 from .errors import PipelineError
-from .synthetic import make_workspace
 
 logger = logging.getLogger(__name__)
 
@@ -25,6 +24,8 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .synthetic import make_workspace  # a stage run has no use for it
+
     make_workspace(args.dir, seed=args.seed)
     print(f"synthetic workspace written to {args.dir}")
     return 0

@@ -1,6 +1,6 @@
 """Question scoring: retrieval-augmented prompts to an LLM, 0-100 features.
 
-Each question is embedded once per run and answered against one filing's own
+Each question is embedded once and answered against one filing's own
 chunks only. Answers are cached as JSONL keyed on the exact prompt, so a rerun
 asks the provider only prompts it has not seen; a filing either yields a full
 feature row or none at all. The same file memoizes each full row, keyed on
@@ -9,7 +9,9 @@ prompts only for the filings whose inputs changed. A filing's uncached
 prompts may be asked through a pool of threads while later filings are
 planned, and a prompt already in flight is not asked again; the answers and
 rows are still put in filing and question order, so the cache and the rows
-come out the same as when every prompt is asked one by one.
+come out the same as when every prompt is asked one by one. The same file
+keeps each question's unit vector, so a question is embedded once, not once
+per run.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import logging
 import math
 import os
 import re
+import sys
 import threading
 from dataclasses import dataclass
 from importlib import resources
@@ -29,8 +32,9 @@ from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
+from . import embed_index
 from .corpus import Chunk, Filing, json_line, read_whole_lines, write_atomic, write_csv
-from .embed_index import ChunkRef, EmbeddingProvider, VectorIndex, embed_text
+from .embed_index import ChunkRef, EmbeddingProvider, VectorIndex
 from .errors import PipelineError, RetriableError
 from .net import Calls, check_endpoint, post_json, with_retries
 
@@ -139,6 +143,8 @@ class KeywordLLM:
         _check_score("miss_score", miss_score)
         if per_occurrence < 0:
             raise ValueError(f"per_occurrence ({per_occurrence!r}) must not be negative")
+        if not phrase:  # str.count("") counts every position: every prompt would hit
+            raise ValueError("phrase must not be empty")
         self.phrase = phrase.lower()
         self.hit_score = hit_score
         self.miss_score = miss_score
@@ -268,6 +274,11 @@ def _is_score(value) -> bool:
     return type(value) is int and 0 <= value <= 100  # a bool is no score
 
 
+def _is_number(value) -> bool:
+    """A finite float, or an int within float range; a bool is no number."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 class ScoreCache:
     """JSONL memo of provider answers keyed on ``prompt_key``, so an answer is
     reused only for the exact prompt it answered, and of whole feature rows
@@ -289,6 +300,12 @@ class ScoreCache:
     neither key are dropped with one warning: the first load that finds them
     rewrites the file without their lines (see ``write_atomic``), so their
     prompts are asked again.
+
+    A third record keeps one question's unit vector under ``vector_sha256``
+    (see ``embed_text``), so it is no older record: ``put_vector`` buffers it
+    as ``put`` does, ``get_vector`` returns it as loaded, and a line whose
+    ``vector`` is not a non-empty list of finite numbers raises PipelineError
+    naming it.
     """
 
     def __init__(self, path: str | Path):
@@ -296,6 +313,7 @@ class ScoreCache:
         self._pending: list[str] = []
         self._scores: dict[str, int] = {}
         self._rows: dict[str, list[int]] = {}
+        self._vectors: dict[str, np.ndarray] = {}
         lines = read_whole_lines(self.path).split(b"\n")
         dropped: set[int] = set()
         for i, line_bytes in enumerate(lines):
@@ -324,11 +342,20 @@ class ScoreCache:
                                             "string row_sha256 and a list of integer "
                                             "scores from 0 to 100")
                     self._rows[rec["row_sha256"]] = scores
+                elif "vector_sha256" in rec:
+                    vector = rec.get("vector")
+                    if not (isinstance(rec["vector_sha256"], str) and isinstance(vector, list)
+                            and vector and all(map(_is_number, vector))):
+                        raise PipelineError(f"{self.path}: line {i + 1} is not a vector with a "
+                                            "string vector_sha256 and a non-empty list of "
+                                            "finite numbers")
+                    self._vectors[rec["vector_sha256"]] = np.array(vector, dtype=np.float64)
                 else:
                     dropped.add(i)
         if dropped:
-            logger.warning("%s: dropping %d records without prompt_sha256 or row_sha256; "
-                           "their questions are asked again", self.path, len(dropped))
+            logger.warning("%s: dropping %d records without prompt_sha256, row_sha256 or "
+                           "vector_sha256; their questions are asked again",
+                           self.path, len(dropped))
             write_atomic(self.path, b"\n".join(
                 line for i, line in enumerate(lines) if i not in dropped))
 
@@ -365,6 +392,16 @@ class ScoreCache:
         self._pending.append(json.dumps({"row_sha256": key, "filing_key": list(filing_key),
                                          "scores": scores}) + "\n")
 
+    def get_vector(self, key: str) -> np.ndarray | None:
+        """The cached vector with this key, as loaded or put, or None."""
+        return self._vectors.get(key)
+
+    def put_vector(self, key: str, vector: np.ndarray) -> None:
+        """Keep one vector under its key; JSON floats read back bit for bit."""
+        self._vectors[key] = vector
+        self._pending.append(json.dumps({"vector_sha256": key,
+                                         "vector": vector.tolist()}) + "\n")
+
     def flush(self) -> None:
         """Append every record put since the last flush, in put order."""
         if not self._pending:
@@ -375,9 +412,31 @@ class ScoreCache:
         self._pending.clear()
 
 
-def embed_questions(qs: QuestionSet, embedder: EmbeddingProvider) -> list[np.ndarray]:
-    """Each question's unit query vector, in question order."""
-    return [embed_text(embedder, q.text, f"question {q.question_id}") for q in qs.questions]
+def embed_text(embedder: EmbeddingProvider, text: str, item: str,
+               cache: ScoreCache) -> np.ndarray:
+    """The unit vector of one question text: the one ``cache`` holds for the
+    embedder and the text, or else one embedded now and put.
+
+    A held vector is returned as it was loaded, never normalized again: that
+    could change its last bits, and with them every row key built from it.
+    """
+    key = _sha256_of(p.encode("utf-8") for p in (embedder.provider_id, text))
+    if (held := cache.get_vector(key)) is not None:
+        return held
+    vector = embed_index.embed_text(embedder, text, item)
+    cache.put_vector(key, vector)
+    return vector
+
+
+def embed_questions(qs: QuestionSet, embedder: EmbeddingProvider,
+                    cache: ScoreCache) -> list[np.ndarray]:
+    """Each question's unit query vector, in question order, through
+    ``embed_text``; the vectors put are flushed to the cache at once, so a run
+    whose rows all come from the cache keeps them too."""
+    vectors = [embed_text(embedder, q.text, f"question {q.question_id}", cache)
+               for q in qs.questions]
+    cache.flush()
+    return vectors
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ import logging
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Mapping, TypeVar
 from urllib.parse import urlsplit
 
@@ -233,8 +232,11 @@ class Calls:
 
     def __init__(self, workers: int):
         self.workers = workers
-        self._pool = ThreadPoolExecutor(workers, thread_name_prefix="provider") \
-            if workers else None
+        self._pool = None
+        if workers:  # a stub's stage run makes its calls inline and loads no pool
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool = ThreadPoolExecutor(workers, thread_name_prefix="provider")
         self._final: FinalStatusError | None = None
 
     def __enter__(self) -> "Calls":

@@ -52,7 +52,6 @@ from . import backtest as bt
 from . import labeling
 from . import market_data as md
 from .corpus import CorpusStore, TickerUniverse, chunk_filing, write_atomic
-from .edgar import EdgarClient, fetch_filing, resolve_filings
 from .embed_index import (INDEX_FILE, HashEmbeddingProvider, HTTPEmbeddingProvider,
                           VectorIndex, embed_item)
 from .errors import Failures, PipelineError, StageInputError
@@ -227,6 +226,8 @@ def stage_ingest(config: PipelineConfig, failures: Failures,
     """Fetch and store every ticker's 10-Ks in the configured years; with
     ``retry_of``, the items of a last run made with the same inputs, resolve
     only the tickers those items name."""
+    from .edgar import EdgarClient, fetch_filing, resolve_filings  # only ingest fetches
+
     if not config.universe_csv:
         raise PipelineError("stage 'ingest' needs universe_csv: the tickers and CIKs to fetch")
     universe = TickerUniverse.from_csv(config.universe_csv)
@@ -314,8 +315,8 @@ def stage_score(config: PipelineConfig, failures: Failures) -> None:
             f"but the configured embedding provider is {embedder.provider_id!r}: "
             "run stage 'embed' first"
         )
-    inputs = RowInputs(qs, embed_questions(qs, embedder), llm, config.chunks_per_question)
     cache = ScoreCache(config.out("score_cache.jsonl"))
+    inputs = RowInputs(qs, embed_questions(qs, embedder, cache), llm, config.chunks_per_question)
     in_flight = {}  # prompt key -> its ask, until the filing that made it ends
     started: deque = deque()  # (filing, its end, the asks it added or 1), oldest first
     rows = []

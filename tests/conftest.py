@@ -43,6 +43,8 @@ def assert_cache_holds(cache, text):
     for rec in map(json.loads, text.splitlines()):
         if "prompt_sha256" in rec:
             assert cache.get(rec["prompt_sha256"]) == rec["score"]
+        elif "vector_sha256" in rec:
+            assert cache.get_vector(rec["vector_sha256"]).tolist() == rec["vector"]
         else:
             assert cache.get_row(rec["row_sha256"]) == rec["scores"]
 

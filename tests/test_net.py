@@ -299,3 +299,19 @@ def test_stub_run_loads_no_http_client(synth_root, tmp_path):
                          text=True, timeout=300, env=env, check=True).stdout
     assert out.splitlines()[-2] == "[]"
     assert out.splitlines()[-1] == "False"
+
+
+def test_stub_stage_run_loads_no_ingest_demo_or_pool_code(synth_root, tmp_path):
+    """A stage run with the stub providers neither fetches filings, builds the
+    demo workspace nor makes calls on a pool, so it loads none of their code."""
+    cfg_path = tmp_path / "config.yaml"
+    cfg_path.write_text(yaml.safe_dump(yaml_mapping(synthetic_config(synth_root, tmp_path))))
+    argv = ["pipeline", "--config", str(cfg_path), "--stages", "embed", "score"]
+    unused = ["concurrent.futures", "filingsignal.edgar", "filingsignal.synthetic"]
+    script = ("import sys\nfrom filingsignal import cli\n"
+              f"assert cli.main({argv!r}) == 0\n"
+              f"print(sorted(set({unused!r}) & set(sys.modules)))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=300, env=env, check=True).stdout
+    assert out.splitlines()[-1] == "[]"

@@ -320,10 +320,30 @@ class TestRunPipeline:
         run_pipeline(config, ["score"])
         texts = [q.text for q in pipeline.load_questions(config).questions]
         assert sorted(embedders[-1].texts) == sorted(texts)
-        # A warm rerun still retrieves, because the cache is keyed on the prompt.
+        # A warm rerun takes every question vector from the score cache.
         (tmp_path / "features.csv").unlink()
         run_pipeline(config, ["score"])
-        assert len(embedders) == 2 and sorted(embedders[-1].texts) == sorted(texts)
+        assert len(embedders) == 2 and embedders[-1].texts == []
+
+    def test_cache_without_vectors_gains_them_once(self, synth_root, tmp_path,
+                                                   monkeypatch):
+        """A cache written before question vectors were kept keeps its rows; the
+        first score run embeds the questions and keeps their vectors, though
+        every row comes from the cache, and the next run embeds none."""
+        config = synthetic_config(synth_root, tmp_path)
+        run_pipeline(config, ["embed", "score"])
+        cache_path = Path(config.out("score_cache.jsonl"))
+        cold = cache_path.read_text().splitlines(keepends=True)
+        cache_path.write_text("".join(line for line in cold if "vector_sha256" not in line))
+        embedders = count_embedded(monkeypatch)
+        calls = count_top_k(monkeypatch)
+        for _ in range(2):
+            Path(config.out("features.csv")).unlink()
+            run_pipeline(config, ["score"])
+        texts = [q.text for q in pipeline.load_questions(config).questions]
+        assert [embedder.texts for embedder in embedders] == [texts, []]
+        assert calls == []
+        assert sorted(cache_path.read_text().splitlines(keepends=True)) == sorted(cold)
 
     def test_short_embedding_batch_names_filing(self, synth_root, tmp_path,
                                                 monkeypatch):
@@ -1246,6 +1266,12 @@ def count_top_k(monkeypatch):
     return calls
 
 
+def answers_and_rows(cache_path):
+    """The answer and row records of a ``score_cache.jsonl``, in file order."""
+    return [rec for rec in map(json.loads, Path(cache_path).read_text().splitlines())
+            if "vector_sha256" not in rec]
+
+
 def features_bytes(config):
     return Path(config.out("features.csv")).read_bytes()
 
@@ -1259,16 +1285,23 @@ class TestRowMemo:
         run_pipeline(config, ["embed", "score"])
         config.corpus_dir = str(synth_root / "corpus")
         calls = count_top_k(monkeypatch)
-        run_pipeline(config, ["embed", "score"])
+        embedders = count_embedded(monkeypatch)
+        run_pipeline(config, SYNTH_STAGES)
         new = [key for key in CorpusStore(config.corpus_dir).keys() if key[1] >= "2020"]
         assert sorted(set(calls)) == new
         assert len(calls) == len(pipeline.load_questions(config)) * len(new)
+        # The score stage takes every question vector from the score cache.
+        assert len(embedders) == 2 and embedders[1].texts == []
+        monkeypatch.undo()
         cold = synthetic_config(synth_root, tmp_path / "cold")
-        run_pipeline(cold, ["embed", "score"])
-        assert features_bytes(config) == features_bytes(cold)
+        run_pipeline(cold, SYNTH_STAGES)
+        for name in ARTIFACTS:
+            assert Path(config.out(name)).read_bytes() == Path(cold.out(name)).read_bytes(), name
+        assert index_bytes(config) == index_bytes(cold)
 
     @pytest.mark.parametrize("change", ["chunks_per_question", "question_text",
-                                        "system_prompt", "edited_filing", "llm_id"])
+                                        "system_prompt", "edited_filing", "llm_id",
+                                        "embedder_seed"])
     def test_change_recomputes_only_the_rows_it_affects(self, synth_root, tmp_path,
                                                         monkeypatch, change):
         questions = tmp_path / "questions.json"
@@ -1292,15 +1325,22 @@ class TestRowMemo:
                                 llm_scoring.SYSTEM_PROMPT + " Be brief.")
         elif change == "edited_filing":
             affected = [append_to_filing(config.corpus_dir).key]
-        else:
+        elif change == "llm_id":
             config.llm_provider = {**config.llm_provider, "hit_score": 31}
+        else:
+            config.embedding_provider = {**config.embedding_provider, "seed": 1}
         # Code is not a stage input, so only a changed output makes the stage
         # run again for a changed SYSTEM_PROMPT; the other changes need none.
         Path(config.out("features.csv")).unlink()
         calls = count_top_k(monkeypatch)
+        embedders = count_embedded(monkeypatch)
         run_pipeline(config, ["embed", "score"])
         assert sorted(set(calls)) == affected
-        assert len(calls) == len(pipeline.load_questions(config)) * len(affected)
+        texts = [q.text for q in pipeline.load_questions(config).questions]
+        assert len(calls) == len(texts) * len(affected)
+        # Only a question text or an embedder not seen before is embedded.
+        expected = {"question_text": texts[:1], "embedder_seed": texts}.get(change, [])
+        assert embedders[-1].texts == expected
         cold = dataclasses.replace(config, index_dir=str(tmp_path / "cold" / "index"),
                                    out_dir=str(tmp_path / "cold"))
         run_pipeline(cold, ["embed", "score"])
@@ -1532,6 +1572,8 @@ class TestCli:
          "phrase (5) must be a string", 1),
         ({"llm_provider": {"name": "keyword-stub", "phrase": "x", "hit_score": "90"}},
          ["embed", "score"], "hit_score ('90') must be an integer", 1),
+        ({"llm_provider": {"name": "keyword-stub", "phrase": ""}}, ["embed", "score"],
+         "llm_provider 'keyword-stub': phrase must not be empty", 1),
     ])
     def test_config_mistake_is_an_error_line(self, synth_root, tmp_path, capsys,
                                              change, stages, named, code):
@@ -1817,8 +1859,7 @@ class TestScorePool:
             config = self.http_config(synth_root, tmp_path, "out", filings=0, url=url)
             run_pipeline(config, ["embed", "score"])
         assert server.calls == len(questions)  # not one per filing
-        records = [json.loads(line) for line in
-                   (tmp_path / "out" / "score_cache.jsonl").read_text().splitlines()]
+        records = answers_and_rows(tmp_path / "out" / "score_cache.jsonl")
         first, second = store.keys()
         assert [tuple(r["filing_key"]) for r in records] == \
             [first] * len(questions) + [first, second]
@@ -1848,8 +1889,7 @@ class TestScorePool:
                        (tmp_path / f"w{workers}" / "score_errors.jsonl").read_text().splitlines()]
             assert error["item"] == " ".join(first)
             assert f"question {questions.questions[0].question_id} failed" in error["error"]
-            records = [json.loads(line) for line in
-                       (tmp_path / f"w{workers}" / "score_cache.jsonl").read_text().splitlines()]
+            records = answers_and_rows(tmp_path / f"w{workers}" / "score_cache.jsonl")
             assert [tuple(r["filing_key"]) for r in records] == [second] * (count + 1)
             assert [r.get("question_id") for r in records[:count]] == \
                 [q.question_id for q in questions.questions]

@@ -2,6 +2,7 @@ import hashlib
 import json
 from datetime import date
 
+import numpy as np
 import pytest
 
 from filingsignal.corpus import Chunk, Filing, chunk_filing
@@ -58,9 +59,9 @@ class CountingLLM(ConstantLLM):
 def score(indexed, qs, llm, cache):
     """score_filing on an ``indexed_filing``, four chunks per question, asked serially."""
     filing, chunks, index, embedder = indexed
+    inputs = RowInputs(qs, embed_questions(qs, embedder, cache), llm, 4)
     with Calls(0) as calls:
-        return score_filing(filing, chunks, RowInputs(qs, embed_questions(qs, embedder), llm, 4),
-                            index, cache, calls, {})()
+        return score_filing(filing, chunks, inputs, index, cache, calls, {})()
 
 
 class TestQuestionSet:
@@ -184,9 +185,11 @@ class TestScoreFiling:
         path = tmp_path / "cache.jsonl"
         score(indexed_filing("some filing text"), small_questionset(), ConstantLLM(50),
               ScoreCache(path))
-        first, second, *rest = path.read_bytes().splitlines(keepends=True)
-        path.write_bytes(first + second.replace(b"SCORE: 50", b"SCORE: \xff50") + b"".join(rest))
-        with pytest.raises(PipelineError, match=f"^{path}: line 2 is not UTF-8: "):
+        lines = path.read_bytes().splitlines(keepends=True)
+        second = [i for i, line in enumerate(lines) if b"prompt_sha256" in line][1]
+        lines[second] = lines[second].replace(b"SCORE: 50", b"SCORE: \xff50")
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(PipelineError, match=f"^{path}: line {second + 1} is not UTF-8: "):
             ScoreCache(path)
 
     @pytest.mark.parametrize("line, problem", [
@@ -202,14 +205,39 @@ class TestScoreFiling:
         ('{"row_sha256": "cd", "scores": [1, 101]}', "is not a row "),
         ('{"row_sha256": "cd", "scores": 50}', "is not a row "),
         ("[1]", "is not a JSON object"),
+        ('{"vector_sha256": "ab"}', "is not a vector with a string vector_sha256 and a "
+         "non-empty list of finite numbers"),
+        ('{"vector_sha256": "ab", "vector": []}', "is not a vector "),
+        ('{"vector_sha256": "ab", "vector": [0.5, "0.5"]}', "is not a vector "),
+        ('{"vector_sha256": "ab", "vector": [true, 0.5]}', "is not a vector "),
+        ('{"vector_sha256": "ab", "vector": [0.5, NaN]}', "is not a vector "),
+        ('{"vector_sha256": "ab", "vector": [1e400]}', "is not a vector "),
+        ('{"vector_sha256": "ab", "vector": [1' + "0" * 400 + ']}', "is not a vector "),
+        ('{"vector_sha256": 7, "vector": [0.5]}', "is not a vector "),
     ], ids=["answer-without-score", "string-score", "score-above-100", "negative-score",
             "bool-score", "list-key", "row-without-scores", "row-score-above-100",
-            "scores-not-a-list", "not-an-object"])
+            "scores-not-a-list", "not-an-object", "vector-missing", "vector-empty",
+            "vector-string-entry", "vector-bool-entry", "vector-nan", "vector-infinite",
+            "vector-int-beyond-float", "vector-int-key"])
     def test_record_without_the_fields_put_writes_raises(self, tmp_path, line, problem):
         path = tmp_path / "cache.jsonl"
         path.write_text('{"row_sha256": "ef", "scores": [0, 100]}\n' + line + "\n")
         with pytest.raises(PipelineError, match=f"^{path}: line 2 {problem}"):
             ScoreCache(path)
+
+    def test_vector_reads_back_bit_for_bit(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        embedder = HashEmbeddingProvider(64, 0)
+        vectors = {f"q{n}": embed_text(embedder, q.text, "test") for n, q
+                   in enumerate(QuestionSet.default().questions)}
+        vectors["random"] = np.random.default_rng(0).standard_normal(64)
+        writer = ScoreCache(path)
+        for key, vector in vectors.items():
+            writer.put_vector(key, vector)
+        writer.flush()
+        reader = ScoreCache(path)
+        assert all(reader.get_vector(key).tobytes() == vector.tobytes()
+                   for key, vector in vectors.items())
 
     def test_unkeyed_records_dropped_from_file_once(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
@@ -285,7 +313,8 @@ class TestScoreFiling:
             score(indexed_filing("some filing text"), small_questionset(),
                   FailsLastQuestion(), ScoreCache(path))
         records = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [(r["question_id"], r["score"]) for r in records] == [("growth", 70)]
+        assert [(r["question_id"], r["score"]) for r in records
+                if "prompt_sha256" in r] == [("growth", 70)]
 
     def test_cache_bytes_match_per_answer_appends(self, tmp_path):
         class PerAnswerCache(ScoreCache):
