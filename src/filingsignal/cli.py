@@ -14,8 +14,6 @@ import sys
 from . import pipeline as pl
 from .errors import PipelineError
 
-logger = logging.getLogger(__name__)
-
 
 def cmd_pipeline(args) -> int:
     config = pl.PipelineConfig.from_yaml(args.config)

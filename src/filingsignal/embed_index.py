@@ -133,13 +133,6 @@ def embed_item(provider: EmbeddingProvider, texts: Sequence[str], item: str,
     return with_retries(attempt, f"embedding of {item}", (ValueError,))
 
 
-def embed_text(provider: EmbeddingProvider, text: str, item: str) -> np.ndarray:
-    """Embed one non-empty text of ``item`` through ``embed_item``."""
-    if not text:
-        raise ValueError("text must be non-empty")
-    return embed_item(provider, [text], item)[0]
-
-
 class VectorIndex:
     """Unit vectors with exact top-k queries within one filing.
 

@@ -7,8 +7,8 @@ feature row or none at all. The same file memoizes each full row, keyed on
 every input its prompts are built from, so a rerun retrieves and builds
 prompts only for the filings whose inputs changed. A filing's uncached
 prompts may be asked through a pool of threads while later filings are
-planned, and a prompt already in flight is not asked again; the answers and
-rows are still put in filing and question order, so the cache and the rows
+planned; the answers and rows are still put in filing and question order,
+and a prompt put twice keeps its first answer, so the cache and the rows
 come out the same as when every prompt is asked one by one. The same file
 keeps each question's unit vector, so a question is embedded once, not once
 per run.
@@ -32,9 +32,8 @@ from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
-from . import embed_index
 from .corpus import Chunk, Filing, json_line, read_whole_lines, write_atomic, write_csv
-from .embed_index import ChunkRef, EmbeddingProvider, VectorIndex
+from .embed_index import ChunkRef, EmbeddingProvider, VectorIndex, embed_item
 from .errors import PipelineError, RetriableError
 from .net import Calls, check_endpoint, post_json, with_retries
 
@@ -64,10 +63,11 @@ class QuestionSet:
 
     def __post_init__(self):
         """Refuse an empty set, an id or text that is not a string, an empty
-        text and a repeated id."""
+        text, a repeated id and a repeated text (two equal feature columns,
+        whose one prompt a filing would ask twice)."""
         if not self.questions:
             raise ValueError("there are no questions")
-        seen = set()
+        seen, texts = set(), set()
         for q in self.questions:
             if not (isinstance(q.question_id, str) and isinstance(q.text, str) and q.text):
                 raise ValueError(f"question {q.question_id!r}: the id and the text must be "
@@ -75,7 +75,11 @@ class QuestionSet:
             if q.question_id in seen:
                 raise ValueError(f"question {q.question_id!r} is repeated: question_ids "
                                  "must be unique")
+            if q.text in texts:
+                raise ValueError(f"question {q.question_id!r} repeats the text of an "
+                                 "earlier question: question texts must be unique")
             seen.add(q.question_id)
+            texts.add(q.text)
 
     def __len__(self) -> int:
         return len(self.questions)
@@ -143,8 +147,8 @@ class KeywordLLM:
         _check_score("miss_score", miss_score)
         if per_occurrence < 0:
             raise ValueError(f"per_occurrence ({per_occurrence!r}) must not be negative")
-        if not phrase:  # str.count("") counts every position: every prompt would hit
-            raise ValueError("phrase must not be empty")
+        if not phrase.strip():  # str.count("") or (" ") would make every prompt a hit
+            raise ValueError("phrase must not be empty or only whitespace")
         self.phrase = phrase.lower()
         self.hit_score = hit_score
         self.miss_score = miss_score
@@ -367,8 +371,9 @@ class ScoreCache:
             raw_response: str, context_chunk_refs: list[ChunkRef]) -> int:
         """Keep one answer unless the key is held; the score held for the key.
 
-        A prompt that two questions or filings miss is asked once (see
-        ``score_filing``) and put by both: the second put writes nothing."""
+        A prompt that two filings in flight at once both miss is asked and put
+        by each (see ``score_filing``): the second put writes nothing and
+        returns the first score, as a serial run would have read it."""
         if key in self._scores:
             return self._scores[key]
         self._scores[key] = score
@@ -423,7 +428,7 @@ def embed_text(embedder: EmbeddingProvider, text: str, item: str,
     key = _sha256_of(p.encode("utf-8") for p in (embedder.provider_id, text))
     if (held := cache.get_vector(key)) is not None:
         return held
-    vector = embed_index.embed_text(embedder, text, item)
+    vector = embed_item(embedder, [text], item)[0]
     cache.put_vector(key, vector)
     return vector
 
@@ -491,39 +496,37 @@ def score_filing(
     index: VectorIndex,
     cache: ScoreCache,
     calls: Calls,
-    in_flight: dict[str, Callable[[], tuple[str, int]]],
-) -> Callable[[], FeatureRow]:
+) -> tuple[Callable[[], FeatureRow], int]:
     """Start scoring every question of one filing, all-or-nothing; returns the
-    function that ends it and returns the row.
+    function that ends it and returns the row, and the number of prompts
+    submitted to ``calls``.
 
     ``chunks`` are the filing's own chunks in chunk_index order, as the index
     was built from them. The row key is a sha256 over ``inputs.key``, the
     filing key, and the text hashes and vectors of the filing's rows in the
     index in chunk order: every input the row's prompts are built from. A row
-    the cache holds under it is returned as it is. Otherwise, for each
-    question in order, this thread retrieves the filing's top chunks, builds
-    the prompt and looks it up in ``cache``. A miss whose prompt is in
-    ``in_flight``, asked for an earlier question or filing, takes that ask;
-    any other is submitted to ``calls`` and held in ``in_flight`` until this
-    filing ends, so a prompt in flight is asked once.
+    the cache holds under it is returned as it is, with 0 prompts submitted.
+    Otherwise, for each question in order, this thread retrieves the filing's
+    top chunks, builds the prompt and looks it up in ``cache``; each miss is
+    submitted to ``calls``.
 
     The end, called on the same thread and in filing order, waits for the
     answers and puts them in the cache in question order, then the row under
-    its row key. A miss whose borrowed ask failed or was stopped is asked
-    again then. Any question that stays unparseable or unreachable after its
+    its row key. Any question that stays unparseable or unreachable after its
     attempts fails the whole row (partial rows would corrupt the design
-    matrix): the end raises its error, or one met while planning, and puts
-    no row. Either way the answers put are flushed to the cache.
+    matrix): the end raises the first such error in question order, or one
+    met while planning, and puts no row. Either way the answers put are
+    flushed to the cache.
     """
     key = filing.key
     row_key = _sha256_of([inputs.key.encode("ascii"), *(part.encode("utf-8") for part in key),
                           *(h.encode("ascii") for h in index.hashes_of(key)),
                           index.vectors_of(key).tobytes()])
     if (memo := cache.get_row(row_key)) is not None:
-        return lambda: FeatureRow(key, list(memo))
+        return (lambda: FeatureRow(key, list(memo))), 0
     llm, failure = inputs.llm, _FirstFailure()
     scores: list[int | None] = []
-    asks: list[tuple[_Miss, Callable, bool]] = []  # each miss, its ask, and if this filing made it
+    asks: list[tuple[_Miss, Callable[[], tuple[str, int]]]] = []
     error = None
     try:
         for question, query in zip(inputs.qs.questions, inputs.queries, strict=True):
@@ -537,10 +540,7 @@ def score_filing(
             if scores[-1] is None:
                 miss = _Miss(len(scores) - 1, question.question_id, pkey, system_prompt,
                              user_prompt, [ref for ref, _ in hits])
-                own = pkey not in in_flight
-                if own:
-                    in_flight[pkey] = calls.submit(_ask, llm, failure, miss)
-                asks.append((miss, in_flight[pkey], own))
+                asks.append((miss, calls.submit(_ask, llm, failure, miss)))
     except PipelineError as exc:  # raised by the end, in filing order
         error = exc
 
@@ -548,24 +548,16 @@ def score_filing(
         try:
             if error is not None:
                 raise error
-            for miss, ask, own in asks:
-                try:
-                    raw, score = ask()
-                except PipelineError:
-                    if own:
-                        raise
-                    raw, score = calls.call(_ask, llm, failure, miss)
+            for miss, ask in asks:
+                raw, score = ask()
                 scores[miss.position] = cache.put(miss.key, key, miss.question_id, score, raw,
                                                   miss.refs)
             cache.put_row(row_key, key, scores)
         finally:
             cache.flush()
-            for miss, _, own in asks:
-                if own:
-                    del in_flight[miss.key]
         return FeatureRow(key, scores)
 
-    return end
+    return end, len(asks)
 
 
 # --- features.csv -------------------------------------------------------------

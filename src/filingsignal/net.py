@@ -247,13 +247,13 @@ class Calls:
             self._pool.shutdown(cancel_futures=True)
 
     def submit(self, fn: Callable[..., T], *args) -> Callable[[], T]:
-        """Start ``call(fn, *args)``; returns the function that returns its value
+        """Start ``_call(fn, *args)``; returns the function that returns its value
         or raises its error, waiting for it on a worker. Without workers the
         call is made here and now, and no future is made for it."""
         if self._pool is not None:
-            return self._pool.submit(self.call, fn, *args).result
+            return self._pool.submit(self._call, fn, *args).result
         try:
-            value = self.call(fn, *args)
+            value = self._call(fn, *args)
         except Exception as exc:
             error = exc
 
@@ -262,7 +262,7 @@ class Calls:
             return failed
         return lambda: value
 
-    def call(self, fn: Callable[..., T], *args) -> T:
+    def _call(self, fn: Callable[..., T], *args) -> T:
         """``fn(*args)`` on this thread, unless a call has raised FinalStatusError."""
         if self._final is not None:
             raise FinalStatusError(str(self._final))

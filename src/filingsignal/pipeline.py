@@ -21,8 +21,10 @@ The score stage plans each filing's calls and ends the filings in corpus
 order, on its own thread. For a chat provider that waits on the network it
 makes the calls on MAX_WORKERS threads and plans the next filings while
 earlier ones are in flight, until those after the oldest hold 2 asks per
-worker; the score cache and the features hold the same bytes as when every
-call is made one by one. The embed stage makes its calls one by one.
+worker. Each filing asks its own uncached prompts, so two filings in flight
+at once may both ask one prompt; the score cache keeps its first answer, and
+it and the features hold the same bytes as when every call is made one by
+one. The embed stage makes its calls one by one.
 An ingest run made only to retry the tickers its last run left out, which
 its manifest record keeps, resolves only those tickers.
 
@@ -317,8 +319,7 @@ def stage_score(config: PipelineConfig, failures: Failures) -> None:
         )
     cache = ScoreCache(config.out("score_cache.jsonl"))
     inputs = RowInputs(qs, embed_questions(qs, embedder, cache), llm, config.chunks_per_question)
-    in_flight = {}  # prompt key -> its ask, until the filing that made it ends
-    started: deque = deque()  # (filing, its end, the asks it added or 1), oldest first
+    started: deque = deque()  # (filing, its end, the asks it submitted or 1), oldest first
     rows = []
 
     def end_oldest():
@@ -341,13 +342,12 @@ def stage_score(config: PipelineConfig, failures: Failures) -> None:
                         f"filing {filing.ticker} {filing.filing_date} has {len(chunks)} "
                         f"chunks unlike its {len(indexed)} rows in the index in "
                         f"{config.index_dir}", "embed")
-                before = len(in_flight)
-                end = score_filing(filing, chunks, inputs, index, cache, calls, in_flight)
+                end, asks = score_filing(filing, chunks, inputs, index, cache, calls)
             except Exception:  # raised once the filings before it have ended
                 while started:
                     end_oldest()
                 raise
-            started.append((filing, end, max(1, len(in_flight) - before)))
+            started.append((filing, end, max(1, asks)))
             # The oldest ends once the filings after it hold 2 asks per worker,
             # so no worker idles while this thread waits for it.
             while started and (sum(weight for *_, weight in started) - started[0][2]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from filingsignal.embed_index import (HashEmbeddingProvider, VectorIndex,
-                                      embed_text, normalize)
+                                      embed_item, normalize)
 from filingsignal.errors import PipelineError
 
 from conftest import FIXTURES
@@ -55,21 +55,26 @@ def random_index(rng, n, d=32, filings=1):
     return VectorIndex("test", refs, text_hashes(refs), vectors), vectors, refs
 
 
+def embed_one(provider, text):
+    """One text's unit vector, through ``embed_item``."""
+    return embed_item(provider, [text], "test")[0]
+
+
 class TestStubProvider:
     def test_deterministic(self):
         p = HashEmbeddingProvider(64, 0)
-        assert np.array_equal(embed_text(p, "alpha", "test"), embed_text(p, "alpha", "test"))
+        assert np.array_equal(embed_one(p, "alpha"), embed_one(p, "alpha"))
 
     def test_unit_norm(self):
         p = HashEmbeddingProvider(64, 0)
         for text in ["alpha", "alpha beta gamma", "x " * 500]:
-            assert abs(np.linalg.norm(embed_text(p, text, "test")) - 1.0) < 1e-6
+            assert abs(np.linalg.norm(embed_one(p, text)) - 1.0) < 1e-6
 
     def test_shared_tokens_raise_similarity(self):
         p = HashEmbeddingProvider(64, 0)
-        a = embed_text(p, "revenue growth outlook strong", "test")
-        b = embed_text(p, "revenue growth guidance strong", "test")
-        c = embed_text(p, "litigation settlement patent dispute", "test")
+        a = embed_one(p, "revenue growth outlook strong")
+        b = embed_one(p, "revenue growth guidance strong")
+        c = embed_one(p, "litigation settlement patent dispute")
         assert np.dot(a, b) > np.dot(a, c)
 
     def test_matches_golden_file(self):
@@ -78,12 +83,8 @@ class TestStubProvider:
         p = HashEmbeddingProvider(dimension=16, seed=7)
         assert p.provider_id == golden["provider_id"]
         for text, expected in golden["vectors"].items():
-            got = embed_text(p, text, "test")
+            got = embed_one(p, text)
             assert np.allclose(got, expected, atol=1e-12)
-
-    def test_empty_text_rejected(self):
-        with pytest.raises(ValueError):
-            embed_text(HashEmbeddingProvider(64, 0), "", "test")
 
 
 class TestTopK:

@@ -17,7 +17,7 @@ from filingsignal.corpus import CorpusStore, chunk_filing
 from filingsignal.embed_index import HashEmbeddingProvider, VectorIndex
 from filingsignal.errors import (Failures, FinalStatusError, PipelineError, RetriableError,
                                  StageInputError)
-from filingsignal.llm_scoring import KeywordLLM, ScoreCache, read_features_csv
+from filingsignal.llm_scoring import HTTPChatLLM, KeywordLLM, ScoreCache, read_features_csv
 from filingsignal.net import MAX_ATTEMPTS, MAX_WORKERS
 from filingsignal.pipeline import PipelineConfig, run_pipeline
 from filingsignal.regression import NNLSModel
@@ -1574,6 +1574,8 @@ class TestCli:
          ["embed", "score"], "hit_score ('90') must be an integer", 1),
         ({"llm_provider": {"name": "keyword-stub", "phrase": ""}}, ["embed", "score"],
          "llm_provider 'keyword-stub': phrase must not be empty", 1),
+        ({"llm_provider": {"name": "keyword-stub", "phrase": " \t"}}, ["embed", "score"],
+         "llm_provider 'keyword-stub': phrase must not be empty or only whitespace", 1),
     ])
     def test_config_mistake_is_an_error_line(self, synth_root, tmp_path, capsys,
                                              change, stages, named, code):
@@ -1674,12 +1676,14 @@ class TestCli:
         ('{"questions": [1]}', "not of the form"),
         ('{"questions": [{"id": "a", "text": "x"}, {"id": "a", "text": "y"}]}',
          "question 'a' is repeated"),
+        ('{"questions": [{"id": "a", "text": "x"}, {"id": "b", "text": "x"}]}',
+         "question 'b' repeats the text of an earlier question"),
         ('{"questions": [{"id": "a", "text": ""}]}', "question 'a': the id and the text"),
         ('{"questions": [{"id": 1, "text": "x"}]}', "question 1: the id and the text"),
         ('{"questions": []}', "there are no questions"),
         ("{", "Expecting property name"),
-    ], ids=["no-text", "list", "number", "repeated-id", "empty-text", "number-id", "none",
-            "not-json"])
+    ], ids=["no-text", "list", "number", "repeated-id", "repeated-text", "empty-text",
+            "number-id", "none", "not-json"])
     def test_questions_file_mistake_runs_no_stage(self, synth_root, tmp_path, capsys, text,
                                                   named):
         questions = tmp_path / "questions.json"
@@ -1824,12 +1828,12 @@ class TestScorePool:
         def logged(filing, *args):
             number = numbers[filing.key]
             events.append(f"P{number}")
-            end = score_filing(filing, *args)
+            end, asks = score_filing(filing, *args)
 
             def logged_end():
                 events.append(f"E{number}")
                 return end()
-            return logged_end
+            return logged_end, asks
 
         monkeypatch.setattr(pipeline, "score_filing", logged)
         monkeypatch.setattr(pipeline, "MAX_WORKERS", 2)
@@ -1851,50 +1855,56 @@ class TestScorePool:
         run_pipeline(stub, ["embed", "score"])
         assert " ".join(events) == " ".join(f"P{n} E{n}" for n in range(1, 7))
 
-    def test_prompt_in_flight_is_asked_once(self, synth_root, tmp_path):
-        questions = pipeline.load_questions(synthetic_config(synth_root, tmp_path))
-        store = self.stored_twice(synth_root, tmp_path)
-        server = ChatServer(questions.questions, lambda i: 0.002)
-        with loopback(server) as url:
-            config = self.http_config(synth_root, tmp_path, "out", filings=0, url=url)
-            run_pipeline(config, ["embed", "score"])
-        assert server.calls == len(questions)  # not one per filing
-        records = answers_and_rows(tmp_path / "out" / "score_cache.jsonl")
-        first, second = store.keys()
-        assert [tuple(r["filing_key"]) for r in records] == \
-            [first] * len(questions) + [first, second]
-        _, rows = read_features_csv(tmp_path / "out" / "features.csv")
-        assert [row.filing_key for row in rows] == [first, second]
-        assert rows[0].scores == rows[1].scores
-
-    def test_failed_ask_is_asked_again_by_a_filing_that_took_it(self, synth_root, tmp_path,
-                                                                monkeypatch):
-        """The first filing's first question fails for good; the second filing,
-        which took that ask and the ones the failure stopped, asks them itself."""
+    def test_filings_in_flight_each_ask_a_shared_prompt(self, synth_root, tmp_path,
+                                                        monkeypatch):
+        """Two filings of one text: with workers both are in flight and each asks
+        every prompt; without, the second reads the first's answers. The cache
+        keeps one answer per prompt, so the bytes are the same either way."""
         questions = pipeline.load_questions(synthetic_config(synth_root, tmp_path))
         count = len(questions)
         first, second = self.stored_twice(synth_root, tmp_path).keys()
-        for workers in (1, 8):
-            server = ChatServer(
-                questions.questions, lambda i: 0.001,
-                status=lambda position, asked: 503 if position == 0 and
-                asked < MAX_ATTEMPTS else 200)
+        for workers, calls in [(0, count), (1, 2 * count), (8, 2 * count)]:
+            server = ChatServer(questions.questions, lambda i: 0.001)
             monkeypatch.setattr(pipeline, "MAX_WORKERS", workers)
             with loopback(server) as url:
                 config = self.http_config(synth_root, tmp_path, f"w{workers}", filings=0,
                                           url=url)
                 run_pipeline(config, ["embed", "score"])
-            assert server.calls == MAX_ATTEMPTS + count  # each other prompt asked once
-            [error] = [json.loads(line) for line in
-                       (tmp_path / f"w{workers}" / "score_errors.jsonl").read_text().splitlines()]
-            assert error["item"] == " ".join(first)
-            assert f"question {questions.questions[0].question_id} failed" in error["error"]
+            assert server.calls == calls
             records = answers_and_rows(tmp_path / f"w{workers}" / "score_cache.jsonl")
-            assert [tuple(r["filing_key"]) for r in records] == [second] * (count + 1)
-            assert [r.get("question_id") for r in records[:count]] == \
-                [q.question_id for q in questions.questions]
-        assert (tmp_path / "w1" / "score_cache.jsonl").read_bytes() == \
-            (tmp_path / "w8" / "score_cache.jsonl").read_bytes()
+            assert [tuple(r["filing_key"]) for r in records] == \
+                [first] * count + [first, second]
+            assert len({r["prompt_sha256"] for r in records[:count]}) == count
+            _, rows = read_features_csv(tmp_path / f"w{workers}" / "features.csv")
+            assert [row.filing_key for row in rows] == [first, second]
+            assert rows[0].scores == rows[1].scores
+        for name in ["score_cache.jsonl", "features.csv"]:
+            serial = (tmp_path / "w0" / name).read_bytes()
+            assert (tmp_path / "w1" / name).read_bytes() == serial, name
+            assert (tmp_path / "w8" / name).read_bytes() == serial, name
+
+    def test_refused_prompt_is_asked_only_on_provider_threads(self, synth_root, tmp_path,
+                                                              monkeypatch):
+        """Two filings of one text, the first question refused 3 times: every
+        chat call, a retry too, is made by a pool worker, none by the stage."""
+        questions = pipeline.load_questions(synthetic_config(synth_root, tmp_path))
+        self.stored_twice(synth_root, tmp_path)
+        threads = []
+        complete = HTTPChatLLM.complete
+
+        def recorded(llm, system_prompt, user_prompt):
+            threads.append(threading.current_thread().name)
+            return complete(llm, system_prompt, user_prompt)
+
+        monkeypatch.setattr(HTTPChatLLM, "complete", recorded)
+        server = ChatServer(questions.questions, lambda i: 0.001,
+                            status=lambda position, asked: 503 if position == 0 and
+                            asked < MAX_ATTEMPTS else 200)
+        with loopback(server) as url:
+            config = self.http_config(synth_root, tmp_path, "out", filings=0, url=url)
+            run_pipeline(config, ["embed", "score"])
+        assert len(threads) == server.calls > len(questions)
+        assert [name for name in threads if not name.startswith("provider")] == []
 
     def test_filings_before_a_refused_one_are_ended_first(self, synth_root, tmp_path):
         """A filing whose chunks differ from the index stops the stage, as when

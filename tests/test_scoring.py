@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from filingsignal.corpus import Chunk, Filing, chunk_filing
-from filingsignal.embed_index import HashEmbeddingProvider, VectorIndex, embed_text
+from filingsignal.embed_index import HashEmbeddingProvider, VectorIndex, embed_item
 from filingsignal.errors import PipelineError, RetriableError
 from filingsignal.llm_scoring import (ConstantLLM, HTTPChatLLM, KeywordLLM, Question,
                                       QuestionSet, RowInputs, ScoreCache, build_prompt,
@@ -40,7 +40,7 @@ def indexed_filing(text, ticker="TEST"):
     index = VectorIndex(embedder.provider_id,
                         [(*c.filing_key, c.chunk_index) for c in chunks],
                         [c.sha256 for c in chunks],
-                        [embed_text(embedder, c.text, "test") for c in chunks])
+                        embed_item(embedder, [c.text for c in chunks], "test"))
     return filing, chunks, index, embedder
 
 
@@ -61,7 +61,8 @@ def score(indexed, qs, llm, cache):
     filing, chunks, index, embedder = indexed
     inputs = RowInputs(qs, embed_questions(qs, embedder, cache), llm, 4)
     with Calls(0) as calls:
-        return score_filing(filing, chunks, inputs, index, cache, calls, {})()
+        end, _ = score_filing(filing, chunks, inputs, index, cache, calls)
+        return end()
 
 
 class TestQuestionSet:
@@ -77,6 +78,14 @@ class TestQuestionSet:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
             QuestionSet([Question("a", "x"), Question("a", "y")])
+
+    def test_duplicate_texts_rejected(self):
+        with pytest.raises(ValueError, match="question 'b' repeats the text"):
+            QuestionSet([Question("a", "x"), Question("b", "x")])
+
+    def test_empty_text_rejected(self):
+        with pytest.raises(ValueError, match="the text not empty"):
+            QuestionSet([Question("a", "")])
 
     def test_json_round_trip(self, tmp_path):
         p = tmp_path / "qs.json"
@@ -228,8 +237,9 @@ class TestScoreFiling:
     def test_vector_reads_back_bit_for_bit(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         embedder = HashEmbeddingProvider(64, 0)
-        vectors = {f"q{n}": embed_text(embedder, q.text, "test") for n, q
-                   in enumerate(QuestionSet.default().questions)}
+        texts = [q.text for q in QuestionSet.default().questions]
+        vectors = {f"q{n}": vector
+                   for n, vector in enumerate(embed_item(embedder, texts, "test"))}
         vectors["random"] = np.random.default_rng(0).standard_normal(64)
         writer = ScoreCache(path)
         for key, vector in vectors.items():
@@ -335,21 +345,18 @@ class TestScoreFiling:
         assert sum("prompt_sha256" in r for r in records) == 2 * len(qs)
         assert [r["scores"] for r in records if "row_sha256" in r] == [[50, 50], [50, 50]]
 
-    def test_repeated_prompt_scored_from_its_first_answer(self, tmp_path):
-        class Counting:
-            provider_id = "counting"
-            calls = 0
-
-            def complete(self, s, u):
-                Counting.calls += 1
-                return f"SCORE: {Counting.calls}"
-
-        qs = QuestionSet([Question("a", GROWTH_QUESTION), Question("b", GROWTH_QUESTION)])
-        indexed = indexed_filing("some filing text")
-        cold = score(indexed, qs, Counting(), ScoreCache(tmp_path / "cache.jsonl"))
-        warm = score(indexed, qs, Counting(), ScoreCache(tmp_path / "cache.jsonl"))
-        assert cold.scores == warm.scores == [1, 1]
-        assert Counting.calls == 1  # the second question took the first one's ask
+    def test_second_put_of_a_key_keeps_the_first_score(self, tmp_path):
+        """Two filings in flight at once may both ask one prompt: the answer put
+        second writes nothing, and its filing gets the first score."""
+        path = tmp_path / "cache.jsonl"
+        cache = ScoreCache(path)
+        refs = [("TEST", "2020-02-01", 0)]
+        assert cache.put("ab" * 32, ("TEST", "2020-02-01"), "a", 40, "SCORE: 40", refs) == 40
+        assert cache.put("ab" * 32, ("TEST", "2020-12-01"), "a", 70, "SCORE: 70", refs) == 40
+        cache.flush()
+        [record] = map(json.loads, path.read_text().splitlines())
+        assert (record["filing_key"], record["score"]) == (["TEST", "2020-02-01"], 40)
+        assert ScoreCache(path).get("ab" * 32) == 40
 
     def test_unparseable_fails_whole_row(self, tmp_path):
         class Garbage:
