@@ -1,5 +1,7 @@
-"""Walk-forward evaluation: per-year top-k picks, mean and compounded returns
-versus the benchmark, and a k-sweep.
+"""Out-of-sample evaluation: one model, fit on the train years, ranks every
+test year; per-year top-k picks, mean and compounded returns versus the
+benchmark, and a k-sweep. (It is not walk-forward: the model is not refit
+for each test year.)
 
 Strategy and benchmark returns for a pick are always taken from the same
 ReturnRecord, so both legs of every comparison cover identical date windows.
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,15 +45,23 @@ class SplitSpec:
 
 
 @dataclass
+class Pick:
+    ticker: str
+    prediction: float
+
+
+@dataclass
 class YearResult:
     year: int
-    picks: list[tuple[str, float]]  # (ticker, prediction), selection order
+    picks: list[Pick]  # selection order
     mean_strategy_return: float
     mean_benchmark_return: float
 
 
 @dataclass
 class BacktestReport:
+    """The content of report.json: ``to_json`` writes every field."""
+
     per_year: list[YearResult]
     strategy_wealth: list[float]  # starts at 1.0, one step per test year
     benchmark_wealth: list[float]
@@ -59,21 +69,7 @@ class BacktestReport:
     return_basis: str
 
     def to_json(self) -> str:
-        return json.dumps({
-            "k": self.k,
-            "return_basis": self.return_basis,
-            "per_year": [
-                {
-                    "year": y.year,
-                    "picks": [{"ticker": t, "prediction": p} for t, p in y.picks],
-                    "mean_strategy_return": y.mean_strategy_return,
-                    "mean_benchmark_return": y.mean_benchmark_return,
-                }
-                for y in self.per_year
-            ],
-            "strategy_wealth": self.strategy_wealth,
-            "benchmark_wealth": self.benchmark_wealth,
-        }, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def compound(returns: list[float]) -> list[float]:
@@ -135,7 +131,7 @@ def run_backtest(ranked: Ranking, k: int, return_basis: str) -> BacktestReport:
     for year, ranking in ranked.items():
         top = ranking[:k]
         per_year.append(YearResult(
-            year, [(ticker, prediction) for ticker, prediction, _ in top],
+            year, [Pick(ticker, prediction) for ticker, prediction, _ in top],
             float(np.mean([getattr(r, stock_field) for _, _, r in top])),
             float(np.mean([getattr(r, bench_field) for _, _, r in top]))))
     return BacktestReport(

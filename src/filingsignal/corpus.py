@@ -19,7 +19,7 @@ from datetime import date
 from html import unescape
 from html.parser import HTMLParser
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_type_hints
 
 from .errors import PipelineError
 
@@ -45,6 +45,10 @@ class TickerUniverse:
             repeated = sorted(t for t, n in Counter(tickers).items() if n > 1)
             raise ValueError(f"duplicate tickers in universe: {repeated}")
         for e in self.entries:
+            # A ticker names its filings' files, so it must not name a path.
+            if not re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9.-]*", e.ticker):
+                raise ValueError(f"ticker {e.ticker!r} is not a letter or digit followed "
+                                 "by letters, digits, '.' or '-'")
             if not re.fullmatch(r"\d{10}", e.cik):
                 raise ValueError(f"cik must be 10 digits, got {e.cik!r} for {e.ticker}")
 
@@ -256,6 +260,34 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
     writer.writerow(header)
     writer.writerows(rows)
     write_atomic(path, text.getvalue())
+
+
+# How a record field of each annotated type is written to a CSV cell and read
+# back: a float as its repr, so that it reads back as the same float.
+_CELL_CODECS = {
+    str: (str, str),
+    int: (str, int),
+    float: (repr, float),
+    date: (date.isoformat, date.fromisoformat),
+    list[str]: (";".join, lambda cell: [x for x in cell.split(";") if x]),
+}
+
+def write_records(path: str | Path, cls: type, records: Iterable) -> None:
+    """Replace ``path`` with a CSV of the dataclass ``cls``'s records: one
+    column per field, in field order, headed by its name (see ``write_csv``)."""
+    hints = get_type_hints(cls)
+    codecs = [(f.name, _CELL_CODECS[hints[f.name]][0]) for f in fields(cls)]
+    write_csv(path, [name for name, _ in codecs],
+              ([encode(getattr(r, name)) for name, encode in codecs] for r in records))
+
+
+def read_records(path: str | Path, cls: type) -> list:
+    """The records of a CSV that ``write_records`` wrote for ``cls``."""
+    hints = get_type_hints(cls)
+    codecs = [(f.name, _CELL_CODECS[hints[f.name]][1]) for f in fields(cls)]
+    with open(path, newline="", encoding="utf-8") as f:
+        return [cls(**{name: decode(row[name]) for name, decode in codecs})
+                for row in csv.DictReader(f)]
 
 
 @dataclass

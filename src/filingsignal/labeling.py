@@ -9,27 +9,25 @@ independent across years.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import date
-from pathlib import Path
 
 import numpy as np
 
-from .corpus import write_csv
 from .market_data import BASIS_FIELDS, ReturnRecord
 
 SOURCE_FIELDS = tuple(stock for stock, _ in BASIS_FIELDS.values())
 
-LABELS_COLUMNS = ["ticker", "filing_date", "year", "label"]
-
 
 @dataclass
 class LabeledExample:
+    """One row of labels.csv: its fields are the file's columns, in order
+    (see ``corpus.write_records``)."""
+
     ticker: str
     filing_date: date
-    label: float
     year: int
+    label: float
 
 
 def bin_label(normalized_rank: float, bins: int) -> float:
@@ -77,24 +75,7 @@ def make_labels(
             ranks = average_ranks(values)
             labels = [bin_label((rank - 1.0) / (n - 1.0), bins) for rank in ranks]
         for r, label in zip(group, labels):
-            out.append(LabeledExample(r.ticker, r.filing_date, label, year))
+            out.append(LabeledExample(r.ticker, r.filing_date, year, label))
     out.sort(key=lambda e: (e.ticker, e.filing_date))
     return out
 
-
-def write_labels_csv(path: str | Path, examples: list[LabeledExample]) -> None:
-    write_csv(path, LABELS_COLUMNS,
-              ([e.ticker, e.filing_date.isoformat(), e.year, repr(e.label)] for e in examples))
-
-
-def read_labels_csv(path: str | Path) -> list[LabeledExample]:
-    examples = []
-    with open(path, newline="", encoding="utf-8") as f:
-        for rec in csv.DictReader(f):
-            examples.append(LabeledExample(
-                ticker=rec["ticker"],
-                filing_date=date.fromisoformat(rec["filing_date"]),
-                label=float(rec["label"]),
-                year=int(rec["year"]),
-            ))
-    return examples

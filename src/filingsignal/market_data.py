@@ -17,7 +17,6 @@ the bad row can be named by file, line and row.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 from dataclasses import dataclass, field
 from datetime import date
@@ -26,10 +25,7 @@ from typing import Collection
 
 import numpy as np
 
-from .corpus import write_csv
 from .errors import PipelineError
-
-logger = logging.getLogger(__name__)
 
 MAX_PERCENTILE = 98.0
 MIN_PERCENTILE = 2.0
@@ -42,12 +38,6 @@ FLAG_DELISTED = "delisted"
 # A return basis ("12m" or "max") names the stock and benchmark fields it reads.
 BASIS_FIELDS = {"12m": ("target_12m", "sp500_12m"), "max": ("target_max", "sp500_max")}
 PRICE_COLUMNS = ("symbol", "date", "adjusted_close")
-
-RETURNS_COLUMNS = [
-    "ticker", "filing_date", "next_filing_date",
-    "target_12m", "target_max", "target_min",
-    "sp500_12m", "sp500_max", "flags",
-]
 
 
 class WindowSkipped(Exception):
@@ -352,6 +342,9 @@ def _percentile(ordered: np.ndarray, percent: float) -> float:
 
 @dataclass
 class ReturnRecord:
+    """One row of returns.csv: its fields are the file's columns, in order
+    (see ``corpus.write_records``)."""
+
     ticker: str
     filing_date: date
     next_filing_date: date
@@ -406,31 +399,3 @@ def compute_return_records(
             ))
     return records, skipped
 
-
-# --- returns.csv --------------------------------------------------------------
-
-
-def write_returns_csv(path: str | Path, records: list[ReturnRecord]) -> None:
-    write_csv(path, RETURNS_COLUMNS, ([
-        r.ticker, r.filing_date.isoformat(), r.next_filing_date.isoformat(),
-        repr(r.target_12m), repr(r.target_max), repr(r.target_min),
-        repr(r.sp500_12m), repr(r.sp500_max), ";".join(r.flags),
-    ] for r in records))
-
-
-def read_returns_csv(path: str | Path) -> list[ReturnRecord]:
-    records = []
-    with open(path, newline="", encoding="utf-8") as f:
-        for rec in csv.DictReader(f):
-            records.append(ReturnRecord(
-                ticker=rec["ticker"],
-                filing_date=date.fromisoformat(rec["filing_date"]),
-                next_filing_date=date.fromisoformat(rec["next_filing_date"]),
-                target_12m=float(rec["target_12m"]),
-                target_max=float(rec["target_max"]),
-                target_min=float(rec["target_min"]),
-                sp500_12m=float(rec["sp500_12m"]),
-                sp500_max=float(rec["sp500_max"]),
-                flags=[x for x in rec["flags"].split(";") if x],
-            ))
-    return records

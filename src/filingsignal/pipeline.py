@@ -53,7 +53,8 @@ import yaml
 from . import backtest as bt
 from . import labeling
 from . import market_data as md
-from .corpus import CorpusStore, TickerUniverse, chunk_filing, write_atomic
+from .corpus import (CorpusStore, TickerUniverse, chunk_filing, read_records, write_atomic,
+                     write_records)
 from .embed_index import (INDEX_FILE, HashEmbeddingProvider, HTTPEmbeddingProvider,
                           VectorIndex, embed_item)
 from .errors import Failures, PipelineError, StageInputError
@@ -383,22 +384,22 @@ def stage_returns(config: PipelineConfig, failures: Failures) -> None:
         failures.record(item, reason)
     if failures.items and not records:
         raise failures.refusal("no return window was computed")
-    md.write_returns_csv(config.out("returns.csv"), records)
+    write_records(config.out("returns.csv"), md.ReturnRecord, records)
 
 
 def stage_label(config: PipelineConfig, failures: Failures) -> None:
-    records = md.read_returns_csv(config.out("returns.csv"))
+    records = read_records(config.out("returns.csv"), md.ReturnRecord)
     if not records:
         raise PipelineError(f"{config.out('returns.csv')} holds no return windows; "
                             f"{config.out('returns_errors.jsonl')} says why each was skipped")
     source, _ = md.BASIS_FIELDS[config.label_target]
     examples = labeling.make_labels(records, source, config.bins)
-    labeling.write_labels_csv(config.out("labels.csv"), examples)
+    write_records(config.out("labels.csv"), labeling.LabeledExample, examples)
 
 
 def stage_train(config: PipelineConfig, failures: Failures) -> None:
     qcols, feature_rows = read_features_csv(config.out("features.csv"))
-    labels = labeling.read_labels_csv(config.out("labels.csv"))
+    labels = read_records(config.out("labels.csv"), labeling.LabeledExample)
     label_by_key = {(e.ticker, e.filing_date.isoformat()): e.label for e in labels}
     lo, hi = config.train_years
     joined = [
@@ -417,7 +418,7 @@ def stage_train(config: PipelineConfig, failures: Failures) -> None:
 def stage_backtest(config: PipelineConfig, failures: Failures) -> None:
     model = NNLSModel.load(config.out("model.json"))
     _, feature_rows = read_features_csv(config.out("features.csv"))
-    records = md.read_returns_csv(config.out("returns.csv"))
+    records = read_records(config.out("returns.csv"), md.ReturnRecord)
     ranked = bt.rank_test_years(model, feature_rows, records,
                                 bt.SplitSpec(config.train_years, config.test_years))
     report = bt.run_backtest(ranked, config.k, config.basis)

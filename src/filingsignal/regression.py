@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -85,6 +85,8 @@ def nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass
 class NNLSModel:
+    """The content of model.json: ``save`` writes every field, ``load`` reads them."""
+
     feature_names: list[str]
     coefficients: np.ndarray  # all >= 0
     intercept: float
@@ -102,27 +104,18 @@ class NNLSModel:
         return float(self.intercept + (row @ self.coefficients)[0])
 
     def save(self, path: str | Path, extra: dict | None = None) -> None:
-        payload = {
-            "feature_names": self.feature_names,
-            "coefficients": self.coefficients.tolist(),
-            "intercept": self.intercept,
-            "shift": self.shift.tolist(),
-            "scale": self.scale.tolist(),
-        }
-        if extra:
-            payload.update(extra)
-        write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        """Write the fields, each array as a list, and the keys of ``extra``."""
+        payload = {name: value.tolist() if isinstance(value, np.ndarray) else value
+                   for name, value in asdict(self).items()}
+        write_atomic(path, json.dumps(payload | (extra or {}), indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "NNLSModel":
+        """The model ``save`` wrote; other keys, such as ``extra``'s, are ignored."""
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(
-            feature_names=data["feature_names"],
-            coefficients=np.array(data["coefficients"]),
-            intercept=data["intercept"],
-            shift=np.array(data["shift"]),
-            scale=np.array(data["scale"]),
-        )
+        hints = get_type_hints(cls)
+        return cls(**{f.name: np.array(data[f.name]) if hints[f.name] is np.ndarray
+                      else data[f.name] for f in fields(cls)})
 
 
 def fit_nnls(design: DesignMatrix) -> NNLSModel:

@@ -1,10 +1,11 @@
+import json
 import random
 from datetime import date
 
 import numpy as np
 import pytest
 
-from filingsignal.backtest import (BacktestReport, SplitSpec, YearResult,
+from filingsignal.backtest import (BacktestReport, Pick, SplitSpec, YearResult,
                                    compound, k_sweep, rank_test_years,
                                    run_backtest, write_cumulative_csv)
 from filingsignal.llm_scoring import FeatureRow
@@ -71,7 +72,7 @@ class TestRunBacktest:
                               return_basis="12m")
         assert report.strategy_wealth == [1.0, pytest.approx(1.10)]
         assert report.benchmark_wealth == [1.0, pytest.approx(1.04)]
-        assert report.per_year[0].picks == [("A", pytest.approx(10.0))]
+        assert report.per_year[0].picks == [Pick("A", pytest.approx(10.0))]
 
     def test_two_years_compound(self):
         features = [feature_row("A", 2018, 5), feature_row("A", 2019, 5)]
@@ -86,7 +87,7 @@ class TestRunBacktest:
         returns = [return_record("A", 2016, 5.0), return_record("B", 2018, 0.0)]
         report = run_backtest(rank(features, returns, self.SPLIT), k=5,
                               return_basis="12m")
-        picked = {t for y in report.per_year for t, _ in y.picks}
+        picked = {p.ticker for y in report.per_year for p in y.picks}
         assert picked == {"B"}
 
     def test_missing_return_record_backfilled(self):
@@ -96,7 +97,7 @@ class TestRunBacktest:
         report = run_backtest(rank(features, returns, SplitSpec((2015, 2017), (2018, 2018))),
                               k=2,
                               return_basis="12m")
-        assert [t for t, _ in report.per_year[0].picks] == ["B", "C"]
+        assert [p.ticker for p in report.per_year[0].picks] == ["B", "C"]
 
     def test_empty_year_omitted(self):
         features = [feature_row("A", 2018, 5)]
@@ -128,7 +129,7 @@ class TestRunBacktest:
         report = run_backtest(rank(features, returns, SplitSpec((2015, 2017), (2018, 2018))),
                               k=1,
                               return_basis="12m")
-        assert report.per_year[0].picks == [("A", 5.0)]
+        assert report.per_year[0].picks == [Pick("A", 5.0)]
 
     def test_picks_match_sort_oracle(self):
         rng = random.Random(0)
@@ -139,7 +140,7 @@ class TestRunBacktest:
                               k=5,
                               return_basis="12m")
         expected = sorted(scores, key=lambda x: (-x[1], x[0]))[:5]
-        assert report.per_year[0].picks == [(t, float(s)) for t, s in expected]
+        assert report.per_year[0].picks == [Pick(t, float(s)) for t, s in expected]
 
     def test_cumulative_rows_carry_their_years(self, tmp_path):
         report = BacktestReport(  # test years 2018-2020, 2019 omitted
@@ -162,6 +163,61 @@ class TestRunBacktest:
         b = run_backtest(rank(features, returns, split), k=2,
                          return_basis="12m")
         assert a.to_json() == b.to_json()
+
+    def test_report_json_exact_text(self):
+        report = BacktestReport(
+            per_year=[YearResult(2018, [Pick("BBB", 0.1 + 0.2), Pick("AAA", -0.0)], 0.125, -0.5),
+                      YearResult(2019, [Pick("CCC", 1e-300)], 1 / 3, 0.0)],
+            strategy_wealth=[1.0, 1.125, 1.5], benchmark_wealth=[1.0, 0.5, 0.5],
+            k=2, return_basis="12m")
+        text = report.to_json()
+        assert text == """\
+{
+  "benchmark_wealth": [
+    1.0,
+    0.5,
+    0.5
+  ],
+  "k": 2,
+  "per_year": [
+    {
+      "mean_benchmark_return": -0.5,
+      "mean_strategy_return": 0.125,
+      "picks": [
+        {
+          "prediction": 0.30000000000000004,
+          "ticker": "BBB"
+        },
+        {
+          "prediction": -0.0,
+          "ticker": "AAA"
+        }
+      ],
+      "year": 2018
+    },
+    {
+      "mean_benchmark_return": 0.0,
+      "mean_strategy_return": 0.3333333333333333,
+      "picks": [
+        {
+          "prediction": 1e-300,
+          "ticker": "CCC"
+        }
+      ],
+      "year": 2019
+    }
+  ],
+  "return_basis": "12m",
+  "strategy_wealth": [
+    1.0,
+    1.125,
+    1.5
+  ]
+}"""
+        data = json.loads(text)
+        data["per_year"] = [YearResult(**{**y, "picks": [Pick(**p) for p in y["picks"]]})
+                            for y in data["per_year"]]
+        assert BacktestReport(**data) == report
 
 
 class TestKSweep:

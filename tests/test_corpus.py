@@ -5,8 +5,11 @@ from datetime import date
 import pytest
 
 from filingsignal.corpus import (Chunk, CorpusStore, Filing, TickerUniverse,
-                                 UniverseEntry, chunk_filing, clean_filing_text)
+                                 UniverseEntry, chunk_filing, clean_filing_text,
+                                 read_records, write_records)
 from filingsignal.errors import PipelineError
+from filingsignal.labeling import LabeledExample
+from filingsignal.market_data import ReturnRecord
 
 
 def reassemble_chunks(chunks):
@@ -40,6 +43,51 @@ class TestUniverse:
         p.write_text("ticker,cik\nAAPL,320193\n")
         universe = TickerUniverse.from_csv(p)
         assert universe.entries[0].cik == "0000320193"
+
+    @pytest.mark.parametrize("ticker", ["", "A/B", "../../evil", ".A", "-A", "A B", "A\\B"])
+    def test_ticker_that_is_not_a_file_name_rejected(self, ticker):
+        with pytest.raises(ValueError, match="ticker"):
+            TickerUniverse([UniverseEntry(ticker, "0000320193")])
+
+    def test_ticker_with_dot_or_dash_accepted(self):
+        universe = TickerUniverse([UniverseEntry("BRK.B", "0001067983"),
+                                   UniverseEntry("BRK-A", "0001067983")])
+        assert [e.ticker for e in universe.entries] == ["BRK.B", "BRK-A"]
+
+    def test_from_csv_names_the_file_of_a_bad_ticker(self, tmp_path):
+        p = tmp_path / "u.csv"
+        p.write_text("ticker,cik\nAAPL,320193\n../../evil,1\n")
+        with pytest.raises(PipelineError, match=r"u\.csv: ticker '\.\./\.\./evil'"):
+            TickerUniverse.from_csv(p)
+
+
+class TestRecordsCsv:
+    def test_return_records_exact_text(self, tmp_path):
+        records = [
+            ReturnRecord("AAA", date(2019, 3, 1), date(2020, 2, 28),
+                         0.1 + 0.2, -0.0, 1e-300, 0.05, 0.25, []),
+            ReturnRecord("BRK.B", date(2020, 2, 28), date(2021, 3, 1),
+                         -0.125, 1.5, -1 / 3, 0.0, 2.0, ["open_window", "delisted"]),
+        ]
+        path = tmp_path / "returns.csv"
+        write_records(path, ReturnRecord, records)
+        assert path.read_bytes() == (
+            b"ticker,filing_date,next_filing_date,target_12m,target_max,target_min,"
+            b"sp500_12m,sp500_max,flags\r\n"
+            b"AAA,2019-03-01,2020-02-28,0.30000000000000004,-0.0,1e-300,0.05,0.25,\r\n"
+            b"BRK.B,2020-02-28,2021-03-01,-0.125,1.5,-0.3333333333333333,0.0,2.0,"
+            b"open_window;delisted\r\n")
+        loaded = read_records(path, ReturnRecord)
+        assert loaded == records
+        assert repr(loaded[0].target_max) == "-0.0"
+
+    def test_labeled_example_exact_text(self, tmp_path):
+        examples = [LabeledExample("AAA", date(2020, 2, 28), 2020, 0.25)]
+        path = tmp_path / "labels.csv"
+        write_records(path, LabeledExample, examples)
+        assert path.read_bytes() == (b"ticker,filing_date,year,label\r\n"
+                                     b"AAA,2020-02-28,2020,0.25\r\n")
+        assert read_records(path, LabeledExample) == examples
 
 
 class TestCleaner:

@@ -4,8 +4,8 @@ from datetime import date
 
 import pytest
 
-from filingsignal.labeling import (LabeledExample, make_labels, read_labels_csv,
-                                   write_labels_csv)
+from filingsignal.corpus import read_records, write_records
+from filingsignal.labeling import LabeledExample, make_labels
 from filingsignal.market_data import ReturnRecord
 
 
@@ -165,8 +165,8 @@ class TestCsv:
         out = make_labels([record("T0", 2020, 0.1), record("T1", 2020, 0.5)],
                           "target_12m", bins=5)
         path = tmp_path / "labels.csv"
-        write_labels_csv(path, out)
+        write_records(path, LabeledExample, out)
         assert path.read_text().splitlines()[0] == "ticker,filing_date,year,label"
-        loaded = read_labels_csv(path)
+        loaded = read_records(path, LabeledExample)
         assert [(e.ticker, e.label, e.year) for e in loaded] == \
                [(e.ticker, e.label, e.year) for e in out]

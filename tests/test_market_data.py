@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from filingsignal import market_data
+from filingsignal.corpus import read_records, write_records
 from filingsignal.errors import PipelineError
 from filingsignal.market_data import (PriceSeries, ReturnRecord, WindowSkipped,
                                       compute_return_records,
                                       load_price_csv, load_price_dir,
-                                      read_returns_csv, window_bounds,
-                                      window_returns, write_returns_csv)
+                                      window_bounds, window_returns)
 from filingsignal.synthetic import business_days
 
 
@@ -391,11 +391,11 @@ class TestReturnRecords:
         filing_dates, prices, bench = self.build()
         records, _ = compute_return_records(filing_dates, prices, bench)
         path = tmp_path / "returns.csv"
-        write_returns_csv(path, records)
+        write_records(path, ReturnRecord, records)
         header = path.read_text().splitlines()[0]
         assert header == ("ticker,filing_date,next_filing_date,target_12m,"
                           "target_max,target_min,sp500_12m,sp500_max,flags")
-        loaded = read_returns_csv(path)
+        loaded = read_records(path, ReturnRecord)
         assert loaded == records
 
 

@@ -201,3 +201,39 @@ class TestPredict:
         assert loaded.feature_names == model.feature_names
         assert np.array_equal(loaded.coefficients, model.coefficients)
         assert np.array_equal(predict_rows(loaded, X), predict_rows(model, X))
+
+    def test_model_json_exact_text(self, tmp_path):
+        model = NNLSModel(["q1", "q2"], np.array([0.0, 0.1 + 0.2]), 0.5,
+                          np.array([1.5, -2.0]), np.array([1.0, 1 / 3]))
+        path = tmp_path / "model.json"
+        model.save(path, extra={"train_years": [2002, 2017]})
+        assert path.read_text(encoding="utf-8") == """\
+{
+  "coefficients": [
+    0.0,
+    0.30000000000000004
+  ],
+  "feature_names": [
+    "q1",
+    "q2"
+  ],
+  "intercept": 0.5,
+  "scale": [
+    1.0,
+    0.3333333333333333
+  ],
+  "shift": [
+    1.5,
+    -2.0
+  ],
+  "train_years": [
+    2002,
+    2017
+  ]
+}
+"""
+        loaded = NNLSModel.load(path)
+        assert (loaded.feature_names, loaded.intercept) == (model.feature_names, model.intercept)
+        for name in ("coefficients", "shift", "scale"):
+            assert np.array_equal(getattr(loaded, name), getattr(model, name))
+            assert getattr(loaded, name).dtype == np.float64
