@@ -26,7 +26,6 @@ import re
 import sys
 import threading
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Protocol, Sequence
 
@@ -97,11 +96,6 @@ class QuestionSet:
     @classmethod
     def from_json_file(cls, path: str | Path) -> "QuestionSet":
         return cls.from_json(Path(path).read_text(encoding="utf-8"))
-
-    @classmethod
-    def default(cls) -> "QuestionSet":
-        ref = resources.files("filingsignal").joinpath("data/questions_default.json")
-        return cls.from_json(ref.read_text(encoding="utf-8"))
 
 
 @dataclass

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Collection
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -254,22 +254,18 @@ def _parse_block(block: bytes, fields: int, i_sym: int, i_date: int, i_close: in
         return None
 
 
-def price_files(directory: str | Path) -> list[Path]:
-    """The price CSVs of a directory, in the order load_price_dir reads them."""
-    return sorted(Path(directory).glob("*.csv"))
-
-
-def load_price_dir(directory: str | Path, symbols: Collection[str],
+def load_price_dir(files: Sequence[Path], symbols: Collection[str],
                    rejected: dict[str, str]) -> dict[str, PriceSeries]:
-    """Every valid series of ``symbols`` in a directory's price CSVs; a later
-    file replaces a symbol. Other symbols are skipped unread.
+    """Every valid series of ``symbols`` in the price CSVs ``files``, such as
+    the ``*.csv`` of a directory in name order; a later file replaces a symbol.
+    Other symbols are skipped unread.
 
     A series with a row that does not parse, unordered dates or a bad price
     is left out, and its reason is put in ``rejected`` under its symbol, so
     one bad series never stops the others from loading.
     """
     loaded: dict[str, PriceSeries | str] = {}
-    for path in price_files(directory):
+    for path in files:
         loaded.update(load_price_csv(path, symbols))
     rejected.update({sym: why for sym, why in loaded.items() if isinstance(why, str)})
     return {sym: series for sym, series in loaded.items() if not isinstance(series, str)}

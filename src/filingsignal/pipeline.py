@@ -53,8 +53,8 @@ import yaml
 from . import backtest as bt
 from . import labeling
 from . import market_data as md
-from .corpus import (CorpusStore, TickerUniverse, chunk_filing, read_records, write_atomic,
-                     write_records)
+from .corpus import (MANIFEST_NAME, CorpusStore, TickerUniverse, chunk_filing, read_records,
+                     write_atomic, write_records)
 from .embed_index import (INDEX_FILE, HashEmbeddingProvider, HTTPEmbeddingProvider,
                           VectorIndex, embed_item)
 from .errors import Failures, PipelineError, StageInputError
@@ -102,7 +102,7 @@ class PipelineConfig:
     embedding_provider: dict
     llm_provider: dict
     universe_csv: str = ""
-    questions_file: str = ""  # empty -> packaged default question set
+    questions_file: str = ""  # empty -> the packaged default (see questions_path)
     benchmark_symbol: str = "SPX"
     year_from: int = 2002
     year_to: int = 2023
@@ -169,7 +169,7 @@ class PipelineConfig:
 
     @property
     def corpus_manifest(self) -> Path:
-        return Path(self.corpus_dir) / "manifest.jsonl"
+        return Path(self.corpus_dir) / MANIFEST_NAME
 
     @property
     def index_file(self) -> Path:
@@ -177,6 +177,9 @@ class PipelineConfig:
 
     def out(self, name: str) -> Path:
         return Path(self.out_dir) / name
+
+    def errors_file(self, stage: str) -> Path:  # the items a run of the stage left out
+        return self.out(f"{stage}_errors.jsonl")
 
 
 def _build(section: str, providers: dict[str, type], cfg):
@@ -212,28 +215,33 @@ def build_llm_provider(cfg: dict):
                                    "http": HTTPChatLLM}, cfg)
 
 
+def questions_path(config: PipelineConfig) -> Path:
+    """The question file that score reads: ``questions_file``, or the packaged default."""
+    return Path(config.questions_file or Path(__file__).parent / "data/questions_default.json")
+
+
 def load_questions(config: PipelineConfig) -> QuestionSet:
-    if not config.questions_file:
-        return QuestionSet.default()
+    path = questions_path(config)
     try:
-        return QuestionSet.from_json_file(config.questions_file)
+        return QuestionSet.from_json_file(path)
     except ValueError as exc:
-        raise PipelineError(f"questions_file {config.questions_file}: {exc}") from exc
+        raise PipelineError(f"questions_file {path}: {exc}") from exc
 
 
 # --- stage implementations ----------------------------------------------------
 
 
-def stage_ingest(config: PipelineConfig, failures: Failures,
+def stage_ingest(config: PipelineConfig, failures: Failures, inputs, outputs,
                  retry_of: list[str] | None) -> None:
     """Fetch and store every ticker's 10-Ks in the configured years; with
     ``retry_of``, the items of a last run made with the same inputs, resolve
     only the tickers those items name."""
     from .edgar import EdgarClient, fetch_filing, resolve_filings  # only ingest fetches
 
-    if not config.universe_csv:
+    if not inputs:
         raise PipelineError("stage 'ingest' needs universe_csv: the tickers and CIKs to fetch")
-    universe = TickerUniverse.from_csv(config.universe_csv)
+    (universe_csv,) = inputs
+    universe = TickerUniverse.from_csv(universe_csv)
     if retry_of is not None:  # the tickers of `TICKER` and `TICKER DATE` items
         named = {name for item in retry_of for name in (item, item.rsplit(" ", 1)[0])}
         universe = TickerUniverse([e for e in universe.entries if e.ticker in named])
@@ -276,7 +284,7 @@ def _reusable_vectors(index_dir: str, provider_id: str) -> dict[str, np.ndarray]
     return dict(zip(previous.hashes, previous.vectors))
 
 
-def stage_embed(config: PipelineConfig, failures: Failures) -> None:
+def stage_embed(config: PipelineConfig, failures: Failures, inputs, outputs) -> None:
     provider = build_embedding_provider(config.embedding_provider)
     reusable = _reusable_vectors(config.index_dir, provider.provider_id)
     store = CorpusStore(config.corpus_dir)
@@ -301,7 +309,8 @@ def stage_embed(config: PipelineConfig, failures: Failures) -> None:
     VectorIndex(provider.provider_id, refs, hashes, units).save(config.index_dir)
 
 
-def stage_score(config: PipelineConfig, failures: Failures) -> None:
+def stage_score(config: PipelineConfig, failures: Failures, inputs, outputs) -> None:
+    (features_csv,) = outputs
     store = CorpusStore(config.corpus_dir)
     try:
         index = VectorIndex.load(config.index_dir)
@@ -358,17 +367,17 @@ def stage_score(config: PipelineConfig, failures: Failures) -> None:
             end_oldest()
     if failures.items and not rows:
         raise failures.refusal("no filing was scored")
-    write_features_csv(config.out("features.csv"), rows, qs)
+    write_features_csv(features_csv, rows, qs)
 
 
-def stage_returns(config: PipelineConfig, failures: Failures) -> None:
+def stage_returns(config: PipelineConfig, failures: Failures, inputs, outputs) -> None:
+    (_, *price_files), (returns_csv,) = inputs, outputs
     store = CorpusStore(config.corpus_dir)
     filing_dates: dict[str, list[date]] = {}
     for ticker, iso in store.keys():
         filing_dates.setdefault(ticker, []).append(date.fromisoformat(iso))
     rejected: dict[str, str] = {}
-    prices = md.load_price_dir(config.prices_dir, {*filing_dates, config.benchmark_symbol},
-                               rejected)
+    prices = md.load_price_dir(price_files, {*filing_dates, config.benchmark_symbol}, rejected)
     if config.benchmark_symbol in rejected:
         raise PipelineError(f"benchmark series unusable: {rejected[config.benchmark_symbol]}")
     if config.benchmark_symbol not in prices:
@@ -384,22 +393,24 @@ def stage_returns(config: PipelineConfig, failures: Failures) -> None:
         failures.record(item, reason)
     if failures.items and not records:
         raise failures.refusal("no return window was computed")
-    write_records(config.out("returns.csv"), md.ReturnRecord, records)
+    write_records(returns_csv, md.ReturnRecord, records)
 
 
-def stage_label(config: PipelineConfig, failures: Failures) -> None:
-    records = read_records(config.out("returns.csv"), md.ReturnRecord)
+def stage_label(config: PipelineConfig, failures: Failures, inputs, outputs) -> None:
+    (returns_csv,), (labels_csv,) = inputs, outputs
+    records = read_records(returns_csv, md.ReturnRecord)
     if not records:
-        raise PipelineError(f"{config.out('returns.csv')} holds no return windows; "
-                            f"{config.out('returns_errors.jsonl')} says why each was skipped")
+        raise PipelineError(f"{returns_csv} holds no return windows; "
+                            f"{config.errors_file('returns')} says why each was skipped")
     source, _ = md.BASIS_FIELDS[config.label_target]
     examples = labeling.make_labels(records, source, config.bins)
-    write_records(config.out("labels.csv"), labeling.LabeledExample, examples)
+    write_records(labels_csv, labeling.LabeledExample, examples)
 
 
-def stage_train(config: PipelineConfig, failures: Failures) -> None:
-    qcols, feature_rows = read_features_csv(config.out("features.csv"))
-    labels = read_records(config.out("labels.csv"), labeling.LabeledExample)
+def stage_train(config: PipelineConfig, failures: Failures, inputs, outputs) -> None:
+    (features_csv, labels_csv), (model_json,) = inputs, outputs
+    qcols, feature_rows = read_features_csv(features_csv)
+    labels = read_records(labels_csv, labeling.LabeledExample)
     label_by_key = {(e.ticker, e.filing_date.isoformat()): e.label for e in labels}
     lo, hi = config.train_years
     joined = [
@@ -412,23 +423,24 @@ def stage_train(config: PipelineConfig, failures: Failures) -> None:
     X = np.array([row.scores for row, _ in joined], dtype=float)
     y = np.array([label for _, label in joined])
     model = fit_nnls(DesignMatrix(X, y, qcols))
-    model.save(config.out("model.json"), extra={"train_years": list(config.train_years)})
+    model.save(model_json, extra={"train_years": list(config.train_years)})
 
 
-def stage_backtest(config: PipelineConfig, failures: Failures) -> None:
-    model = NNLSModel.load(config.out("model.json"))
-    _, feature_rows = read_features_csv(config.out("features.csv"))
-    records = read_records(config.out("returns.csv"), md.ReturnRecord)
+def stage_backtest(config: PipelineConfig, failures: Failures, inputs, outputs) -> None:
+    (model_json, features_csv, returns_csv), (report_json, cumulative_csv, ksweep_csv) = \
+        inputs, outputs
+    model = NNLSModel.load(model_json)
+    _, feature_rows = read_features_csv(features_csv)
+    records = read_records(returns_csv, md.ReturnRecord)
     ranked = bt.rank_test_years(model, feature_rows, records,
                                 bt.SplitSpec(config.train_years, config.test_years))
     report = bt.run_backtest(ranked, config.k, config.basis)
     if not report.per_year:
         raise PipelineError(f"no filing in test_years {list(config.test_years)} "
                             "has both features and a return window")
-    write_atomic(config.out("report.json"), report.to_json() + "\n")
-    bt.write_cumulative_csv(config.out("cumulative.csv"), report)
-    bt.write_ksweep_csv(config.out("ksweep.csv"),
-                        bt.k_sweep(ranked, config.k_values, config.basis))
+    write_atomic(report_json, report.to_json() + "\n")
+    bt.write_cumulative_csv(cumulative_csv, report)
+    bt.write_ksweep_csv(ksweep_csv, bt.k_sweep(ranked, config.k_values, config.basis))
 
 
 # --- orchestration ------------------------------------------------------------
@@ -440,18 +452,20 @@ class Stage:
 
     ``inputs`` lists every file the stage reads and ``outputs`` every file it
     writes; both are hashed into the manifest, together with the config
-    fields named in ``config_keys``. ``run`` records each item it leaves out
-    (a filing, a price series, a window) in its ``Failures`` and goes on;
-    a stage that kept no item raises ``Failures.refusal``.
+    fields named in ``config_keys``. The runner resolves both once per run
+    and gives them to ``run``. It opens no other file but the corpus, the
+    score cache and, in embed, the previous index. It records each item
+    it leaves out (a filing, a price series, a window) in its ``Failures``
+    and goes on; a stage that kept no item raises ``Failures.refusal``.
 
-    A stage with ``narrows_retries`` is given a third argument: on a run made
+    A stage with ``narrows_retries`` is given a fifth argument: on a run made
     only for its retry items, with its inputs and outputs unchanged, the
     items its last run left out, which its manifest record keeps as
     ``retry_of``; on any other run, None.
     """
 
     name: str
-    run: Callable[..., None]  # (config, failures[, retry_of])
+    run: Callable[..., None]  # (config, failures, inputs, outputs[, retry_of])
     config_keys: tuple[str, ...]
     inputs: Callable[[PipelineConfig], list[Path]]
     outputs: Callable[[PipelineConfig], list[Path]]
@@ -467,11 +481,10 @@ STAGES = [
           lambda c: [c.index_file]),
     Stage("score", stage_score,
           ("llm_provider", "chunks_per_question", "chunk_chars", "overlap_chars"),
-          lambda c: [c.corpus_manifest, c.index_file,
-                     *([Path(c.questions_file)] if c.questions_file else [])],
+          lambda c: [c.corpus_manifest, c.index_file, questions_path(c)],
           lambda c: [c.out("features.csv")]),
     Stage("returns", stage_returns, ("benchmark_symbol",),
-          lambda c: [c.corpus_manifest, *md.price_files(c.prices_dir)],
+          lambda c: [c.corpus_manifest, *sorted(Path(c.prices_dir).glob("*.csv"))],
           lambda c: [c.out("returns.csv")]),
     Stage("label", stage_label, ("label_target", "bins"),
           lambda c: [c.out("returns.csv")],
@@ -493,38 +506,33 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def _producer(config: PipelineConfig, path: Path) -> Stage | None:
-    return next((s for s in STAGES if path in s.outputs(config)), None)
+def _file_hashes(paths: list[Path]) -> dict[str, str]:
+    return {str(p): _sha256_file(p) for p in paths}
 
 
-def _input_hashes(config: PipelineConfig, stage: Stage) -> dict[str, str]:
-    subset = {key: getattr(config, key) for key in stage.config_keys}
-    hashes = {"config": hashlib.sha256(
-        json.dumps(subset, sort_keys=True).encode()
-    ).hexdigest()}
-    for path in stage.inputs(config):
+def _input_hashes(config: PipelineConfig, stage: Stage, inputs: list[Path],
+                  producers: dict[Path, Stage]) -> dict[str, str]:
+    for path in inputs:
         if not path.exists():
-            if producer := _producer(config, path):
-                raise StageInputError(f"missing input {str(path)!r}", producer.name)
+            if path in producers:
+                raise StageInputError(f"missing input {str(path)!r}", producers[path].name)
             raise PipelineError(f"missing input file {path}")
-        hashes[str(path)] = _sha256_file(path)
-    return hashes
+    subset = {key: getattr(config, key) for key in stage.config_keys}
+    return {"config": hashlib.sha256(json.dumps(subset, sort_keys=True).encode()).hexdigest(),
+            **_file_hashes(inputs)}
 
 
-def _check_producers(config: PipelineConfig, stage: Stage, requested: list[str],
-                     manifest: dict) -> None:
+def _check_producers(config: PipelineConfig, inputs: list[Path], requested: list[str],
+                     manifest: dict, producers: dict[Path, Stage]) -> None:
     """Refuse inputs written by an unrequested stage whose own inputs changed."""
-    for path in stage.inputs(config):
-        producer = _producer(config, path)
+    for path in inputs:
+        producer = producers.get(path)
         if producer and producer.name not in requested and producer.name in manifest \
-                and manifest[producer.name]["inputs"] != _input_hashes(config, producer):
+                and manifest[producer.name]["inputs"] != _input_hashes(
+                    config, producer, producer.inputs(config), producers):
             raise StageInputError(
                 f"input {str(path)!r} is stale: the config or inputs of stage "
                 f"{producer.name!r} changed since it ran", producer.name)
-
-
-def _output_hashes(config: PipelineConfig, stage: Stage) -> dict[str, str]:
-    return {str(p): _sha256_file(p) for p in stage.outputs(config)}
 
 
 def _read_manifest(path: Path) -> dict:
@@ -571,15 +579,16 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / MANIFEST_FILE
     manifest = _read_manifest(manifest_path)
+    producers = {path: s for s in STAGES for path in s.outputs(config)}
 
     try:
         for stage in (s for s in STAGES if s.name in requested):
-            inputs = _input_hashes(config, stage)
-            _check_producers(config, stage, requested, manifest)
+            inputs, outputs = stage.inputs(config), stage.outputs(config)
+            input_hashes = _input_hashes(config, stage, inputs, producers)
+            _check_producers(config, inputs, requested, manifest, producers)
             prior = manifest.get(stage.name)
-            unchanged = bool(prior) and prior["inputs"] == inputs and \
-                all(p.exists() for p in stage.outputs(config)) and \
-                prior["outputs"] == _output_hashes(config, stage)
+            unchanged = bool(prior) and prior["inputs"] == input_hashes and \
+                all(p.exists() for p in outputs) and prior["outputs"] == _file_hashes(outputs)
             if unchanged and not prior.get("retry_items"):
                 logger.info("stage %s: inputs and outputs unchanged, skipped", stage.name)
                 continue
@@ -588,11 +597,11 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
                             prior["retry_items"])
             logger.info("stage %s: running", stage.name)
             t0 = time.monotonic()
-            failures = Failures(config.out(f"{stage.name}_errors.jsonl"))
+            failures = Failures(config.errors_file(stage.name))
             retry_of = (prior.get("retry_of") if unchanged else None,) \
                 if stage.narrows_retries else ()
             try:
-                stage.run(config, failures, *retry_of)
+                stage.run(config, failures, inputs, outputs, *retry_of)
             finally:
                 if failures.items:
                     write_atomic(failures.path, "".join(
@@ -606,8 +615,8 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
                                stage.name, len(failures.items), failures.path,
                                failures.retriable)
             manifest[stage.name] = {
-                "inputs": inputs,
-                "outputs": _output_hashes(config, stage),
+                "inputs": input_hashes,
+                "outputs": _file_hashes(outputs),
                 "retry_items": failures.retriable,
                 "wall_time_s": round(time.monotonic() - t0, 3),
             }

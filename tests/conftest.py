@@ -5,6 +5,7 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +37,13 @@ def synthetic_config(root, out_dir):
         basis="12m",
         k_values=[1, 2, 3, 5, 8],
     )
+
+
+def default_questions():
+    """The packaged question set, which a config without ``questions_file`` reads."""
+    from filingsignal.pipeline import load_questions
+
+    return load_questions(synthetic_config(Path(), Path()))
 
 
 def assert_cache_holds(cache, text):

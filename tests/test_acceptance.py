@@ -26,8 +26,7 @@ from filingsignal.synthetic import business_days
 from conftest import synthetic_config
 from test_corpus import reassemble_chunks
 from test_labeling import oracle_labels, record as return_record
-
-SYNTH_STAGES = ["embed", "score", "returns", "label", "train", "backtest"]
+from test_pipeline import SYNTH_STAGES
 
 
 def report(criterion, detail):

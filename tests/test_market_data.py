@@ -67,7 +67,7 @@ class TestPriceSeries:
             "symbol,date,adjusted_close\nTST,2020-01-02,10.5\nBAD,2020-01-02,0.0\n"
             "DUP,2020-01-02,1.0\nDUP,2020-01-02,1.0\nSPX,2020-01-02,3000\n")
         rejected = {}
-        prices = load_price_dir(tmp_path, {"TST", "BAD", "DUP", "SPX"}, rejected)
+        prices = load_price_dir([tmp_path / "px.csv"], {"TST", "BAD", "DUP", "SPX"}, rejected)
         assert set(prices) == {"TST", "SPX"}
         assert rejected == {"BAD": "BAD: bad price 0.0 on 2020-01-02",
                             "DUP": "DUP: dates must be strictly increasing"}
@@ -80,7 +80,8 @@ class TestPriceSeries:
         (tmp_path / "b.csv").write_text(  # a later file replaces a symbol
             "symbol,date,adjusted_close\nFIX,2020-01-02,2.0\n")
         rejected = {}
-        prices = load_price_dir(tmp_path, {"TST", "BAD", "DAY", "FIX"}, rejected)
+        files = [tmp_path / "a.csv", tmp_path / "b.csv"]  # in this order
+        prices = load_price_dir(files, {"TST", "BAD", "DAY", "FIX"}, rejected)
         assert set(prices) == {"TST", "FIX"}
         assert prices["FIX"].dates.tolist() == [date(2020, 1, 2)]
         assert prices["FIX"].closes.tolist() == [2.0]
@@ -213,13 +214,14 @@ class TestColumnParse:
     def test_many_wanted_symbols_leave_numpy_ma_unimported(self, tmp_path):
         """np.isin's sort path, taken for many wanted symbols and few runs,
         imports numpy.ma: about 12 ms and 0.6 MB of a fresh process."""
-        (tmp_path / "px.csv").write_text(CLEAN)
+        path = tmp_path / "px.csv"
+        path.write_text(CLEAN)
         wanted = sorted({"A", "B", "SPX"} | {f"W{i}" for i in range(12)})
         script = ("import sys\nfrom filingsignal.market_data import load_price_dir\n"
-                  f"assert sorted(load_price_dir(sys.argv[1], {wanted!r}, {{}})) == ['A', 'B']\n"
+                  f"assert sorted(load_price_dir(sys.argv[1:], {wanted!r}, {{}})) == ['A', 'B']\n"
                   "print('numpy.ma' in sys.modules)\n")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
+        out = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True,
                              text=True, timeout=120, env=env, check=True).stdout
         assert out.splitlines()[-1] == "False"
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib.machinery
 import json
 import os
 import random
@@ -23,13 +24,15 @@ from filingsignal.pipeline import PipelineConfig, run_pipeline
 from filingsignal.regression import NNLSModel
 from filingsignal.synthetic import PLANTED_PHRASE, make_workspace
 
-from conftest import (ChatServer, assert_cache_holds, json_reply, kept_alive, loopback,
-                      synthetic_config)
+from conftest import (ChatServer, assert_cache_holds, default_questions, json_reply,
+                      kept_alive, loopback, synthetic_config)
 
-SYNTH_STAGES = ["embed", "score", "returns", "label", "train", "backtest"]
+SYNTH_STAGES = [s.name for s in pipeline.STAGES if s.name != "ingest"]
 
-ARTIFACTS = ["features.csv", "labels.csv", "model.json", "report.json",
-             "cumulative.csv", "ksweep.csv", "returns.csv"]
+# Every file the synthetic stages write, relative to the out_dir of a
+# ``synthetic_config``, which holds the index too.
+ARTIFACTS = [str(path.relative_to("out")) for s in pipeline.STAGES if s.name in SYNTH_STAGES
+             for path in s.outputs(synthetic_config(Path("root"), Path("out")))]
 
 
 def yaml_mapping(config):
@@ -1074,6 +1077,120 @@ def caused(error, cause):
     return error
 
 
+# While a stage runs under ``reads_by_stage``, the set its reads are added to.
+_stage_reads: list[set[str]] = []
+MODULE_SUFFIXES = tuple(importlib.machinery.all_suffixes())
+
+
+def _record_read(event, args):
+    """An audit hook: adds each file opened for reading to the running stage's set."""
+    if event == "open" and _stage_reads and not isinstance(args[0], int) \
+            and args[2] & os.O_ACCMODE != os.O_WRONLY:
+        _stage_reads[-1].add(os.fsdecode(args[0]))
+
+
+def reads_by_stage(monkeypatch):
+    """The files each stage run from here on opens for reading, by stage name,
+    as the ``open`` audit event reports them. An audit hook cannot be
+    removed, so one hook is added once, and it records only while a stage runs."""
+    if not getattr(_record_read, "added", False):
+        sys.addaudithook(_record_read)
+        _record_read.added = True
+    reads = {}
+
+    def audited(stage):
+        def run(*args):
+            _stage_reads.append(reads.setdefault(stage.name, set()))
+            try:
+                stage.run(*args)
+            finally:
+                _stage_reads.pop()
+        return dataclasses.replace(stage, run=run)
+
+    monkeypatch.setattr(pipeline, "STAGES", [audited(s) for s in pipeline.STAGES])
+    return reads
+
+
+def undeclared_reads(config, reads):
+    """Of ``reads``, by stage, each file other than a module that is none of
+    these: a declared input of the stage, a corpus filing, the score cache,
+    the index that embed reuses, or the corpus manifest that ingest adds to."""
+    filings = CorpusStore(config.corpus_dir).filings_dir.resolve()
+    kept = {"ingest": [config.corpus_manifest], "embed": [config.index_file],
+            "score": [Path(config.out("score_cache.jsonl"))]}
+    stages = {s.name: s for s in pipeline.STAGES}
+    undeclared = {}
+    for name, paths in reads.items():
+        allowed = {p.resolve() for p in [*stages[name].inputs(config), *kept.get(name, [])]}
+        undeclared[name] = sorted(
+            path for path in map(Path, paths) if not path.name.endswith(MODULE_SUFFIXES)
+            and path.resolve() not in allowed and path.resolve().parent != filings)
+    return undeclared
+
+
+class TestDeclaredFiles:
+    def test_stages_read_only_declared_files(self, synth_root, tmp_path, monkeypatch):
+        """Cold and as a yearly update, every synthetic stage runs and reads only
+        the files ``undeclared_reads`` allows."""
+        config = synthetic_config(synth_root, tmp_path / "out")
+        older = corpus_copy(synth_root, tmp_path / "corpus",
+                            lambda record: record["filing_date"] < "2020")
+        for corpus in [older, synth_root / "corpus"]:
+            config.corpus_dir = str(corpus)
+            with monkeypatch.context() as m:
+                reads = reads_by_stage(m)
+                run_pipeline(config, SYNTH_STAGES)
+            assert sorted(reads) == sorted(SYNTH_STAGES)
+            assert undeclared_reads(config, reads) == {name: [] for name in SYNTH_STAGES}
+
+    def test_ingest_reads_only_declared_files(self, tmp_path, monkeypatch, edgar_transport,
+                                              sample_10k_html):
+        edgar_transport(fake_edgar((200, submissions("2019-02-14", "aaa10k.htm")),
+                                   sample_10k_html))
+        (tmp_path / "universe.csv").write_text("ticker,cik\nAAA,1\nBBB,2\n")
+        config = synthetic_config(tmp_path, tmp_path / "out")
+        config.year_from = 2019
+        for year_to in [2019, 2020]:  # cold, then a yearly update
+            config.year_to = year_to
+            with monkeypatch.context() as m:
+                reads = reads_by_stage(m)
+                run_pipeline(config, ["ingest"])
+            assert undeclared_reads(config, reads) == {"ingest": []}
+        assert len(CorpusStore(config.corpus_dir)) == 2
+
+    def test_edited_packaged_questions_rerun_score(self, synth_root, tmp_path, monkeypatch):
+        config = synthetic_config(synth_root, tmp_path)
+        before = run_pipeline(config, SYNTH_STAGES)
+        features = features_bytes(config)
+        data = json.loads(pipeline.questions_path(config).read_text())
+        data["questions"][0]["id"] = "renamed"
+        edited = tmp_path / "questions_default.json"
+        edited.write_text(json.dumps(data))
+        monkeypatch.setattr(pipeline, "questions_path", lambda config: edited)
+        after = run_pipeline(config, SYNTH_STAGES)
+        assert after["score"]["inputs"] != before["score"]["inputs"]
+        assert features_bytes(config) != features
+        assert features_bytes(config).startswith(b"ticker,filing_date,q_renamed,")
+
+    def test_first_run_after_upgrade_reruns_only_score(self, synth_root, tmp_path,
+                                                       monkeypatch):
+        """A manifest written before the packaged question file was an input of
+        score reruns score once, from its cache, and no other stage."""
+        config = synthetic_config(synth_root, tmp_path)
+        run_pipeline(config, SYNTH_STAGES)
+        path = tmp_path / pipeline.MANIFEST_FILE
+        older = json.loads(path.read_text())
+        del older["score"]["inputs"][str(pipeline.questions_path(config))]
+        path.write_text(json.dumps(older))
+        embedders = count_embedded(monkeypatch)
+        asked, complete = [], KeywordLLM.complete
+        monkeypatch.setattr(KeywordLLM, "complete",
+                            lambda llm, *prompts: asked.append(prompts) or complete(llm, *prompts))
+        after = run_pipeline(config, SYNTH_STAGES)
+        assert [s for s in SYNTH_STAGES if after[s] != older[s]] == ["score"]
+        assert asked == [] and [e.texts for e in embedders] == [[]]
+
+
 class TestFailures:
     @pytest.mark.parametrize("error, retriable", [
         (RetriableError("HTTP 503 from the LLM endpoint", 503), 1),
@@ -1307,7 +1424,7 @@ class TestRowMemo:
         questions = tmp_path / "questions.json"
         questions.write_text(json.dumps({"questions": [
             {"id": q.question_id, "text": q.text}
-            for q in pipeline.QuestionSet.default().questions]}))
+            for q in default_questions().questions]}))
         config = synthetic_config(synth_root, tmp_path / "rerun")
         config.chunk_chars, config.overlap_chars = 400, 32  # several chunks per filing
         config.corpus_dir = str(corpus_copy(synth_root, tmp_path / "corpus"))
@@ -1351,8 +1468,7 @@ class TestCrashSafeWrites:
     def test_run_killed_at_any_write_recovers_the_same_bytes(self, synth_root, tmp_path,
                                                              monkeypatch):
         def artifacts(config):
-            return [index_bytes(config)] + [(Path(config.out_dir) / name).read_bytes()
-                                             for name in ARTIFACTS]
+            return [(Path(config.out_dir) / name).read_bytes() for name in ARTIFACTS]
 
         clean = synthetic_config(synth_root, tmp_path / "clean")
         written = []

@@ -14,7 +14,7 @@ from filingsignal.llm_scoring import (ConstantLLM, HTTPChatLLM, KeywordLLM, Ques
                                       score_filing, write_features_csv)
 from filingsignal.net import MAX_ATTEMPTS, Calls
 
-from conftest import assert_cache_holds, json_reply, loopback
+from conftest import assert_cache_holds, default_questions, json_reply, loopback
 
 GROWTH_QUESTION = ("Does the company have a clear strategy for growth and "
                    "innovation? Are there any recent strategic initiatives "
@@ -67,11 +67,11 @@ def score(indexed, qs, llm, cache):
 
 class TestQuestionSet:
     def test_default_has_27_questions(self):
-        qs = QuestionSet.default()
+        qs = default_questions()
         assert len(qs) == 27
 
     def test_default_contains_growth_question(self):
-        qs = QuestionSet.default()
+        qs = default_questions()
         assert any("clear strategy for growth and innovation" in q.text
                    for q in qs.questions)
 
@@ -237,7 +237,7 @@ class TestScoreFiling:
     def test_vector_reads_back_bit_for_bit(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         embedder = HashEmbeddingProvider(64, 0)
-        texts = [q.text for q in QuestionSet.default().questions]
+        texts = [q.text for q in default_questions().questions]
         vectors = {f"q{n}": vector
                    for n, vector in enumerate(embed_item(embedder, texts, "test"))}
         vectors["random"] = np.random.default_rng(0).standard_normal(64)
