@@ -19,7 +19,7 @@ from datetime import date
 from html import unescape
 from html.parser import HTMLParser
 from pathlib import Path
-from typing import Iterable, Sequence, get_type_hints
+from typing import Iterable, Iterator, Sequence, get_type_hints
 
 from .errors import PipelineError
 
@@ -177,8 +177,8 @@ def clean_filing_text(raw: str) -> str:
 def chunk_filing(filing: Filing, chunk_chars: int, overlap_chars: int) -> list[Chunk]:
     """Split clean_text into overlapping chunks.
 
-    Consecutive chunks overlap by exactly ``overlap_chars`` (the final chunk
-    may overlap more of its predecessor if little text remains). Boundaries
+    Consecutive chunks overlap by exactly ``overlap_chars``, the final one
+    too, however little text it adds. Boundaries
     snap backward to the nearest whitespace within the overlap window so
     chunks tend to end on word breaks. De-overlapped concatenation
     reconstructs clean_text exactly.
@@ -212,23 +212,23 @@ def chunk_filing(filing: Filing, chunk_chars: int, overlap_chars: int) -> list[C
 # --- store --------------------------------------------------------------------
 
 
-def read_whole_lines(path: Path) -> bytes:
-    """The bytes of an append-only JSONL file up to its last newline; b"" if
-    it does not exist.
+def whole_lines(path: Path) -> Iterator[bytes]:
+    """Each line of an append-only JSONL file, its newline kept, as it is
+    read; none if the file does not exist.
 
     Every record is appended as one line ending in a newline, so text after
     the last newline is a record torn by an interrupted append: it is cut
     from the file with a warning, and the next append starts on a fresh line.
     """
-    try:
-        data = path.read_bytes()
-    except FileNotFoundError:
-        return b""
-    complete = data.rfind(b"\n") + 1
-    if complete < len(data):
-        logger.warning("%s: dropping torn final line (%d bytes)", path, len(data) - complete)
-        os.truncate(path, complete)
-    return data[:complete]
+    if not path.exists():
+        return
+    with open(path, "rb") as f:
+        for line in f:
+            if line.endswith(b"\n"):
+                yield line
+            else:  # the torn final line
+                logger.warning("%s: dropping torn final line (%d bytes)", path, len(line))
+                os.truncate(path, f.tell() - len(line))
 
 
 def json_line(path: Path, number: int, line: str | bytes) -> dict:
@@ -305,7 +305,7 @@ class CorpusStore:
 
     Ingestion is idempotent keyed by (ticker, filing_date); the manifest is
     append-only under a single-writer discipline, and a torn final line is
-    cut (see ``read_whole_lines``), so that filing is stored again by ``add``.
+    cut (see ``whole_lines``), so that filing is stored again by ``add``.
     A line that is not JSON, or not a record of string fields as ``add``
     writes them, raises PipelineError naming it.
     """
@@ -317,7 +317,7 @@ class CorpusStore:
         self.filings_dir.mkdir(parents=True, exist_ok=True)
         self._records: dict[tuple[str, str], ManifestRecord] = {}
         keys = {f.name for f in fields(ManifestRecord)}
-        for number, line in enumerate(read_whole_lines(self.manifest_path).split(b"\n"), 1):
+        for number, line in enumerate(whole_lines(self.manifest_path), 1):
             if not line.strip():
                 continue
             record = json_line(self.manifest_path, number, line)
@@ -381,5 +381,6 @@ class CorpusStore:
             clean_text=data.decode("utf-8"),
         )
 
-    def load_all(self) -> list[Filing]:
-        return [self.load(k) for k in self.keys()]
+    def load_all(self) -> Iterator[Filing]:
+        """Every stored filing in key order, each read by ``load`` as it is reached."""
+        return map(self.load, self.keys())

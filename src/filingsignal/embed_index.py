@@ -137,11 +137,11 @@ class VectorIndex:
     """Unit vectors with exact top-k queries within one filing.
 
     Built once from all its rows and never changed. The vectors live in one
-    read-only float64 matrix, each row cast from the float32 vector that is
-    stored on disk. Beside each ref the index keeps the sha256 of the chunk
-    text its row embeds. For each filing the index keeps the row positions
-    sorted by ref, so a query scans only the filing's own rows and a stable
-    sort breaks similarity ties by chunk index.
+    read-only float32 matrix as stored, after ``load`` a view on the file's
+    bytes; a query casts only its filing's rows to float64. Beside each ref the
+    index keeps the sha256 of the chunk text its row embeds. For each filing the
+    index keeps the row positions sorted by ref, so a query scans only the
+    filing's own rows and a stable sort breaks similarity ties by chunk index.
     """
 
     def __init__(self, provider_id: str, refs: Sequence[ChunkRef], hashes: Sequence[str],
@@ -152,14 +152,14 @@ class VectorIndex:
         self.hashes = tuple(hashes)
         if len(self.hashes) != len(self.refs):
             raise ValueError(f"{len(self.refs)} refs but {len(self.hashes)} text hashes")
-        try:
-            stored = np.asarray(vectors, dtype=np.float32)
+        try:  # a float32 matrix, such as the rows ``load`` reads, is not copied
+            stored = np.ascontiguousarray(vectors, dtype=np.float32)
         except ValueError as exc:  # e.g. rows of unequal length
             raise PipelineError(f"vectors are not one matrix: {exc}") from exc
         if stored.ndim != 2 or len(stored) != len(self.refs):
             raise PipelineError(f"{len(self.refs)} refs, vectors of shape {stored.shape}")
         self.dimension = stored.shape[1]
-        self.vectors = stored.astype(np.float64)
+        self.vectors = stored.view()  # read-only here, whoever else holds ``stored``
         self.vectors.flags.writeable = False
         order = sorted(range(len(self.refs)), key=self.refs.__getitem__)
         for a, b in zip(order, order[1:]):
@@ -176,8 +176,8 @@ class VectorIndex:
         return [self.hashes[i] for i in self._rows.get(filing_key, ())]
 
     def vectors_of(self, filing_key: tuple[str, str]) -> np.ndarray:
-        """The vectors of one filing's rows, in chunk order; no rows if it has none."""
-        return self.vectors[self._rows.get(filing_key, np.empty(0, dtype=np.intp))]
+        """The vectors of one filing's rows as float64, in chunk order; none if it has none."""
+        return self.vectors[self._rows.get(filing_key, [])].astype(np.float64)
 
     def top_k(self, query: Sequence[float], k: int,
               filing_key: tuple[str, str]) -> list[tuple[ChunkRef, float]]:
@@ -194,7 +194,7 @@ class VectorIndex:
         rows = self._rows.get(filing_key)
         if rows is None:
             return []
-        sims = self.vectors[rows] @ q
+        sims = self.vectors[rows].astype(np.float64) @ q
         order = np.argsort(-sims, kind="stable")[:k]
         return [(self.refs[rows[i]], float(sims[i])) for i in order]
 
@@ -211,9 +211,9 @@ class VectorIndex:
         directory.mkdir(parents=True, exist_ok=True)
         header = json.dumps({"provider_id": self.provider_id, "dimension": self.dimension,
                              "refs": self.refs, "hashes": self.hashes}).encode("utf-8")
-        write_atomic(directory / INDEX_FILE,
-                     INDEX_MAGIC + struct.pack("<II", INDEX_VERSION, len(header)) + header
-                     + self.vectors.astype("<f4").tobytes())
+        write_atomic(directory / INDEX_FILE, b"".join([
+            INDEX_MAGIC, struct.pack("<II", INDEX_VERSION, len(header)), header,
+            self.vectors.astype("<f4", copy=False).data]))
 
     @classmethod
     def load(cls, directory: str | Path) -> "VectorIndex":

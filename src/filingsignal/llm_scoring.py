@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Chunk, Filing, json_line, read_whole_lines, write_atomic, write_csv
+from .corpus import Chunk, Filing, json_line, whole_lines, write_atomic, write_csv
 from .embed_index import ChunkRef, EmbeddingProvider, VectorIndex, embed_item
 from .errors import PipelineError, RetriableError
 from .net import Calls, check_endpoint, post_json, with_retries
@@ -287,9 +287,9 @@ class ScoreCache:
 
     ``put`` and ``put_row`` make a record visible to ``get`` and ``get_row``
     at once and buffer its line; ``flush`` appends the buffered lines to the
-    file in one write. The file is read whole, after its torn final line is
-    cut (see ``read_whole_lines``), and its lines are decoded and taken in
-    order; a line that is not UTF-8 raises PipelineError naming it. An
+    file in one write. The file is read a line at a time, and its torn final
+    line is cut (see ``whole_lines``); each line is decoded and taken in
+    order, and one that is not UTF-8 raises PipelineError naming it. An
     answer's key and score are read by ``_ANSWER`` without parsing the rest
     of its line, and any other line is parsed as JSON. An answer needs an
     integer score from 0 to 100 and a row a list of such scores; a line with
@@ -297,7 +297,7 @@ class ScoreCache:
     not a JSON object, raises PipelineError naming it. Older records with
     neither key are dropped with one warning: the first load that finds them
     rewrites the file without their lines (see ``write_atomic``), so their
-    prompts are asked again.
+    prompts are asked again; the rewrite reads the file a second time.
 
     A third record keeps one question's unit vector under ``vector_sha256``
     (see ``embed_text``), so it is no older record: ``put_vector`` buffers it
@@ -312,9 +312,8 @@ class ScoreCache:
         self._scores: dict[str, int] = {}
         self._rows: dict[str, list[int]] = {}
         self._vectors: dict[str, np.ndarray] = {}
-        lines = read_whole_lines(self.path).split(b"\n")
         dropped: set[int] = set()
-        for i, line_bytes in enumerate(lines):
+        for i, line_bytes in enumerate(whole_lines(self.path)):
             try:
                 line = line_bytes.decode("utf-8")
             except UnicodeDecodeError as exc:
@@ -354,8 +353,8 @@ class ScoreCache:
             logger.warning("%s: dropping %d records without prompt_sha256, row_sha256 or "
                            "vector_sha256; their questions are asked again",
                            self.path, len(dropped))
-            write_atomic(self.path, b"\n".join(
-                line for i, line in enumerate(lines) if i not in dropped))
+            write_atomic(self.path, b"".join(
+                line for i, line in enumerate(whole_lines(self.path)) if i not in dropped))
 
     def get(self, key: str) -> int | None:
         """The cached score of the prompt with this key, or None."""

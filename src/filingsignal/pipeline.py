@@ -263,7 +263,7 @@ def stage_ingest(config: PipelineConfig, failures: Failures, inputs, outputs,
 
 
 def _reusable_vectors(index_dir: str, provider_id: str) -> dict[str, np.ndarray]:
-    """The previous index's vectors in ``index_dir`` by chunk-text sha256.
+    """The previous index's float32 rows in ``index_dir`` by chunk-text sha256.
 
     Empty when there is no index or another provider embedded it. An index
     that cannot be read, say one of an older index version, is treated as
@@ -299,7 +299,7 @@ def stage_embed(config: PipelineConfig, failures: Failures, inputs, outputs) -> 
         except PipelineError as exc:  # left out of the index; score records it as failed
             failures.record(f"{filing.ticker} {filing.filing_date}", exc)
             continue
-        units += [reusable[key] if key in reusable else next(fresh) for key in keys]
+        units += [reusable[key] if key in reusable else np.float32(next(fresh)) for key in keys]
         refs += [(*chunk.filing_key, chunk.chunk_index) for chunk in chunks]
         hashes += keys
     if failures.items and not refs:
@@ -343,8 +343,8 @@ def stage_score(config: PipelineConfig, failures: Failures, inputs, outputs) -> 
     # calls; the in-process stubs would add hand-offs under the GIL. With 0
     # workers each filing ends before the next is planned.
     with Calls(MAX_WORKERS if isinstance(llm, HTTPChatLLM) else 0) as calls:
-        for filing in store.load_all():
-            try:
+        try:
+            for filing in store.load_all():  # each text is hash-checked as it is read
                 chunks = chunk_filing(filing, config.chunk_chars, config.overlap_chars)
                 indexed = index.hashes_of(filing.key)
                 if indexed and indexed != [chunk.sha256 for chunk in chunks]:
@@ -353,16 +353,16 @@ def stage_score(config: PipelineConfig, failures: Failures, inputs, outputs) -> 
                         f"chunks unlike its {len(indexed)} rows in the index in "
                         f"{config.index_dir}", "embed")
                 end, asks = score_filing(filing, chunks, inputs, index, cache, calls)
-            except Exception:  # raised once the filings before it have ended
-                while started:
+                started.append((filing, end, max(1, asks)))
+                # The oldest ends once the filings after it hold 2 asks per worker,
+                # so no worker idles while this thread waits for it.
+                while started and (sum(weight for *_, weight in started) - started[0][2]
+                                   >= 2 * calls.workers):
                     end_oldest()
-                raise
-            started.append((filing, end, max(1, asks)))
-            # The oldest ends once the filings after it hold 2 asks per worker,
-            # so no worker idles while this thread waits for it.
-            while started and (sum(weight for *_, weight in started) - started[0][2]
-                               >= 2 * calls.workers):
+        except Exception:  # raised once the filings started before it have ended
+            while started:
                 end_oldest()
+            raise
         while started:
             end_oldest()
     if failures.items and not rows:

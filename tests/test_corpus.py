@@ -254,4 +254,4 @@ class TestStore:
         with pytest.raises(PipelineError, match=(
                 f"^{path} was changed after ingest stored it: .* restore the file, or remove "
                 "its line from the manifest and run stage 'ingest'")):
-            store.load_all()
+            list(store.load_all())

@@ -8,17 +8,22 @@ import shutil
 import sys
 import threading
 import time
+import tracemalloc
+from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from filingsignal import cli, corpus, edgar, llm_scoring, pipeline
-from filingsignal.corpus import CorpusStore, chunk_filing
+from filingsignal.corpus import CorpusStore, chunk_filing, write_records
 from filingsignal.embed_index import HashEmbeddingProvider, VectorIndex
 from filingsignal.errors import (Failures, FinalStatusError, PipelineError, RetriableError,
                                  StageInputError)
+from filingsignal.labeling import LabeledExample, make_labels
 from filingsignal.llm_scoring import HTTPChatLLM, KeywordLLM, ScoreCache, read_features_csv
+from filingsignal.market_data import ReturnRecord
 from filingsignal.net import MAX_ATTEMPTS, MAX_WORKERS
 from filingsignal.pipeline import PipelineConfig, run_pipeline
 from filingsignal.regression import NNLSModel
@@ -228,6 +233,41 @@ class TestRunPipeline:
         prices.write_text(text.replace(row, "ALFA,2016-06-01,1000.0"))
         run_pipeline(config, ["returns"])
         assert returns_csv.read_bytes() != before
+
+    def test_label_target_chooses_the_labels_field(self, tmp_path):
+        """Returns whose 12-month and maximum windows rank in opposite orders
+        get other labels under each ``label_target``: those of ``make_labels``
+        on its own field."""
+        config = synthetic_config(tmp_path, tmp_path)
+        records = [ReturnRecord(f"T{i}", date(2019, 3, 1), date(2020, 3, 1), 0.1 * i,
+                                1.0 - 0.1 * i, -0.1, 0.04, 0.06) for i in range(6)]
+        write_records(config.out("returns.csv"), ReturnRecord, records)
+        labels = {}
+        for target, field in [("12m", "target_12m"), ("max", "target_max")]:
+            config.label_target = target
+            run_pipeline(config, ["label"])
+            labels[target] = config.out("labels.csv").read_bytes()
+            write_records(tmp_path / "expected.csv", LabeledExample,
+                          make_labels(records, field, config.bins))
+            assert labels[target] == (tmp_path / "expected.csv").read_bytes()
+        assert labels["12m"] != labels["max"]
+
+    def test_edited_text_stops_score_after_the_filings_before_it(self, synth_root,
+                                                                 tmp_path):
+        """Score ends the filings read before a text that fails its hash check,
+        and keeps their rows in the cache, then stops with the check's error."""
+        config = synthetic_config(synth_root, tmp_path / "out")
+        config.corpus_dir = str(corpus_copy(synth_root, tmp_path / "corpus"))
+        run_pipeline(config, ["embed"])
+        keys = CorpusStore(config.corpus_dir).keys()
+        edited = Path(config.corpus_dir) / "filings" / f"{keys[2][0]}_{keys[2][1]}.txt"
+        edited.write_text(edited.read_text() + " The auditor restated the final quarter.")
+        with pytest.raises(PipelineError, match=f"^{edited} was changed after ingest"):
+            run_pipeline(config, ["score"])
+        records = config.out("score_cache.jsonl").read_text().splitlines()
+        rows = [record["filing_key"] for record in map(json.loads, records)
+                if "row_sha256" in record]
+        assert rows == [list(key) for key in keys[:2]]
 
     def test_column_parse_keeps_returns_bytes(self, tmp_path, monkeypatch):
         root = make_workspace(tmp_path / "ws", seed=0)
@@ -705,7 +745,7 @@ class TestRunPipeline:
         run_pipeline(config, ["embed", "score"])
         features = (tmp_path / "features.csv").read_bytes()
         (tmp_path / pipeline.MANIFEST_FILE).unlink()  # only the index is left to tell
-        filings = CorpusStore(config.corpus_dir).load_all()
+        filings = list(CorpusStore(config.corpus_dir).load_all())
         config.overlap_chars = 48  # chunk boundaries move, no filing's chunk count changes
         assert [len(chunk_filing(f, 400, 48)) for f in filings] == \
             [len(chunk_filing(f, 400, 32)) for f in filings]
@@ -1884,7 +1924,7 @@ class TestScorePool:
         corpus = tmp_path / "corpus"
         if not corpus.exists():
             store = CorpusStore(corpus)
-            for filing in CorpusStore(synth_root / "corpus").load_all()[:filings]:
+            for filing in list(CorpusStore(synth_root / "corpus").load_all())[:filings]:
                 store.add(filing)
         config = synthetic_config(synth_root, tmp_path / out)
         config.corpus_dir = str(corpus)
@@ -1894,7 +1934,7 @@ class TestScorePool:
     @staticmethod
     def stored_twice(synth_root, tmp_path):
         """A corpus of one synthetic filing's text stored under two dates."""
-        filing = CorpusStore(synth_root / "corpus").load_all()[0]
+        filing = list(CorpusStore(synth_root / "corpus").load_all())[0]
         store = CorpusStore(tmp_path / "corpus")
         store.add(filing)
         store.add(dataclasses.replace(filing, filing_date=filing.filing_date.replace(month=12)))
@@ -2036,7 +2076,7 @@ class TestScorePool:
             (tmp_path / "corpus" / "manifest.jsonl").unlink()
             shutil.rmtree(store.filings_dir)
             store = CorpusStore(config.corpus_dir)
-            for filing in CorpusStore(synth_root / "corpus").load_all()[:4]:
+            for filing in list(CorpusStore(synth_root / "corpus").load_all())[:4]:
                 store.add(edited if filing.key == edited.key else filing)
             # Else the stale-producer check refuses the run before the stage.
             (tmp_path / "out" / pipeline.MANIFEST_FILE).unlink()
@@ -2117,3 +2157,55 @@ class TestScorePool:
             run_pipeline(config, ["score"])
         assert server.calls == len(questions)
         assert threading.active_count() == before
+
+
+class TestStageMemory:
+    """Embed and score hold a small multiple of the float32 index, not float64
+    copies of it, and not every filing's text."""
+
+    @staticmethod
+    def traced_growth(synth_root, root, filings):
+        """The traced peak of ``stage_embed`` and of ``stage_score``, each above
+        what was traced as it started, and the size of ``vectors.bin``, over a
+        corpus of ``filings`` synthetic texts, each 12 times over, under new
+        tickers, in chunks of 1,024 characters."""
+        synth = list(CorpusStore(synth_root / "corpus").load_all())
+        store = CorpusStore(root / "corpus")
+        for i in range(filings):
+            filing = synth[i % len(synth)]
+            store.add(dataclasses.replace(filing, ticker=f"T{i}",
+                                          clean_text=(filing.clean_text + "\n") * 12))
+        config = synthetic_config(synth_root, root / "out")
+        config.corpus_dir = str(store.root)
+        config.chunk_chars, config.overlap_chars = 1024, 64
+        config.embedding_provider["dimension"] = 256
+        peaks = []
+        tracemalloc.start()
+        try:
+            for stage in ("embed", "score"):
+                (declared,) = [s for s in pipeline.STAGES if s.name == stage]
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                declared.run(config, Failures(config.errors_file(stage)),
+                             declared.inputs(config), declared.outputs(config))
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        return peaks, Path(config.index_file).stat().st_size
+
+    def test_peaks_grow_with_the_float32_index(self, synth_root, tmp_path):
+        (embed, score), size = self.traced_growth(synth_root, tmp_path / "n", 16)
+        (embed4, score4), size4 = self.traced_growth(synth_root, tmp_path / "4n", 64)
+        assert (score4 - score) / (size4 - size) <= 2
+        assert (embed4 - embed) / (size4 - size) <= 4.5
+
+    def test_loaded_vectors_are_the_files_float32_bytes(self, synth_root, tmp_path):
+        config = synthetic_config(synth_root, tmp_path)
+        run_pipeline(config, ["embed"])
+        vectors = VectorIndex.load(config.index_dir).vectors
+        assert vectors.dtype == np.float32 and not vectors.flags.writeable
+        owner = vectors
+        while isinstance(owner, np.ndarray):
+            owner = owner.base
+        assert owner == index_bytes(config)
+        assert np.shares_memory(vectors, np.frombuffer(owner, dtype=np.uint8))
