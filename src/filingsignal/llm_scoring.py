@@ -277,41 +277,45 @@ def _is_number(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
+# Each record of the score cache by its key field: the field of its value, the
+# test of that value, and what a line with the key field but no such value is not.
+_RECORDS = {
+    "prompt_sha256": ("score", _is_score, "an answer with a string prompt_sha256 and an "
+                      "integer score from 0 to 100"),
+    "row_sha256": ("scores", lambda v: isinstance(v, list) and all(map(_is_score, v)),
+                   "a row with a string row_sha256 and a list of integer scores from 0 to 100"),
+    "vector_sha256": ("vector", lambda v: isinstance(v, list) and v and all(map(_is_number, v)),
+                      "a vector with a string vector_sha256 and a non-empty list of finite "
+                      "numbers"),
+}
+
+
 class ScoreCache:
-    """JSONL memo of provider answers keyed on ``prompt_key``, so an answer is
-    reused only for the exact prompt it answered, and of whole feature rows
-    keyed on every input of their prompts (see ``score_filing``). Memory holds
-    only each prompt's score and each row's scores; the file also keeps the
-    filing, question, raw response and context chunk refs of each answer for
-    audit, and the filing of each row.
+    """JSONL memo of the records of ``_RECORDS``: provider answers keyed on
+    ``prompt_key``, so an answer is reused only for the exact prompt it
+    answered, whole feature rows keyed on every input of their prompts (see
+    ``score_filing``) and question unit vectors (see ``embed_text``). Memory
+    holds each record's key and value; the file also keeps the filing,
+    question, raw response and context chunk refs of each answer for audit,
+    and the filing of each row.
 
-    ``put`` and ``put_row`` make a record visible to ``get`` and ``get_row``
-    at once and buffer its line; ``flush`` appends the buffered lines to the
-    file in one write. The file is read a line at a time, and its torn final
-    line is cut (see ``whole_lines``); each line is decoded and taken in
-    order, and one that is not UTF-8 raises PipelineError naming it. An
-    answer's key and score are read by ``_ANSWER`` without parsing the rest
-    of its line, and any other line is parsed as JSON. An answer needs an
-    integer score from 0 to 100 and a row a list of such scores; a line with
-    ``prompt_sha256`` or ``row_sha256`` that is not one, or a line that is
-    not a JSON object, raises PipelineError naming it. Older records with
-    neither key are dropped with one warning: the first load that finds them
-    rewrites the file without their lines (see ``write_atomic``), so their
-    prompts are asked again; the rewrite reads the file a second time.
-
-    A third record keeps one question's unit vector under ``vector_sha256``
-    (see ``embed_text``), so it is no older record: ``put_vector`` buffers it
-    as ``put`` does, ``get_vector`` returns it as loaded, and a line whose
-    ``vector`` is not a non-empty list of finite numbers raises PipelineError
-    naming it.
+    A put keeps the first value put for a key, visible to its get at once,
+    and buffers its line; a later put of the key writes nothing. Each returns
+    the value held. ``flush`` appends the buffered lines in one write. The
+    file is read a line at a time, its torn final line cut (see
+    ``whole_lines``). A line that is not UTF-8 or not a JSON object, or whose
+    first key field is not a string or lacks a value that passes its test,
+    raises PipelineError naming it. ``_ANSWER`` reads an answer's key and
+    score without parsing the rest of its line. Older records with none of
+    the key fields are dropped with one warning: the first load that finds
+    them rewrites the file without their lines (see ``write_atomic``), so
+    their prompts are asked again; the rewrite reads the file a second time.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._pending: list[str] = []
-        self._scores: dict[str, int] = {}
-        self._rows: dict[str, list[int]] = {}
-        self._vectors: dict[str, np.ndarray] = {}
+        self._held: dict[str, dict] = {kind: {} for kind in _RECORDS}
         dropped: set[int] = set()
         for i, line_bytes in enumerate(whole_lines(self.path)):
             try:
@@ -319,86 +323,75 @@ class ScoreCache:
             except UnicodeDecodeError as exc:
                 raise PipelineError(f"{self.path}: line {i + 1} is not UTF-8: {exc}") from exc
             if answer := _ANSWER.search(line):
-                self._scores[answer[1]] = int(answer[2])
+                self._held["prompt_sha256"][answer[1]] = int(answer[2])
             elif line.strip():
                 rec = json_line(self.path, i + 1, line)
                 if not isinstance(rec, dict):
                     raise PipelineError(f"{self.path}: line {i + 1} is not a JSON object")
-                if "prompt_sha256" in rec:
-                    if not (isinstance(rec["prompt_sha256"], str)
-                            and _is_score(rec.get("score"))):
-                        raise PipelineError(f"{self.path}: line {i + 1} is not an answer with a "
-                                            "string prompt_sha256 and an integer score "
-                                            "from 0 to 100")
-                    self._scores[rec["prompt_sha256"]] = rec["score"]
-                elif "row_sha256" in rec:
-                    scores = rec.get("scores")
-                    if not (isinstance(rec["row_sha256"], str) and isinstance(scores, list)
-                            and all(map(_is_score, scores))):
-                        raise PipelineError(f"{self.path}: line {i + 1} is not a row with a "
-                                            "string row_sha256 and a list of integer "
-                                            "scores from 0 to 100")
-                    self._rows[rec["row_sha256"]] = scores
-                elif "vector_sha256" in rec:
-                    vector = rec.get("vector")
-                    if not (isinstance(rec["vector_sha256"], str) and isinstance(vector, list)
-                            and vector and all(map(_is_number, vector))):
-                        raise PipelineError(f"{self.path}: line {i + 1} is not a vector with a "
-                                            "string vector_sha256 and a non-empty list of "
-                                            "finite numbers")
-                    self._vectors[rec["vector_sha256"]] = np.array(vector, dtype=np.float64)
+                for kind, (field, valid, what) in _RECORDS.items():
+                    if kind in rec:
+                        if not (isinstance(rec[kind], str) and valid(rec.get(field))):
+                            raise PipelineError(f"{self.path}: line {i + 1} is not {what}")
+                        self._held[kind][rec[kind]] = rec[field]
+                        break
                 else:
                     dropped.add(i)
         if dropped:
-            logger.warning("%s: dropping %d records without prompt_sha256, row_sha256 or "
-                           "vector_sha256; their questions are asked again",
-                           self.path, len(dropped))
+            logger.warning("%s: dropping %d records without %s; their questions are asked "
+                           "again", self.path, len(dropped), " or ".join(_RECORDS))
             write_atomic(self.path, b"".join(
                 line for i, line in enumerate(whole_lines(self.path)) if i not in dropped))
 
+    def _keep(self, kind: str, key: str, value, record: dict):
+        """Keep ``value`` under ``key`` and buffer ``record``'s line, unless the
+        key is held; the value held for the key."""
+        held = self._held[kind]
+        if key in held:
+            return held[key]
+        held[key] = value
+        self._pending.append(json.dumps(record) + "\n")
+        return value
+
     def get(self, key: str) -> int | None:
         """The cached score of the prompt with this key, or None."""
-        return self._scores.get(key)
+        return self._held["prompt_sha256"].get(key)
 
     def put(self, key: str, filing_key: tuple[str, str], question_id: str, score: int,
             raw_response: str, context_chunk_refs: list[ChunkRef]) -> int:
-        """Keep one answer unless the key is held; the score held for the key.
+        """Keep one answer; the score held for the key.
 
         A prompt that two filings in flight at once both miss is asked and put
         by each (see ``score_filing``): the second put writes nothing and
         returns the first score, as a serial run would have read it."""
-        if key in self._scores:
-            return self._scores[key]
-        self._scores[key] = score
-        self._pending.append(json.dumps({
+        return self._keep("prompt_sha256", key, score, {
             "filing_key": list(filing_key),
             "question_id": question_id,
             "prompt_sha256": key,
             "score": score,
             "raw_response": raw_response,
             "context_chunk_refs": [list(r) for r in context_chunk_refs],
-        }) + "\n")
-        return score
+        })
 
     def get_row(self, key: str) -> list[int] | None:
         """The cached scores of the row with this key, or None."""
-        return self._rows.get(key)
+        return self._held["row_sha256"].get(key)
 
-    def put_row(self, key: str, filing_key: tuple[str, str], scores: list[int]) -> None:
-        """Keep a whole row's scores, in question order, under its row key."""
-        self._rows[key] = scores
-        self._pending.append(json.dumps({"row_sha256": key, "filing_key": list(filing_key),
-                                         "scores": scores}) + "\n")
+    def put_row(self, key: str, filing_key: tuple[str, str], scores: list[int]) -> list[int]:
+        """Keep a whole row's scores, in question order, under its row key; the
+        scores held for the key."""
+        return self._keep("row_sha256", key, scores, {
+            "row_sha256": key, "filing_key": list(filing_key), "scores": scores})
 
     def get_vector(self, key: str) -> np.ndarray | None:
-        """The cached vector with this key, as loaded or put, or None."""
-        return self._vectors.get(key)
+        """The cached vector with this key, as float64, or None; JSON floats
+        read back bit for bit."""
+        held = self._held["vector_sha256"].get(key)
+        return None if held is None else np.asarray(held, dtype=np.float64)
 
-    def put_vector(self, key: str, vector: np.ndarray) -> None:
-        """Keep one vector under its key; JSON floats read back bit for bit."""
-        self._vectors[key] = vector
-        self._pending.append(json.dumps({"vector_sha256": key,
-                                         "vector": vector.tolist()}) + "\n")
+    def put_vector(self, key: str, vector: np.ndarray) -> np.ndarray:
+        """Keep one vector under its key; the vector held, as ``get_vector`` returns it."""
+        return np.asarray(self._keep("vector_sha256", key, vector, {
+            "vector_sha256": key, "vector": vector.tolist()}), dtype=np.float64)
 
     def flush(self) -> None:
         """Append every record put since the last flush, in put order."""
@@ -498,7 +491,9 @@ def score_filing(
     was built from them. The row key is a sha256 over ``inputs.key``, the
     filing key, and the text hashes and vectors of the filing's rows in the
     index in chunk order: every input the row's prompts are built from. A row
-    the cache holds under it is returned as it is, with 0 prompts submitted.
+    the cache holds under it is returned as it is, with 0 prompts submitted;
+    one whose number of scores is not the number of questions raises
+    PipelineError naming the cache file and the row key.
     Otherwise, for each question in order, this thread retrieves the filing's
     top chunks, builds the prompt and looks it up in ``cache``; each miss is
     submitted to ``calls``.
@@ -516,6 +511,9 @@ def score_filing(
                           *(h.encode("ascii") for h in index.hashes_of(key)),
                           index.vectors_of(key).tobytes()])
     if (memo := cache.get_row(row_key)) is not None:
+        if len(memo) != len(inputs.qs):
+            raise PipelineError(f"{cache.path}: the row of row_sha256 {row_key} holds "
+                                f"{len(memo)} scores for {len(inputs.qs)} questions")
         return (lambda: FeatureRow(key, list(memo))), 0
     llm, failure = inputs.llm, _FirstFailure()
     scores: list[int | None] = []

@@ -222,7 +222,7 @@ def with_retries(call: Callable[[], T], item: str,
 
 class Calls:
     """Where one stage makes its provider calls: on ``workers`` threads, or with
-    0 on the caller's thread as each call is submitted. ``workers`` is kept,
+    0 on the caller's thread as it asks for each value. ``workers`` is kept,
     since the stage sizes how far it plans ahead by it. Use it as a context
     manager; leaving it drops the calls not yet started and waits for the rest.
 
@@ -247,20 +247,12 @@ class Calls:
             self._pool.shutdown(cancel_futures=True)
 
     def submit(self, fn: Callable[..., T], *args) -> Callable[[], T]:
-        """Start ``_call(fn, *args)``; returns the function that returns its value
-        or raises its error, waiting for it on a worker. Without workers the
-        call is made here and now, and no future is made for it."""
+        """Start ``_call(fn, *args)`` on a worker; returns the function that waits
+        for it and returns its value or raises its error. Without workers that
+        function makes the call itself, on the thread that calls it."""
         if self._pool is not None:
             return self._pool.submit(self._call, fn, *args).result
-        try:
-            value = self._call(fn, *args)
-        except Exception as exc:
-            error = exc
-
-            def failed() -> T:
-                raise error
-            return failed
-        return lambda: value
+        return lambda: self._call(fn, *args)
 
     def _call(self, fn: Callable[..., T], *args) -> T:
         """``fn(*args)`` on this thread, unless a call has raised FinalStatusError."""

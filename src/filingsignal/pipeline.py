@@ -506,8 +506,11 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def _file_hashes(paths: list[Path]) -> dict[str, str]:
-    return {str(p): _sha256_file(p) for p in paths}
+def _file_hashes(paths: list[Path], out_dir: Path) -> dict[str, str]:
+    """Each file's sha256, keyed by its path relative to ``out_dir`` if it lies
+    there, so a moved ``out_dir`` keeps its keys, and else by its path."""
+    return {str(p.relative_to(out_dir) if p.is_relative_to(out_dir) else p): _sha256_file(p)
+            for p in paths}
 
 
 def _input_hashes(config: PipelineConfig, stage: Stage, inputs: list[Path],
@@ -519,7 +522,7 @@ def _input_hashes(config: PipelineConfig, stage: Stage, inputs: list[Path],
             raise PipelineError(f"missing input file {path}")
     subset = {key: getattr(config, key) for key in stage.config_keys}
     return {"config": hashlib.sha256(json.dumps(subset, sort_keys=True).encode()).hexdigest(),
-            **_file_hashes(inputs)}
+            **_file_hashes(inputs, Path(config.out_dir))}
 
 
 def _check_producers(config: PipelineConfig, inputs: list[Path], requested: list[str],
@@ -588,7 +591,8 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
             _check_producers(config, inputs, requested, manifest, producers)
             prior = manifest.get(stage.name)
             unchanged = bool(prior) and prior["inputs"] == input_hashes and \
-                all(p.exists() for p in outputs) and prior["outputs"] == _file_hashes(outputs)
+                all(p.exists() for p in outputs) and \
+                prior["outputs"] == _file_hashes(outputs, out_dir)
             if unchanged and not prior.get("retry_items"):
                 logger.info("stage %s: inputs and outputs unchanged, skipped", stage.name)
                 continue
@@ -616,7 +620,7 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
                                failures.retriable)
             manifest[stage.name] = {
                 "inputs": input_hashes,
-                "outputs": _file_hashes(outputs),
+                "outputs": _file_hashes(outputs, out_dir),
                 "retry_items": failures.retriable,
                 "wall_time_s": round(time.monotonic() - t0, 3),
             }

@@ -7,7 +7,9 @@ import socket
 import ssl
 import subprocess
 import sys
+import threading
 import time
+from concurrent.futures import CancelledError
 
 import pytest
 import yaml
@@ -315,3 +317,63 @@ def test_stub_stage_run_loads_no_ingest_demo_or_pool_code(synth_root, tmp_path):
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, timeout=300, env=env, check=True).stdout
     assert out.splitlines()[-1] == "[]"
+
+
+# --- net.Calls -------------------------------------------------------------------
+
+def test_call_without_workers_is_made_when_its_value_is_asked_for():
+    made = []
+
+    def fn(n):
+        made.append(n)
+        if n == 2:
+            raise ValueError("no answer")
+        return n * 10
+
+    with net.Calls(0) as calls:
+        first, second = calls.submit(fn, 1), calls.submit(fn, 2)
+        assert made == []
+        assert first() == 10 and made == [1]
+        with pytest.raises(ValueError, match="no answer"):
+            second()
+        assert made == [1, 2]
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_final_status_stops_every_later_call(workers):
+    made = []
+
+    def fn(n):
+        made.append(n)
+        raise FinalStatusError("HTTP 401 from the LLM endpoint")
+
+    with net.Calls(workers) as calls:
+        with pytest.raises(FinalStatusError):
+            calls.submit(fn, 1)()
+        later = [calls.submit(fn, n) for n in (2, 3)]
+        for value in later:
+            with pytest.raises(FinalStatusError, match="^HTTP 401 from the LLM endpoint$"):
+                value()
+    assert made == [1]
+
+
+def test_leaving_the_context_cancels_queued_pool_calls():
+    started, release, made = threading.Event(), threading.Event(), []
+
+    def block():
+        started.set()
+        release.wait(10)
+        made.append("running")
+
+    with net.Calls(1) as calls:
+        running = calls.submit(block)
+        queued = [calls.submit(made.append, n) for n in range(3)]
+        assert started.wait(10)
+        # Set once leaving the context has cancelled the queued calls and
+        # waits for the running one.
+        threading.Timer(0.5, release.set).start()
+    running()
+    assert made == ["running"]
+    for value in queued:
+        with pytest.raises(CancelledError):
+            value()

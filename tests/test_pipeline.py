@@ -184,6 +184,17 @@ class TestRunPipeline:
         for name in ARTIFACTS:
             assert (tmp_path / name).stat().st_mtime_ns == mtimes[name], name
 
+    def test_copied_out_dir_skips_every_stage(self, synth_root, tmp_path):
+        """The manifest keys each file under out_dir, the index too, by its path
+        relative to out_dir, so a copy of a finished out_dir runs nothing again."""
+        run_pipeline(synthetic_config(synth_root, tmp_path / "out"), SYNTH_STAGES)
+        moved = shutil.copytree(tmp_path / "out", tmp_path / "moved")
+        before = json.loads((moved / pipeline.MANIFEST_FILE).read_text())
+        mtimes = {name: (moved / name).stat().st_mtime_ns for name in ARTIFACTS}
+        assert run_pipeline(synthetic_config(synth_root, moved), SYNTH_STAGES) == before
+        assert {name: (moved / name).stat().st_mtime_ns for name in ARTIFACTS} == mtimes
+        assert set(before["embed"]["outputs"]) == {str(Path("index", pipeline.INDEX_FILE))}
+
     def test_changed_config_reruns_downstream(self, synth_root, tmp_path):
         config = synthetic_config(synth_root, tmp_path)
         run_pipeline(config, SYNTH_STAGES)
@@ -1776,6 +1787,28 @@ class TestCli:
         cfg_path = write_config(synth_root, tmp_path, corpus_dir=str(corpus))
         assert cli.main(["pipeline", "--config", str(cfg_path), "--stages", *stages]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: line 2 {problem}")
+
+    def test_row_memo_of_another_length_is_an_error_line(self, synth_root, tmp_path, capsys):
+        """A row record whose scores are not one per question stops score, which
+        writes no features.csv: the short row would end train in a traceback."""
+        cfg_path = write_config(synth_root, tmp_path)
+        argv = ["pipeline", "--config", str(cfg_path), "--stages", "embed", "score"]
+        assert cli.main(argv) == 0
+        cache_path = tmp_path / "out" / "score_cache.jsonl"
+        features = tmp_path / "out" / "features.csv"
+        lines = cache_path.read_text().splitlines(keepends=True)
+        i, row = next((i, json.loads(line)) for i, line in enumerate(lines)
+                      if "row_sha256" in line)
+        lines[i] = json.dumps({**row, "scores": row["scores"][:3]}) + "\n"
+        cache_path.write_text("".join(lines))
+        features.unlink()
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == [f"error: {cache_path}: the row of row_sha256 {row['row_sha256']} "
+                          f"holds 3 scores for {len(default_questions())} questions"]
+        assert not features.exists()
 
     @pytest.mark.parametrize("spoil", [
         lambda text: text[:len(text) // 2],

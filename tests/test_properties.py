@@ -116,7 +116,7 @@ def test_top_k_equals_a_stable_sort_of_float64_rows(data):
         assert index.vectors_of(key).tobytes() == reference[positions].tobytes()
 
 
-# --- ScoreCache over a cut file ------------------------------------------------
+# --- ScoreCache over a cut file and over repeated keys -------------------------
 
 answer_records = st.tuples(st.just("answer"), st.integers(0, 100), st.text(max_size=12))
 row_records = st.tuples(st.just("row"), st.lists(st.integers(0, 100), max_size=4))
@@ -129,6 +129,16 @@ def cache_path(tmp_path_factory):
     return tmp_path_factory.mktemp("cache") / "score_cache.jsonl"
 
 
+def put(cache, kind, key, value):
+    """Put one record of ``kind``; what the put returns."""
+    if kind == "answer":
+        return cache.put(key, ("A", "2020-03-01"), "q", value[0], value[1],
+                         [("A", "2020-03-01", 0)])
+    if kind == "row":
+        return cache.put_row(key, ("A", "2020-03-01"), value[0])
+    return cache.put_vector(key, np.array(value[0]))
+
+
 def cache_records(path, records) -> list[str]:
     """Write ``records`` to ``path`` through ``ScoreCache``, one line each;
     returns each one's key."""
@@ -136,13 +146,7 @@ def cache_records(path, records) -> list[str]:
     cache, keys = ScoreCache(path), []
     for kind, *value in records:
         keys.append(hashlib.sha256(str(len(keys)).encode()).hexdigest())
-        if kind == "answer":
-            cache.put(keys[-1], ("A", "2020-03-01"), "q", value[0], value[1],
-                      [("A", "2020-03-01", 0)])
-        elif kind == "row":
-            cache.put_row(keys[-1], ("A", "2020-03-01"), value[0])
-        else:
-            cache.put_vector(keys[-1], np.array(value[0]))
+        put(cache, kind, keys[-1], value)
     cache.flush()
     return keys
 
@@ -177,6 +181,25 @@ def test_cache_cut_at_any_byte_keeps_every_whole_line(cache_path, records, data)
         assert held(cache, kind, key) == (held(full, kind, key) if i < kept else None)
     assert cache_path.read_bytes() == whole[:whole.rfind(b"\n", 0, cut) + 1]
     assert len(warnings) == (not whole[:cut].endswith(b"\n") and cut > 0)
+
+
+@SETTINGS
+@given(records=st.lists(st.tuples(st.integers(0, 2), answer_records | row_records |
+                                  vector_records), min_size=1, max_size=8))
+def test_a_key_put_again_keeps_its_first_value(cache_path, records):
+    """Each put returns the value first put for its kind and key, and only a
+    first put writes a line; a load then holds the first values."""
+    cache_path.unlink(missing_ok=True)
+    cache, first = ScoreCache(cache_path), {}
+    for n, (kind, *value) in records:
+        key = hashlib.sha256(str(n).encode()).hexdigest()
+        returned = put(cache, kind, key, value)
+        returned = returned.tobytes() if kind == "vector" else returned
+        assert returned == first.setdefault((kind, key), returned)
+    cache.flush()
+    assert len(cache_path.read_bytes().splitlines()) == len(first)
+    loaded = ScoreCache(cache_path)
+    assert all(held(loaded, kind, key) == value for (kind, key), value in first.items())
 
 
 # --- regression.nnls -------------------------------------------------------------
